@@ -20,12 +20,11 @@ Three measurements land in ``benchmarks/BENCH_runtime.json``:
   between the two engines; full-scale runs must clear 100x, the tier-1
   smoke cell (200k devices x 10 minutes) 10x.
 * **parallel sweep speedup** -- four independent replicates of one
-  fleet_scale cell run through :class:`SweepExecutor` serially, twice
-  on the process backend (cold spawn, then the same warm persistent
-  pool), and once on the thread backend.  All four runs must produce
-  identical measurements before any wall-clock number counts; the
-  recorded section carries ``n_cpus``, cold-vs-warm pool timings, and
-  the sweep's shm-vs-pickle transport bytes alongside the gated
+  fleet_scale cell run through :class:`SweepExecutor` serially, then
+  twice on the process pool (cold spawn, then the same warm persistent
+  pool).  All three runs must produce identical measurements before
+  any wall-clock number counts; the recorded section carries
+  ``n_cpus`` and cold-vs-warm pool timings alongside the gated
   ``speedup`` (serial over warm-pool).  On a runner with >= 4 cores the
   warm speedup must reach 2x -- on smaller runners the gate is
   *skipped* (recording ``n_cpus``), not silently passed.
@@ -43,17 +42,11 @@ import resource
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.softlora import SoftLoRaGateway
 from repro.experiments.fleet_scale import run_fleet_scale
-from repro.parallel import (
-    DEFAULT_MIN_SHM_BYTES,
-    PayloadPublisher,
-    pickled_nbytes,
-    shutdown_default_pools,
-)
+from repro.parallel import shutdown_default_pools
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
@@ -201,7 +194,7 @@ def _measure_columnar_throughput() -> dict:
     }
 
 
-def _run_replicated_sweep(n_workers: int, backend: str = "process"):
+def _run_replicated_sweep(n_workers: int):
     n_gateways, n_devices = SWEEP_CELL
     start = time.perf_counter()
     result = run_fleet_scale(
@@ -209,39 +202,9 @@ def _run_replicated_sweep(n_workers: int, backend: str = "process"):
         device_counts=(n_devices,),
         replicates=N_REPLICATES,
         n_workers=n_workers,
-        backend=backend,
         **SWEEP_ROUNDS,
     )
     return time.perf_counter() - start, result
-
-
-def _measure_shm_transport() -> dict:
-    """Pickled task bytes for a power-matrix payload, with and without shm.
-
-    The replicated fleet cells ship only small parameter payloads, so
-    this measures the transport on the payload shape shared memory
-    exists for: a ``(50k, 8)`` float64 power matrix (a mid-size
-    fleet_scale cell's dominant array).
-    """
-    matrix = np.arange(50_000 * 8, dtype=np.float64).reshape(50_000, 8)
-    payload = {"powers": matrix, "threshold_db": 6.0}
-    without_shm = pickled_nbytes(payload)
-    publisher = PayloadPublisher(DEFAULT_MIN_SHM_BYTES)
-    skeleton = publisher.strip(payload)
-    pack = publisher.seal()
-    try:
-        with_shm = pickled_nbytes(publisher.fill(skeleton))
-        shm_bytes = pack.nbytes if pack is not None else 0
-    finally:
-        if pack is not None:
-            pack.close()
-            pack.unlink()
-    return {
-        "array_bytes": int(matrix.nbytes),
-        "pickled_without_shm": int(without_shm),
-        "pickled_with_shm": int(with_shm),
-        "shm_block_bytes": int(shm_bytes),
-    }
 
 
 def _merge_artifact(section: str, payload: dict) -> dict:
@@ -308,12 +271,10 @@ def test_parallel_sweep_speedup():
     shutdown_default_pools()
     cold_s, cold = _run_replicated_sweep(n_workers=n_workers)
     warm_s, warm = _run_replicated_sweep(n_workers=n_workers)
-    thread_s, threaded = _run_replicated_sweep(n_workers=n_workers, backend="thread")
 
-    # Correctness first: neither backend, worker count, nor pool warmth
-    # may change a single measurement before the wall-clock means
-    # anything.
-    for variant in (cold, warm, threaded):
+    # Correctness first: neither worker count nor pool warmth may
+    # change a single measurement before the wall-clock means anything.
+    for variant in (cold, warm):
         for cell_a, cell_b in zip(serial.cells, variant.cells):
             for field_name in _COMPARED_FIELDS:
                 assert getattr(cell_a, field_name) == getattr(cell_b, field_name), field_name
@@ -330,10 +291,8 @@ def test_parallel_sweep_speedup():
             "serial_s": serial_s,
             "cold_pool_s": cold_s,
             "warm_pool_s": warm_s,
-            "thread_s": thread_s,
             "parallel_s": warm_s,
             "speedup": speedup,
-            "shm_transport": _measure_shm_transport(),
         },
     )
 
@@ -341,8 +300,7 @@ def test_parallel_sweep_speedup():
     print(
         f"parallel sweep ({SWEEP_CELL[0]}x{SWEEP_CELL[1]} cell x{N_REPLICATES}): "
         f"serial {serial_s:.1f}s, {n_workers} workers cold {cold_s:.1f}s / "
-        f"warm {warm_s:.1f}s / threads {thread_s:.1f}s, "
-        f"speedup {speedup:.2f}x on {n_cpus} cpus -> {ARTIFACT.name}"
+        f"warm {warm_s:.1f}s, speedup {speedup:.2f}x on {n_cpus} cpus -> {ARTIFACT.name}"
     )
 
     if n_cpus < 4:

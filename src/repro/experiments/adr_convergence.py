@@ -368,7 +368,6 @@ def run_adr_convergence(
     jitter_s: float = 60.0,
     window_s: float = 30.0,
     n_workers: int = 1,
-    backend: str = "process",
     replicates: int = 1,
 ) -> AdrConvergenceResult:
     """Sweep gateway count x fleet size x initial SF mix through the loop.
@@ -376,10 +375,9 @@ def run_adr_convergence(
     Each cell builds two bit-identical fleets -- one pinned at the
     initial mix (baseline), one under the closed ADR loop -- runs both
     to steady state, and attacks both, so every row is a before/after
-    pair.  ``n_workers > 1`` fans cells out across a persistent worker
-    pool (``backend="process"`` or ``"thread"``) with identical
-    results; ``replicates > 1`` salts the keys for independent copies
-    (benchmark workloads).
+    pair.  ``n_workers > 1`` fans cells out across a persistent
+    process pool with identical results; ``replicates > 1`` salts the
+    keys for independent copies (benchmark workloads).
     """
     params = AdrConvergenceParams(
         baseline_rounds=baseline_rounds,
@@ -407,7 +405,7 @@ def run_adr_convergence(
         for mix in sf_mixes
         for rep in range(replicates)
     ]
-    sweep = SweepExecutor(n_workers=n_workers, backend=backend).run(
+    sweep = SweepExecutor(n_workers=n_workers).run(
         [SweepPoint(key=key) for key in keys],
         partial(measure_adr_cell, params=params),
     )

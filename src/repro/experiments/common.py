@@ -23,20 +23,17 @@ pipeline instead:
 The serial runner preserves the classic drivers' rng call order (per
 trial: FB draw, then phase draw, then onset fraction, then noise), so
 ported drivers regenerate the exact numbers their hand-rolled loops
-produced.  Parallel runs ride the :mod:`repro.parallel` layer: the
-default ``backend="process"`` dispatches to a warm ``spawn`` pool that
-survives across ``run()`` calls, ships large payload arrays through
-zero-copy shared memory, and steals work chunk by chunk
-(``imap_unordered``) before reordering results into declaration order;
-``backend="thread"`` runs the same chunks on threads for
-numpy-dominated measures that release the GIL.  Everything that crosses
-the process boundary -- points, specs, the ``measure`` callable,
-per-point generators -- must pickle: module-level functions (or
-:func:`functools.partial` over them) instead of closures, and
+produced.  Parallel runs ride the :mod:`repro.parallel` layer: they
+dispatch to a warm ``spawn`` process pool that survives across
+``run()`` calls and steals work chunk by chunk (``imap_unordered``)
+before reordering results into declaration order.  Everything that
+crosses the process boundary -- points, specs, the ``measure``
+callable, per-point generators -- must pickle: module-level functions
+(or :func:`functools.partial` over them) instead of closures, and
 :class:`UniformFbLaw` instead of a lambda for the stock FB draw.
 Per-point seeds derive deterministically through
 :class:`repro.sim.rng.RngStreams`, so results are *bitwise* identical
-at any worker count, backend, or chunking.
+at any worker count or chunking.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.parallel import pool as parallel_pool
 from repro.parallel import schedule as parallel_schedule
-from repro.parallel import shm as parallel_shm
 from repro.phy.chirp import ChirpConfig, preamble_at_times
 from repro.sdr.iq import IQTrace
 from repro.sdr.noise import RealNoiseModel, complex_awgn, noise_power_for_snr
@@ -218,26 +214,17 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class TransportStats:
-    """How one parallel run moved its task payloads to the workers.
+    """How one parallel run dispatched its chunks to the workers.
 
     Attributes:
-        backend: ``"process"`` or ``"thread"``.
         n_workers: Worker count the run dispatched to.
         n_chunks: Work-stealing chunks the grid was cut into.
-        payload_pickle_bytes: Bytes of pickled task payload shipped to
-            the pool (after shared-memory stripping; 0 for the thread
-            backend, which never pickles).
-        shm_bytes: Bytes that rode the run's shared-memory block
-            instead of the pickle stream.
         pool_reused: Whether the dispatch found the pool already warm
             (no spawn/import cost paid inside this run).
     """
 
-    backend: str
     n_workers: int
     n_chunks: int
-    payload_pickle_bytes: int
-    shm_bytes: int
     pool_reused: bool
 
 
@@ -245,7 +232,7 @@ class TransportStats:
 class SweepResult:
     """Measurements grouped by sweep key, in point order.
 
-    ``transport`` carries the parallel run's payload accounting
+    ``transport`` carries the parallel run's dispatch accounting
     (``None`` on serial runs).
     """
 
@@ -274,8 +261,7 @@ def _run_point(
     """Run every trial of one (already validated) sweep point.
 
     The per-point generator rides along with its state, keeping any
-    worker count, backend, or chunking bit-identical to the serial
-    walk.
+    worker count or chunking bit-identical to the serial walk.
     """
     trials = []
     for trial in range(point.n_trials):
@@ -289,69 +275,25 @@ def _run_point(
     return trials
 
 
-def _execute_point(
-    task: tuple[SweepPoint, Callable, np.random.Generator | None],
-) -> tuple[Any, list[Any]]:
-    """Validate and run one sweep point (standalone compatibility entry).
-
-    :meth:`SweepExecutor.run` validates the whole grid up front in the
-    parent and dispatches through :func:`_execute_chunk`; this wrapper
-    keeps the classic one-point contract (with its own validation) for
-    direct callers.
-    """
-    point, measure, point_rng = task
-    if point.n_trials < 1:
-        raise ConfigurationError(f"point {point.key!r} needs >= 1 trial")
-    if point.spec is not None and point_rng is None:
-        raise ConfigurationError(f"point {point.key!r} declares captures but no rng was provided")
-    return point.key, _run_point(point, measure, point_rng)
-
-
-@dataclass(frozen=True)
-class _ChunkTask:
-    """One work-stealing unit: a batch of points plus transport context.
-
-    Attributes:
-        index: Chunk position in the plan (progress accounting only --
-            results re-associate by point key).
-        payload: ``(measure, [(point, rng), ...])``, possibly with
-            large arrays stripped into shared-memory descriptors.
-        shared: The run's named shared mapping (arrays or descriptors),
-            installed for :func:`repro.parallel.shared_arrays`.
-        blocks: Shared-memory block names this run uses; workers evict
-            cached attachments outside this set.
-    """
-
-    index: int
-    payload: Any
-    shared: Any
-    blocks: tuple[str, ...]
-
-
-def _execute_chunk(task: _ChunkTask) -> tuple[int, list[tuple[Any, list[Any]]]]:
+def _execute_chunk(
+    task: tuple[Callable, list[tuple[SweepPoint, np.random.Generator | None]]],
+) -> list[tuple[Any, list[Any]]]:
     """Run one chunk of sweep points (the pool's unit of dispatch).
 
-    Module-level so the spawn backend can pickle it.  Resolves any
-    shared-memory descriptors into zero-copy views, installs the run's
-    shared mapping, and walks the chunk's points in declaration order.
+    Module-level so the spawn pool can pickle it; walks the chunk's
+    points in declaration order.
     """
-    parallel_shm.release_other_blocks(set(task.blocks))
-    measure, items = parallel_shm.resolve_payload(task.payload)
-    parallel_shm.use_shared(parallel_shm.resolve_payload(task.shared))
-    return task.index, [(point.key, _run_point(point, measure, rng)) for point, rng in items]
+    measure, items = task
+    return [(point.key, _run_point(point, measure, rng)) for point, rng in items]
 
 
 def _point_cost(point: SweepPoint) -> float:
     """Relative cost estimate of one sweep point for chunk planning.
 
-    ``metadata["cost_hint"]`` overrides when a driver knows better;
-    otherwise the estimate is trials x synthesized samples (specs) or
-    just trials (spec-less points).  Costs shape chunk boundaries only
-    -- they can be arbitrarily wrong without affecting results.
+    The estimate is trials x synthesized samples (specs) or just trials
+    (spec-less points).  Costs shape chunk boundaries only -- they can
+    be arbitrarily wrong without affecting results.
     """
-    hint = point.metadata.get("cost_hint") if point.metadata else None
-    if hint is not None:
-        return float(hint)
 
     def spec_samples(spec: ScenarioSpec) -> float:
         return (spec.pad_chirps + spec.n_chirps + 1) * spec.config.samples_per_chirp
@@ -382,34 +324,28 @@ class SweepExecutor:
       perturbing existing points.
 
     Parallel runs (``n_workers > 1``) dispatch to a
-    :class:`repro.parallel.WorkerPool` that *persists across run()
-    calls*: pass one explicitly (``pool=``, e.g. from a ``with
-    WorkerPool(4) as pool:`` block), or let the executor resolve the
-    module-level default pool for its ``(backend, n_workers)``
-    signature -- either way the spawn/import cost is paid once, not per
-    sweep.  ``backend="process"`` (default) runs spawned interpreters
-    and ships large payload arrays through zero-copy shared memory
-    (``shm_min_bytes`` threshold; large read-only inputs can also ride
-    the run-scoped ``shared=`` mapping, reachable in workers via
-    :func:`repro.parallel.shared_arrays`).  ``backend="thread"`` runs
-    the same chunks on threads -- no pickling at all -- for
-    numpy-dominated measures that release the GIL.
+    :class:`repro.parallel.WorkerPool` of spawned processes that
+    *persists across run() calls*: pass one explicitly (``pool=``, e.g.
+    from a ``with WorkerPool(4) as pool:`` block), or let the executor
+    resolve the module-level default pool for its worker count --
+    either way the spawn/import cost is paid once, not per sweep.
 
     The grid is cut into contiguous chunks sized by a per-point cost
-    estimate (about four chunks per worker; an explicit ``chunksize``
-    forces fixed point counts instead) and dispatched work-stealing via
-    ``imap_unordered``; completed chunks re-associate by point key, so
-    the result order is declaration order no matter which worker
-    finished first.  Worker count, backend, chunking, and stealing
+    estimate (about four chunks per worker) and dispatched
+    work-stealing via ``imap_unordered``; completed chunks re-associate
+    by point key, so the result order is declaration order no matter
+    which worker finished first.  Worker count, chunking, and stealing
     order never change results -- only wall-clock.
+
+    Attributes:
+        n_workers: Worker count; ``1`` walks the grid serially in this
+            process (the only mode that accepts a shared ``rng``).
+        pool: Explicit pool to dispatch to; ``None`` resolves
+            :func:`repro.parallel.default_pool` for ``n_workers``.
     """
 
     n_workers: int = 1
-    mp_context: str = "spawn"
-    chunksize: int | None = None
-    backend: str = "process"
     pool: parallel_pool.WorkerPool | None = None
-    shm_min_bytes: int | None = parallel_shm.DEFAULT_MIN_SHM_BYTES
 
     def run(
         self,
@@ -418,22 +354,31 @@ class SweepExecutor:
         rng: np.random.Generator | None = None,
         rng_factory: Callable[[SweepPoint], np.random.Generator] | None = None,
         point_seed: int | None = None,
-        shared: Mapping[str, np.ndarray] | None = None,
     ) -> SweepResult:
         """Measure every point/trial; see the class docstring for rng policy.
 
         The whole grid is validated here in the parent -- trial counts,
         spec/rng pairing, key uniqueness -- so misconfigured sweeps fail
         fast with a clear error instead of a worker traceback.
+
+        Args:
+            points: The sweep grid, in declaration order.
+            measure: ``measure(point, trial, captures, rng)``; must
+                pickle when ``n_workers > 1``.
+            rng: One shared stream for the whole grid (serial only).
+            rng_factory: Builds each point's generator in the parent.
+            point_seed: Derives each point's generator from its key.
+
+        Returns:
+            Measurements keyed by point, in declaration order.
+
+        Raises:
+            ConfigurationError: On an invalid worker count, conflicting
+                rng policies, duplicate keys, a point without trials, a
+                spec without an rng, or a shared ``rng`` fanned out.
         """
         if self.n_workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {self.n_workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {self.chunksize}")
-        if self.backend not in parallel_pool.BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {parallel_pool.BACKENDS}, got {self.backend!r}"
-            )
         given = [x for x in (rng, rng_factory, point_seed) if x is not None]
         if len(given) > 1:
             raise ConfigurationError("pass at most one of rng, rng_factory, point_seed")
@@ -458,83 +403,35 @@ class SweepExecutor:
                     f"point {point.key!r} declares captures but no rng was provided"
                 )
         if self.n_workers == 1:
-            parallel_shm.use_shared(dict(shared) if shared else None)
-            try:
-                measurements = {
-                    point.key: _run_point(point, measure, point_rng)
-                    for point, point_rng in tasks
-                }
-            finally:
-                parallel_shm.use_shared(None)
+            measurements = {
+                point.key: _run_point(point, measure, point_rng) for point, point_rng in tasks
+            }
             return SweepResult(points=points, measurements=measurements)
         if rng is not None:
             raise ConfigurationError(
                 "a shared rng stream is order-dependent and cannot fan out "
                 "across workers; use rng_factory or point_seed instead"
             )
-        return self._run_parallel(points, tasks, measure, shared)
+        return self._run_parallel(points, tasks, measure)
 
     def _run_parallel(
         self,
         points: list[SweepPoint],
         tasks: list[tuple[SweepPoint, np.random.Generator | None]],
         measure: Callable,
-        shared: Mapping[str, np.ndarray] | None,
     ) -> SweepResult:
         """Fan the validated grid out over the (persistent) worker pool."""
         chunks = parallel_schedule.plan_chunks(
-            [_point_cost(point) for point, _ in tasks],
-            self.n_workers,
-            chunk_points=self.chunksize,
+            [_point_cost(point) for point, _ in tasks], self.n_workers
         )
-        pool = self.pool
-        if pool is None:
-            pool = parallel_pool.default_pool(self.backend, self.n_workers, self.mp_context)
+        pool = self.pool if self.pool is not None else parallel_pool.default_pool(self.n_workers)
         pool_reused = pool.is_warm
-        payloads = [(measure, [tasks[i] for i in chunk]) for chunk in chunks]
-        shared_payload = dict(shared) if shared else None
-        pack = None
-        payload_bytes = 0
-        try:
-            if self.backend == "process" and self.shm_min_bytes:
-                publisher = parallel_shm.PayloadPublisher(self.shm_min_bytes)
-                skeletons = [publisher.strip(payload) for payload in payloads]
-                shared_skeleton = (
-                    publisher.strip(shared_payload) if shared_payload is not None else None
-                )
-                pack = publisher.seal()
-                blocks = (pack.name,) if pack is not None else ()
-                shared_payload = (
-                    publisher.fill(shared_skeleton) if shared_skeleton is not None else None
-                )
-                chunk_tasks = [
-                    _ChunkTask(
-                        index=i, payload=publisher.fill(s), shared=shared_payload, blocks=blocks
-                    )
-                    for i, s in enumerate(skeletons)
-                ]
-            else:
-                chunk_tasks = [
-                    _ChunkTask(index=i, payload=payload, shared=shared_payload, blocks=())
-                    for i, payload in enumerate(payloads)
-                ]
-            if self.backend == "process":
-                payload_bytes = sum(parallel_shm.pickled_nbytes(t) for t in chunk_tasks)
-            collected: dict[Any, list[Any]] = {}
-            for _, pairs in pool.imap_unordered(_execute_chunk, chunk_tasks):
-                for key, trials in pairs:
-                    collected[key] = trials
-        finally:
-            if pack is not None:
-                pack.close()
-                pack.unlink()
+        chunk_tasks = [(measure, [tasks[i] for i in chunk]) for chunk in chunks]
+        collected: dict[Any, list[Any]] = {}
+        for pairs in pool.imap_unordered(_execute_chunk, chunk_tasks):
+            collected.update(pairs)
         transport = TransportStats(
-            backend=self.backend,
-            n_workers=self.n_workers,
-            n_chunks=len(chunks),
-            payload_pickle_bytes=payload_bytes,
-            shm_bytes=pack.nbytes if pack is not None else 0,
-            pool_reused=pool_reused,
+            n_workers=self.n_workers, n_chunks=len(chunks), pool_reused=pool_reused
         )
         measurements = {point.key: collected[point.key] for point in points}
         return SweepResult(points=points, measurements=measurements, transport=transport)

@@ -368,7 +368,6 @@ def run_fleet_scale(
     jitter_s: float = 60.0,
     window_s: float = 30.0,
     n_workers: int = 1,
-    backend: str = "process",
     replicates: int = 1,
     engine: str = "legacy",
 ) -> FleetScaleResult:
@@ -377,10 +376,10 @@ def run_fleet_scale(
     Each cell is an independent world (fresh devices, layout, server,
     traffic schedule) derived from per-cell rng streams, so cells are
     comparable, the grid can grow without perturbing existing cells, and
-    ``n_workers > 1`` fans whole cells out across a persistent worker
-    pool (``backend="process"`` or ``"thread"``) with identical
-    results.  ``replicates > 1`` appends a salt to every key,
-    yielding independent copies of each cell (benchmark workloads).
+    ``n_workers > 1`` fans whole cells out across a persistent process
+    pool with identical results.  ``replicates > 1`` appends a salt to
+    every key, yielding independent copies of each cell (benchmark
+    workloads).
     ``engine="columnar"`` drives each cell through the time-wheel
     :class:`~repro.sim.columnar.ColumnarRuntime` in its bit-identical
     events mode instead of the legacy heap runtime.
@@ -417,7 +416,7 @@ def run_fleet_scale(
         for n_devices in device_counts
         for rep in range(replicates)
     ]
-    sweep = SweepExecutor(n_workers=n_workers, backend=backend).run(
+    sweep = SweepExecutor(n_workers=n_workers).run(
         [SweepPoint(key=key) for key in keys],
         partial(measure_fleet_cell, params=params),
     )

@@ -1,16 +1,12 @@
-"""Reusable parallel-execution layer: pools, shared memory, scheduling.
+"""Reusable parallel-execution layer: pools, scheduling, intra-kernel threads.
 
 Everything the sweep machinery (and any future fan-out workload) needs
 to saturate real cores lives here, decoupled from the experiment
 drivers:
 
-* :mod:`repro.parallel.pool` -- persistent process/thread pools with
+* :mod:`repro.parallel.pool` -- persistent ``spawn`` process pools with
   warm imports, shared across runs (:class:`WorkerPool`,
   :func:`default_pool`, :func:`shutdown_default_pools`);
-* :mod:`repro.parallel.shm` -- zero-copy shared-memory transport for
-  large numpy payloads (:class:`SharedArrayPack`,
-  :class:`PayloadPublisher`, :func:`resolve_payload`,
-  :func:`shared_arrays`);
 * :mod:`repro.parallel.schedule` -- deterministic cost-balanced chunk
   planning for work-stealing dispatch (:func:`plan_chunks`);
 * :mod:`repro.parallel.intra` -- intra-process thread parallelism for
@@ -18,8 +14,8 @@ drivers:
   :func:`intra_thread_count`, :func:`set_intra_threads`).
 
 Every primitive keeps the repo's pinned guarantee: worker count,
-backend, chunking, and thread count change wall-clock only -- never a
-single result bit.
+chunking, and thread count change wall-clock only -- never a single
+result bit.
 """
 
 from repro.parallel.intra import (
@@ -29,46 +25,20 @@ from repro.parallel.intra import (
     thread_map,
 )
 from repro.parallel.pool import (
-    BACKENDS,
-    DEFAULT_WARM_MODULES,
     WorkerPool,
     default_pool,
     shutdown_default_pools,
 )
 from repro.parallel.schedule import DEFAULT_CHUNKS_PER_WORKER, plan_chunks
-from repro.parallel.shm import (
-    DEFAULT_MIN_SHM_BYTES,
-    PayloadPublisher,
-    SharedArrayPack,
-    ShmArrayRef,
-    attach_array,
-    pickled_nbytes,
-    release_other_blocks,
-    resolve_payload,
-    shared_arrays,
-    use_shared,
-)
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_CHUNKS_PER_WORKER",
-    "DEFAULT_MIN_SHM_BYTES",
-    "DEFAULT_WARM_MODULES",
     "INTRA_THREADS_ENV",
-    "PayloadPublisher",
-    "SharedArrayPack",
-    "ShmArrayRef",
     "WorkerPool",
-    "attach_array",
     "default_pool",
     "intra_thread_count",
-    "pickled_nbytes",
     "plan_chunks",
-    "release_other_blocks",
-    "resolve_payload",
     "set_intra_threads",
-    "shared_arrays",
     "shutdown_default_pools",
     "thread_map",
-    "use_shared",
 ]

@@ -1,4 +1,4 @@
-"""Persistent worker pools with warm imports, shared across sweep runs.
+"""Persistent process pools with warm imports, shared across sweep runs.
 
 The original executor cold-spawned a ``multiprocessing`` pool inside
 every ``run()`` call: each worker re-imported numpy/scipy and the whole
@@ -9,50 +9,48 @@ the call -- on short sweeps the spawn cost dominated the measurement.
 * the underlying pool is created lazily on first dispatch and then
   **survives across runs** until :meth:`close` (or process exit), so
   repeated sweeps pay the spawn/import cost once;
-* process workers run a warm-import initializer, front-loading the
-  heavy module imports into pool creation instead of the first task;
-* ``backend="thread"`` swaps in a thread pool with the same dispatch
-  API for numpy-dominated workloads that release the GIL -- no
-  pickling, no spawn cost, shared address space.
+* workers run a warm-import initializer, front-loading the heavy
+  module imports into pool creation instead of the first task.
 
-Module-level :func:`default_pool` hands out one shared pool per
-``(backend, n_workers, context)`` signature so independent sweep calls
-transparently reuse workers; :func:`shutdown_default_pools` (also an
-``atexit`` hook) tears them down.
+Module-level :func:`default_pool` hands out one shared pool per worker
+count so independent sweep calls transparently reuse workers;
+:func:`shutdown_default_pools` (also an ``atexit`` hook) tears them
+down.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-from multiprocessing.pool import ThreadPool
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ConfigurationError
 
-#: Modules imported by every process worker at pool creation, so the
-#: first task does not pay the numpy/scipy/repro import cost.
-DEFAULT_WARM_MODULES: tuple[str, ...] = (
+#: Modules imported by every worker at pool creation, so the first task
+#: does not pay the numpy/scipy/repro import cost.
+_WARM_MODULES: tuple[str, ...] = (
     "numpy",
     "repro.experiments.common",
     "repro.sim.runtime",
     "repro.pipeline.batch",
 )
 
-#: Backends a :class:`WorkerPool` can run on.
-BACKENDS = ("process", "thread")
+#: Workers are spawned, never forked: a fresh interpreter inherits no
+#: parent state (rng, caches, threads), which keeps results identical
+#: across platforms and start-method defaults.
+_START_METHOD = "spawn"
 
 
-def _warm_worker(modules: tuple[str, ...]) -> None:
+def _warm_worker() -> None:
     """Pool initializer: import the heavy modules once per worker."""
     import importlib
 
-    for name in modules:
+    for name in _WARM_MODULES:
         importlib.import_module(name)
 
 
 class WorkerPool:
-    """A lazily started, reusable worker pool (process or thread).
+    """A lazily started, reusable pool of spawned worker processes.
 
     The pool is a context manager (``with WorkerPool(4) as pool: ...``)
     but unlike ``multiprocessing.Pool`` it is *not* consumed by a single
@@ -61,37 +59,19 @@ class WorkerPool:
     it can be warmed again.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        backend: str = "process",
-        mp_context: str = "spawn",
-        warm_modules: tuple[str, ...] = DEFAULT_WARM_MODULES,
-    ) -> None:
+    def __init__(self, n_workers: int) -> None:
         """Configure (but do not yet start) a pool.
 
         Args:
             n_workers: Worker count, >= 1.
-            backend: ``"process"`` (spawned interpreters, pickled tasks)
-                or ``"thread"`` (shared address space, no pickling).
-            mp_context: Multiprocessing start method for the process
-                backend (``spawn`` keeps results platform-identical).
-            warm_modules: Modules each process worker imports at start.
 
         Raises:
-            ConfigurationError: On a non-positive worker count or an
-                unknown backend.
+            ConfigurationError: On a non-positive worker count.
         """
         if n_workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {n_workers}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.n_workers = int(n_workers)
-        self.backend = backend
-        self.mp_context = mp_context
-        self.warm_modules = tuple(warm_modules)
         self._pool: Any = None
-        self.dispatches = 0
 
     @property
     def is_warm(self) -> bool:
@@ -110,15 +90,8 @@ class WorkerPool:
     def _ensure(self) -> Any:
         """Create the underlying pool on first use."""
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPool(processes=self.n_workers)
-            else:
-                ctx = multiprocessing.get_context(self.mp_context)
-                self._pool = ctx.Pool(
-                    processes=self.n_workers,
-                    initializer=_warm_worker,
-                    initargs=(self.warm_modules,),
-                )
+            ctx = multiprocessing.get_context(_START_METHOD)
+            self._pool = ctx.Pool(processes=self.n_workers, initializer=_warm_worker)
         return self._pool
 
     def imap_unordered(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> Iterator[Any]:
@@ -128,13 +101,12 @@ class WorkerPool:
         determinism must carry ordering keys in the tasks themselves.
 
         Args:
-            fn: Module-level callable (process backend pickles it).
+            fn: Module-level (picklable) callable.
             tasks: Task payloads, one per call to ``fn``.
 
         Returns:
             An iterator over ``fn(task)`` results in completion order.
         """
-        self.dispatches += 1
         return self._ensure().imap_unordered(fn, tasks, 1)
 
     def close(self) -> None:
@@ -160,28 +132,26 @@ class WorkerPool:
         self.close()
 
 
-_default_pools: dict[tuple[str, int, str], WorkerPool] = {}
+_default_pools: dict[int, WorkerPool] = {}
 
 
-def default_pool(backend: str, n_workers: int, mp_context: str = "spawn") -> WorkerPool:
-    """The module-level shared pool for one ``(backend, size)`` signature.
+def default_pool(n_workers: int) -> WorkerPool:
+    """The module-level shared pool for one worker count.
 
     Sweep executors resolve here when no explicit pool is passed, so
     back-to-back runs at the same worker count transparently reuse warm
     workers instead of respawning.
 
     Args:
-        backend: ``"process"`` or ``"thread"``.
         n_workers: Worker count, >= 1.
-        mp_context: Start method for the process backend.
 
     Returns:
         The shared (possibly not yet started) :class:`WorkerPool`.
     """
-    key = (backend, int(n_workers), mp_context)
+    key = int(n_workers)
     pool = _default_pools.get(key)
     if pool is None:
-        pool = WorkerPool(n_workers, backend=backend, mp_context=mp_context)
+        pool = WorkerPool(key)
         _default_pools[key] = pool
     return pool
 

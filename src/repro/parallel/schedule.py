@@ -31,7 +31,6 @@ def plan_chunks(
     costs: Sequence[float],
     n_workers: int,
     chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
-    chunk_points: int | None = None,
 ) -> list[list[int]]:
     """Group point indices into contiguous, cost-balanced chunks.
 
@@ -41,28 +40,22 @@ def plan_chunks(
         n_workers: Worker count the plan feeds.
         chunks_per_worker: Target chunks per worker; more chunks means
             finer work stealing, fewer means less per-task overhead.
-        chunk_points: When set, ignore costs and cut fixed chunks of
-            exactly this many points (the classic ``chunksize`` knob).
 
     Returns:
         A partition of ``range(len(costs))`` into consecutive index
         lists, in declaration order; every index appears exactly once.
 
     Raises:
-        ConfigurationError: On a non-positive worker count, chunk size,
-            or chunks-per-worker target.
+        ConfigurationError: On a non-positive worker count or
+            chunks-per-worker target.
     """
     if n_workers < 1:
         raise ConfigurationError(f"need >= 1 worker, got {n_workers}")
     if chunks_per_worker < 1:
         raise ConfigurationError(f"need >= 1 chunk per worker, got {chunks_per_worker}")
-    if chunk_points is not None and chunk_points < 1:
-        raise ConfigurationError(f"chunksize must be >= 1, got {chunk_points}")
     n = len(costs)
     if n == 0:
         return []
-    if chunk_points is not None:
-        return [list(range(lo, min(lo + chunk_points, n))) for lo in range(0, n, chunk_points)]
     clipped = [max(0.0, float(c)) for c in costs]
     total = sum(clipped)
     n_chunks = n_workers * chunks_per_worker

@@ -1,11 +1,9 @@
-"""Tests for the repro.parallel layer: pools, shm transport, scheduling.
+"""Tests for the repro.parallel layer: pools and scheduling.
 
-The load-bearing guarantee is pinned here: worker count, backend,
-chunk size, work-stealing order, and intra-kernel thread count change
+The load-bearing guarantee is pinned here: worker count, chunk plan,
+work-stealing order, pool warmth, and intra-kernel thread count change
 wall-clock only -- never a single result bit.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -13,20 +11,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.common import SweepExecutor, SweepPoint
 from repro.parallel import (
-    PayloadPublisher,
-    ShmArrayRef,
     WorkerPool,
-    attach_array,
     default_pool,
     intra_thread_count,
-    pickled_nbytes,
     plan_chunks,
-    resolve_payload,
     set_intra_threads,
-    shared_arrays,
-    shutdown_default_pools,
     thread_map,
-    use_shared,
 )
 from repro.sim.rng import RngStreams
 
@@ -36,14 +26,18 @@ def measure_key_noise(point, trial, captures, rng):
     return float(point.key) * 100.0 + float(rng.standard_normal())
 
 
-def measure_shared_sum(point, trial, captures, rng):
-    """Reads the run-scoped shared array pack inside the worker."""
-    table = shared_arrays()["table"]
-    return float(table[point.key % table.shape[0]].sum()) + float(rng.standard_normal())
-
-
 def _points(n=6, n_trials=3):
     return [SweepPoint(key=k, n_trials=n_trials) for k in range(n)]
+
+
+@pytest.fixture(scope="module")
+def warm_pool():
+    """One warm two-worker pool: the module pays the spawn cost once.
+
+    It is the default pool for two workers, so executors that resolve
+    the default share it too.
+    """
+    return default_pool(2).warm()
 
 
 class TestPlanChunks:
@@ -57,9 +51,6 @@ class TestPlanChunks:
         chunks = plan_chunks([1, 1, 5, 1, 1, 1, 1, 1], n_workers=2, chunks_per_worker=2)
         assert chunks[0][-1] == 2 or len(chunks[0]) <= 3
 
-    def test_fixed_chunk_points(self):
-        assert plan_chunks([1.0] * 5, n_workers=4, chunk_points=2) == [[0, 1], [2, 3], [4]]
-
     def test_zero_cost_falls_back_to_even_chunks(self):
         chunks = plan_chunks([0.0] * 6, n_workers=2, chunks_per_worker=3)
         assert [i for chunk in chunks for i in chunk] == list(range(6))
@@ -72,75 +63,6 @@ class TestPlanChunks:
             plan_chunks([1.0], n_workers=0)
         with pytest.raises(ConfigurationError):
             plan_chunks([1.0], n_workers=1, chunks_per_worker=0)
-        with pytest.raises(ConfigurationError):
-            plan_chunks([1.0], n_workers=1, chunk_points=0)
-
-
-class TestShmTransport:
-    def test_round_trip_is_bitwise(self):
-        rng = np.random.default_rng(3)
-        payload = {
-            "big": rng.standard_normal(4096),
-            "small": rng.standard_normal(4),
-            "nested": [rng.standard_normal((64, 16)), "label", 7],
-        }
-        publisher = PayloadPublisher(min_bytes=1024)
-        skeleton = publisher.strip(payload)
-        pack = publisher.seal()
-        assert pack is not None
-        try:
-            shipped = publisher.fill(skeleton)
-            clone = resolve_payload(pickle.loads(pickle.dumps(shipped)))
-            assert np.array_equal(clone["big"], payload["big"])
-            assert np.array_equal(clone["small"], payload["small"])
-            assert np.array_equal(clone["nested"][0], payload["nested"][0])
-            assert clone["nested"][1:] == ["label", 7]
-        finally:
-            pack.close()
-            pack.unlink()
-
-    def test_payload_shrinks_below_array_bytes(self):
-        payload = {"matrix": np.arange(100_000, dtype=np.float64)}
-        publisher = PayloadPublisher(min_bytes=1024)
-        skeleton = publisher.strip(payload)
-        pack = publisher.seal()
-        try:
-            shipped = publisher.fill(skeleton)
-            assert pickled_nbytes(shipped) < payload["matrix"].nbytes // 100
-        finally:
-            pack.close()
-            pack.unlink()
-
-    def test_small_arrays_ride_the_pickle(self):
-        publisher = PayloadPublisher(min_bytes=1 << 16)
-        skeleton = publisher.strip({"tiny": np.arange(8)})
-        assert publisher.seal() is None
-        assert isinstance(skeleton["tiny"], np.ndarray)
-
-    def test_attach_array_views_are_read_only(self):
-        payload = {"block": np.arange(1024, dtype=np.float64)}
-        publisher = PayloadPublisher(min_bytes=16)
-        skeleton = publisher.strip(payload)
-        pack = publisher.seal()
-        try:
-            ref = publisher.fill(skeleton)["block"]
-            assert isinstance(ref, ShmArrayRef)
-            view = attach_array(ref)
-            assert np.array_equal(view, payload["block"])
-            with pytest.raises(ValueError):
-                view[0] = -1.0
-        finally:
-            pack.close()
-            pack.unlink()
-
-    def test_use_shared_scopes_the_mapping(self):
-        table = np.arange(6.0).reshape(2, 3)
-        use_shared({"table": table})
-        try:
-            assert shared_arrays()["table"] is table
-        finally:
-            use_shared(None)
-        assert shared_arrays() == {}
 
 
 class TestThreadMap:
@@ -166,57 +88,49 @@ class TestThreadMap:
 
 
 class TestWorkerPool:
-    def test_thread_pool_survives_across_dispatches(self):
-        with WorkerPool(2, backend="thread") as pool:
-            assert pool.is_warm
-            first = sorted(pool.imap_unordered(abs, [-1, -2]))
-            second = sorted(pool.imap_unordered(abs, [-3, -4]))
-            assert (first, second) == ([1, 2], [3, 4])
-            assert pool.dispatches == 2
-        assert not pool.is_warm
-
     def test_default_pool_is_shared_per_signature(self):
-        try:
-            a = default_pool("thread", 2)
-            b = default_pool("thread", 2)
-            c = default_pool("thread", 3)
-            assert a is b
-            assert a is not c
-        finally:
-            shutdown_default_pools()
+        # Lookup alone starts no workers, so nothing needs tearing down.
+        assert default_pool(4) is default_pool(4)
+        assert default_pool(4) is not default_pool(5)
+
+    def test_context_manager_lifecycle(self):
+        with WorkerPool(1) as pool:
+            assert pool.is_warm
+            assert sorted(pool.imap_unordered(abs, [-1, -2])) == [1, 2]
+        assert not pool.is_warm
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
-        with pytest.raises(ConfigurationError):
-            WorkerPool(2, backend="fiber")
 
 
 class TestBitwiseDeterminism:
     """The tentpole invariant, across every execution knob."""
 
-    def _run(self, **kwargs):
-        return SweepExecutor(**kwargs).run(_points(), measure_key_noise, point_seed=11)
-
-    def test_thread_backend_matches_serial_at_any_chunksize(self):
-        serial = self._run(n_workers=1)
+    def test_process_pool_matches_serial_at_any_worker_count(self, warm_pool):
+        points = _points(n=20)
+        serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
+        # Two and three planned workers cut different chunk plans (7
+        # chunks of 3 points vs 10 of 2); the shared pool runs both.
+        n_chunks = set()
         for n_workers in (2, 3):
-            for chunksize in (None, 1, 2, 5):
-                threaded = self._run(
-                    n_workers=n_workers, backend="thread", chunksize=chunksize
-                )
-                assert threaded.measurements == serial.measurements
+            spawned = SweepExecutor(n_workers=n_workers, pool=warm_pool).run(
+                points, measure_key_noise, point_seed=11
+            )
+            assert spawned.measurements == serial.measurements
+            n_chunks.add(spawned.transport.n_chunks)
+        assert len(n_chunks) == 2
 
-    def test_rng_factory_policy_matches_serial(self):
+    def test_rng_factory_policy_matches_serial(self, warm_pool):
         def factory(point):
             return RngStreams(23).fresh(f"node:{point.key}")
 
         points = _points()
         serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, rng_factory=factory)
-        threaded = SweepExecutor(n_workers=3, backend="thread").run(
+        spawned = SweepExecutor(n_workers=3, pool=warm_pool).run(
             points, measure_key_noise, rng_factory=factory
         )
-        assert threaded.measurements == serial.measurements
+        assert spawned.measurements == serial.measurements
 
     def test_shared_rng_policy_is_repeatable_serially(self):
         points = _points()
@@ -228,73 +142,35 @@ class TestBitwiseDeterminism:
         ]
         assert runs[0].measurements == runs[1].measurements
 
-    def test_shared_arrays_reach_thread_workers_bitwise(self):
-        table = np.random.default_rng(5).standard_normal((4, 8))
-        points = _points()
-        serial = SweepExecutor(n_workers=1).run(
-            points, measure_shared_sum, point_seed=2, shared={"table": table}
+    def test_cost_skewed_points_shape_chunks_not_results(self, warm_pool):
+        # Trial counts drive the cost estimate: heavy points close
+        # their chunks early, light ones share a chunk.
+        points = [SweepPoint(key=k, n_trials=1 + (k % 2) * 9) for k in range(8)]
+        serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
+        spawned = SweepExecutor(n_workers=2, pool=warm_pool).run(
+            points, measure_key_noise, point_seed=11
         )
-        threaded = SweepExecutor(n_workers=2, backend="thread").run(
-            points, measure_shared_sum, point_seed=2, shared={"table": table}
-        )
-        assert threaded.measurements == serial.measurements
+        assert spawned.measurements == serial.measurements
 
-    def test_transport_stats_recorded(self):
-        threaded = self._run(n_workers=2, backend="thread")
-        assert threaded.transport is not None
-        assert threaded.transport.backend == "thread"
-        assert threaded.transport.n_workers == 2
-        assert threaded.transport.n_chunks >= 2
-        serial = self._run(n_workers=1)
+    def test_transport_stats_recorded(self, warm_pool):
+        points = _points()
+        spawned = SweepExecutor(n_workers=2, pool=warm_pool).run(
+            points, measure_key_noise, point_seed=11
+        )
+        assert spawned.transport is not None
+        assert spawned.transport.n_workers == 2
+        assert spawned.transport.n_chunks >= 2
+        assert spawned.transport.pool_reused
+        serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
         assert serial.transport is None
 
-    def test_cost_hints_shape_chunks_not_results(self):
-        serial = self._run(n_workers=1)
-        hinted = [
-            SweepPoint(key=k, n_trials=3, metadata={"cost_hint": 1.0 + (k % 2) * 50.0})
-            for k in range(6)
-        ]
-        threaded = SweepExecutor(n_workers=2, backend="thread").run(
-            hinted, measure_key_noise, point_seed=11
-        )
-        assert threaded.measurements == serial.measurements
-
-
-@pytest.mark.slow
-class TestProcessBackend:
-    """Spawn-pool paths: slower, so kept to the essential pins."""
-
-    def test_process_backend_matches_serial_and_thread(self):
+    def test_default_pool_reused_across_runs(self, warm_pool):
         points = _points(n=4, n_trials=2)
-        serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=7)
-        threaded = SweepExecutor(n_workers=2, backend="thread").run(
-            points, measure_key_noise, point_seed=7
-        )
-        spawned = SweepExecutor(n_workers=2, backend="process", chunksize=1).run(
-            points, measure_key_noise, point_seed=7
-        )
-        assert spawned.measurements == serial.measurements == threaded.measurements
-        assert spawned.transport.payload_pickle_bytes > 0
-
-    def test_default_pool_reused_across_runs(self):
-        points = _points(n=4, n_trials=2)
-        executor = SweepExecutor(n_workers=2, backend="process")
+        executor = SweepExecutor(n_workers=2)
         first = executor.run(points, measure_key_noise, point_seed=7)
         second = executor.run(points, measure_key_noise, point_seed=7)
         assert second.transport.pool_reused
         assert first.measurements == second.measurements
-
-    def test_shared_arrays_cross_the_process_boundary_via_shm(self):
-        table = np.random.default_rng(5).standard_normal((4, 8))
-        points = _points(n=4, n_trials=2)
-        serial = SweepExecutor(n_workers=1).run(
-            points, measure_shared_sum, point_seed=2, shared={"table": table}
-        )
-        spawned = SweepExecutor(n_workers=2, backend="process", shm_min_bytes=64).run(
-            points, measure_shared_sum, point_seed=2, shared={"table": table}
-        )
-        assert spawned.measurements == serial.measurements
-        assert spawned.transport.shm_bytes >= table.nbytes
 
 
 class TestIntraKernelThreads:

@@ -91,14 +91,6 @@ class TestValidation:
                 [SweepPoint(key=1, spec=_spec(fast_config))], measure_fb
             )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(n_workers=2, backend="fiber").run([SweepPoint(key=1)], measure_fb)
-
-    def test_zero_chunksize_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(n_workers=2, chunksize=0).run([SweepPoint(key=1)], measure_fb)
-
 
 class TestSpawnSafety:
     def test_scenario_spec_with_stock_fb_law_pickles(self, fast_config):
