@@ -6,7 +6,7 @@ written by ``benchmarks/test_pipeline_throughput.py``) against a baseline
 copy of the committed one and fails when the gated *speedup* ratio
 regresses by more than the tolerance.  ``--metric`` selects the ratio by
 dot-path (default the top-level ``speedup``; the runtime bench gates
-``columnar.speedup_vs_legacy``).  Speedup ratios are machine-relative,
+``columnar.speedup_vs_events``).  Speedup ratios are machine-relative,
 so the gate is meaningful on CI runners whose absolute throughput
 differs from the committed numbers.
 
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         "--metric",
         default="speedup",
         help="dot-path of the gated ratio inside the report JSON "
-        "(default 'speedup'; e.g. 'columnar.speedup_vs_legacy')",
+        "(default 'speedup'; e.g. 'columnar.speedup_vs_events')",
     )
     parser.add_argument(
         "--tolerance",

@@ -1,13 +1,14 @@
-"""Bench: runtime throughput (legacy vs columnar) + parallel sweep speedup.
+"""Bench: runtime throughput (events vs counters mode) + parallel sweep speedup.
 
 Three measurements land in ``benchmarks/BENCH_runtime.json``:
 
-* **legacy runtime throughput** -- a 500-device single-gateway fleet
-  runs five minutes of periodic traffic through
-  :class:`repro.sim.FleetRuntime` (scheduling, duty-cycle backoff,
-  per-gateway collision resolution, windowed batched delivery);
-  reported as simulator events per wall second.
-* **columnar runtime throughput** -- the scale cell: a full-mode
+* **events-mode throughput** (section ``runtime``) -- a 500-device
+  single-gateway fleet runs five minutes of periodic traffic through
+  :class:`repro.sim.ColumnarRuntime` in events mode (scheduling,
+  duty-cycle backoff, per-device MAC, per-gateway collision resolution,
+  windowed batched delivery, a ``WorldEvent`` per frame); reported as
+  time-wheel items per wall second.
+* **counters-mode throughput** (section ``columnar``) -- the scale cell: a full-mode
   **million-device** fleet is materialized straight from a
   :class:`repro.sim.FleetSpec` (batched column draws, chunked power
   matrix, no per-device objects; ``build_s`` must stay under 10 s) and
@@ -16,8 +17,8 @@ Three measurements land in ``benchmarks/BENCH_runtime.json``:
   vectorized collision sweep, no per-frame event objects; the run must
   clear 200k ``events_per_s``).  Peak RSS is recorded alongside so the
   bounded-memory claim is visible in the artifact.
-  ``speedup_vs_legacy`` is the same-run events-per-wall-second ratio
-  between the two engines; full-scale runs must clear 100x, the tier-1
+  ``speedup_vs_events`` is the same-run events-per-wall-second ratio
+  between the two modes; full-scale runs must clear 100x, the tier-1
   smoke cell (200k devices x 10 minutes) 10x.
 * **parallel sweep speedup** -- four independent replicates of one
   fleet_scale cell run through :class:`SweepExecutor` serially, then
@@ -55,7 +56,6 @@ from repro.radio.pathloss import LogDistancePathLoss
 from repro.sim.columnar import ColumnarRuntime, FleetState
 from repro.sim.network import LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet, build_fleet_spec
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -86,8 +86,8 @@ COLUMNAR_WINDOW_S = 1.0
 #: sweep must sustain paper-scale throughput.
 BUILD_S_CEILING = 10.0
 EVENTS_PER_S_FLOOR = 200_000.0
-#: Events-per-wall-second ratio the columnar engine must clear over the
-#: legacy runtime measured in the same process.  The ratio is
+#: Events-per-wall-second ratio the counters-mode scale cell must clear
+#: over the events-mode cell measured in the same process.  The ratio is
 #: machine-relative, so the gate holds on slow runners too.
 SPEEDUP_FLOOR = 100.0 if FULL else 10.0
 
@@ -123,9 +123,9 @@ def _build_bench_world(n_devices: int, seed: int) -> tuple[LoRaWanWorld, RngStre
     return world, streams
 
 
-def _measure_runtime_throughput() -> dict:
+def _measure_events_throughput() -> dict:
     world, streams = _build_bench_world(N_DEVICES, seed=1234)
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(period_s=120.0, jitter_s=30.0, rng=streams.stream("traffic")),
         window_s=2.0,
@@ -145,7 +145,7 @@ def _measure_runtime_throughput() -> dict:
     }
 
 
-def _measure_columnar_throughput() -> dict:
+def _measure_counters_throughput() -> dict:
     streams = RngStreams(1234)
     # The build timer covers the whole world materialization: the spec,
     # the device-less world, and the columnar state (batched column
@@ -218,33 +218,33 @@ def _merge_artifact(section: str, payload: dict) -> dict:
 
 
 def test_runtime_vs_columnar_throughput():
-    legacy = _measure_runtime_throughput()
-    columnar = _measure_columnar_throughput()
-    speedup = columnar["events_per_s"] / legacy["events_per_s"]
-    columnar["speedup_vs_legacy"] = speedup
+    events = _measure_events_throughput()
+    columnar = _measure_counters_throughput()
+    speedup = columnar["events_per_s"] / events["events_per_s"]
+    columnar["speedup_vs_events"] = speedup
     columnar["full_scale"] = FULL
 
-    _merge_artifact("runtime", legacy)
+    _merge_artifact("runtime", events)
     _merge_artifact("columnar", columnar)
 
     print()
     print(
-        f"legacy runtime: {legacy['events_per_s']:.0f} events/s "
-        f"({legacy['n_devices']} devices, collision rate "
-        f"{legacy['collision_rate']:.2f})"
+        f"events mode: {events['events_per_s']:.0f} events/s "
+        f"({events['n_devices']} devices, collision rate "
+        f"{events['collision_rate']:.2f})"
     )
     print(
-        f"columnar runtime: {columnar['events_per_s']:.0f} events/s "
+        f"counters mode: {columnar['events_per_s']:.0f} events/s "
         f"({columnar['n_devices']} devices x {columnar['sim_duration_s']:.0f}s, "
         f"{columnar['frames_transmitted']} frames, build {columnar['build_s']:.1f}s, "
         f"run {columnar['wall_s']:.1f}s, peak rss {columnar['peak_rss_mb']:.0f} MB) "
-        f"-> {speedup:.0f}x legacy -> {ARTIFACT.name}"
+        f"-> {speedup:.0f}x events mode -> {ARTIFACT.name}"
     )
 
-    assert legacy["events_per_s"] > 0
+    assert events["events_per_s"] > 0
     assert columnar["frames_transmitted"] > 0
     assert speedup >= SPEEDUP_FLOOR, (
-        f"columnar engine only {speedup:.1f}x the legacy runtime "
+        f"counters mode only {speedup:.1f}x events mode "
         f"(floor {SPEEDUP_FLOOR:.0f}x at {'full' if FULL else 'smoke'} scale)"
     )
     if FULL:

@@ -29,9 +29,10 @@ from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import AdrController, NetworkServer
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime, replay_detected
+from repro.sim.runtime import replay_detected
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -69,7 +70,7 @@ def main() -> None:
         world.add_device(device)
     server = world.attach_server(NetworkServer(adr=AdrController()))
 
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(period_s=PERIOD_S, jitter_s=JITTER_S, rng=streams.stream("traffic")),
         window_s=10.0,

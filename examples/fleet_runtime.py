@@ -5,7 +5,7 @@ Scales the fleet-monitoring story to a load where the ALOHA channel
 matters: 500 devices report every minute at SF7, so the channel carries
 a substantial offered load and concurrent transmissions collide at the
 gateway (capture effect deciding the survivors).  The runtime schedules
-every uplink on the discrete-event simulator, resolves each event
+every uplink on a time wheel, resolves each event
 window's contention, and batches the survivors through the SoftLoRa
 gateway.  After a clean phase, a frame delay attacker targets ten
 devices; the FB check must still catch the replays.
@@ -24,9 +24,10 @@ from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime, replay_detected
+from repro.sim.runtime import replay_detected
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import (
     PeriodicTrafficModel,
@@ -65,7 +66,7 @@ def main() -> None:
             [device.fb_hz + float(e) for e in profile_rng.normal(0.0, 15.0, 5)],
         )
 
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(period_s=PERIOD_S, jitter_s=JITTER_S, rng=streams.stream("traffic")),
         window_s=2.0,

@@ -72,6 +72,7 @@ __all__ = [
     "BatchPipeline",
     "CaptureBatch",
     "ChirpConfig",
+    "ColumnarRuntime",
     "CommodityGateway",
     "DriftingClock",
     "ElapsedTimeCodec",
@@ -80,7 +81,6 @@ __all__ = [
     "EU868_CENTER_FREQUENCY_HZ",
     "FB_ESTIMATION_RESOLUTION_HZ",
     "FbDatabase",
-    "FleetRuntime",
     "FusionPolicy",
     "GatewayForward",
     "GpsClock",
@@ -149,7 +149,7 @@ _LAZY = {
     "SweepExecutor": ("repro.experiments.common", "SweepExecutor"),
     "SweepPoint": ("repro.experiments.common", "SweepPoint"),
     "run_sweep": ("repro.experiments.common", "run_sweep"),
-    "FleetRuntime": ("repro.sim.runtime", "FleetRuntime"),
+    "ColumnarRuntime": ("repro.sim.columnar", "ColumnarRuntime"),
     "WorkerPool": ("repro.parallel", "WorkerPool"),
 }
 

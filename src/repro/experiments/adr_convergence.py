@@ -6,7 +6,7 @@ ADR, changing airtime, collision odds, SNR margins, and FB-estimation
 noise -- everything the defense feeds on.  This driver sweeps fleet
 size x initial SF mix (x gateway count) through the closed loop of
 :class:`~repro.server.adr.AdrController` +
-:class:`~repro.sim.runtime.FleetRuntime` and reports, per cell:
+:class:`~repro.sim.columnar.ColumnarRuntime` and reports, per cell:
 
 * **convergence** -- median/max time from cold start to each device's
   last commanded SF change, the final SF histogram, and the LinkADRReq
@@ -46,9 +46,9 @@ from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import AdrController, NetworkServer
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -231,7 +231,7 @@ def _build_world(
 
 
 def _attack_phase(
-    world: LoRaWanWorld, runtime: FleetRuntime, streams: RngStreams, params: AdrConvergenceParams
+    world: LoRaWanWorld, runtime: ColumnarRuntime, streams: RngStreams, params: AdrConvergenceParams
 ) -> tuple[float, float]:
     """Arm the frame-delay attack on a reachable slice; return (TPR, FPR)."""
     devices = list(world.devices.values())
@@ -281,7 +281,7 @@ def measure_adr_cell(point, trial, captures, prng, params: AdrConvergenceParams)
     # Baseline: identical fleet, ADR disabled, pinned at the initial mix.
     streams = RngStreams(seed)
     baseline_world = _build_world(n_gateways, n_devices, sf_mix, streams, params, adr=None)
-    baseline_runtime = FleetRuntime(
+    baseline_runtime = ColumnarRuntime(
         baseline_world,
         PeriodicTrafficModel(
             period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")
@@ -296,7 +296,7 @@ def measure_adr_cell(point, trial, captures, prng, params: AdrConvergenceParams)
     adr = AdrController(margin_db=params.adr_margin_db, min_history=params.adr_min_history)
     world = _build_world(n_gateways, n_devices, sf_mix, streams, params, adr=adr)
     devices = list(world.devices.values())
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(
             period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")

@@ -17,7 +17,7 @@ driver demonstrates each claim:
 6. the SoftLoRa FB check flags the replay.
 
 On top of the per-frame claims, the driver replays the scenario on the
-event-driven :class:`~repro.sim.runtime.FleetRuntime`: the device keeps
+event-driven :class:`~repro.sim.columnar.ColumnarRuntime`: the device keeps
 reporting on its periodic schedule, the attack arms mid-run, and the
 measured **detection latency** -- arming to the first flagged replay --
 lands in :attr:`AttackE2EResult.detection_latency_s`.
@@ -44,8 +44,8 @@ from repro.lorawan.security import SessionKeys
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import noise_floor_dbm
 from repro.radio.geometry import Position
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_pinned_link_world
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -176,7 +176,7 @@ def _measure_detection_latency(
         device.dev_addr,
         [device.fb_hz + float(e) for e in streams.stream("runtime-profile").normal(0, 15, 5)],
     )
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(
             period_s=period_s, jitter_s=10.0, rng=streams.stream("runtime-traffic")

@@ -8,7 +8,7 @@ gets correctly-sliced chirps.
 
 Alongside the waveform-level timestamping trials, the driver runs the
 campus link as *traffic* on the event-driven
-:class:`~repro.sim.runtime.FleetRuntime`: one SF12 reporter on a
+:class:`~repro.sim.columnar.ColumnarRuntime`: one SF12 reporter on a
 periodic schedule over the rain-calibrated budget, yielding the link's
 sustainable goodput under the ETSI duty-cycle budget
 (:attr:`CampusResult.runtime_goodput_fph`) and its delivery rate.
@@ -26,8 +26,8 @@ from repro.constants import RTL_SDR_SAMPLE_RATE_HZ
 from repro.core.onset import AicDetector
 from repro.experiments.common import ScenarioSpec, SweepPoint, run_sweep, uniform_fb
 from repro.phy.chirp import ChirpConfig
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import (
     CampusScenario,
     build_campus_scenario,
@@ -94,7 +94,7 @@ def _campus_runtime_stats(
         gateway_position=scenario.link_geometry.site_b,
         device_name="rooftop-node",
     )
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(period_s=period_s, jitter_s=20.0, rng=streams.stream("traffic")),
     )

@@ -6,7 +6,7 @@ the Fig. 13 fleet workload along both axes -- 1..8 gateways, 100..2000
 devices -- with the devices scattered over a multi-kilometre cell so
 coverage is partial and per-gateway SNRs differ.  Traffic is no longer
 caller-stepped: each cell schedules periodic-with-jitter reporting on
-the discrete-event :class:`~repro.sim.runtime.FleetRuntime`, so
+the time-wheel :class:`~repro.sim.columnar.ColumnarRuntime`, so
 concurrent transmissions contend (ALOHA + capture effect) at every
 gateway before the surviving receptions reach the network server.  Per
 (gateways, devices) cell it reports:
@@ -54,7 +54,6 @@ from repro.server import FusionPolicy, NetworkServer
 from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -103,7 +102,7 @@ class FleetScaleParams:
     period_s: float
     jitter_s: float
     window_s: float
-    engine: str = "legacy"
+    mode: str = "events"
 
 
 @dataclass
@@ -211,14 +210,7 @@ def _measure_cell(
         jitter_s=params.jitter_s,
         rng=streams.stream("traffic"),
     )
-    if params.engine == "columnar":
-        # Events mode is golden-pinned bit-identical to the legacy
-        # runtime, so cells measure the same numbers on either engine.
-        runtime = ColumnarRuntime(world, traffic, window_s=params.window_s, mode="events")
-    elif params.engine == "columnar-counters":
-        runtime = ColumnarRuntime(world, traffic, window_s=params.window_s, mode="counters")
-    else:
-        runtime = FleetRuntime(world, traffic, window_s=params.window_s)
+    runtime = ColumnarRuntime(world, traffic, window_s=params.window_s, mode=params.mode)
 
     t0 = time.perf_counter()
     clean_report = runtime.run(params.clean_rounds * params.period_s)
@@ -234,7 +226,7 @@ def _measure_cell(
     # have nothing to jam or replay.  Counters cells never populate the
     # verdict log, so they read the same heard set off the runtime's
     # per-device delivery tally instead.
-    if params.engine == "columnar-counters":
+    if params.mode == "counters":
         heard_names = set(runtime.heard_names())
         reachable = [d for d in devices if d.name in heard_names] or devices
     else:
@@ -283,7 +275,7 @@ def _measure_cell(
     collided = sum(c.collided for c in contention)
     delivered = sum(c.delivered for c in contention)
     duration_s = clean_report.duration_s + attack_report.duration_s
-    if params.engine == "columnar-counters":
+    if params.mode == "counters":
         # Counter-only capacity run: the contention split is exact
         # (pinned counter-for-counter against events mode), but no frame
         # ever reaches the server, so the estimation/detection columns
@@ -369,7 +361,7 @@ def run_fleet_scale(
     window_s: float = 30.0,
     n_workers: int = 1,
     replicates: int = 1,
-    engine: str = "legacy",
+    mode: str = "events",
 ) -> FleetScaleResult:
     """Sweep gateway count × fleet size through the event-driven stack.
 
@@ -380,18 +372,16 @@ def run_fleet_scale(
     pool with identical results.  ``replicates > 1`` appends a salt to
     every key, yielding independent copies of each cell (benchmark
     workloads).
-    ``engine="columnar"`` drives each cell through the time-wheel
-    :class:`~repro.sim.columnar.ColumnarRuntime` in its bit-identical
-    events mode instead of the legacy heap runtime.
-    ``engine="columnar-counters"`` runs the same cells in counters mode:
-    contention columns (attempts, collisions, goodput, delivery) are
-    exact, while the estimation/detection columns are reported as NaN
-    because counters cells never assemble frames for the server.
+    ``mode`` is the :class:`~repro.sim.columnar.ColumnarRuntime` mode
+    each cell runs in.  ``"events"`` delivers every frame to the server
+    and measures every column.  ``"counters"`` runs the same cells as
+    counters only: contention columns (attempts, collisions, goodput,
+    delivery) are exact, while the estimation/detection columns are
+    reported as NaN because counters cells never assemble frames for
+    the server.
     """
-    if engine not in ("legacy", "columnar", "columnar-counters"):
-        raise ConfigurationError(
-            f"engine must be 'legacy', 'columnar', or 'columnar-counters', got {engine!r}"
-        )
+    if mode not in ("events", "counters"):
+        raise ConfigurationError(f"mode must be 'events' or 'counters', got {mode!r}")
     params = FleetScaleParams(
         clean_rounds=clean_rounds,
         attack_rounds=attack_rounds,
@@ -406,7 +396,7 @@ def run_fleet_scale(
         period_s=period_s,
         jitter_s=jitter_s,
         window_s=window_s,
-        engine=engine,
+        mode=mode,
     )
     if replicates < 1:
         raise ConfigurationError(f"need >= 1 replicate, got {replicates}")

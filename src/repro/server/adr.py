@@ -15,7 +15,7 @@ reproduction models it end to end:
    rule (``SNRmax - demod_floor(SF) - margin_db`` in ``step_db``
    steps) picks a target data rate;
 3. a differing target queues one :class:`AdrCommand`; the
-   :class:`~repro.sim.runtime.FleetRuntime` drains the queue after each
+   :class:`~repro.sim.columnar.ColumnarRuntime` drains the queue after each
    delivery window and schedules the command through the gateway's
    :class:`~repro.lorawan.downlink.DownlinkScheduler` into the
    answering device's RX1/RX2 window (duty-cycle permitting);

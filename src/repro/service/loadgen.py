@@ -5,7 +5,7 @@ the daemon can be exercised -- and benchmarked -- end to end:
 
 1. :func:`build_plan` runs a scheduled fleet
    (:func:`~repro.sim.scenarios.build_fleet` +
-   :class:`~repro.sim.runtime.FleetRuntime`) against a
+   :class:`~repro.sim.columnar.ColumnarRuntime`) against a
    :class:`RecordingNetworkServer`, capturing every
    :meth:`~repro.server.NetworkServer.process_step` forward batch *and*
    the verdicts the in-process server issued for it -- the oracle a
@@ -20,7 +20,7 @@ the daemon can be exercised -- and benchmarked -- end to end:
 
 The ``stat`` beacon is the load generator's stand-in for wall-clock
 batching: it tells the daemon "this delivery window is complete", the
-exact boundary :class:`~repro.sim.runtime.FleetRuntime` used in
+exact boundary :class:`~repro.sim.columnar.ColumnarRuntime` used in
 process.  Against real forwarders the daemon falls back to its
 ``linger_s`` / ``max_hold_s`` timers instead.
 """
@@ -50,9 +50,9 @@ from repro.service.semtech import (
     eui_from_gateway_id,
     rxpk_from_forward,
 )
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -179,7 +179,7 @@ def build_plan(
         recording.bootstrap_fb_profile(device.dev_addr, list(estimates))
         profiles.append((device.dev_addr, estimates))
 
-    runtime = FleetRuntime(
+    runtime = ColumnarRuntime(
         world,
         PeriodicTrafficModel(
             period_s=period_s, jitter_s=period_s / 4.0, rng=streams.stream("traffic")

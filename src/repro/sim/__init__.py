@@ -9,7 +9,7 @@ from repro.sim.network import (
     WorldEvent,
 )
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import CollisionChannel, FleetRuntime, RuntimeReport
+from repro.sim.runtime import CollisionChannel, RuntimeReport
 from repro.sim.scenarios import (
     BuildingScenario,
     CampusScenario,
@@ -28,7 +28,6 @@ __all__ = [
     "CollisionChannel",
     "ColumnarRuntime",
     "FbMeasurementModel",
-    "FleetRuntime",
     "FleetSpec",
     "FleetState",
     "LoRaWanWorld",

@@ -1,9 +1,9 @@
-"""Columnar fleet engine: the event-driven runtime as array operations.
+"""The fleet runtime: scheduled traffic, contention, and delivery as arrays.
 
-:class:`~repro.sim.runtime.FleetRuntime` pays a Python callback plus a
-heap operation per traffic event, which caps fleet simulations around
-10^3..10^4 devices.  This module re-expresses the same loop over a
-struct-of-arrays fleet:
+A heap-driven runtime pays a Python callback plus a heap operation per
+traffic event, which caps fleet simulations around 10^3..10^4 devices.
+:class:`ColumnarRuntime` runs the same loop over a struct-of-arrays
+fleet instead:
 
 * traffic schedules land on a :class:`~repro.sim.events.TimeWheel` as
   whole numpy arrays (one push per phase, not one heap push per frame);
@@ -17,11 +17,11 @@ struct-of-arrays fleet:
 
 Two modes, one engine:
 
-* ``mode="events"`` replays the legacy runtime *bit for bit*: real
-  :class:`~repro.lorawan.device.EndDevice` MAC state, full
-  ``WorldEvent`` emission, ADR downlinks -- only the scheduler changed
-  (``tests/test_columnar.py`` golden-pins equality for single-gateway,
-  fused, and ADR-on runs);
+* ``mode="events"`` runs the per-device MAC layer exactly: real
+  :class:`~repro.lorawan.device.EndDevice` state, full ``WorldEvent``
+  emission, ADR downlinks (``tests/test_columnar.py`` golden-pins the
+  event streams of single-gateway, fused, ADR-on, and attack runs to
+  those the original heap-driven runtime produced);
 * ``mode="counters"`` is the scale mode: the MAC layer runs on
   :class:`FleetState` columns, frames are never assembled, and the
   report carries counters only.  It covers the full scenario matrix --
@@ -62,7 +62,7 @@ from repro.constants import (
 )
 from repro.errors import ConfigurationError
 from repro.lorawan.device import EndDevice, sensor_payload_len
-from repro.lorawan.downlink import DownlinkScheduler
+from repro.lorawan.downlink import DownlinkScheduler, build_downlink
 from repro.lorawan.duty_cycle import DutyCycleLimiter
 from repro.lorawan.mac import LinkADRAns, LinkADRReq
 from repro.lorawan.regional import EU868
@@ -72,13 +72,12 @@ from repro.phy.airtime import airtime_s
 from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, noise_floor_dbm
 from repro.radio.geometry import Position
 from repro.sim.events import TimeWheel
-from repro.sim.network import LoRaWanWorld, StagedTransmission
+from repro.sim.network import EventKind, LoRaWanWorld, StagedTransmission, WorldEvent
 from repro.sim.rng import RngStreams
 from repro.sim.runtime import (
     CollisionChannel,
     RuntimeReport,
     cluster_survival_matrix,
-    dispatch_adr_downlinks,
     overlap_cluster_indices,
     site_power_columns,
 )
@@ -478,13 +477,24 @@ class FleetState:
 
 @dataclass
 class ColumnarRuntime:
-    """Array-at-a-time fleet runtime over a bucketed time wheel.
+    """Schedules, contends, and delivers fleet traffic over a time wheel.
 
-    Drop-in peer of :class:`~repro.sim.runtime.FleetRuntime`: same
-    constructor shape, same :meth:`run` contract, same
-    :class:`~repro.sim.runtime.RuntimeReport`.  Repeated :meth:`run`
-    calls extend one timeline, so clean/arm-attack/attack phase
-    sequences work unchanged in both modes.
+    One runtime drives one :class:`LoRaWanWorld` (either topology).
+    Each :meth:`run` phase starts at the world's clock
+    (``world.simulator.now_s``) and leaves the clock at the phase's
+    end, so a caller can run a clean phase, arm the frame-delay attack,
+    advance the world, and keep running on one timeline.  The fleet is
+    fixed at construction: devices added to the world later are not
+    scheduled.
+
+    ``window_s`` is the batching grain: staged transmissions flush to
+    the gateways at the next window boundary, so larger windows amortize
+    the vectorized delivery machinery over more frames while collision
+    resolution stays exact *within a window* (it uses true per-frame
+    emission times, not the window).  Transmissions spanning a window
+    boundary are resolved independently per window -- an optimistic
+    approximation whose bias is on the order of airtime/window and thus
+    negligible while airtime << window_s.
 
     Attributes:
         world: The world to drive (either topology).
@@ -492,7 +502,7 @@ class ColumnarRuntime:
         window_s: Batching grain; also the wheel's bucket width.
         capture_threshold_db: Co-SF capture margin for contention.
         backoff_s: Extra wait after a duty-cycle deferral.
-        mode: ``"events"`` (bit-identical, full ``WorldEvent`` stream)
+        mode: ``"events"`` (per-device MAC, full ``WorldEvent`` stream)
             or ``"counters"`` (columnar MAC, counter-only reports).
         state: Pre-built :class:`FleetState` to run against (e.g. a
             spec-built million-row state); ``None`` snapshots the
@@ -525,7 +535,6 @@ class ColumnarRuntime:
             raise ConfigurationError(f"mode must be 'events' or 'counters', got {self.mode!r}")
         self._channel = CollisionChannel(capture_threshold_db=self.capture_threshold_db)
         self._wheel = TimeWheel(self.window_s)
-        self._now = self.world.simulator.now_s
         if self.state is not None:
             self._names = list(self.state.names)
         else:
@@ -568,9 +577,12 @@ class ColumnarRuntime:
     def run(self, duration_s: float, device_names: list[str] | None = None) -> RuntimeReport:
         """Schedule one phase of fleet traffic and run it to completion.
 
-        Mirrors :meth:`FleetRuntime.run`: base ticks cover
-        ``[now, now + duration_s)``, jitter spill extends the horizon,
-        deferrals backing off beyond it stay queued for the next phase.
+        Traffic base ticks cover ``[now, now + duration_s)`` on the
+        world clock; jitter can push the final requests slightly past
+        the horizon, and the phase runs until every scheduled request
+        has fired (so no frame is silently dropped at the boundary).
+        Duty-cycle deferrals backing off beyond the horizon stay queued
+        for the next phase.
 
         Args:
             duration_s: Phase length in simulated seconds.
@@ -589,7 +601,9 @@ class ColumnarRuntime:
         unknown = [n for n in names if n not in self._index_of]
         if unknown:
             raise ConfigurationError(f"unknown devices: {unknown}")
-        start_s = self._now
+        # Read the world clock at every phase start: callers may advance
+        # the simulator between phases.
+        start_s = world.simulator.now_s
         times, indices = self.traffic.schedule_arrays(len(names), duration_s, start_s=start_s)
         if device_names is not None and times.size:
             indices = np.array([self._index_of[n] for n in names], dtype=np.int64)[indices]
@@ -609,10 +623,8 @@ class ColumnarRuntime:
         else:
             self._drive_counters(end_s)
         wall_s = time.perf_counter() - wall0
-        self._now = end_s
-        # Keep the world's own clock in step so callers reading
-        # ``world.simulator.now_s`` (phase anchors, attack arming) see
-        # the engine's timeline.
+        # Advance the world clock to the phase end, so phase anchors,
+        # attack arming, and the next phase see the runtime's timeline.
         world.simulator.run_until(end_s)
         counters = None
         if self.mode == "counters":
@@ -661,7 +673,7 @@ class ColumnarRuntime:
             raise ConfigurationError("heard_names() is tracked in counters mode only")
         return [self._names[i] for i in np.flatnonzero(self._heard_per_device)]
 
-    # -- events mode: bit-identical replay of FleetRuntime ----------------------
+    # -- events mode: per-device MAC, full event stream -------------------------
 
     def _drive_events(self, end_s: float) -> None:
         """Pop windows and replay them through the per-device MAC layer."""
@@ -675,11 +687,11 @@ class ColumnarRuntime:
             if boundary <= end_s:
                 self._flush_events(boundary)
         # The horizon can split a window: frames staged before ``end_s``
-        # flush now (the legacy runtime's explicit end-of-phase flush);
+        # flush now (the explicit end-of-phase flush);
         # the window's remaining events stay on the wheel.
         self._flush_events(end_s)
         # That flush can queue ADR applies landing exactly at ``end_s``;
-        # fire those before reporting, like the legacy second run_until.
+        # fire those before reporting.
         while True:
             peek = self._wheel.peek_time_s()
             if peek is None or peek > end_s:
@@ -702,7 +714,7 @@ class ColumnarRuntime:
 
         A local heap merges the window's events with anything scheduled
         *into* the window while processing it (duty-cycle retries), so
-        the total order matches the legacy shared event heap.  Events
+        the total order matches one shared event heap.  Events
         past ``end_s`` go back on the wheel for the next phase.
         """
         world = self.world
@@ -745,11 +757,76 @@ class ColumnarRuntime:
         events = self.world.deliver_staged(staged, site_mask=mask)
         server = self.world.server
         if server is not None and server.adr is not None:
-            sent, dropped = dispatch_adr_downlinks(
-                self.world, self._scheduler_for, events, self._schedule_apply, now_s
+            self._dispatch_adr(events, now_s)
+
+    def _dispatch_adr(self, events: list[WorldEvent], now_s: float) -> None:
+        """Ship queued LinkADRReq commands into class-A receive windows.
+
+        Each command anchors to its device's uplink from the window just
+        delivered: RX1/RX2 open off that uplink's *real* end-of-airtime.
+        The downlink leaves through the first gateway that heard the
+        uplink *and* has duty-cycle budget left (the server's gateway
+        choice); when no hearing gateway can hit either window the
+        command is dropped and the device simply keeps its data rate
+        (the controller re-arms for a retry).
+
+        Args:
+            events: The delivery window's emitted events (anchor source).
+            now_s: Current simulation time; applies never fire in the past.
+        """
+        world = self.world
+        adr = world.server.adr
+        commands = adr.take_pending()
+        if not commands:
+            return
+        site_index_of = {site.gateway_id: i for i, site in enumerate(world.sites)}
+        anchors: dict[int, WorldEvent] = {}
+        for event in events:
+            if event.kind is EventKind.DELIVERED and event.transmission is not None:
+                anchors[event.transmission.dev_addr] = event
+        for command in commands:
+            anchor = anchors.get(command.dev_addr)
+            if anchor is None:
+                # The triggering uplink resolved outside this window
+                # (e.g. caller-stepped use); retry off a later uplink.
+                self.adr_dropped += 1
+                adr.command_dropped(command.dev_addr)
+                continue
+            tx = anchor.transmission
+            device = world.devices[anchor.device_name]
+            raw = build_downlink(
+                device.keys,
+                command.dev_addr,
+                adr.next_fcnt_down(command.dev_addr),
+                payload=command.request.encode(),
+                fport=0,
             )
-            self.adr_sent += sent
-            self.adr_dropped += dropped
+            # RX1 mirrors the uplink data rate; EU868 pins RX2 at
+            # DR0/SF12, so the same frame costs up to ~32x more airtime
+            # (and duty-cycle budget) when it slips to the second window.
+            rx1_airtime = airtime_s(len(raw), tx.spreading_factor)
+            rx2_airtime = airtime_s(len(raw), 12)
+            gateway_ids = anchor.metadata.get("gateway_ids", ()) or (world.sites[0].gateway_id,)
+            window = None
+            for gateway_id in gateway_ids:
+                scheduler = self._scheduler_for(site_index_of.get(gateway_id, 0))
+                window = scheduler.schedule(tx.end_time_s, rx1_airtime, rx2_airtime)
+                if window is not None:
+                    # The scheduler records the true transmit start
+                    # (window opening, pushed back by its busy chain).
+                    start_s = scheduler.scheduled[-1][0]
+                    break
+            if window is None:
+                self.adr_dropped += 1
+                adr.command_dropped(command.dev_addr)
+                continue
+            self.adr_sent += 1
+            # The device acts once the downlink is fully received.
+            # Windowed batching can resolve an uplink after its receive
+            # windows conceptually passed; the device then applies the
+            # command at the flush instant rather than in the past.
+            on_air = rx1_airtime if window.which == "RX1" else rx2_airtime
+            self._schedule_apply(max(start_s + on_air, now_s), anchor.device_name, raw)
 
     def _scheduler_for(self, site_index: int) -> DownlinkScheduler:
         """The per-gateway downlink chain (one transmission at a time)."""
@@ -1078,14 +1155,14 @@ class ColumnarRuntime:
         """Feed delivered frames to the ADR controller and ship commands.
 
         Server-side mirror of ``NetworkServer.resolve`` +
-        :func:`~repro.sim.runtime.dispatch_adr_downlinks`, without
-        frames or keys: SNR evidence is the link-budget power column
-        minus the site noise floor, observations arrive in the
-        deduplicator's ``(first arrival, DevAddr, FCnt)`` order with the
-        fused (earliest surviving-site) timestamp, and each queued
-        LinkADRReq anchors to its device's last delivered uplink --
-        RX1/RX2 scheduling, gateway choice, duty budgets, and the
-        apply-time arithmetic all match the events-mode dispatcher.
+        :meth:`_dispatch_adr`, without frames or keys: SNR evidence is
+        the link-budget power column minus the site noise floor,
+        observations arrive in the deduplicator's ``(first arrival,
+        DevAddr, FCnt)`` order with the fused (earliest surviving-site)
+        timestamp, and each queued LinkADRReq anchors to its device's
+        last delivered uplink -- RX1/RX2 scheduling, gateway choice,
+        duty budgets, and the apply-time arithmetic all match the
+        events-mode dispatcher.
         Suppressed frames never feed the controller (the replay detector
         is assumed to catch their replays).
         """

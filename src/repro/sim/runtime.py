@@ -1,32 +1,20 @@
-"""Event-driven fleet runtime: traffic, contention, and windowed delivery.
+"""Fleet-runtime building blocks: contention, link columns, phase reports.
 
-The caller-stepped :class:`~repro.sim.network.LoRaWanWorld` APIs
-(``uplink`` / ``uplink_batch``) transmit whole fleets at one shared
-request time and ignore channel contention entirely.  This module puts
-the discrete-event :class:`~repro.sim.events.Simulator` on the hot path
-instead:
+:class:`~repro.sim.columnar.ColumnarRuntime` drives fleet traffic over
+the world's timeline; this module holds the pieces it is built from:
 
-1. **traffic** -- a :class:`~repro.sim.traffic.PeriodicTrafficModel`
-   schedules every device's uplink requests on the simulator; a device
-   whose ETSI duty-cycle budget is exhausted at its request instant
-   backs off to the sub-band's next allowed time;
-2. **contention** -- transmissions staged inside one event window are
-   resolved *per gateway* through an :class:`~repro.sim.traffic
-   .AlohaChannel` (co-SF power capture plus the inter-SF
-   quasi-orthogonality matrix for SF-heterogeneous fleets), using each
-   gateway site's own received powers;
-3. **delivery** -- each window's surviving receptions run through the
-   existing batched machinery (:meth:`LoRaWanWorld.deliver_staged` ->
-   one vectorized FB draw -> ``SoftLoRaGateway.process_frame_batch`` or
-   the multi-gateway ``NetworkServer`` fusion path), emitting the same
-   :class:`~repro.sim.network.WorldEvent` stream the classic path does,
-   plus :attr:`EventKind.LOST_COLLISION` events for contention losses;
-4. **control** -- when the attached server runs an
-   :class:`~repro.server.adr.AdrController`, each delivery window's
-   queued ``LinkADRReq`` commands are scheduled through per-gateway
-   :class:`~repro.lorawan.downlink.DownlinkScheduler` chains into the
-   answering devices' class-A RX1/RX2 windows, so spreading factors
-   retune *mid-run* (duty-cycle permitting).
+1. **contention** -- transmissions staged inside one event window are
+   resolved *per gateway* by a :class:`CollisionChannel` (co-SF power
+   capture plus the inter-SF quasi-orthogonality matrix for
+   SF-heterogeneous fleets), using each gateway site's own received
+   powers; :func:`overlap_cluster_indices` and
+   :func:`cluster_survival_matrix` are its vectorized sweep;
+2. **link columns** -- :func:`site_power_columns` evaluates the
+   per-(frame, site) received powers and propagation delays in one
+   vectorized path-loss pass per gateway;
+3. **reports** -- :class:`RuntimeReport` is what one runtime phase put
+   on the air, and :func:`replay_detected` reads the defense's verdict
+   off a world event on either topology.
 
 With a single device there is nothing to contend with and the runtime
 degenerates to the classic caller-stepped schedule bit for bit
@@ -38,10 +26,8 @@ pre-ADR runtime (``tests/test_adr.py`` golden-pins this).
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +35,7 @@ from repro.analysis.metrics import ContentionStats
 from repro.constants import SPEED_OF_LIGHT_M_S
 from repro.core.softlora import SoftLoRaStatus
 from repro.errors import ConfigurationError
-from repro.lorawan.downlink import DownlinkScheduler, build_downlink
 from repro.parallel.intra import thread_map
-from repro.phy.airtime import airtime_s
 from repro.radio.channel import (
     DEFAULT_CAPTURE_THRESHOLD_DB,
     InterSfCaptureMatrix,
@@ -65,7 +49,7 @@ from repro.sim.network import (
     StagedTransmission,
     WorldEvent,
 )
-from repro.sim.traffic import AlohaChannel, PeriodicTrafficModel
+from repro.sim.traffic import AlohaChannel
 
 
 def overlap_cluster_indices(starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
@@ -241,95 +225,6 @@ def replay_detected(event: WorldEvent) -> bool:
     )
 
 
-def dispatch_adr_downlinks(
-    world: LoRaWanWorld,
-    scheduler_for: Callable[[int], DownlinkScheduler],
-    events: list[WorldEvent],
-    schedule_apply: Callable[[float, str, bytes], None],
-    now_s: float,
-) -> tuple[int, int]:
-    """Ship queued LinkADRReq commands into class-A receive windows.
-
-    Each command anchors to its device's uplink from the window just
-    delivered: RX1/RX2 open off that uplink's *real* end-of-airtime.
-    The downlink leaves through the first gateway that heard the uplink
-    *and* has duty-cycle budget left (the server's gateway choice); when
-    no hearing gateway can hit either window the command is dropped and
-    the device simply keeps its data rate (the controller re-arms for a
-    retry).  Shared by :class:`FleetRuntime` and the columnar engine so
-    both retune fleets through the exact same downlink arithmetic.
-
-    Args:
-        world: The world whose server queued the commands.
-        scheduler_for: Maps a site index to that gateway's
-            :class:`DownlinkScheduler` (one busy chain per gateway).
-        events: The delivery window's emitted events (anchor source).
-        schedule_apply: Callback ``(time_s, device_name, raw)`` that
-            arranges for the device to act on the downlink at
-            ``time_s`` -- the engines differ only in *how* they queue
-            this.
-        now_s: Current simulation time; applies never fire in the past.
-
-    Returns:
-        ``(sent, dropped)`` LinkADRReq counts for this window.
-    """
-    server = world.server
-    commands = server.adr.take_pending()
-    if not commands:
-        return 0, 0
-    sent = dropped = 0
-    site_index_of = {site.gateway_id: i for i, site in enumerate(world.sites)}
-    anchors: dict[int, WorldEvent] = {}
-    for event in events:
-        if event.kind is EventKind.DELIVERED and event.transmission is not None:
-            anchors[event.transmission.dev_addr] = event
-    for command in commands:
-        anchor = anchors.get(command.dev_addr)
-        if anchor is None:
-            # The triggering uplink resolved outside this window
-            # (e.g. caller-stepped use); retry off a later uplink.
-            dropped += 1
-            server.adr.command_dropped(command.dev_addr)
-            continue
-        tx = anchor.transmission
-        device = world.devices[anchor.device_name]
-        raw = build_downlink(
-            device.keys,
-            command.dev_addr,
-            server.adr.next_fcnt_down(command.dev_addr),
-            payload=command.request.encode(),
-            fport=0,
-        )
-        # RX1 mirrors the uplink data rate; EU868 pins RX2 at
-        # DR0/SF12, so the same frame costs up to ~32x more airtime
-        # (and duty-cycle budget) when it slips to the second window.
-        rx1_airtime = airtime_s(len(raw), tx.spreading_factor)
-        rx2_airtime = airtime_s(len(raw), 12)
-        gateway_ids = anchor.metadata.get("gateway_ids", ()) or (world.sites[0].gateway_id,)
-        window = None
-        for gateway_id in gateway_ids:
-            site_index = site_index_of.get(gateway_id, 0)
-            scheduler = scheduler_for(site_index)
-            window = scheduler.schedule(tx.end_time_s, rx1_airtime, rx2_airtime)
-            if window is not None:
-                # The scheduler records the true transmit start
-                # (window opening, pushed back by its busy chain).
-                start_s = scheduler.scheduled[-1][0]
-                break
-        if window is None:
-            dropped += 1
-            server.adr.command_dropped(command.dev_addr)
-            continue
-        sent += 1
-        # The device acts once the downlink is fully received.
-        # Windowed batching can resolve an uplink after its receive
-        # windows conceptually passed; the device then applies the
-        # command at the flush instant rather than in the past.
-        on_air = rx1_airtime if window.which == "RX1" else rx2_airtime
-        schedule_apply(max(start_s + on_air, now_s), anchor.device_name, raw)
-    return sent, dropped
-
-
 @dataclass
 class CollisionChannel:
     """Per-gateway collision/capture resolution for one event window.
@@ -472,15 +367,18 @@ class CollisionChannel:
 
 @dataclass(frozen=True)
 class RuntimeReport:
-    """What one :meth:`FleetRuntime.run` phase put on the air.
+    """What one runtime phase put on the air.
+
+    Returned by :meth:`repro.sim.columnar.ColumnarRuntime.run`.
 
     Attributes:
         start_s: Simulation time the phase began at.
         duration_s: Requested phase length in simulated seconds.
         attempts: Frames actually transmitted (deferrals excluded).
         deferrals: Duty-cycle backoffs that re-queued a request.
-        sim_events: Discrete-event callbacks processed this phase.
-        wall_s: Wall-clock spent inside the simulator loop.
+        sim_events: Time-wheel items processed this phase: uplink
+            requests, duty-cycle retries, and downlink applies.
+        wall_s: Wall-clock spent driving the phase.
         events: Every :class:`~repro.sim.network.WorldEvent` emitted.
         adr_commands_sent: LinkADRReq downlinks that made a receive
             window this phase.
@@ -488,10 +386,9 @@ class RuntimeReport:
             gateway's duty-cycle/window budget (device keeps its SF).
         adr_commands_applied: Downlinks a device acted on this phase.
         counters: Pre-tallied :class:`ContentionStats` from a
-            counters-mode :class:`~repro.sim.columnar.ColumnarRuntime`
-            phase, which never materializes per-frame ``WorldEvent``
-            objects (``events`` is empty then).  ``None`` on
-            event-emitting phases.
+            counters-mode phase, which never materializes per-frame
+            ``WorldEvent`` objects (``events`` is empty then).  ``None``
+            on events-mode phases.
     """
 
     start_s: float
@@ -526,7 +423,7 @@ class RuntimeReport:
 
     @property
     def events_per_s(self) -> float:
-        """Simulator throughput: scheduler events processed per wall second."""
+        """Runtime throughput: time-wheel items processed per wall second."""
         return self.sim_events / self.wall_s if self.wall_s > 0 else float("inf")
 
     @property
@@ -541,160 +438,3 @@ class RuntimeReport:
             for e in self.events
             if e.kind is EventKind.REPLAY_DELIVERED and replay_detected(e)
         ]
-
-
-@dataclass
-class FleetRuntime:
-    """Schedules, contends, and delivers fleet traffic on the simulator.
-
-    One runtime owns one :class:`LoRaWanWorld` (either topology) and
-    drives its :class:`Simulator`.  Repeated :meth:`run` calls extend
-    the same simulation timeline, so a caller can run a clean phase, arm
-    the frame-delay attack, and keep running -- exactly like the
-    caller-stepped drivers, but with realistic ALOHA contention.
-
-    ``window_s`` is the batching grain: staged transmissions flush to
-    the gateways at the next window boundary, so larger windows amortize
-    the vectorized delivery machinery over more frames while collision
-    resolution stays exact *within a window* (it uses true per-frame
-    emission times, not the window).  Transmissions spanning a window
-    boundary are resolved independently per window -- an optimistic
-    approximation (cross-boundary overlaps are never offered to the
-    same channel) whose bias is on the order of airtime/window and thus
-    negligible while airtime << window_s.
-    """
-
-    world: LoRaWanWorld
-    traffic: PeriodicTrafficModel
-    window_s: float = 1.0
-    capture_threshold_db: float = DEFAULT_CAPTURE_THRESHOLD_DB
-    backoff_s: float = 1e-3
-    attempts: int = field(init=False, default=0)
-    deferrals: int = field(init=False, default=0)
-    adr_sent: int = field(init=False, default=0)
-    adr_dropped: int = field(init=False, default=0)
-    adr_applied: int = field(init=False, default=0)
-    _pending: list[StagedTransmission] = field(init=False, default_factory=list)
-    _flush_scheduled: bool = field(init=False, default=False)
-    _downlink_schedulers: dict[int, DownlinkScheduler] = field(init=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        """Validate the batching grain and build the collision channel."""
-        if self.window_s <= 0:
-            raise ConfigurationError(f"window must be positive, got {self.window_s}")
-        if self.backoff_s <= 0:
-            raise ConfigurationError(f"backoff must be positive, got {self.backoff_s}")
-        self._channel = CollisionChannel(capture_threshold_db=self.capture_threshold_db)
-
-    def run(self, duration_s: float, device_names: list[str] | None = None) -> RuntimeReport:
-        """Schedule one phase of fleet traffic and run it to completion.
-
-        Traffic base ticks cover ``[now, now + duration_s)`` on the
-        simulator clock; jitter can push the final requests slightly
-        past the horizon, and the phase runs until every scheduled
-        request has fired (so no frame is silently dropped at the
-        boundary).  Duty-cycle deferrals that back off beyond the
-        horizon stay queued and fire in the next phase.  Returns a
-        report over exactly the world events this phase emitted.
-        """
-        if duration_s <= 0:
-            raise ConfigurationError(f"duration must be positive, got {duration_s}")
-        world = self.world
-        sim = world.simulator
-        names = list(world.devices) if device_names is None else list(device_names)
-        unknown = [n for n in names if n not in world.devices]
-        if unknown:
-            raise ConfigurationError(f"unknown devices: {unknown}")
-        start_s = sim.now_s
-        first_event = len(world.events)
-        first_processed = sim.processed
-        attempts0, deferrals0 = self.attempts, self.deferrals
-        adr0 = (self.adr_sent, self.adr_dropped, self.adr_applied)
-        schedule = self.traffic.schedule(names, duration_s, start_s=start_s)
-        for uplink in schedule:
-            sim.schedule(uplink.request_time_s, self._request, uplink.device_name)
-        end_s = start_s + duration_s
-        if schedule:
-            # The schedule is time-ordered; its tail bounds the jitter spill.
-            end_s = max(end_s, schedule[-1].request_time_s)
-        wall0 = time.perf_counter()
-        sim.run_until(end_s)
-        self._flush()
-        # The final flush can queue ADR downlinks whose receive windows
-        # already fall inside this phase; fire those before reporting.
-        sim.run_until(end_s)
-        wall_s = time.perf_counter() - wall0
-        return RuntimeReport(
-            start_s=start_s,
-            duration_s=duration_s,
-            attempts=self.attempts - attempts0,
-            deferrals=self.deferrals - deferrals0,
-            sim_events=sim.processed - first_processed,
-            wall_s=wall_s,
-            events=list(world.events[first_event:]),
-            adr_commands_sent=self.adr_sent - adr0[0],
-            adr_commands_dropped=self.adr_dropped - adr0[1],
-            adr_commands_applied=self.adr_applied - adr0[2],
-        )
-
-    # -- event handlers ---------------------------------------------------------
-
-    def _request(self, device_name: str) -> None:
-        """One device's uplink request fires: stage it, or back off."""
-        sim = self.world.simulator
-        now = sim.now_s
-        device = self.world.devices[device_name]
-        if not device.duty_cycle.can_transmit(now):
-            self.deferrals += 1
-            retry_at = max(device.duty_cycle.next_allowed_s() + self.backoff_s, now)
-            sim.schedule(retry_at, self._request, device_name)
-            return
-        self.attempts += 1
-        self._pending.append(StagedTransmission(device_name, device.transmit(now)))
-        if not self._flush_scheduled:
-            boundary = (math.floor(now / self.window_s) + 1) * self.window_s
-            self._flush_scheduled = True
-            sim.schedule(max(boundary, now), self._window_boundary)
-
-    def _window_boundary(self) -> None:
-        """A batching-window boundary fires: deliver everything staged."""
-        self._flush_scheduled = False
-        self._flush()
-
-    def _flush(self) -> None:
-        """Resolve and deliver every transmission staged so far."""
-        if not self._pending:
-            return
-        staged, self._pending = self._pending, []
-        mask = self._channel.surviving_sites(self.world, staged)
-        events = self.world.deliver_staged(staged, site_mask=mask)
-        server = self.world.server
-        if server is not None and server.adr is not None:
-            self._dispatch_adr(events)
-
-    # -- class A downlink path (ADR) --------------------------------------------
-
-    def _scheduler_for(self, site_index: int) -> DownlinkScheduler:
-        """The per-gateway downlink chain (one transmission at a time)."""
-        if site_index not in self._downlink_schedulers:
-            self._downlink_schedulers[site_index] = DownlinkScheduler()
-        return self._downlink_schedulers[site_index]
-
-    def _dispatch_adr(self, events: list[WorldEvent]) -> None:
-        """Ship the window's queued ADR commands (shared dispatch core)."""
-        sim = self.world.simulator
-        sent, dropped = dispatch_adr_downlinks(
-            self.world,
-            self._scheduler_for,
-            events,
-            lambda time_s, name, raw: sim.schedule(time_s, self._apply_downlink, name, raw),
-            sim.now_s,
-        )
-        self.adr_sent += sent
-        self.adr_dropped += dropped
-
-    def _apply_downlink(self, device_name: str, raw: bytes) -> None:
-        """A device's receive window fires: parse and act on the downlink."""
-        device = self.world.devices[device_name]
-        device.receive_downlink(raw, at_time_s=self.world.simulator.now_s)
-        self.adr_applied += 1

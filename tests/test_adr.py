@@ -28,9 +28,9 @@ from repro.radio.channel import (
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import AdrController, NetworkServer
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, FbMeasurementModel, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -301,7 +301,7 @@ class TestRuntimeDownlinkPath:
     def test_rx1_window_scheduled_off_real_uplink_airtime(self):
         world, devices, streams, server = make_adr_world(1)
         device = devices[0]
-        runtime = FleetRuntime(
+        runtime = ColumnarRuntime(
             world,
             PeriodicTrafficModel(period_s=60.0, jitter_s=5.0, rng=streams.stream("t")),
             window_s=0.5,
@@ -328,7 +328,7 @@ class TestRuntimeDownlinkPath:
         # windows pile onto one gateway's downlink chain, whose ETSI
         # off-time (10x a ~1 s SF12 downlink) admits only a couple.
         world, devices, streams, server = make_adr_world(8, seed=5)
-        runtime = FleetRuntime(
+        runtime = ColumnarRuntime(
             world,
             PeriodicTrafficModel(period_s=60.0, jitter_s=10.0, rng=streams.stream("t")),
             window_s=60.0,
@@ -344,7 +344,7 @@ class TestRuntimeDownlinkPath:
 
     def test_adr_loop_reaches_steady_state_and_goes_quiet(self):
         world, devices, streams, _ = make_adr_world(4, seed=9)
-        runtime = FleetRuntime(
+        runtime = ColumnarRuntime(
             world,
             PeriodicTrafficModel(period_s=50.0, jitter_s=10.0, rng=streams.stream("t")),
             window_s=5.0,
@@ -360,7 +360,7 @@ class TestRuntimeDownlinkPath:
         world, devices, streams, _ = make_adr_world(6, seed=13)
         for device, sf in zip(devices, (7, 8, 9, 10, 11, 12)):
             device.spreading_factor = sf
-        runtime = FleetRuntime(
+        runtime = ColumnarRuntime(
             world,
             PeriodicTrafficModel(period_s=120.0, jitter_s=30.0, rng=streams.stream("t")),
             window_s=5.0,
@@ -411,7 +411,7 @@ class TestGoldenPr3BitIdentity:
         traffic = PeriodicTrafficModel(
             period_s=60.0, jitter_s=20.0, rng=np.random.default_rng(2)
         )
-        report = FleetRuntime(world, traffic, window_s=2.0).run(300.0)
+        report = ColumnarRuntime(world, traffic, window_s=2.0).run(300.0)
         assert len(report.events) == 150
         assert self._signature(report.events) == (
             "6a117c64e13f8af9c9d95e352e1a35bee94ef077a7cf47a8a8ff4d510e138e0f"
@@ -424,7 +424,7 @@ class TestGoldenPr3BitIdentity:
         traffic = PeriodicTrafficModel(
             period_s=30.0, jitter_s=10.0, rng=np.random.default_rng(9)
         )
-        report = FleetRuntime(world, traffic, window_s=2.0).run(120.0)
+        report = ColumnarRuntime(world, traffic, window_s=2.0).run(120.0)
         assert len(report.events) == 48
         assert self._signature(report.events) == (
             "286afedd64e7198c1d5186e82da4dc270542cc81c2de666be58249b308efac25"

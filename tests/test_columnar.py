@@ -1,17 +1,16 @@
 """The columnar engine: TimeWheel, FleetState, FleetSpec, equivalence.
 
 The contract under test: the time-wheel :class:`ColumnarRuntime` in
-events mode replays the legacy heap-driven :class:`FleetRuntime` *bit
-for bit* (single-gateway, fused multi-gateway, ADR-on, and attack phase
-sequences), while counters mode resolves the full scenario matrix --
-plain traffic, armed frame-delay attacks, ADR downlinks, serverless
-multi-gateway fusion -- into counters that match events mode
-counter for counter on the same seeds.  Spec-built worlds
+events mode reproduces, *bit for bit*, the event streams the original
+heap-driven runtime produced (single-gateway, fused multi-gateway,
+ADR-on, and attack phase sequences), while counters mode resolves the
+full scenario matrix -- plain traffic, armed frame-delay attacks, ADR
+downlinks, serverless multi-gateway fusion -- into counters that match
+events mode counter for counter on the same seeds.  Spec-built worlds
 (:class:`FleetSpec` / :meth:`FleetState.from_spec`) must be bitwise
 equal to the object-built snapshot, chunked power matrices bitwise
-equal to unchunked ones.  Golden SHA pins anchor both engines to the
-recorded streams, so a regression in *either* engine (not just a
-divergence between them) fails loudly.
+equal to unchunked ones.  Golden SHA pins anchor the runtime to the
+recorded streams, so any regression fails loudly.
 """
 
 import dataclasses
@@ -36,7 +35,6 @@ from repro.sim.columnar import ColumnarRuntime, FleetSpec, FleetState
 from repro.sim.events import TimeWheel
 from repro.sim.network import LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import FleetRuntime
 from repro.sim.scenarios import build_fleet, build_fleet_spec
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -91,8 +89,8 @@ def _traffic(streams, period_s, jitter_s):
     return PeriodicTrafficModel(period_s=period_s, jitter_s=jitter_s, rng=streams.stream("traffic"))
 
 
-#: Event-stream SHAs recorded from the legacy FleetRuntime on the seed
-#: tree; both engines must keep reproducing them bit for bit.
+#: Event-stream SHAs recorded from the original heap-driven runtime on
+#: the seed tree; the runtime must keep reproducing them bit for bit.
 GOLDEN_SINGLE_GW = "5d56de6cb46619a949a6c53d50a8b2020efef823568216fc441ae1c0bc4f2406"
 GOLDEN_FUSED = "170cd02c39980cf2c5c21564d49d38c20c1e8e05f18d1081377d0ad624bd982d"
 GOLDEN_ADR = "f9a38fc702e31c1eaf38bf90cb3dbfe3688a6ce0dec219d09a84f25596164468"
@@ -100,6 +98,26 @@ GOLDEN_ADR = "f9a38fc702e31c1eaf38bf90cb3dbfe3688a6ce0dec219d09a84f25596164468"
 #: measurement path in ``network._deliver_single`` (one batch draw per
 #: window) to the stream the per-replay scalar draws produced.
 GOLDEN_ATTACK_SINGLE_GW = "1c7b2a40cd70d197f8ec67727f92b9e58019d581dafc328cdf8479223e6b7666"
+#: Fused multi-gateway clean + attack phases and a device-subset phase,
+#: recorded where the heap-driven and time-wheel runtimes both produced
+#: them.
+GOLDEN_ATTACK_FUSED = "298961a44548ca86f68184fd198db90e8213e841b15210de5faa119a1299731d"
+GOLDEN_DEVICE_SUBSET = "899314cb56ced5a56b152913c966461cdfa04328c44e29bbdaf9f6cf0520a084"
+#: Every measured column of a 2-gateway x 25-device fleet-scale cell
+#: (events mode), recorded the same way.
+GOLDEN_FLEET_CELL = {
+    "uplink_attempts": 50,
+    "resolved_uplinks": 45,
+    "delivery_rate": 0.9,
+    "dedup_rate": 1.2222222222222223,
+    "collision_rate": 0.02,
+    "goodput_fps": 0.18333333333333332,
+    "fused_fb_mae_hz": 4.242000623857662,
+    "best_single_fb_mae_hz": 4.371982787550471,
+    "detection_tpr": 0.0,
+    "detection_fpr": 0.0,
+    "detection_latency_s": float("inf"),
+}
 
 
 def _report_tuple(report):
@@ -131,47 +149,41 @@ def _stats_tuple(report):
 
 
 class TestEngineEquivalence:
-    """Events mode replays the legacy runtime bit for bit (golden-pinned)."""
+    """Events mode reproduces the recorded event streams bit for bit."""
 
-    def _run_pair(self, world_kwargs, period_s, jitter_s, durations, window_s=2.0):
-        reports = []
-        for engine in ("legacy", "columnar"):
-            world, streams = build_world(**world_kwargs)
-            traffic = _traffic(streams, period_s, jitter_s)
-            runtime = (
-                FleetRuntime(world, traffic, window_s=window_s)
-                if engine == "legacy"
-                else ColumnarRuntime(world, traffic, window_s=window_s, mode="events")
-            )
-            reports.append([runtime.run(d) for d in durations])
-        legacy, columnar = reports
-        for a, b in zip(legacy, columnar):
-            assert _report_tuple(a) == _report_tuple(b)
-            assert len(a.events) == len(b.events)
-        sha_a = event_sha([e for r in legacy for e in r.events])
-        sha_b = event_sha([e for r in columnar for e in r.events])
-        assert sha_a == sha_b, "event streams diverged between engines"
-        return legacy, sha_a
+    def _run(self, world_kwargs, period_s, jitter_s, durations, window_s=2.0):
+        world, streams = build_world(**world_kwargs)
+        traffic = _traffic(streams, period_s, jitter_s)
+        runtime = ColumnarRuntime(world, traffic, window_s=window_s, mode="events")
+        reports = [runtime.run(d) for d in durations]
+        sha = event_sha([e for r in reports for e in r.events])
+        return reports, sha
 
     def test_single_gateway_pinned(self):
-        reports, sha = self._run_pair(
+        reports, sha = self._run(
             dict(seed=4, n=30), period_s=60.0, jitter_s=20.0, durations=(300.0,)
         )
         assert reports[0].attempts == 150
+        assert [(_report_tuple(r), len(r.events)) for r in reports] == [
+            ((150, 0, 0, 0, 0), 150)
+        ]
         assert sha == GOLDEN_SINGLE_GW
 
     def test_fused_multi_gateway_pinned(self):
-        reports, sha = self._run_pair(
+        reports, sha = self._run(
             dict(seed=6, n=12, extra_gw=True, server=NetworkServer),
             period_s=30.0,
             jitter_s=10.0,
             durations=(120.0,),
         )
         assert reports[0].attempts == 48
+        assert [(_report_tuple(r), len(r.events)) for r in reports] == [
+            ((48, 0, 0, 0, 0), 48)
+        ]
         assert sha == GOLDEN_FUSED
 
     def test_adr_on_pinned(self):
-        reports, sha = self._run_pair(
+        reports, sha = self._run(
             dict(
                 seed=21,
                 n=6,
@@ -186,75 +198,47 @@ class TestEngineEquivalence:
         # A weak workload where ADR never fires would pin nothing.
         assert sum(r.adr_commands_sent for r in reports) > 0
         assert sum(r.adr_commands_applied for r in reports) > 0
+        assert [(_report_tuple(r), len(r.events)) for r in reports] == [
+            ((12, 44, 1, 1, 1), 12),
+            ((13, 61, 1, 0, 1), 13),
+        ]
         assert sha == GOLDEN_ADR
 
+    def _attack_phases(self, **world_kwargs):
+        world, streams = build_world(seed=7, n=10, ring=300.0, **world_kwargs)
+        traffic = _traffic(streams, 60.0, 20.0)
+        runtime = ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
+        r1 = runtime.run(180.0)
+        attack = FrameDelayAttack(
+            jammer=StealthyJammer(),
+            replayer=Replayer.single_usrp(streams.stream("replayer")),
+            rng=streams.stream("attack"),
+        )
+        world.arm_attack(attack, list(world.devices)[:3], delay_s=30.0)
+        r2 = runtime.run(180.0)
+        replays = sum(1 for e in r2.events if e.kind.value == "replay_delivered")
+        return r1, r2, replays
+
     def test_attack_phases_identical(self):
-        shas = []
-        replays = []
-        for engine in ("legacy", "columnar"):
-            world, streams = build_world(
-                seed=7, n=10, ring=300.0, sf=7, extra_gw=True, server=NetworkServer
-            )
-            traffic = _traffic(streams, 60.0, 20.0)
-            runtime = (
-                FleetRuntime(world, traffic, window_s=2.0)
-                if engine == "legacy"
-                else ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
-            )
-            r1 = runtime.run(180.0)
-            attack = FrameDelayAttack(
-                jammer=StealthyJammer(),
-                replayer=Replayer.single_usrp(streams.stream("replayer")),
-                rng=streams.stream("attack"),
-            )
-            world.arm_attack(attack, list(world.devices)[:3], delay_s=30.0)
-            r2 = runtime.run(180.0)
-            shas.append(event_sha(r1.events + r2.events))
-            replays.append(sum(1 for e in r2.events if e.kind.value == "replay_delivered"))
-        assert shas[0] == shas[1]
-        assert replays[0] == replays[1]
-        assert replays[0] > 0, "attack never replayed -- weak workload"
+        r1, r2, replays = self._attack_phases(sf=7, extra_gw=True, server=NetworkServer)
+        assert (len(r1.events), len(r2.events)) == (30, 39)
+        assert event_sha(r1.events + r2.events) == GOLDEN_ATTACK_FUSED
+        assert replays == 9
 
     def test_attack_single_gateway_pinned(self):
-        shas = []
-        replay_counts = []
-        for engine in ("legacy", "columnar"):
-            world, streams = build_world(seed=7, n=10, ring=300.0)
-            traffic = _traffic(streams, 60.0, 20.0)
-            runtime = (
-                FleetRuntime(world, traffic, window_s=2.0)
-                if engine == "legacy"
-                else ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
-            )
-            r1 = runtime.run(180.0)
-            attack = FrameDelayAttack(
-                jammer=StealthyJammer(),
-                replayer=Replayer.single_usrp(streams.stream("replayer")),
-                rng=streams.stream("attack"),
-            )
-            world.arm_attack(attack, list(world.devices)[:3], delay_s=30.0)
-            r2 = runtime.run(180.0)
-            shas.append(event_sha(r1.events + r2.events))
-            replay_counts.append(
-                sum(1 for e in r2.events if e.kind.value == "replay_delivered")
-            )
-        assert shas[0] == shas[1] == GOLDEN_ATTACK_SINGLE_GW
-        assert replay_counts == [9, 9]
+        r1, r2, replays = self._attack_phases()
+        assert event_sha(r1.events + r2.events) == GOLDEN_ATTACK_SINGLE_GW
+        assert replays == 9
 
     def test_device_subset_matches_legacy(self):
-        reports = []
-        for engine in ("legacy", "columnar"):
-            world, streams = build_world(seed=4, n=8)
-            subset = list(world.devices)[2:6]
-            traffic = _traffic(streams, 60.0, 20.0)
-            runtime = (
-                FleetRuntime(world, traffic, window_s=2.0)
-                if engine == "legacy"
-                else ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
-            )
-            reports.append(runtime.run(120.0, device_names=subset))
-        assert event_sha(reports[0].events) == event_sha(reports[1].events)
-        assert {e.device_name for e in reports[1].events} <= set(
+        world, streams = build_world(seed=4, n=8)
+        subset = list(world.devices)[2:6]
+        traffic = _traffic(streams, 60.0, 20.0)
+        runtime = ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
+        report = runtime.run(120.0, device_names=subset)
+        assert (report.attempts, len(report.events)) == (8, 8)
+        assert event_sha(report.events) == GOLDEN_DEVICE_SUBSET
+        assert {e.device_name for e in report.events} <= set(
             list(build_world(seed=4, n=8)[0].devices)[2:6]
         )
 
@@ -620,36 +604,17 @@ class TestFleetScaleEngine:
     def test_columnar_engine_matches_legacy_cells(self):
         from repro.experiments.fleet_scale import run_fleet_scale
 
-        results = {}
-        for engine in ("legacy", "columnar"):
-            results[engine] = run_fleet_scale(
-                gateway_counts=(2,),
-                device_counts=(25,),
-                clean_rounds=1,
-                attack_rounds=1,
-                period_s=120.0,
-                jitter_s=30.0,
-                window_s=5.0,
-                engine=engine,
-            )
-        legacy_cell = results["legacy"].cells[0]
-        columnar_cell = results["columnar"].cells[0]
-        for field_name in (
-            "uplink_attempts",
-            "resolved_uplinks",
-            "delivery_rate",
-            "dedup_rate",
-            "collision_rate",
-            "goodput_fps",
-            "fused_fb_mae_hz",
-            "best_single_fb_mae_hz",
-            "detection_tpr",
-            "detection_fpr",
-            "detection_latency_s",
-        ):
-            assert getattr(legacy_cell, field_name) == getattr(columnar_cell, field_name), (
-                field_name
-            )
+        cell = run_fleet_scale(
+            gateway_counts=(2,),
+            device_counts=(25,),
+            clean_rounds=1,
+            attack_rounds=1,
+            period_s=120.0,
+            jitter_s=30.0,
+            window_s=5.0,
+        ).cells[0]
+        for field_name, expected in GOLDEN_FLEET_CELL.items():
+            assert getattr(cell, field_name) == expected, field_name
 
     def test_counters_engine_matches_contention_columns(self):
         import math
@@ -666,8 +631,8 @@ class TestFleetScaleEngine:
             window_s=5.0,
             seed=3,
         )
-        events_cell = run_fleet_scale(engine="columnar", **kwargs).cells[0]
-        counters_cell = run_fleet_scale(engine="columnar-counters", **kwargs).cells[0]
+        events_cell = run_fleet_scale(mode="events", **kwargs).cells[0]
+        counters_cell = run_fleet_scale(mode="counters", **kwargs).cells[0]
         for field_name in (
             "uplink_attempts",
             "resolved_uplinks",
@@ -691,9 +656,9 @@ class TestFleetScaleEngine:
         from repro.experiments.fleet_scale import run_fleet_scale
 
         kwargs = dict(gateway_counts=(1,), device_counts=(100,))
-        legacy_cell = run_fleet_scale(engine="legacy", **kwargs).cells[0]
-        counters_cell = run_fleet_scale(engine="columnar-counters", **kwargs).cells[0]
-        assert legacy_cell.delivery_rate < 1.0  # coverage really is partial
+        events_cell = run_fleet_scale(**kwargs).cells[0]
+        counters_cell = run_fleet_scale(mode="counters", **kwargs).cells[0]
+        assert events_cell.delivery_rate < 1.0  # coverage really is partial
         for field_name in (
             "uplink_attempts",
             "resolved_uplinks",
@@ -701,7 +666,7 @@ class TestFleetScaleEngine:
             "collision_rate",
             "goodput_fps",
         ):
-            assert getattr(counters_cell, field_name) == getattr(legacy_cell, field_name), (
+            assert getattr(counters_cell, field_name) == getattr(events_cell, field_name), (
                 field_name
             )
 
@@ -731,5 +696,5 @@ class TestFleetScaleEngine:
         from repro.experiments.fleet_scale import run_fleet_scale
 
         with pytest.raises(ConfigurationError):
-            run_fleet_scale(gateway_counts=(1,), device_counts=(4,), engine="gpu")
+            run_fleet_scale(gateway_counts=(1,), device_counts=(4,), mode="gpu")
 

@@ -1,12 +1,28 @@
-"""Smoke tests: every example script runs and prints its story."""
+"""Smoke tests: every example script and doc snippet runs and prints its story."""
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
+#: Documents whose ``python`` code blocks must run as written.
+SNIPPET_DOCS = ("README.md", "docs/architecture.md")
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+
+def python_blocks(doc: str) -> list[str]:
+    return _PYTHON_BLOCK.findall((REPO_ROOT / doc).read_text(encoding="utf-8"))
+
+
+SNIPPETS = [
+    pytest.param(code, id=f"{doc}-{index}")
+    for doc in SNIPPET_DOCS
+    for index, code in enumerate(python_blocks(doc))
+]
 
 
 def load_example(name: str):
@@ -91,3 +107,14 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "SNR survey" in out
         assert "worst timing error" in out
+
+
+class TestDocSnippets:
+    @pytest.mark.parametrize("doc", SNIPPET_DOCS)
+    def test_doc_has_python_blocks(self, doc):
+        assert python_blocks(doc), f"no python blocks found in {doc}"
+
+    @pytest.mark.parametrize("code", SNIPPETS)
+    def test_python_block_runs(self, code, capsys):
+        exec(compile(code, "<doc snippet>", "exec"), {"__name__": "__doc_snippet__"})
+        assert capsys.readouterr().out.strip(), "snippet printed nothing"

@@ -221,7 +221,7 @@ class TestIntraKernelThreads:
             period_s=600.0,
             jitter_s=60.0,
             window_s=30.0,
-            engine="columnar-counters",
+            mode="counters",
         )
         point = SweepPoint(key=(2, 50))
 

@@ -1,4 +1,4 @@
-"""Tests for the event-driven fleet runtime (repro.sim.runtime)."""
+"""Tests for the fleet runtime (repro.sim.columnar) and its parts (repro.sim.runtime)."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,10 @@ from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import NetworkServer
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import CollisionChannel, FleetRuntime, replay_detected
+from repro.sim.runtime import CollisionChannel, replay_detected
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -46,7 +47,7 @@ def make_runtime(world, seed=11, period_s=60.0, jitter_s=5.0, **kwargs):
     traffic = PeriodicTrafficModel(
         period_s=period_s, jitter_s=jitter_s, rng=np.random.default_rng(seed)
     )
-    return FleetRuntime(world, traffic, **kwargs)
+    return ColumnarRuntime(world, traffic, **kwargs)
 
 
 class TestGoldenDegenerate:
@@ -159,7 +160,7 @@ class TestCollisionChannel:
         assert events[1].kind is EventKind.LOST_COLLISION
 
 
-class TestFleetRuntime:
+class TestColumnarRuntime:
     def test_contention_partitions_attempts(self):
         world, _, _ = build_world(seed=4, n_devices=30)
         report = make_runtime(world, seed=2, period_s=5.0, jitter_s=4.0).run(60.0)
@@ -242,3 +243,19 @@ class TestFleetRuntime:
             make_runtime(world).run(0.0)
         with pytest.raises(ConfigurationError):
             make_runtime(world).run(10.0, device_names=["ghost"])
+
+    def test_phase_starts_at_world_clock(self):
+        # A caller may advance the world between phases; the next phase
+        # must start at the world clock, not where the last one ended.
+        world, _, _ = build_world(seed=4, n_devices=6)
+        runtime = make_runtime(world)
+        first = runtime.run(60.0)
+        assert first.start_s == 0.0
+        world.simulator.run_until(500.0)
+        second = runtime.run(60.0)
+        assert second.start_s == 500.0
+        assert len(second.events) == 6
+        assert min(e.time_s for e in second.events) >= 500.0
+        # Values the original heap-driven runtime produced on this probe.
+        assert second.events[0].time_s == 512.2214111475034
+        assert world.simulator.now_s == 560.0
