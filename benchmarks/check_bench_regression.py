@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate over a recorded speedup ratio.
+"""Benchmark regression gate over a recorded speedup ratio or rate.
 
 Compares a freshly generated bench artifact (e.g. ``BENCH_pipeline.json``
 written by ``benchmarks/test_pipeline_throughput.py``) against a baseline
-copy of the committed one and fails when the gated *speedup* ratio
-regresses by more than the tolerance.  ``--metric`` selects the ratio by
-dot-path (default the top-level ``speedup``; the runtime bench gates
-``columnar.speedup_vs_events``).  Speedup ratios are machine-relative,
-so the gate is meaningful on CI runners whose absolute throughput
-differs from the committed numbers.
+copy of the committed one and fails when the gated value regresses by
+more than the tolerance.  ``--metric`` selects the value by dot-path
+(default the top-level ``speedup``; the runtime bench gates
+``runtime.events_per_s``, the service bench ``daemon_verdicts_per_s``).
+Speedup ratios are machine-relative, so they compare across CI runners
+whose absolute throughput differs from the committed numbers; absolute
+rates jitter more and are gated with a wider tolerance.
 
 ``--direction`` picks the improvement sense: ``max`` (default) gates a
 higher-is-better ratio and fails when the fresh value drops below
@@ -94,8 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--metric",
         default="speedup",
-        help="dot-path of the gated ratio inside the report JSON "
-        "(default 'speedup'; e.g. 'columnar.speedup_vs_events')",
+        help="dot-path of the gated value inside the report JSON "
+        "(default 'speedup'; e.g. 'runtime.events_per_s')",
     )
     parser.add_argument(
         "--tolerance",
@@ -146,8 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         bound_name = "ceiling"
     verdict = "REGRESSION" if regressed else "OK"
     print(
-        f"bench gate: baseline {args.metric} {baseline:.2f}x, fresh {fresh:.2f}x, "
-        f"{bound_name} {bound:.2f}x ({args.tolerance:.0%} tolerance) -> {verdict}"
+        f"bench gate: baseline {args.metric} {baseline:.2f}, fresh {fresh:.2f}, "
+        f"{bound_name} {bound:.2f} ({args.tolerance:.0%} tolerance) -> {verdict}"
     )
     if regressed:
         worse = "lost more than" if args.direction == "max" else "grew more than"

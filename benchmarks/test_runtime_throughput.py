@@ -18,8 +18,11 @@ Three measurements land in ``benchmarks/BENCH_runtime.json``:
   clear 200k ``events_per_s``).  Peak RSS is recorded alongside so the
   bounded-memory claim is visible in the artifact.
   ``speedup_vs_events`` is the same-run events-per-wall-second ratio
-  between the two modes; full-scale runs must clear 100x, the tier-1
-  smoke cell (200k devices x 10 minutes) 10x.
+  between the two modes; it is recorded at both scales, and the tier-1
+  smoke cell (200k devices x 10 minutes) must clear 10x.  At full scale
+  CI gates the two absolute rates (``runtime.events_per_s`` and
+  ``columnar.events_per_s``) instead of the ratio, which moves with
+  either workload.
 * **parallel sweep speedup** -- four independent replicates of one
   fleet_scale cell run through :class:`SweepExecutor` serially, then
   twice on the process pool (cold spawn, then the same warm persistent
@@ -86,10 +89,10 @@ COLUMNAR_WINDOW_S = 1.0
 #: sweep must sustain paper-scale throughput.
 BUILD_S_CEILING = 10.0
 EVENTS_PER_S_FLOOR = 200_000.0
-#: Events-per-wall-second ratio the counters-mode scale cell must clear
-#: over the events-mode cell measured in the same process.  The ratio is
-#: machine-relative, so the gate holds on slow runners too.
-SPEEDUP_FLOOR = 100.0 if FULL else 10.0
+#: Events-per-wall-second ratio the smoke counters-mode cell must clear
+#: over the events-mode cell measured in the same process (smoke scale
+#: only; full scale gates the absolute rates in CI).
+SPEEDUP_FLOOR = 10.0
 
 _COMPARED_FIELDS = (
     "uplink_attempts",
@@ -243,11 +246,12 @@ def test_runtime_vs_columnar_throughput():
 
     assert events["events_per_s"] > 0
     assert columnar["frames_transmitted"] > 0
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"counters mode only {speedup:.1f}x events mode "
-        f"(floor {SPEEDUP_FLOOR:.0f}x at {'full' if FULL else 'smoke'} scale)"
-    )
-    if FULL:
+    if not FULL:
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"counters mode only {speedup:.1f}x events mode "
+            f"(floor {SPEEDUP_FLOOR:.0f}x at smoke scale)"
+        )
+    else:
         assert columnar["build_s"] <= BUILD_S_CEILING, (
             f"spec build took {columnar['build_s']:.1f}s "
             f"(ceiling {BUILD_S_CEILING:.0f}s at 1M devices)"

@@ -11,11 +11,13 @@ twice on the same machine:
 
 Both verdict streams must be bit-identical -- the bench doubles as the
 golden check at scale.  The report lands in
-``benchmarks/BENCH_service.json`` with the regression-gated ``speedup``
-field = daemon verdicts/s over in-process verdicts/s: a machine-relative
-service-overhead ratio, wired into ``check_bench_regression.py`` by the
-CI bench job.  The tier-1 smoke run measures a miniature into the
-gitignored ``BENCH_service_smoke.json``.
+``benchmarks/BENCH_service.json``; the CI bench job gates its absolute
+``daemon_verdicts_per_s`` through ``check_bench_regression.py``.  The
+``speedup`` field (daemon verdicts/s over in-process verdicts/s, the
+service-overhead ratio) is reported but not gated: the ratio falls
+whenever the core gets faster than the daemon's fixed per-datagram
+cost, even though nothing got slower.  The tier-1 smoke run measures a
+miniature into the gitignored ``BENCH_service_smoke.json``.
 """
 
 import asyncio
@@ -91,11 +93,11 @@ def test_service_throughput():
         "inproc_wall_s": inproc_wall_s,
         "inproc_verdicts_per_s": inproc_rate,
         "daemon_wall_s": daemon_wall_s,
+        # The regression-gated rate: sustained end-to-end verdicts/s.
         "daemon_verdicts_per_s": daemon_rate,
         "bit_identical": daemon_verdicts == list(plan.oracle_verdicts),
-        # The regression-gated ratio: daemon end-to-end throughput as a
-        # fraction of the in-process ceiling (service overhead, machine-
-        # relative so CI hosts of different speeds compare fairly).
+        # Reported only: daemon throughput as a fraction of the
+        # in-process ceiling (service overhead).
         "speedup": overhead_ratio,
     }
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")

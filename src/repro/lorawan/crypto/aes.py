@@ -1,4 +1,4 @@
-"""AES-128 block cipher, pure Python.
+"""AES-128 block cipher, pure Python and table-driven.
 
 LoRaWAN 1.0.2 protects every frame with AES-128: the MIC is an AES-CMAC
 and the payload is encrypted with an AES-CTR-style construction.  The
@@ -8,12 +8,24 @@ PHY-layer FB defense is needed.  We implement the cipher from scratch (no
 crypto packages are available offline) so the end-to-end attack
 demonstration can show a cryptographically valid replay being accepted.
 
+The network server runs AES-CMAC on every uplink copy, so encryption is
+the classic T-table construction: the state is four 32-bit column words,
+each middle round is 16 lookups into four 256-entry tables built from
+the S-box at import, and the final round uses the S-box directly.  Each
+key's expanded schedule is cached (a fixed-size LRU shared by encrypt
+and decrypt), so a device's session key is expanded once, not per
+block.  Decryption, used only by join-accept, keeps the byte-wise
+inverse rounds.
+
 This is a teaching/simulation implementation: correct (checked against
-FIPS-197 vectors in the tests) but not constant-time, and not intended to
-protect real secrets.
+FIPS-197 vectors and a byte-wise reference in the tests) but not
+constant-time -- the table lookups are indexed by secret-dependent bytes
+-- and not intended to protect real secrets.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -65,26 +77,57 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-def _expand_key(key: bytes) -> list[bytes]:
-    """AES-128 key schedule: 11 round keys of 16 bytes."""
+#: Distinct keys whose expanded schedules stay cached (about 2 KB each).
+_SCHEDULE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _key_schedule(key: bytes) -> tuple[int, ...]:
+    """AES-128 key schedule: 44 big-endian 32-bit words, 4 per round key."""
     if len(key) != 16:
         raise ConfigurationError(f"AES-128 needs a 16-byte key, got {len(key)} bytes")
-    words = [key[i : i + 4] for i in range(0, 16, 4)]
-    for round_index in range(10):
-        prev = words[-1]
-        rotated = prev[1:] + prev[:1]
-        substituted = bytes(_SBOX[b] for b in rotated)
-        mixed = bytes(
-            [substituted[0] ^ _RCON[round_index], substituted[1], substituted[2], substituted[3]]
-        )
-        base = words[-4]
-        new_word = bytes(a ^ b for a, b in zip(base, mixed))
-        words.append(new_word)
-        for _ in range(3):
-            base = words[-4]
-            prev = words[-1]
-            words.append(bytes(a ^ b for a, b in zip(base, prev)))
-    return [b"".join(words[4 * r : 4 * r + 4]) for r in range(11)]
+    sbox = _SBOX
+    words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
+    for i in range(4, 44):
+        word = words[i - 1]
+        if i % 4 == 0:
+            # RotWord, SubWord, then the round constant on the top byte.
+            word = (
+                (sbox[(word >> 16) & 0xFF] << 24)
+                | (sbox[(word >> 8) & 0xFF] << 16)
+                | (sbox[word & 0xFF] << 8)
+                | sbox[word >> 24]
+            ) ^ (_RCON[i // 4 - 1] << 24)
+        words.append(words[i - 4] ^ word)
+    return tuple(words)
+
+
+def _round_keys(key: bytes) -> list[bytes]:
+    """The 11 round keys of 16 bytes each, for the byte-wise decrypt."""
+    words = _key_schedule(bytes(key))
+    return [
+        b"".join(word.to_bytes(4, "big") for word in words[4 * r : 4 * r + 4])
+        for r in range(11)
+    ]
+
+
+def _t_table(column: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """SubBytes and one MixColumns column, fused: byte -> 32-bit word.
+
+    ``column`` holds the GF(2^8) multipliers of one column of the
+    MixColumns matrix, top row first.
+    """
+    table = []
+    for s in _SBOX:
+        m0, m1, m2, m3 = (_gmul(s, m) for m in column)
+        table.append((m0 << 24) | (m1 << 16) | (m2 << 8) | m3)
+    return tuple(table)
+
+
+_TE0 = _t_table((2, 1, 1, 3))
+_TE1 = _t_table((3, 2, 1, 1))
+_TE2 = _t_table((1, 3, 2, 1))
+_TE3 = _t_table((1, 1, 3, 2))
 
 
 def _add_round_key(state: bytearray, round_key: bytes) -> None:
@@ -97,30 +140,13 @@ def _sub_bytes(state: bytearray, box: bytes) -> None:
         state[i] = box[state[i]]
 
 
-def _shift_rows(state: bytearray) -> None:
-    # State is column-major: byte (row r, col c) sits at index 4c + r.
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[r:] + row[:r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
-
-
 def _inv_shift_rows(state: bytearray) -> None:
+    # State is column-major: byte (row r, col c) sits at index 4c + r.
     for r in range(1, 4):
         row = [state[4 * c + r] for c in range(4)]
         row = row[-r:] + row[:-r]
         for c in range(4):
             state[4 * c + r] = row[c]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-        state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-        state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-        state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
 
 
 def _inv_mix_columns(state: bytearray) -> None:
@@ -134,28 +160,50 @@ def _inv_mix_columns(state: bytearray) -> None:
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt one 16-byte block with AES-128."""
+    """Encrypt one 16-byte block with AES-128.
+
+    The state is four big-endian column words.  Each middle round is 16
+    T-table lookups (SubBytes, ShiftRows and MixColumns fused) and the
+    final round applies the S-box directly; the key schedule comes from
+    the per-key cache.
+    """
     if len(block) != 16:
         raise ConfigurationError(f"AES block must be 16 bytes, got {len(block)}")
-    round_keys = _expand_key(key)
-    state = bytearray(block)
-    _add_round_key(state, round_keys[0])
-    for round_index in range(1, 10):
-        _sub_bytes(state, _SBOX)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[round_index])
-    _sub_bytes(state, _SBOX)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[10])
-    return bytes(state)
+    rk = _key_schedule(bytes(key))
+    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+    state = int.from_bytes(block, "big")
+    s0 = (state >> 96) ^ rk[0]
+    s1 = ((state >> 64) & 0xFFFFFFFF) ^ rk[1]
+    s2 = ((state >> 32) & 0xFFFFFFFF) ^ rk[2]
+    s3 = (state & 0xFFFFFFFF) ^ rk[3]
+    for r in range(4, 40, 4):
+        # ShiftRows: output column c takes row i from input column c + i.
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[s1 >> 16 & 0xFF] ^ te2[s2 >> 8 & 0xFF] ^ te3[s3 & 0xFF] ^ rk[r],
+            te0[s1 >> 24] ^ te1[s2 >> 16 & 0xFF] ^ te2[s3 >> 8 & 0xFF] ^ te3[s0 & 0xFF] ^ rk[r + 1],
+            te0[s2 >> 24] ^ te1[s3 >> 16 & 0xFF] ^ te2[s0 >> 8 & 0xFF] ^ te3[s1 & 0xFF] ^ rk[r + 2],
+            te0[s3 >> 24] ^ te1[s0 >> 16 & 0xFF] ^ te2[s1 >> 8 & 0xFF] ^ te3[s2 & 0xFF] ^ rk[r + 3],
+        )
+    sbox = _SBOX
+    # fmt: off
+    last = bytes(
+        (
+            sbox[s0 >> 24], sbox[s1 >> 16 & 0xFF], sbox[s2 >> 8 & 0xFF], sbox[s3 & 0xFF],
+            sbox[s1 >> 24], sbox[s2 >> 16 & 0xFF], sbox[s3 >> 8 & 0xFF], sbox[s0 & 0xFF],
+            sbox[s2 >> 24], sbox[s3 >> 16 & 0xFF], sbox[s0 >> 8 & 0xFF], sbox[s1 & 0xFF],
+            sbox[s3 >> 24], sbox[s0 >> 16 & 0xFF], sbox[s1 >> 8 & 0xFF], sbox[s2 & 0xFF],
+        )
+    )
+    # fmt: on
+    last_key = (rk[40] << 96) | (rk[41] << 64) | (rk[42] << 32) | rk[43]
+    return (int.from_bytes(last, "big") ^ last_key).to_bytes(16, "big")
 
 
 def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     """Decrypt one 16-byte block with AES-128."""
     if len(block) != 16:
         raise ConfigurationError(f"AES block must be 16 bytes, got {len(block)}")
-    round_keys = _expand_key(key)
+    round_keys = _round_keys(key)
     state = bytearray(block)
     _add_round_key(state, round_keys[10])
     for round_index in range(9, 0, -1):

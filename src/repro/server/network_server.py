@@ -137,6 +137,11 @@ def _default_noise_model():
     return FbMeasurementModel()
 
 
+def _gateway_copies(verdicts: Iterable[ServerVerdict]) -> int:
+    """Gateway copies behind the verdicts, dropped duplicates included."""
+    return sum(v.n_gateways + v.duplicates_dropped for v in verdicts)
+
+
 @dataclass
 class NetworkServer:
     """Deduplicating, FB-fusing resolution point for N SoftLoRa gateways.
@@ -175,10 +180,13 @@ class NetworkServer:
     adr: AdrController | None = None
     verdicts: list[ServerVerdict] = field(default_factory=list)
     _dedup: UplinkDeduplicator = field(init=False)
+    #: Gateway copies summed over ``verdicts``, kept by :meth:`resolve`.
+    _copies: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Build the dedup stage from the configured airtime window."""
         self._dedup = UplinkDeduplicator(window_s=self.window_s)
+        self._copies = _gateway_copies(self.verdicts)
 
     # -- provisioning -----------------------------------------------------------
 
@@ -217,6 +225,7 @@ class NetworkServer:
         """
         fresh = [self._judge(uplink) for uplink in self._dedup.resolve()]
         self.verdicts.extend(fresh)
+        self._copies += _gateway_copies(fresh)
         return fresh
 
     def process_step(self, forwards: Iterable[GatewayForward]) -> list[ServerVerdict]:
@@ -345,5 +354,4 @@ class NetworkServer:
         """Mean gateway copies per resolved uplink (1.0 = no diversity)."""
         if not self.verdicts:
             return 0.0
-        copies = sum(v.n_gateways + v.duplicates_dropped for v in self.verdicts)
-        return copies / len(self.verdicts)
+        return self._copies / len(self.verdicts)

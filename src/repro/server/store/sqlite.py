@@ -20,6 +20,11 @@ Durability contract:
   dedup window's read-modify-write traffic, so either every verdict of
   the window commits or none does -- a crash can lose the uncommitted
   window wholesale but can never leave a half-written history behind.
+
+The tracked-node count is loaded once on open and then kept in memory
+(moved by ``record``/``forget``, restored on rollback), so the daemon's
+per-flush ``node_count`` gauge never scans the table.  The count assumes
+the store is the file's only writer.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ class SqliteFbStore:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(_SCHEMA)
         self._in_batch = False
+        # Counted once here; record()/forget() keep it current after.
+        row = self._conn.execute("SELECT COUNT(DISTINCT node_id) FROM fb_history").fetchone()
+        self._node_count = int(row[0])
 
     # -- transactions -----------------------------------------------------------
 
@@ -84,11 +92,13 @@ class SqliteFbStore:
         if self._in_batch:
             yield self._conn
             return
+        node_count = self._node_count
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             yield self._conn
         except BaseException:
             self._conn.execute("ROLLBACK")
+            self._node_count = node_count
             raise
         else:
             self._conn.execute("COMMIT")
@@ -105,12 +115,14 @@ class SqliteFbStore:
         if self._in_batch:
             yield self
             return
+        node_count = self._node_count
         self._conn.execute("BEGIN IMMEDIATE")
         self._in_batch = True
         try:
             yield self
         except BaseException:
             self._conn.execute("ROLLBACK")
+            self._node_count = node_count
             raise
         else:
             self._conn.execute("COMMIT")
@@ -135,6 +147,8 @@ class SqliteFbStore:
                 "DELETE FROM fb_history WHERE node_id = ? AND seq <= ?",
                 (node_id, seq - self.history_len),
             )
+            if seq == 0:  # the node's first row (or first since forget)
+                self._node_count += 1
 
     def sample_count(self, node_id: str) -> int:
         """Recorded estimates for one node."""
@@ -176,16 +190,15 @@ class SqliteFbStore:
         return [row[0] for row in rows]
 
     def node_count(self) -> int:
-        """Total tracked nodes."""
-        row = self._conn.execute(
-            "SELECT COUNT(DISTINCT node_id) FROM fb_history"
-        ).fetchone()
-        return int(row[0])
+        """Total tracked nodes, from the in-memory count (no table scan)."""
+        return self._node_count
 
     def forget(self, node_id: str) -> None:
         """Drop one node's history."""
         with self._tx() as conn:
-            conn.execute("DELETE FROM fb_history WHERE node_id = ?", (node_id,))
+            deleted = conn.execute("DELETE FROM fb_history WHERE node_id = ?", (node_id,))
+            if deleted.rowcount > 0:
+                self._node_count -= 1
 
     # -- durability / lifecycle -------------------------------------------------
 

@@ -282,6 +282,25 @@ class TestNetworkServer:
         assert verdict.fused.best_gateway_id == "gw-3"
         assert server.dedup_rate == 4.0
 
+    def test_dedup_rate_running_count_equals_full_recount(self):
+        server = self.make_server()
+        assert server.dedup_rate == 0.0
+        for step, n_gateways in enumerate((1, 3, 2, 4, 1, 2)):
+            raw = frame(step)
+            arrival = 100.0 + 10.0 * step
+            forwards = [
+                forward(f"gw-{i}", fcnt=step, mac_bytes=raw, arrival=arrival)
+                for i in range(n_gateways)
+            ]
+            # A same-gateway repeat inside the window counts as a dropped copy.
+            forwards.append(forward("gw-0", fcnt=step, mac_bytes=raw, arrival=arrival + 0.1))
+            server.process_step(forwards)
+            copies = sum(v.n_gateways + v.duplicates_dropped for v in server.verdicts)
+            assert server.dedup_rate == copies / len(server.verdicts)
+        assert server.dedup_rate == (13 + 6) / 6
+        rebuilt = NetworkServer(verdicts=list(server.verdicts))
+        assert rebuilt.dedup_rate == server.dedup_rate
+
     def test_mac_checked_once_per_uplink(self):
         server = self.make_server()
         raw = frame(0)

@@ -166,6 +166,78 @@ class TestSqliteStore:
             SqliteFbStore(tmp_path / "bad.sqlite", history_len=0)
 
 
+class TestSqliteNodeCount:
+    """The in-memory node count always equals the reference's."""
+
+    def test_rolled_back_batch_restores_the_count(self, tmp_path):
+        ref = FbDatabase()
+        store = SqliteFbStore(tmp_path / "s.sqlite")
+        ref.record("keep", 5.0, 1.0)
+        store.record("keep", 5.0, 1.0)
+        with pytest.raises(RuntimeError):
+            with store.batch():
+                store.record("new-a", 6.0, 2.0)
+                store.record("new-b", 7.0, 2.0)
+                store.forget("keep")
+                assert store.node_count() == 2
+                raise RuntimeError("window died")
+        assert store.node_count() == ref.node_count() == 1
+        with store.batch():
+            store.record("new-a", 6.0, 2.0)
+        ref.record("new-a", 6.0, 2.0)
+        assert store.node_count() == ref.node_count() == 2
+        store.close()
+
+    def test_forget_of_unknown_node_leaves_the_count(self, tmp_path):
+        ref = FbDatabase()
+        store = SqliteFbStore(tmp_path / "s.sqlite")
+        for db in (ref, store):
+            db.record("n", 1.0, 1.0)
+            db.forget("never-seen")
+        assert store.node_count() == ref.node_count() == 1
+        for db in (ref, store):
+            db.forget("n")
+            db.forget("n")
+        assert store.node_count() == ref.node_count() == 0
+        store.close()
+
+    def test_count_is_reloaded_on_reopen(self, tmp_path):
+        ref = FbDatabase(history_len=2)
+        path = tmp_path / "s.sqlite"
+        store = SqliteFbStore(path, history_len=2)
+        for i in range(5):
+            for db in (ref, store):
+                db.record(f"n{i}", float(i), 1.0)
+                db.record(f"n{i}", float(i) + 0.5, 2.0)
+                db.record(f"n{i}", float(i) + 0.75, 3.0)  # prunes the oldest row
+        for db in (ref, store):
+            db.forget("n3")
+        store.close()
+        reopened = SqliteFbStore(path, history_len=2)
+        assert reopened.node_count() == ref.node_count() == 4
+        reopened.record("n3", 9.0, 4.0)
+        ref.record("n3", 9.0, 4.0)
+        assert reopened.node_count() == ref.node_count() == 5
+        reopened.close()
+
+    def test_count_survives_rebalance(self, tmp_path):
+        ref = FbDatabase()
+        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2)
+        for i in range(17):
+            for db in (ref, store):
+                db.record(f"{i:08x}", float(i), 1.0)
+        for db in (ref, store):
+            db.forget(f"{3:08x}")
+        for count in (5, 1, 3):
+            store.rebalance(count)
+            assert store.node_count() == ref.node_count() == 16
+            per_shard = [0] * count
+            for node in ref.known_nodes():
+                per_shard[store.shard_index(node)] += 1
+            assert store.shard_sizes() == per_shard
+        store.close()
+
+
 @pytest.mark.skipif(not LMDB_AVAILABLE, reason="lmdb binding not installed")
 class TestLmdbStore:
     def test_round_trip_and_reopen(self, tmp_path):

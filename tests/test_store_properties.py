@@ -7,9 +7,12 @@ per-node histories, sample counts, guarded intervals -- must match
 exactly.  A second property pins the rebalance invariant: migrating a
 :class:`~repro.server.store.sharded.PersistentShardedFbDatabase` to
 *any* shard count preserves ``known_nodes()`` and every per-node
-history bit for bit.
+history bit for bit.  A third drives :class:`SqliteFbStore` through
+batches that commit or roll back and through reopens of its file: the
+in-memory node count must track the reference throughout.
 """
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -140,5 +143,62 @@ def test_rebalance_to_any_count_preserves_state(ops, shard_counts):
                 store.rebalance(count)
                 assert store.n_shards == count
                 assert_same_state(reference, store, f"rebalance({count})")
+        finally:
+            store.close()
+
+
+class _WindowDied(Exception):
+    """Raised inside a batch to force its rollback."""
+
+
+#: Batches of (ops, raises before commit, reopen the file after).
+sqlite_script = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["record", "forget"]),
+                st.sampled_from(NODES),
+                finite,
+                finite,
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=sqlite_script)
+def test_sqlite_node_count_tracks_reference_through_rollback_and_reopen(script):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fb.sqlite"
+        store = SqliteFbStore(path, history_len=HISTORY_LEN)
+        reference = FbDatabase(history_len=HISTORY_LEN)
+        try:
+            for ops, raises, reopen in script:
+                committed = copy.deepcopy(reference)
+                try:
+                    with store.batch():
+                        for op, node, fb_hz, time_s in ops:
+                            if op == "record":
+                                reference.record(node, fb_hz, time_s)
+                                store.record(node, fb_hz, time_s)
+                            else:
+                                reference.forget(node)
+                                store.forget(node)
+                            assert store.node_count() == reference.node_count()
+                        if raises:
+                            raise _WindowDied
+                except _WindowDied:
+                    reference = committed
+                if reopen:
+                    store.close()
+                    store = SqliteFbStore(path, history_len=HISTORY_LEN)
+                assert store.node_count() == reference.node_count()
+                assert store.known_nodes() == reference.known_nodes()
         finally:
             store.close()
