@@ -5,7 +5,8 @@ Compares a freshly generated bench artifact (e.g. ``BENCH_pipeline.json``
 written by ``benchmarks/test_pipeline_throughput.py``) against a baseline
 copy of the committed one and fails when the gated value regresses by
 more than the tolerance.  ``--metric`` selects the value by dot-path
-(default the top-level ``speedup``; the runtime bench gates
+(default the top-level ``speedup``; the pipeline bench gates
+``batched_path.captures_per_second``, the runtime bench
 ``runtime.events_per_s``, the service bench ``daemon_verdicts_per_s``).
 Speedup ratios are machine-relative, so they compare across CI runners
 whose absolute throughput differs from the committed numbers; absolute
@@ -30,9 +31,10 @@ relative ``--baseline`` / ``--fresh`` paths resolve against it.
 Usage::
 
     cp benchmarks/BENCH_pipeline.json /tmp/bench_baseline.json  # before the run
-    pytest benchmarks/test_pipeline_throughput.py    # rewrites the artifact
+    BENCH_RUNTIME_FULL=1 pytest benchmarks/test_pipeline_throughput.py  # rewrites it
     python benchmarks/check_bench_regression.py \
-        --baseline /tmp/bench_baseline.json --fresh BENCH_pipeline.json
+        --baseline /tmp/bench_baseline.json --fresh BENCH_pipeline.json \
+        --metric batched_path.captures_per_second
 
 Exit status 0 when the fresh speedup is within tolerance, 1 on
 regression (or unusable inputs).

@@ -9,8 +9,10 @@ Runs the receive chain of the paper's Fig. 4 over ``n`` captures at once:
 3. **chirp slicing** -- the FB-estimation chirp cut from every capture at
    its own onset with a single fancy-indexing gather;
 4. **frequency-bias estimation** -- batched dechirp (cached sweep-phase
-   reference), one ``(n, n_fft)`` FFT, and lockstep golden-section
-   refinement (:meth:`LeastSquaresFbEstimator.estimate_batch`);
+   reference), a zoom FFT over the in-range bins of the zero-padded grid,
+   and a safeguarded Newton refinement on ``|C(f)|²`` that converges row
+   by row, usually in two passes
+   (:meth:`LeastSquaresFbEstimator.estimate_batch`);
 5. **FB-database lookup** -- optional replay verdicts per capture.  This
    stage is *sequential by design*: the database learns from each accepted
    frame in arrival order, so verdicts depend on processing order exactly
@@ -153,7 +155,7 @@ class BatchPipeline:
             chirps = batch.samples[
                 rows[:, np.newaxis], starts[fits][:, np.newaxis] + np.arange(spc)[np.newaxis, :]
             ]
-            # Stage 4: batched dechirp + FFT + lockstep refinement.
+            # Stage 4: batched dechirp + zoom FFT + per-row Newton refinement.
             powers = noise_powers
             if powers is not None and np.ndim(powers) == 1:
                 powers = np.asarray(powers, dtype=float)[fits]

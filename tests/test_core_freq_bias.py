@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.freq_bias import (
     LeastSquaresFbEstimator,
@@ -9,12 +11,50 @@ from repro.core.freq_bias import (
     estimate_amplitude,
 )
 from repro.errors import ConfigurationError, EstimationError
-from repro.phy.chirp import ChirpConfig, upchirp
+from repro.phy.chirp import ChirpConfig, cached_dechirp_template, upchirp
 from repro.sdr.noise import complex_awgn, noise_power_for_snr
+
+#: Golden ratio conjugate (1/φ), the golden-section interval shrink factor.
+INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def clean_chirp(config, fb_hz, phase=0.9, amplitude=1.0):
     return upchirp(config, fb_hz=fb_hz, phase=phase, amplitude=amplitude)
+
+
+def golden_section_fb(config, samples, search_range_hz, zero_pad_factor=8, tol_hz=1e-3):
+    """Oracle for the dechirp reduction: padded FFT plus golden section.
+
+    Independent of the shipped search: the whole zero-padded spectrum is
+    transformed, and ``|C(fb)|`` is maximized by golden section over the
+    same ``±1`` bin bracket, clipped to the search range, with every
+    correlation taken by a direct per-sample exp.
+    """
+    fs = config.sample_rate_hz
+    dechirped = samples[: config.samples_per_chirp] * cached_dechirp_template(config)
+    n_fft = int(2 ** np.ceil(np.log2(len(dechirped) * zero_pad_factor)))
+    freqs = np.fft.fftfreq(n_fft, d=1.0 / fs)
+    lo, hi = search_range_hz
+    magnitudes = np.where((freqs >= lo) & (freqs <= hi), np.abs(np.fft.fft(dechirped, n_fft)), -1)
+    coarse = freqs[np.argmax(magnitudes)]
+    a, b = max(coarse - fs / n_fft, lo), min(coarse + fs / n_fft, hi)
+    n = np.arange(len(dechirped))
+
+    def magnitude(fb_hz):
+        return abs(np.sum(dechirped * np.exp(-2j * np.pi * fb_hz / fs * n)))
+
+    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
+    fc, fd = magnitude(c), magnitude(d)
+    while b - a > tol_hz:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = magnitude(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = magnitude(d)
+    return c if fc >= fd else d
 
 
 class TestLinearRegression:
@@ -142,6 +182,76 @@ class TestLeastSquares:
     def test_short_input_rejected(self, fast_config):
         with pytest.raises(EstimationError):
             LeastSquaresFbEstimator(fast_config).estimate(np.zeros(4, dtype=complex))
+
+    def test_range_between_bins_rejected_at_estimate_time(self, fast_config):
+        # Bins sit 61 Hz apart at SF7, 0.5 Msps; a 10 Hz range holds none.
+        estimator = LeastSquaresFbEstimator(fast_config, search_range_hz=(20.0, 30.0))
+        with pytest.raises(EstimationError, match="excludes every FFT bin"):
+            estimator.estimate(clean_chirp(fast_config, 25.0))
+
+    def test_estimators_of_one_configuration_share_the_zoom_plan(self, fast_config):
+        first = LeastSquaresFbEstimator(fast_config, search_range_hz=(-30e3, 30e3))
+        second = LeastSquaresFbEstimator(fast_config, search_range_hz=(-30e3, 30e3))
+        assert first._plan is second._plan
+        assert LeastSquaresFbEstimator(fast_config)._plan is not first._plan
+
+    def test_refinement_converges_in_a_few_passes(self, monkeypatch):
+        # Near convergence a Newton step can round to zero and land on the
+        # bracket end the slope just moved; it must count as converged,
+        # not send the row into ~20 bisection passes.
+        config = ChirpConfig(spreading_factor=7, sample_rate_hz=1e6)
+        estimator = LeastSquaresFbEstimator(config)
+        rows = []
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            chirp = clean_chirp(config, rng.uniform(-25e3, -17e3), phase=rng.uniform(0, 6))
+            noise_power = noise_power_for_snr(1.0, rng.uniform(0, 30))
+            rows.append(chirp + complex_awgn(len(chirp), noise_power, rng))
+        passes = []
+        correlate = estimator._correlation_batch
+
+        def counted(*args):
+            passes.append(1)
+            return correlate(*args)
+
+        monkeypatch.setattr(estimator, "_correlation_batch", counted)
+        estimator.estimate_batch(np.stack(rows))
+        assert len(passes) <= 3
+
+    def test_coarse_grid_is_the_padded_fft_grid(self, fast_config):
+        # 512 samples x 8 -> a 4096-point grid, 122.07 Hz per bin.
+        estimate = LeastSquaresFbEstimator(fast_config).estimate(clean_chirp(fast_config, -9e3))
+        bin_width = fast_config.sample_rate_hz / 4096
+        assert estimate.diagnostics["fft_bin_width_hz"] == bin_width
+        assert estimate.diagnostics["coarse_fb_hz"] == round(-9e3 / bin_width) * bin_width
+
+
+#: Search range of the oracle property: the estimator's default.
+SEARCH_RANGE_HZ = (-40e3, 40e3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spreading_factor=st.sampled_from([7, 9, 12]),
+    sample_rate_hz=st.sampled_from([0.25e6, 0.5e6, 1e6]),
+    snr_db=st.floats(-25.0, 30.0),
+    fb_hz=st.one_of(
+        st.floats(*SEARCH_RANGE_HZ),
+        st.sampled_from([-40e3 - 30.0, -40e3, 40e3, 40e3 + 30.0]),
+    ),
+    phase=st.floats(0.0, 2 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dechirp_matches_golden_section_oracle(
+    spreading_factor, sample_rate_hz, snr_db, fb_hz, phase, seed
+):
+    config = ChirpConfig(spreading_factor=spreading_factor, sample_rate_hz=sample_rate_hz)
+    estimator = LeastSquaresFbEstimator(config, search_range_hz=SEARCH_RANGE_HZ)
+    chirp = clean_chirp(config, fb_hz, phase=phase)
+    noise_power = noise_power_for_snr(1.0, snr_db)
+    noisy = chirp + complex_awgn(len(chirp), noise_power, np.random.default_rng(seed))
+    oracle = golden_section_fb(config, noisy, SEARCH_RANGE_HZ)
+    assert abs(estimator.estimate(noisy).fb_hz - oracle) <= estimator.refine_tol_hz
 
 
 class TestAmplitudeEstimation:

@@ -84,6 +84,16 @@ class TestAicBatch:
             assert result.index == reference.index
             assert result.time_s == reference.time_s
 
+    def test_rows_of_a_multi_chunk_batch_match_single(self, rng):
+        # 19 rows span several kernel chunks, the last one partial.
+        detector = AicDetector()
+        stack = np.concatenate(
+            [0.1 * rng.standard_normal((19, 300)), rng.standard_normal((19, 500)) + 0.5], axis=1
+        )
+        curves = detector.aic_curve_batch(stack)
+        for row in range(len(stack)):
+            np.testing.assert_array_equal(curves[row], detector.aic_curve(stack[row]))
+
     def test_minimum_length_batch(self, rng):
         # The shortest trace with an admissible split point: the edge
         # guards blank min_segment samples at each end, so 2*min_segment+1
@@ -143,6 +153,21 @@ class TestFbBatch:
             single = estimator.estimate(stack[row])
             assert single.fb_hz == batched.fb_hz
             assert single.phase == batched.phase
+
+    def test_clipped_bracket_row_matches_single(self):
+        # The first row's ±1 bin bracket is cut short by the search range;
+        # its refinement must not depend on the unclipped row beside it.
+        config = ChirpConfig(spreading_factor=7, sample_rate_hz=1e6)
+        top = 327 * 1e6 / 8192 + 0.5
+        estimator = LeastSquaresFbEstimator(config, search_range_hz=(-40e3, top))
+        stack = np.stack([upchirp(config, fb_hz=top + 30.0), upchirp(config, fb_hz=-20e3)])
+        for row, batched in enumerate(estimator.estimate_batch(stack)):
+            single = estimator.estimate(stack[row])
+            assert single.fb_hz == batched.fb_hz
+            assert single.phase == batched.phase
+            assert single.diagnostics == batched.diagnostics
+        # The tone lies past the range, so the estimate pins to its edge.
+        assert top - estimator.refine_tol_hz <= estimator.estimate(stack[0]).fb_hz <= top
 
     def test_list_input_accepted(self, fast_config):
         estimator = LeastSquaresFbEstimator(fast_config)
