@@ -7,7 +7,7 @@ Architecture::
              ++--> gateway gw-1 --+--> NetworkServer --> dedup --> MAC
              ++--> gateway gw-2 --+        |                        |
              ++--> gateway gw-3 --+        +--> FB fusion --> ReplayDetector
-                                                (sharded FbDatabase)
+                                                (FbDatabase)
 
 A 16-node fleet reports through four gateways placed around the cell.
 Every uplink is heard (and FB-estimated) by each in-range gateway; the
@@ -66,8 +66,7 @@ def main() -> None:
           f"dedup rate {server.dedup_rate:.2f} copies/uplink, "
           f"{server.malformed} malformed forwards")
     db = server.detector.database
-    print(f"sharded FB database: {db.node_count()} nodes over {db.n_shards} shards "
-          f"(occupancy {sorted(db.shard_sizes(), reverse=True)[:4]}... )")
+    print(f"FB database: {db.node_count()} nodes with learned profiles")
     sample = server.verdicts[-1]
     print(f"sample verdict: node {sample.node_id} heard by {sample.n_gateways} gateways, "
           f"fused FB {sample.fused.fb_hz / 1e3:+.2f} kHz "

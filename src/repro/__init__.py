@@ -15,8 +15,8 @@ The package rebuilds the paper's entire stack in simulation:
 * ``repro.pipeline`` -- the batched capture-processing engine: N stacked
   captures through the whole SoftLoRa chain as vectorized numpy stages,
 * ``repro.server`` -- the multi-gateway network-server layer: cross-
-  gateway dedup, FB fusion, sharded per-device state, one verdict per
-  over-the-air transmission,
+  gateway dedup, FB fusion, durable per-device FB stores, one verdict
+  per over-the-air transmission,
 * ``repro.sim`` -- discrete-event fleet simulation and paper scenarios,
 * ``repro.experiments`` -- drivers regenerating every table and figure,
   declared as :class:`ScenarioSpec` sweeps over one shared runner.
@@ -105,7 +105,6 @@ __all__ = [
     "SdrReceiver",
     "ServerVerdict",
     "SessionKeys",
-    "ShardedFbDatabase",
     "SoftLoRaGateway",
     "SqliteFbStore",
     "SweepExecutor",
@@ -137,7 +136,6 @@ _LAZY = {
     "GatewayForward": ("repro.server.forwarding", "GatewayForward"),
     "NetworkServer": ("repro.server.network_server", "NetworkServer"),
     "ServerVerdict": ("repro.server.network_server", "ServerVerdict"),
-    "ShardedFbDatabase": ("repro.server.sharding", "ShardedFbDatabase"),
     "SqliteFbStore": ("repro.server.store.sqlite", "SqliteFbStore"),
     "LruCachedStore": ("repro.server.store.cache", "LruCachedStore"),
     "PersistentShardedFbDatabase": (

@@ -68,11 +68,10 @@ class DetectionResult:
 class FbStore(Protocol):
     """Anything that can hold per-node FB history for a detector.
 
-    :class:`FbDatabase` is the in-process implementation;
-    :class:`repro.server.ShardedFbDatabase` spreads the same interface
-    over hash-routed shards, and the backends in
-    :mod:`repro.server.store` persist it (SQLite/LMDB files, an LRU
-    write-through cache, per-shard store files with rebalancing).
+    :class:`FbDatabase` is the in-process implementation; the backends
+    in :mod:`repro.server.store` persist it (a SQLite file, an LRU
+    write-through cache, CRC32-routed per-shard SQLite files with
+    rebalancing).
 
     The protocol is ``runtime_checkable`` so a backend missing a method
     fails an ``isinstance`` conformance test instead of exploding later

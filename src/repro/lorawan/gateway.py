@@ -67,6 +67,10 @@ class CommodityGateway:
     def known_devices(self) -> list[int]:
         return sorted(self._keys)
 
+    def keys_for(self, dev_addr: int) -> SessionKeys | None:
+        """A registered device's session keys (``None`` if unknown)."""
+        return self._keys.get(dev_addr)
+
     def _timestamper(self) -> SyncFreeTimestamper:
         return SyncFreeTimestamper(
             codec=self.codec, tx_latency_s=self.tx_latency_compensation_s

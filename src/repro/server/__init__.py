@@ -3,17 +3,17 @@
 Everything above the gateways: forwarding records
 (:class:`GatewayForward`), cross-gateway deduplication
 (:class:`UplinkDeduplicator`), FB/timestamp fusion policies
-(:class:`FusionPolicy`), sharded per-device FB state
-(:class:`ShardedFbDatabase`), the closed-loop data-rate controller
+(:class:`FusionPolicy`), the closed-loop data-rate controller
 (:class:`AdrController`), and the :class:`NetworkServer` that ties them
 into one replay verdict per over-the-air transmission.
 
 :mod:`repro.server.store` adds durable drop-in FB stores behind the
-same :class:`~repro.core.detector.FbStore` protocol: WAL-mode SQLite
-(:class:`SqliteFbStore`), optional LMDB, a write-through LRU hot-cache
-(:class:`LruCachedStore`), and CRC32-sharded per-shard store files with
-offline rebalancing (:class:`PersistentShardedFbDatabase`); build one
-from an operator spec string with :func:`open_store`.
+same :class:`~repro.core.detector.FbStore` protocol as the in-memory
+:class:`~repro.core.detector.FbDatabase`: WAL-mode SQLite
+(:class:`SqliteFbStore`), a write-through LRU hot-cache
+(:class:`LruCachedStore`), and CRC32-sharded per-shard SQLite files
+with offline rebalancing (:class:`PersistentShardedFbDatabase`); build
+one from an operator spec string with :func:`open_store`.
 """
 
 from repro.server.adr import AdrCommand, AdrController
@@ -31,10 +31,8 @@ from repro.server.fusion import (
     fuse_timestamp_s,
 )
 from repro.server.network_server import NetworkServer, ServerStatus, ServerVerdict
-from repro.server.sharding import ShardedFbDatabase
 from repro.server.store import (
     CacheStats,
-    LmdbFbStore,
     LruCachedStore,
     PersistentShardedFbDatabase,
     SqliteFbStore,
@@ -51,13 +49,11 @@ __all__ = [
     "FusedFb",
     "FusionPolicy",
     "GatewayForward",
-    "LmdbFbStore",
     "LruCachedStore",
     "NetworkServer",
     "PersistentShardedFbDatabase",
     "ServerStatus",
     "ServerVerdict",
-    "ShardedFbDatabase",
     "SqliteFbStore",
     "UplinkDeduplicator",
     "UplinkKey",

@@ -16,7 +16,7 @@ where MIC checks, counter tracking, and dedup actually live):
    the earliest arrival;
 5. **one verdict** -- the fused FB runs through one
    :class:`repro.core.detector.ReplayDetector` whose history is shared
-   across gateways in a :class:`repro.server.ShardedFbDatabase`, so a
+   across gateways in one :class:`repro.core.detector.FbStore`, so a
    replay is flagged (and the benign drift tracked) exactly once per
    over-the-air transmission, with evidence from every receiving
    gateway.
@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.detector import DetectionResult, ReplayDetector
+from repro.core.detector import DetectionResult, FbDatabase, ReplayDetector
 from repro.errors import ConfigurationError, DecodeError
 from repro.lorawan.gateway import CommodityGateway, GatewayReception, ReceiveStatus
 from repro.lorawan.mac import LinkADRAns, parse_mac_commands
@@ -44,7 +44,6 @@ from repro.server.fusion import (
     fuse_fb,
     fuse_timestamp_s,
 )
-from repro.server.sharding import ShardedFbDatabase
 
 if TYPE_CHECKING:
     from repro.core.timestamping import TimestampedReading
@@ -151,9 +150,10 @@ class NetworkServer:
             per-device frame counters, and sync-free timestamp
             reconstruction.  One :meth:`CommodityGateway.receive_frame`
             call per *deduplicated* uplink, never per gateway copy.
-        detector: The cross-gateway replay detector.  Defaults to a
-            :class:`ShardedFbDatabase`-backed detector so per-device FB
-            state scales to fleet sizes.
+        detector: The cross-gateway replay detector.  Defaults to an
+            in-memory :class:`~repro.core.detector.FbDatabase`-backed
+            detector; pass one over a :mod:`repro.server.store` backend
+            for durable per-device FB state.
         fusion: FB fusion policy (best-SNR or inverse-variance
             weighting).
         fb_noise: Calibrated SNR -> sigma model used to weight (and
@@ -172,7 +172,7 @@ class NetworkServer:
         default_factory=lambda: CommodityGateway(name="network-server")
     )
     detector: ReplayDetector = field(
-        default_factory=lambda: ReplayDetector(database=ShardedFbDatabase())
+        default_factory=lambda: ReplayDetector(database=FbDatabase())
     )
     fusion: FusionPolicy = FusionPolicy.INVERSE_VARIANCE
     fb_noise: FbNoiseModel = field(default_factory=_default_noise_model)
@@ -325,7 +325,7 @@ class NetworkServer:
         when a controller is attached, and the most recent verdict.
         Returns ``None`` for a device that was never registered.
         """
-        if dev_addr not in self.mac._keys:
+        if self.mac.keys_for(dev_addr) is None:
             return None
         node_id = f"{dev_addr:08x}"
         database = self.detector.database

@@ -10,14 +10,11 @@ the in-memory reference, including across a crash and restart:
 
 * :class:`~repro.server.store.sqlite.SqliteFbStore` -- one WAL-mode
   SQLite file; dedup windows commit in one transaction;
-* :class:`~repro.server.store.lmdb.LmdbFbStore` -- optional LMDB
-  environment (:data:`~repro.server.store.lmdb.LMDB_AVAILABLE` gates
-  it cleanly when the binding is absent);
 * :class:`~repro.server.store.cache.LruCachedStore` -- bounded
   write-through hot-cache with hit/miss/eviction counters;
 * :class:`~repro.server.store.sharded.PersistentShardedFbDatabase` --
-  the CRC32 sharding of :class:`~repro.server.ShardedFbDatabase` over
-  per-shard store files, with offline :meth:`rebalance
+  CRC32 routing of node ids over per-shard SQLite files, with offline
+  :meth:`rebalance
   <repro.server.store.sharded.PersistentShardedFbDatabase.rebalance>`
   when gateways are added.
 
@@ -32,16 +29,12 @@ from contextlib import nullcontext
 
 from repro.core.detector import FbDatabase, FbStore
 from repro.errors import ConfigurationError
-from repro.server.sharding import ShardedFbDatabase
 from repro.server.store.cache import CacheStats, LruCachedStore
-from repro.server.store.lmdb import LMDB_AVAILABLE, LmdbFbStore
 from repro.server.store.sharded import PersistentShardedFbDatabase
 from repro.server.store.sqlite import SqliteFbStore
 
 __all__ = [
     "CacheStats",
-    "LMDB_AVAILABLE",
-    "LmdbFbStore",
     "LruCachedStore",
     "PersistentShardedFbDatabase",
     "SqliteFbStore",
@@ -53,9 +46,7 @@ __all__ = [
 #: Default file/directory names when a spec omits the path.
 _DEFAULT_PATHS = {
     "sqlite": "fb_store.sqlite",
-    "lmdb": "fb_store.lmdb",
     "sharded-sqlite": "fb_store.d",
-    "sharded-lmdb": "fb_store.d",
 }
 
 
@@ -88,15 +79,10 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
 
     * ``memory`` -- the in-memory :class:`FbDatabase` (dies with the
       process; the pre-persistence default);
-    * ``sharded`` -- the in-memory :class:`ShardedFbDatabase`
-      (``?shards=N``, default 16);
     * ``sqlite:PATH`` -- one durable WAL SQLite file (``sqlite:`` alone
       uses ``fb_store.sqlite`` in the working directory);
-    * ``lmdb:PATH`` -- one durable LMDB environment (requires the
-      optional ``lmdb`` package);
-    * ``sharded-sqlite:DIR`` / ``sharded-lmdb:DIR`` -- a
-      :class:`PersistentShardedFbDatabase` directory (``?shards=N``
-      for a new directory, default 16).
+    * ``sharded-sqlite:DIR`` -- a :class:`PersistentShardedFbDatabase`
+      directory (``?shards=N`` for a new directory, default 16).
 
     Any durable backend takes ``?cache=N`` to wrap it in an
     :class:`LruCachedStore` holding ``N`` hot node histories;
@@ -111,8 +97,7 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
         A configured store satisfying :class:`FbStore`.
 
     Raises:
-        ConfigurationError: On an unknown backend, a malformed option,
-            or an unavailable LMDB binding.
+        ConfigurationError: On an unknown backend or a malformed option.
     """
     backend, sep, rest = spec.partition(":")
     if not sep and "?" in backend:
@@ -127,25 +112,16 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
     store: FbStore
     if backend == "memory":
         store = FbDatabase(history_len=history)
-    elif backend == "sharded":
-        store = ShardedFbDatabase(n_shards=shards or 16, history_len=history)
-    elif backend in ("sqlite", "lmdb"):
-        target = path or _DEFAULT_PATHS[backend]
-        if backend == "sqlite":
-            store = SqliteFbStore(target, history_len=history)
-        else:
-            store = LmdbFbStore(target, history_len=history)
-    elif backend in ("sharded-sqlite", "sharded-lmdb"):
+    elif backend == "sqlite":
+        store = SqliteFbStore(path or _DEFAULT_PATHS[backend], history_len=history)
+    elif backend == "sharded-sqlite":
         store = PersistentShardedFbDatabase(
-            path or _DEFAULT_PATHS[backend],
-            n_shards=shards,
-            history_len=history,
-            backend=backend.removeprefix("sharded-"),
+            path or _DEFAULT_PATHS[backend], n_shards=shards, history_len=history
         )
     else:
         raise ConfigurationError(
             f"unknown store backend {backend!r} in spec {spec!r}; expected one of "
-            "memory, sharded, sqlite, lmdb, sharded-sqlite, sharded-lmdb"
+            "memory, sqlite, sharded-sqlite"
         )
     if cache:
         store = LruCachedStore(store, max_nodes=cache)
@@ -157,8 +133,8 @@ def store_batch(store: FbStore):
 
     The daemon wraps every ``process_step`` call in this, so durable
     backends commit a whole window's verdicts atomically while the
-    in-memory databases -- which have no transactions to speak of --
-    cost nothing.
+    in-memory database -- which has no transactions to speak of --
+    costs nothing.
     """
     batch = getattr(store, "batch", None)
     if callable(batch):

@@ -1,14 +1,13 @@
 """CRC32-sharded FB state over per-shard durable store files.
 
-:class:`PersistentShardedFbDatabase` is the durable twin of
-:class:`repro.server.ShardedFbDatabase`: the same stable CRC32 routing
-(``zlib.crc32(node_id) % n_shards``) over ``n_shards`` independent
-stores, except each shard is a :class:`~repro.server.store.sqlite.SqliteFbStore`
-(or :class:`~repro.server.store.lmdb.LmdbFbStore`) file inside one
+:class:`PersistentShardedFbDatabase` routes each node by a stable CRC32
+hash (``zlib.crc32(node_id) % n_shards``) to one of ``n_shards``
+:class:`~repro.server.store.sqlite.SqliteFbStore` files inside one
 directory.  A ``store_meta.json`` sidecar records the shard count,
-history depth, and backend so reopening the directory -- the daemon's
-reload-on-boot path -- reconstructs exactly the layout that wrote it,
-and a mismatched explicit shard count fails loudly instead of silently
+history depth, and shard backend (always ``"sqlite"``) so reopening the
+directory -- the daemon's reload-on-boot path -- reconstructs exactly
+the layout that wrote it; a mismatched explicit shard count or a
+sidecar naming any other backend fails loudly instead of silently
 routing nodes to the wrong files.
 
 :meth:`PersistentShardedFbDatabase.rebalance` is the offline gateway-
@@ -28,28 +27,15 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from repro.core.detector import FbInterval, FbStore
+from repro.core.detector import FbInterval
 from repro.errors import ConfigurationError
+from repro.server.store.sqlite import SqliteFbStore
 
 #: Sidecar file naming the directory's layout.
 META_FILE = "store_meta.json"
 
-_BACKENDS = ("sqlite", "lmdb")
-
-
-def _open_backend(backend: str, path: Path, history_len: int) -> FbStore:
-    """One shard store of the named backend kind."""
-    if backend == "sqlite":
-        from repro.server.store.sqlite import SqliteFbStore
-
-        return SqliteFbStore(path, history_len=history_len)
-    if backend == "lmdb":
-        from repro.server.store.lmdb import LmdbFbStore
-
-        return LmdbFbStore(path, history_len=history_len)
-    raise ConfigurationError(
-        f"unknown shard backend {backend!r}; expected one of {_BACKENDS}"
-    )
+#: The shard file backend recorded in (and required of) every sidecar.
+SHARD_BACKEND = "sqlite"
 
 
 class PersistentShardedFbDatabase:
@@ -59,7 +45,6 @@ class PersistentShardedFbDatabase:
         directory: The shard-file directory (created if missing).
         n_shards: Live shard count (from the sidecar when reopening).
         history_len: Bounded per-node history depth.
-        backend: Shard file backend, ``"sqlite"`` or ``"lmdb"``.
     """
 
     def __init__(
@@ -67,7 +52,6 @@ class PersistentShardedFbDatabase:
         directory: str | Path,
         n_shards: int | None = None,
         history_len: int = 50,
-        backend: str = "sqlite",
     ):
         """Open (creating or reloading) a sharded store directory.
 
@@ -78,13 +62,23 @@ class PersistentShardedFbDatabase:
                 the sidecar; passing a different explicit count raises
                 (use :meth:`rebalance` to change the layout).
             history_len: Per-node history depth for a new directory.
-            backend: ``"sqlite"`` (default) or ``"lmdb"``.
+
+        Raises:
+            ConfigurationError: On a non-positive shard count or history
+                depth, an explicit shard count that disagrees with the
+                sidecar, or a sidecar naming a shard backend other than
+                SQLite.
         """
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         meta_path = self.directory / META_FILE
         if meta_path.exists():
             meta = json.loads(meta_path.read_text())
+            if meta.get("backend") != SHARD_BACKEND:
+                raise ConfigurationError(
+                    f"store at {self.directory} holds {meta.get('backend')!r} shards; "
+                    f"only {SHARD_BACKEND!r} shard files are supported"
+                )
             if n_shards is not None and n_shards != meta["n_shards"]:
                 raise ConfigurationError(
                     f"store at {self.directory} has {meta['n_shards']} shards; "
@@ -92,7 +86,6 @@ class PersistentShardedFbDatabase:
                 )
             self.n_shards = int(meta["n_shards"])
             self.history_len = int(meta["history_len"])
-            self.backend = str(meta["backend"])
         else:
             if n_shards is None:
                 n_shards = 16
@@ -102,16 +95,14 @@ class PersistentShardedFbDatabase:
                 raise ConfigurationError(
                     f"history length must be >= 1, got {history_len}"
                 )
-            if backend not in _BACKENDS:
-                raise ConfigurationError(
-                    f"unknown shard backend {backend!r}; expected one of {_BACKENDS}"
-                )
             self.n_shards = n_shards
             self.history_len = history_len
-            self.backend = backend
             self._write_meta()
-        self._shards = [
-            _open_backend(self.backend, self._shard_path(i), self.history_len)
+        self._shards = self._open_shards()
+
+    def _open_shards(self) -> list[SqliteFbStore]:
+        return [
+            SqliteFbStore(self._shard_path(i), history_len=self.history_len)
             for i in range(self.n_shards)
         ]
 
@@ -119,21 +110,20 @@ class PersistentShardedFbDatabase:
         meta = {
             "n_shards": self.n_shards,
             "history_len": self.history_len,
-            "backend": self.backend,
+            "backend": SHARD_BACKEND,
         }
         (self.directory / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
 
     def _shard_path(self, index: int) -> Path:
-        suffix = "sqlite" if self.backend == "sqlite" else "lmdb"
-        return self.directory / f"shard-{index:04d}.{suffix}"
+        return self.directory / f"shard-{index:04d}.sqlite"
 
-    # -- routing (identical to ShardedFbDatabase) -------------------------------
+    # -- routing ------------------------------------------------------------------
 
     def shard_index(self, node_id: str) -> int:
         """Stable shard routing: CRC32 of the node id, modulo the count."""
         return zlib.crc32(node_id.encode()) % self.n_shards
 
-    def shard_for(self, node_id: str) -> FbStore:
+    def shard_for(self, node_id: str) -> SqliteFbStore:
         """The shard store owning a node's entire FB history."""
         return self._shards[self.shard_index(node_id)]
 
@@ -232,22 +222,15 @@ class PersistentShardedFbDatabase:
         self.close()
         for index in range(self.n_shards):
             path = self._shard_path(index)
-            if path.is_dir():  # lmdb environments are directories
-                for child in sorted(path.iterdir()):
-                    child.unlink()
-                path.rmdir()
-            elif path.exists():
+            if path.exists():
                 path.unlink()
-            # WAL sidecars of a sqlite shard, if a crash left them.
+            # WAL sidecars of a shard, if a crash left them.
             for sidecar in (path.with_suffix(".sqlite-wal"), path.with_suffix(".sqlite-shm")):
                 if sidecar.exists():
                     sidecar.unlink()
         self.n_shards = n_shards
         self._write_meta()
-        self._shards = [
-            _open_backend(self.backend, self._shard_path(i), self.history_len)
-            for i in range(self.n_shards)
-        ]
+        self._shards = self._open_shards()
         with self.batch():
             for node in sorted(histories):
                 store = self.shard_for(node)
@@ -259,5 +242,5 @@ class PersistentShardedFbDatabase:
         """Directory and layout, for operator logs."""
         return (
             f"PersistentShardedFbDatabase(directory={str(self.directory)!r}, "
-            f"n_shards={self.n_shards}, backend={self.backend!r})"
+            f"n_shards={self.n_shards})"
         )

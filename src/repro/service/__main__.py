@@ -13,7 +13,7 @@ The ``--devices`` file maps hex DevAddrs to session key material::
 
 ``--store`` selects the FB-history backend
 (:func:`repro.server.store.open_store` specs): the default ``memory``
-dies with the process, while ``sqlite:PATH`` (or ``lmdb:PATH`` /
+dies with the process, while ``sqlite:PATH`` (or
 ``sharded-sqlite:DIR``) persists every enrolled fingerprint across
 restarts -- on boot the daemon reloads the store and skips
 ``fb_profile`` bootstraps for devices that already have history, so a
@@ -62,7 +62,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--store",
         default="memory",
-        help="FB-history store spec: memory (default), sqlite:PATH, lmdb:PATH, "
+        help="FB-history store spec: memory (default), sqlite:PATH, "
         "sharded-sqlite:DIR; add ?cache=N for an LRU hot-cache (see docs/store.md)",
     )
     return parser.parse_args(argv)

@@ -484,7 +484,7 @@ class NetworkServerDaemon:
             return
         pollers = [s for s in self.sessions.values() if s.pull_addr is not None]
         for index, command in enumerate(commands):
-            keys = self.server.mac._keys.get(command.dev_addr)
+            keys = self.server.mac.keys_for(command.dev_addr)
             if not pollers or keys is None:
                 self._m_adr_undeliverable.inc()
                 self.server.adr.command_dropped(command.dev_addr)

@@ -272,109 +272,36 @@ class LoRaWanWorld:
         return self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)
 
     def uplink(self, device_name: str, request_time_s: float) -> WorldEvent:
-        """Run one uplink through the channel (and attacker) synchronously."""
-        if self.server is not None:
-            return self._deliver_fused(self.stage_uplinks([device_name], request_time_s))[0]
-        if self.extra_gateways:
-            raise ConfigurationError(
-                "extra gateways are placed but no network server is attached; "
-                "call attach_server() to enable multi-gateway routing"
-            )
-        device = self.devices[device_name]
-        tx = device.transmit(request_time_s)
-        snr = self._snr_for(device)
-        floor = SX1276_DEMOD_SNR_FLOOR_DB[device.spreading_factor]
-        delay = propagation_delay_s(device.position, self.gateway_position)
-        arrival = tx.emission_time_s + delay
-        if snr < floor:
-            event = WorldEvent(
-                kind=EventKind.LOST_LOW_SNR,
-                time_s=arrival,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-                detail=f"SNR {snr:.1f} dB below SF{device.spreading_factor} "
-                f"floor {floor:.1f} dB",
-            )
-            self.events.append(event)
-            return event
-        if self.attack is not None and device_name in self.attack_targets:
-            outcome = self.attack.execute(tx, self.attack_delay_s)
-            suppressed = WorldEvent(
-                kind=EventKind.SUPPRESSED_BY_JAMMING,
-                time_s=arrival,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-                detail=f"jam outcome: {outcome.jam_outcome.value}",
-                metadata={"attack": outcome},
-            )
-            self.events.append(suppressed)
-            replay_arrival = outcome.replayed.arrival_time_s + delay
-            fb_measured = self.fb_model.measure(
-                outcome.replayed.fb_hz, snr, self.rng, spreading_factor=tx.spreading_factor
-            )
-            reception = self.gateway.process_frame(
-                outcome.replayed.mac_bytes, replay_arrival, fb_measured
-            )
-            event = WorldEvent(
-                kind=EventKind.REPLAY_DELIVERED,
-                time_s=replay_arrival,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-                reception=reception,
-                metadata={"attack": outcome},
-            )
-            self.events.append(event)
-            return event
-        fb_measured = self.fb_model.measure(
-            tx.fb_hz, snr, self.rng, spreading_factor=tx.spreading_factor
-        )
-        reception = self.gateway.process_frame(tx.mac_bytes, arrival, fb_measured)
-        event = WorldEvent(
-            kind=EventKind.DELIVERED,
-            time_s=arrival,
-            device_name=device_name,
-            snr_db=snr,
-            transmission=tx,
-            reception=reception,
-        )
-        self.events.append(event)
-        return event
+        """Run one uplink through the channel (and attacker) synchronously.
+
+        A one-device :meth:`uplink_batch`: the frame is staged and
+        delivered through the same path as a fleet step.
+        """
+        return self.deliver_staged(self.stage_uplinks([device_name], request_time_s))[0]
 
     def uplink_batch(
         self, device_names: list[str] | None = None, request_time_s: float = 0.0
     ) -> list[WorldEvent]:
         """One fleet step: run many uplinks through the channel at once.
 
-        The MAC layer (device frame assembly) stays per-device -- each
-        device's counters and buffers are stateful -- but everything the
-        gateway sees is batched: one vectorized FB-measurement draw for
-        all direct deliveries, then a single
-        :meth:`SoftLoRaGateway.process_frame_batch` call in device order.
-        Attacked devices are handled after the direct deliveries, matching
-        the timeline (their replays arrive ``attack_delay_s`` later).
+        Every device is staged at ``request_time_s`` (the MAC layer stays
+        per-device -- counters and buffers are stateful) and the whole
+        step is delivered in one :meth:`deliver_staged` call.  At a
+        single gateway that is one vectorized FB-measurement draw for all
+        direct deliveries and a single
+        :meth:`SoftLoRaGateway.process_frame_batch` call in device order;
+        attacked devices follow, matching the timeline (their replays
+        arrive ``attack_delay_s`` later).  With a network server attached
+        the step routes every uplink to all in-range gateways instead
+        (see :meth:`attach_server`).
 
         ``device_names=None`` steps the whole fleet.  Returns one primary
         event per device, aligned with ``device_names``; jam-suppression
         events of attacked devices are appended to :attr:`events` too.
         An empty batch is a no-op returning ``[]``.
-
-        With a network server attached the step routes every uplink to
-        all in-range gateways instead (see :meth:`attach_server`).
         """
         names = list(self.devices) if device_names is None else list(device_names)
-        if self.server is not None:
-            return self._deliver_fused(self.stage_uplinks(names, request_time_s))
-        if self.extra_gateways:
-            raise ConfigurationError(
-                "extra gateways are placed but no network server is attached; "
-                "call attach_server() to enable multi-gateway routing"
-            )
-        if not names:
-            return []
-        return self._deliver_single(self.stage_uplinks(names, request_time_s))
+        return self.deliver_staged(self.stage_uplinks(names, request_time_s))
 
     # -- staged delivery (the event-driven runtime's entry) -----------------------
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.lorawan.mac import build_uplink
 from repro.lorawan.security import SessionKeys
-from repro.server import FusionPolicy, GatewayForward, NetworkServer, ShardedFbDatabase
-from repro.core.detector import ReplayDetector
+from repro.server import FusionPolicy, GatewayForward, NetworkServer
+from repro.core.detector import FbDatabase, ReplayDetector
 
 N_DEVICES = 3
 DEV_ADDRS = [0x26000000 + i for i in range(N_DEVICES)]
@@ -65,7 +65,7 @@ def delivery_schedules(draw):
 def fresh_server(policy: FusionPolicy) -> NetworkServer:
     server = NetworkServer(
         fusion=policy,
-        detector=ReplayDetector(database=ShardedFbDatabase(n_shards=4)),
+        detector=ReplayDetector(database=FbDatabase()),
     )
     for addr, keys in KEYS.items():
         server.register_device(addr, keys)

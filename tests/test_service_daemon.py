@@ -286,6 +286,33 @@ class TestAdrDownlink:
         assert undeliverable == 1
         assert pending == []
 
+    def test_command_for_unregistered_device_is_undeliverable(self, plan):
+        async def run():
+            server = new_server(adr=AdrController())
+            plan.provision(server)
+            stranger = 0x26FFFFFF
+            assert server.mac.keys_for(stranger) is None
+            for i in range(4):
+                server.adr.observe(stranger, 20.0, 12, float(i))
+            daemon = NetworkServerDaemon(server=server, config=loopback_config())
+            await daemon.start()
+            daemon._pending = []
+            # A poller exists, so only the missing session keys stop the command.
+            eui = eui_from_gateway_id(plan.gateway_ids[0])
+            daemon.handle_datagram(
+                encode_datagram(PullData(token=9, gateway_eui=eui)), ("127.0.0.1", 9)
+            )
+            daemon._dispatch_adr()
+            undeliverable = daemon.metrics.get(
+                "repro_service_adr_undeliverable_total"
+            ).total()
+            await daemon.stop()
+            return undeliverable, server.adr.pending
+
+        undeliverable, pending = asyncio.run(run())
+        assert undeliverable == 1
+        assert pending == []
+
 
 class TestProvisioningCli:
     def test_main_module_provisions_devices(self, tmp_path):

@@ -250,6 +250,78 @@ class TestLoRaWanWorld:
         with pytest.raises(ConfigurationError):
             world.arm_attack(attack, ["ghost"], delay_s=1.0)
 
+    #: sha256 of :meth:`_delivery_signatures` for the seeded sequence in
+    #: :meth:`_run_delivery_sequence`, recorded before ``uplink`` became a
+    #: thin wrapper over the staged path; any drift in the single-gateway
+    #: delivery (events, SNRs, FB draws, verdicts, timestamps) changes it.
+    GOLDEN_SINGLE_GATEWAY_DELIVERY = (
+        "c629639695135102026206f78276d6fd042d0aa6b8d0a8a95b925dfa556023ff"
+    )
+
+    @staticmethod
+    def _run_delivery_sequence():
+        """Clean, out-of-range, attacked and post-disarm single uplinks."""
+        world, devices, streams = build_world(seed=21, n_devices=4)
+        devices[3].position = Position(1000e3, 0.0, 1.0)  # below every SF floor
+        attack = FrameDelayAttack(
+            jammer=StealthyJammer(), replayer=Replayer.single_usrp(streams.stream("r"))
+        )
+        period = 200.0
+        for round_index in range(7):
+            if round_index == 3:
+                world.arm_attack(attack, [devices[0].name, devices[1].name], delay_s=30.0)
+            if round_index == 5:
+                world.disarm_attack()
+            for offset, device in enumerate(devices):
+                t = round_index * period + 7.0 * offset
+                device.take_reading(float(round_index), t)
+                world.uplink(device.name, t + 1.0)
+        return world
+
+    @staticmethod
+    def _delivery_signatures(events):
+        rows = []
+        for event in events:
+            reception = event.reception
+            rows.append(
+                (
+                    event.kind.value,
+                    event.time_s.hex(),
+                    event.device_name,
+                    event.snr_db.hex(),
+                    event.detail,
+                    None if reception is None else reception.fb_hz.hex(),
+                    None if reception is None else reception.status.value,
+                    None if reception is None else reception.phy_timestamp_s.hex(),
+                )
+            )
+        return rows
+
+    def test_single_gateway_delivery_golden(self):
+        import hashlib
+
+        world = self._run_delivery_sequence()
+        kinds = {event.kind for event in world.events}
+        assert kinds >= {
+            EventKind.DELIVERED,
+            EventKind.LOST_LOW_SNR,
+            EventKind.SUPPRESSED_BY_JAMMING,
+            EventKind.REPLAY_DELIVERED,
+        }
+        # Deliveries resume after the attack is disarmed.
+        last_round = [e for e in world.events if e.time_s >= 6 * 200.0]
+        assert EventKind.DELIVERED in {e.kind for e in last_round}
+        digest = hashlib.sha256(
+            repr(self._delivery_signatures(world.events)).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN_SINGLE_GATEWAY_DELIVERY
+
+    def test_extra_gateway_without_server_rejects_uplink(self):
+        world, devices, _ = build_world()
+        world.add_gateway(Position(50.0, 0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="no network server is attached"):
+            world.uplink(devices[0].name, 1.0)
+
     def test_scheduled_uplinks_run_in_order(self):
         world, devices, _ = build_world()
         for i, device in enumerate(devices):

@@ -8,6 +8,7 @@ the middle of a scenario.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -15,10 +16,7 @@ import pytest
 from repro.core.detector import FbDatabase, FbStore, ReplayDetector
 from repro.errors import ConfigurationError
 from repro.server import NetworkServer
-from repro.server.sharding import ShardedFbDatabase
 from repro.server.store import (
-    LMDB_AVAILABLE,
-    LmdbFbStore,
     LruCachedStore,
     PersistentShardedFbDatabase,
     SqliteFbStore,
@@ -37,10 +35,9 @@ def plan():
 
 
 def store_builders(tmp_path):
-    """Label -> zero-arg builder for every available backend."""
-    builders = {
+    """Label -> zero-arg builder for every backend."""
+    return {
         "memory": lambda: FbDatabase(),
-        "sharded-memory": lambda: ShardedFbDatabase(n_shards=4),
         "sqlite": lambda: SqliteFbStore(tmp_path / "fb.sqlite"),
         "lru-sqlite": lambda: LruCachedStore(
             SqliteFbStore(tmp_path / "fb-lru.sqlite"), max_nodes=64
@@ -49,9 +46,6 @@ def store_builders(tmp_path):
             tmp_path / "fb.d", n_shards=3
         ),
     }
-    if LMDB_AVAILABLE:
-        builders["lmdb"] = lambda: LmdbFbStore(tmp_path / "fb.lmdb")
-    return builders
 
 
 class TestProtocolConformance:
@@ -238,28 +232,6 @@ class TestSqliteNodeCount:
         store.close()
 
 
-@pytest.mark.skipif(not LMDB_AVAILABLE, reason="lmdb binding not installed")
-class TestLmdbStore:
-    def test_round_trip_and_reopen(self, tmp_path):
-        path = tmp_path / "fb.lmdb"
-        store = LmdbFbStore(path, history_len=3)
-        for fb in (1.0, 2.5, -3.0, 4.0):
-            store.record("n", fb, fb * 2.0)
-        assert store.estimates("n") == [2.5, -3.0, 4.0]
-        store.close()
-        reopened = LmdbFbStore(path, history_len=3)
-        assert reopened.history("n") == [(5.0, 2.5), (-6.0, -3.0), (8.0, 4.0)]
-        reopened.close()
-
-
-class TestLmdbGating:
-    def test_absent_binding_raises_configuration_error(self, tmp_path):
-        if LMDB_AVAILABLE:
-            pytest.skip("lmdb binding installed; gating path unreachable")
-        with pytest.raises(ConfigurationError, match="lmdb"):
-            LmdbFbStore(tmp_path / "fb.lmdb")
-
-
 class TestLruCachedStore:
     def test_write_through_and_counters(self, tmp_path):
         backing = SqliteFbStore(tmp_path / "s.sqlite")
@@ -314,13 +286,19 @@ class TestLruCachedStore:
 
 
 class TestPersistentSharded:
+    #: ``bytes(shard_index(f"{i:08x}") for i in range(40)).hex()`` per shard
+    #: count, recorded from the in-memory sharding this store's routing was
+    #: written to match; existing directories depend on nodes keeping them.
+    RECORDED_SHARDS = {
+        5: "04010000040002010102030104030301000100000402040104010204010304010201010103000404",
+        16: "03050f090a0c06000107010b0d0e080202040e080b0d07010006000a0c0f090301070d0b080e0402",
+    }
+
     def test_routing_matches_in_memory_sharding(self, tmp_path):
-        memory = ShardedFbDatabase(n_shards=5)
-        durable = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=5)
-        for i in range(40):
-            node = f"{i:08x}"
-            assert durable.shard_index(node) == memory.shard_index(node)
-        durable.close()
+        for n_shards, recorded in self.RECORDED_SHARDS.items():
+            store = PersistentShardedFbDatabase(tmp_path / str(n_shards), n_shards=n_shards)
+            assert bytes(store.shard_index(f"{i:08x}") for i in range(40)).hex() == recorded
+            store.close()
 
     def test_meta_sidecar_reload_and_mismatch(self, tmp_path):
         directory = tmp_path / "fb.d"
@@ -335,6 +313,23 @@ class TestPersistentSharded:
         reopened.close()
         with pytest.raises(ConfigurationError, match="rebalance"):
             PersistentShardedFbDatabase(directory, n_shards=8)
+
+    @pytest.mark.parametrize("backend", ["rocksdb", None])
+    def test_sidecar_naming_another_backend_is_refused(self, tmp_path, backend):
+        directory = tmp_path / "fb.d"
+        directory.mkdir()
+        (directory / META_FILE).write_text(
+            json.dumps({"n_shards": 2, "history_len": 50, "backend": backend})
+        )
+        with pytest.raises(ConfigurationError, match=repr(backend)):
+            PersistentShardedFbDatabase(directory)
+        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
+
+    def test_sidecar_keeps_recording_sqlite_backend(self, tmp_path):
+        directory = tmp_path / "fb.d"
+        PersistentShardedFbDatabase(directory, n_shards=2).close()
+        meta = json.loads((directory / META_FILE).read_text())
+        assert meta == {"n_shards": 2, "history_len": 50, "backend": "sqlite"}
 
     def test_rebalance_preserves_every_history(self, tmp_path):
         store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2)
@@ -374,7 +369,6 @@ class TestPersistentSharded:
 class TestOpenStore:
     def test_specs_build_expected_backends(self, tmp_path):
         assert isinstance(open_store("memory"), FbDatabase)
-        assert isinstance(open_store("sharded?shards=4"), ShardedFbDatabase)
         sqlite_store = open_store(f"sqlite:{tmp_path / 'fb.sqlite'}")
         assert isinstance(sqlite_store, SqliteFbStore)
         sqlite_store.close()
@@ -395,6 +389,12 @@ class TestOpenStore:
     def test_bad_specs_raise(self):
         with pytest.raises(ConfigurationError, match="unknown store backend"):
             open_store("redis:somewhere")
+        for spec in ("sharded", "sharded?shards=4"):
+            with pytest.raises(
+                ConfigurationError,
+                match="expected one of memory, sqlite, sharded-sqlite$",
+            ):
+                open_store(spec)
         with pytest.raises(ConfigurationError, match="bad store option"):
             open_store("memory?turbo=1")
         with pytest.raises(ConfigurationError, match="must be an integer"):

@@ -20,10 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import FbDatabase
-from repro.server.sharding import ShardedFbDatabase
 from repro.server.store import (
-    LMDB_AVAILABLE,
-    LmdbFbStore,
     LruCachedStore,
     PersistentShardedFbDatabase,
     SqliteFbStore,
@@ -49,9 +46,8 @@ operations = st.lists(
 
 
 def build_backends(root: Path) -> dict:
-    """Label -> store instance for every backend available here."""
-    backends = {
-        "sharded-memory": ShardedFbDatabase(n_shards=2, history_len=HISTORY_LEN),
+    """Label -> store instance for every durable backend."""
+    return {
         "sqlite": SqliteFbStore(root / "fb.sqlite", history_len=HISTORY_LEN),
         "lru-sqlite": LruCachedStore(
             SqliteFbStore(root / "fb-lru.sqlite", history_len=HISTORY_LEN),
@@ -61,9 +57,6 @@ def build_backends(root: Path) -> dict:
             root / "fb.d", n_shards=2, history_len=HISTORY_LEN
         ),
     }
-    if LMDB_AVAILABLE:
-        backends["lmdb"] = LmdbFbStore(root / "fb.lmdb", history_len=HISTORY_LEN)
-    return backends
 
 
 def assert_same_state(reference: FbDatabase, store, label: str) -> None:
