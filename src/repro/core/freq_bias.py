@@ -46,11 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import optimize
-from scipy.signal import ZoomFFT
 
 from repro.errors import ConfigurationError, EstimationError
 from repro.phy.chirp import (
@@ -60,6 +58,9 @@ from repro.phy.chirp import (
     cached_sweep_phase,
 )
 from repro.sdr.iq import IQTrace
+
+if TYPE_CHECKING:
+    from scipy.signal import ZoomFFT
 
 #: Hard cap on refinement passes.  Bisection alone shrinks a one-bin
 #: bracket below 1e-3 Hz in about 20 passes; Newton rows usually stop
@@ -171,6 +172,10 @@ def _cached_zoom_plan(
     bin_width = config.sample_rate_hz / n_fft
     zoom = None
     if len(freqs):
+        # scipy loads here, at the first plan, so importing the core (as
+        # the network server does) stays numpy-only.
+        from scipy.signal import ZoomFFT
+
         # endpoint=False spaces the m points exactly bin_width apart.
         span = (freqs[0], freqs[0] + len(freqs) * bin_width)
         zoom = ZoomFFT(n, span, len(freqs), fs=config.sample_rate_hz, endpoint=False)
@@ -415,6 +420,8 @@ class LeastSquaresFbEstimator:
             residual_i = i_obs - amplitude * np.cos(angle)
             residual_q = q_obs - amplitude * np.sin(angle)
             return float(np.sum(residual_i**2 + residual_q**2))
+
+        from scipy import optimize
 
         result = optimize.differential_evolution(
             objective,

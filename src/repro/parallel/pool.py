@@ -27,9 +27,13 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.errors import ConfigurationError
 
 #: Modules imported by every worker at pool creation, so the first task
-#: does not pay the numpy/scipy/repro import cost.
+#: does not pay the numpy/scipy/repro import cost.  The repro modules
+#: load scipy only when their DSP first runs, so scipy is named here
+#: explicitly.
 _WARM_MODULES: tuple[str, ...] = (
     "numpy",
+    "scipy.signal",
+    "scipy.optimize",
     "repro.experiments.common",
     "repro.sim.runtime",
     "repro.pipeline.batch",

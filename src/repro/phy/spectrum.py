@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpConfig
@@ -53,6 +52,10 @@ def spectrogram(
         raise ConfigurationError(f"nperseg must be >= 2, got {nperseg}")
     if not 0 <= noverlap < nperseg:
         raise ConfigurationError(f"noverlap must be in [0, {nperseg}), got {noverlap}")
+    # scipy loads at first use: importing the PHY package (as the network
+    # server does through the core) stays numpy-only.
+    from scipy import signal as sp_signal
+
     freqs, times, sxx = sp_signal.spectrogram(
         iq,
         fs=config.sample_rate_hz,
@@ -75,6 +78,8 @@ def hilbert_envelope(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if np.iscomplexobj(x):
         return np.abs(x)
+    from scipy import signal as sp_signal
+
     return np.abs(sp_signal.hilbert(x))
 
 

@@ -11,8 +11,6 @@ the PHY timestamper.
 
 from __future__ import annotations
 
-from scipy import signal as sp_signal
-
 from repro.errors import ConfigurationError
 from repro.sdr.iq import IQTrace
 
@@ -42,6 +40,10 @@ def bandlimit_trace(
         raise ConfigurationError(
             f"trace too short ({len(trace.samples)} samples) for an order-{order} filtfilt"
         )
+    # Loaded at first use: the network server imports this package's
+    # siblings and must not pay for scipy.
+    from scipy import signal as sp_signal
+
     b, a = sp_signal.butter(order, cutoff_hz / nyquist)
     filtered = sp_signal.filtfilt(b, a, trace.samples)
     return IQTrace(

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
 
@@ -78,6 +77,10 @@ class RealNoiseModel:
         """A noise trace of ``n`` samples normalized to mean power ``power``."""
         if n <= 0:
             return np.zeros(0, dtype=complex)
+        # scipy loads at first use so importing the SDR package stays
+        # numpy-only.
+        from scipy import signal as sp_signal
+
         white = complex_awgn(n, 1.0, rng)
         colored = sp_signal.lfilter([1.0], [1.0, -self.color_pole], white)
         envelope = np.ones(n)

@@ -3,7 +3,8 @@
 Everything above the gateways: forwarding records
 (:class:`GatewayForward`), cross-gateway deduplication
 (:class:`UplinkDeduplicator`), FB/timestamp fusion policies
-(:class:`FusionPolicy`), the closed-loop data-rate controller
+(:class:`FusionPolicy`) weighted by the calibrated FB noise model
+(:class:`FbMeasurementModel`), the closed-loop data-rate controller
 (:class:`AdrController`), and the :class:`NetworkServer` that ties them
 into one replay verdict per over-the-air transmission.
 
@@ -24,6 +25,7 @@ from repro.server.forwarding import (
     forward_from_reception,
 )
 from repro.server.fusion import (
+    FbMeasurementModel,
     FusedFb,
     FusionPolicy,
     best_snr_contribution,
@@ -46,6 +48,7 @@ __all__ = [
     "AdrController",
     "CacheStats",
     "DeduplicatedUplink",
+    "FbMeasurementModel",
     "FusedFb",
     "FusionPolicy",
     "GatewayForward",

@@ -21,10 +21,12 @@ without gateway clock sync.
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
+import numpy as np
+
+from repro.constants import FB_ESTIMATION_RESOLUTION_HZ
 from repro.errors import ConfigurationError
 from repro.server.forwarding import GatewayForward
 
@@ -32,14 +34,84 @@ from repro.server.forwarding import GatewayForward
 class FbNoiseModel(Protocol):
     """Anything mapping link SNR to FB-estimation noise (1 sigma, Hz).
 
-    Implementations may honor the optional ``spreading_factor`` to model
-    per-SF estimator resolution (the chirp the FB is estimated from is
-    ``2^SF`` samples long); ignoring it reproduces the SF7 calibration.
+    Fusion always passes the contribution's ``spreading_factor``, so a
+    model must accept it.  It may use it for per-SF estimator resolution
+    (the chirp the FB is estimated from is ``2^SF`` samples long) or
+    ignore it and keep the SF7 calibration.
     """
 
     def sigma_hz(self, snr_db: float, spreading_factor: int | None = None) -> float:
         """One-sigma FB estimation noise at a link SNR (optionally per SF)."""
         ...
+
+
+@dataclass
+class FbMeasurementModel:
+    """Calibrated estimation-noise model of the least-squares FB estimator.
+
+    The paper's Fig. 14 shows errors below 120 Hz down to -25 dB SNR and
+    a few Hz at high SNR.  We model the per-frame error as zero-mean
+    Gaussian with standard deviation shrinking 10x per 20 dB of SNR,
+    clamped to [floor_hz, ceiling_hz].
+
+    The Fig. 14 calibration is an SF7 measurement; the estimator works on
+    one preamble chirp, whose duration doubles per SF step, so its
+    frequency resolution scales as ``2^-(SF - 7)``.  Passing a
+    ``spreading_factor`` applies that scale (clamped to the same floor),
+    letting SF-heterogeneous fleets draw per-SF estimation noise; SF7
+    reproduces the calibrated model bit for bit.
+
+    The network server weights gateway FBs with :meth:`sigma_hz`; the
+    fleet simulator draws whole steps of measurements with
+    :meth:`measure_batch`.
+    """
+
+    ceiling_hz: float = FB_ESTIMATION_RESOLUTION_HZ
+    floor_hz: float = 2.0
+    reference_snr_db: float = -25.0
+    reference_sf: int = 7
+
+    def _sf_scale(self, spreading_factor) -> Any:
+        return 2.0 ** -(np.asarray(spreading_factor, dtype=float) - self.reference_sf)
+
+    def sigma_hz(self, snr_db: float, spreading_factor: int | None = None) -> float:
+        """One-sigma FB estimation noise (Hz) at a link SNR, optionally per SF."""
+        # Plain float arithmetic: the same IEEE operations as an np.clip
+        # of the scalar, without numpy's per-call overhead.
+        raw = self.ceiling_hz * 10.0 ** (-(float(snr_db) - self.reference_snr_db) / 20.0)
+        sigma = min(max(raw, self.floor_hz), self.ceiling_hz)
+        if spreading_factor is not None:
+            scale = 2.0 ** -(float(spreading_factor) - self.reference_sf)
+            sigma = min(max(sigma * scale, self.floor_hz), self.ceiling_hz)
+        return float(sigma)
+
+    def measure(
+        self,
+        true_fb_hz: float,
+        snr_db: float,
+        rng: np.random.Generator,
+        spreading_factor: int | None = None,
+    ) -> float:
+        """One noisy FB measurement of a frame with true bias ``true_fb_hz``."""
+        return true_fb_hz + rng.normal(0.0, self.sigma_hz(snr_db, spreading_factor))
+
+    def measure_batch(
+        self,
+        true_fbs_hz: np.ndarray,
+        snrs_db: np.ndarray,
+        rng: np.random.Generator,
+        spreading_factors: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per-frame FB measurements for a whole fleet step, one rng draw."""
+        true_fbs = np.asarray(true_fbs_hz, dtype=float)
+        snrs = np.asarray(snrs_db, dtype=float)
+        raw = self.ceiling_hz * 10.0 ** (-(snrs - self.reference_snr_db) / 20.0)
+        sigmas = np.clip(raw, self.floor_hz, self.ceiling_hz)
+        if spreading_factors is not None:
+            sigmas = np.clip(
+                sigmas * self._sf_scale(spreading_factors), self.floor_hz, self.ceiling_hz
+            )
+        return true_fbs + sigmas * rng.standard_normal(true_fbs.shape)
 
 
 class FusionPolicy(enum.Enum):
@@ -72,31 +144,6 @@ class FusedFb:
         }
 
 
-_SF_AWARE_MODELS: dict[type, bool] = {}
-
-
-def _model_sigma_hz(
-    noise_model: FbNoiseModel, snr_db: float, spreading_factor: int
-) -> float:
-    """Call ``sigma_hz`` with the SF, tolerating pre-SF one-arg models.
-
-    Arity is probed once per model type via the signature (cached), so
-    a genuine ``TypeError`` raised *inside* an SF-aware implementation
-    propagates instead of being silently retried one-argument.
-    """
-    sf_aware = _SF_AWARE_MODELS.get(type(noise_model))
-    if sf_aware is None:
-        try:
-            inspect.signature(noise_model.sigma_hz).bind(snr_db, spreading_factor)
-            sf_aware = True
-        except TypeError:
-            sf_aware = False
-        _SF_AWARE_MODELS[type(noise_model)] = sf_aware
-    if sf_aware:
-        return noise_model.sigma_hz(snr_db, spreading_factor)
-    return noise_model.sigma_hz(snr_db)
-
-
 def best_snr_contribution(contributions: Sequence[GatewayForward]) -> GatewayForward:
     """The contribution from the strongest link (ties: highest gateway id)."""
     if not contributions:
@@ -119,14 +166,12 @@ def fuse_fb(
     ordered = sorted(contributions, key=lambda c: c.gateway_id)
     if policy is FusionPolicy.BEST_SNR:
         fb = best.fb_hz
-        sigma = _model_sigma_hz(noise_model, best.snr_db, best.spreading_factor)
+        sigma = noise_model.sigma_hz(best.snr_db, best.spreading_factor)
     else:
         weight_sum = 0.0
         weighted_fb = 0.0
         for contribution in ordered:
-            sigma_i = _model_sigma_hz(
-                noise_model, contribution.snr_db, contribution.spreading_factor
-            )
+            sigma_i = noise_model.sigma_hz(contribution.snr_db, contribution.spreading_factor)
             if sigma_i <= 0:
                 raise ConfigurationError(
                     f"noise model returned sigma {sigma_i} <= 0 at "

@@ -37,6 +37,7 @@ from repro.server.adr import AdrController
 from repro.server.dedup import DeduplicatedUplink, UplinkDeduplicator
 from repro.server.forwarding import GatewayForward, forward_from_event
 from repro.server.fusion import (
+    FbMeasurementModel,
     FbNoiseModel,
     FusedFb,
     FusionPolicy,
@@ -129,13 +130,6 @@ class ServerVerdict:
         }
 
 
-def _default_noise_model():
-    """The calibrated Fig. 14 noise model (late import: avoids a cycle)."""
-    from repro.sim.network import FbMeasurementModel
-
-    return FbMeasurementModel()
-
-
 def _gateway_copies(verdicts: Iterable[ServerVerdict]) -> int:
     """Gateway copies behind the verdicts, dropped duplicates included."""
     return sum(v.n_gateways + v.duplicates_dropped for v in verdicts)
@@ -175,7 +169,7 @@ class NetworkServer:
         default_factory=lambda: ReplayDetector(database=FbDatabase())
     )
     fusion: FusionPolicy = FusionPolicy.INVERSE_VARIANCE
-    fb_noise: FbNoiseModel = field(default_factory=_default_noise_model)
+    fb_noise: FbNoiseModel = field(default_factory=FbMeasurementModel)
     window_s: float = 2.0
     adr: AdrController | None = None
     verdicts: list[ServerVerdict] = field(default_factory=list)

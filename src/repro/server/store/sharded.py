@@ -22,6 +22,7 @@ suite in ``tests/test_store_properties.py``.
 from __future__ import annotations
 
 import json
+import numbers
 import zlib
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -36,6 +37,19 @@ META_FILE = "store_meta.json"
 
 #: The shard file backend recorded in (and required of) every sidecar.
 SHARD_BACKEND = "sqlite"
+
+
+def _count(name: str, value: object, source: str = "") -> int:
+    """``value`` as a layout count: an integer >= 1, never a bool.
+
+    Explicit arguments and values read back from a sidecar pass the same
+    check, so a hand-edited ``store_meta.json`` fails here, naming the
+    field, rather than later as a modulo by zero or a bad comparison.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        where = f"{source}: " if source else ""
+        raise ConfigurationError(f"{where}{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class PersistentShardedFbDatabase:
@@ -64,39 +78,43 @@ class PersistentShardedFbDatabase:
             history_len: Per-node history depth for a new directory.
 
         Raises:
-            ConfigurationError: On a non-positive shard count or history
-                depth, an explicit shard count that disagrees with the
+            ConfigurationError: On a shard count or history depth that
+                is not an integer >= 1 (passed in or read back from the
+                sidecar), an explicit shard count that disagrees with the
                 sidecar, or a sidecar naming a shard backend other than
                 SQLite.
         """
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         meta_path = self.directory / META_FILE
+        if n_shards is not None:
+            n_shards = _count("n_shards", n_shards)
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
+            try:
+                meta = json.loads(meta_path.read_text())
+            except json.JSONDecodeError:
+                meta = None  # refused below, with every other non-object
+            if not isinstance(meta, dict):
+                raise ConfigurationError(
+                    f"store at {self.directory}: {META_FILE} must hold a JSON object"
+                )
             if meta.get("backend") != SHARD_BACKEND:
                 raise ConfigurationError(
                     f"store at {self.directory} holds {meta.get('backend')!r} shards; "
                     f"only {SHARD_BACKEND!r} shard files are supported"
                 )
-            if n_shards is not None and n_shards != meta["n_shards"]:
+            source = f"store at {self.directory}: {META_FILE}"
+            stored_shards = _count("n_shards", meta.get("n_shards"), source)
+            if n_shards is not None and n_shards != stored_shards:
                 raise ConfigurationError(
-                    f"store at {self.directory} has {meta['n_shards']} shards; "
+                    f"store at {self.directory} has {stored_shards} shards; "
                     f"asked for {n_shards} -- run rebalance({n_shards}) instead"
                 )
-            self.n_shards = int(meta["n_shards"])
-            self.history_len = int(meta["history_len"])
+            self.n_shards = stored_shards
+            self.history_len = _count("history_len", meta.get("history_len"), source)
         else:
-            if n_shards is None:
-                n_shards = 16
-            if n_shards < 1:
-                raise ConfigurationError(f"need at least one shard, got {n_shards}")
-            if history_len < 1:
-                raise ConfigurationError(
-                    f"history length must be >= 1, got {history_len}"
-                )
-            self.n_shards = n_shards
-            self.history_len = history_len
+            self.n_shards = 16 if n_shards is None else n_shards
+            self.history_len = _count("history_len", history_len)
             self._write_meta()
         self._shards = self._open_shards()
 
@@ -212,8 +230,7 @@ class PersistentShardedFbDatabase:
         pure function of (content, n_shards): two identical stores
         rebalanced to the same count produce identical directories.
         """
-        if n_shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {n_shards}")
+        n_shards = _count("n_shards", n_shards)
         histories = {
             node: shard.history(node)
             for shard in self._shards

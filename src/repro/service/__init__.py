@@ -22,16 +22,30 @@ from the command line with ``python -m repro.service``.
 
 from repro.service.config import ServiceConfig
 from repro.service.daemon import AlertBroker, GatewaySession, NetworkServerDaemon
-from repro.service.loadgen import (
-    LoadPlan,
-    RecordingNetworkServer,
-    ReplayStats,
-    build_plan,
-    new_server,
-    replay,
-)
 from repro.service.metrics import Metric, MetricsRegistry
 from repro.service.rest import ControlPlane
+
+# The load generator drives the fleet simulator (and, for attack plans,
+# the attacker); re-export it lazily (PEP 562) so importing the daemon
+# does not load either.
+_LAZY_LOADGEN = (
+    "LoadPlan",
+    "RecordingNetworkServer",
+    "ReplayStats",
+    "build_plan",
+    "new_server",
+    "replay",
+)
+
+
+def __getattr__(name: str):
+    """Resolve a load-generator export on first access."""
+    if name in _LAZY_LOADGEN:
+        from repro.service import loadgen
+
+        return getattr(loadgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlertBroker",

@@ -597,10 +597,14 @@ class ColumnarRuntime:
         if duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {duration_s}")
         world = self.world
-        names = self._names if device_names is None else list(device_names)
-        unknown = [n for n in names if n not in self._index_of]
-        if unknown:
-            raise ConfigurationError(f"unknown devices: {unknown}")
+        if device_names is None:
+            # The whole fleet: every name is one of ours, nothing to check.
+            names = self._names
+        else:
+            names = list(device_names)
+            unknown = [n for n in names if n not in self._index_of]
+            if unknown:
+                raise ConfigurationError(f"unknown devices: {unknown}")
         # Read the world clock at every phase start: callers may advance
         # the simulator between phases.
         start_s = world.simulator.now_s

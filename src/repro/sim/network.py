@@ -2,7 +2,8 @@
 
 This layer runs fleets of devices against one or more gateways over
 link-budget channels, with an optional frame delay attacker.  Signal
-processing is abstracted by :class:`FbMeasurementModel` -- a calibrated
+processing is abstracted by
+:class:`~repro.server.fusion.FbMeasurementModel` -- a calibrated
 noise model of the paper's FB estimator (Fig. 14) -- so thousands of
 frames simulate in milliseconds while preserving exactly the quantities
 the defense sees: arrival times and measured FBs.  Waveform-level
@@ -31,78 +32,17 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.attack.delay_attack import FrameDelayAttack
-from repro.constants import FB_ESTIMATION_RESOLUTION_HZ, SX1276_DEMOD_SNR_FLOOR_DB
+from repro.constants import SX1276_DEMOD_SNR_FLOOR_DB
 from repro.core.softlora import SoftLoRaGateway, SoftLoRaReception
 from repro.errors import ConfigurationError
 from repro.lorawan.device import EndDevice, UplinkTransmission
 from repro.radio.channel import LinkBudget, propagation_delay_s
 from repro.radio.geometry import Position
+from repro.server.fusion import FbMeasurementModel
 from repro.sim.events import Simulator
 
 if TYPE_CHECKING:
     from repro.server.network_server import NetworkServer, ServerVerdict
-
-
-@dataclass
-class FbMeasurementModel:
-    """Calibrated estimation-noise model of the least-squares FB estimator.
-
-    The paper's Fig. 14 shows errors below 120 Hz down to -25 dB SNR and
-    a few Hz at high SNR.  We model the per-frame error as zero-mean
-    Gaussian with standard deviation shrinking 10x per 20 dB of SNR,
-    clamped to [floor_hz, ceiling_hz].
-
-    The Fig. 14 calibration is an SF7 measurement; the estimator works on
-    one preamble chirp, whose duration doubles per SF step, so its
-    frequency resolution scales as ``2^-(SF - 7)``.  Passing a
-    ``spreading_factor`` applies that scale (clamped to the same floor),
-    letting SF-heterogeneous fleets draw per-SF estimation noise; SF7
-    reproduces the calibrated model bit for bit.
-    """
-
-    ceiling_hz: float = FB_ESTIMATION_RESOLUTION_HZ
-    floor_hz: float = 2.0
-    reference_snr_db: float = -25.0
-    reference_sf: int = 7
-
-    def _sf_scale(self, spreading_factor) -> Any:
-        return 2.0 ** -(np.asarray(spreading_factor, dtype=float) - self.reference_sf)
-
-    def sigma_hz(self, snr_db: float, spreading_factor: int | None = None) -> float:
-        raw = self.ceiling_hz * 10.0 ** (-(snr_db - self.reference_snr_db) / 20.0)
-        sigma = np.clip(raw, self.floor_hz, self.ceiling_hz)
-        if spreading_factor is not None:
-            sigma = np.clip(
-                sigma * self._sf_scale(spreading_factor), self.floor_hz, self.ceiling_hz
-            )
-        return float(sigma)
-
-    def measure(
-        self,
-        true_fb_hz: float,
-        snr_db: float,
-        rng: np.random.Generator,
-        spreading_factor: int | None = None,
-    ) -> float:
-        return true_fb_hz + rng.normal(0.0, self.sigma_hz(snr_db, spreading_factor))
-
-    def measure_batch(
-        self,
-        true_fbs_hz: np.ndarray,
-        snrs_db: np.ndarray,
-        rng: np.random.Generator,
-        spreading_factors: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-frame FB measurements for a whole fleet step, one rng draw."""
-        true_fbs = np.asarray(true_fbs_hz, dtype=float)
-        snrs = np.asarray(snrs_db, dtype=float)
-        raw = self.ceiling_hz * 10.0 ** (-(snrs - self.reference_snr_db) / 20.0)
-        sigmas = np.clip(raw, self.floor_hz, self.ceiling_hz)
-        if spreading_factors is not None:
-            sigmas = np.clip(
-                sigmas * self._sf_scale(spreading_factors), self.floor_hz, self.ceiling_hz
-            )
-        return true_fbs + sigmas * rng.standard_normal(true_fbs.shape)
 
 
 class EventKind(enum.Enum):

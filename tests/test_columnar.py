@@ -250,6 +250,11 @@ class TestEngineEquivalence:
             runtime.run(0.0)
         with pytest.raises(ConfigurationError):
             runtime.run(60.0, device_names=["nope"])
+        with pytest.raises(ConfigurationError, match=r"unknown devices: \['nope', 'gone'\]"):
+            runtime.run(60.0, device_names=[next(iter(world.devices)), "nope", "gone"])
+        # A refused phase schedules nothing; a whole-fleet phase still runs.
+        assert runtime.attempts == 0
+        assert runtime.run(60.0).attempts > 0
         with pytest.raises(ConfigurationError):
             ColumnarRuntime(world, traffic, window_s=0.0)
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,112 @@
+"""The network-server daemon's import graph holds only what it runs.
+
+The SDR side of the system (dechirping, onset picking, FB estimation)
+needs scipy and the simulator; the network server only runs the FB
+consistency check.  Importing the daemon must therefore load neither:
+scipy is imported inside the DSP functions at first use, the load
+generator is a lazy export of :mod:`repro.service`, and the calibrated
+FB noise model lives in :mod:`repro.server.fusion`.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Packages the daemon must not load.
+DAEMON_FREE_OF = (
+    "scipy",
+    "repro.sim",
+    "repro.pipeline",
+    "repro.attack",
+    "repro.analysis",
+    "repro.experiments",
+)
+
+#: Refuses every scipy import, as an interpreter without scipy would.
+BLOCK_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with ``src`` on the path; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_daemon_import_loads_no_dsp_or_simulator():
+    code = f"""
+import json, sys
+import repro.service.daemon
+import repro.service.__main__
+from repro.server import NetworkServer
+NetworkServer()
+print(json.dumps(sorted(m for m in {DAEMON_FREE_OF!r} if m in sys.modules)))
+"""
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_daemon_resolves_verdicts_without_scipy():
+    code = (
+        BLOCK_SCIPY
+        + """
+from repro.lorawan.mac import build_uplink
+from repro.lorawan.security import SessionKeys
+from repro.server import GatewayForward, NetworkServer, ServerStatus
+from repro.service.__main__ import _parse_args
+
+_parse_args(["--store", "memory"])
+keys = SessionKeys.derive_for_test(0x26000000)
+server = NetworkServer()
+server.register_device(0x26000000, keys)
+server.bootstrap_fb_profile(0x26000000, [-20e3, -20e3 + 5.0, -20e3 - 5.0])
+frame = build_uplink(keys, 0x26000000, 0, b"\\x01")
+(verdict,) = server.process_step(
+    [
+        GatewayForward("gw-0", frame, 10.0, -20e3 + 1.0, 5.0),
+        GatewayForward("gw-1", frame, 10.001, -20e3 - 1.0, 0.0),
+    ]
+)
+assert verdict.status is ServerStatus.ACCEPTED, verdict
+print("ok")
+"""
+    )
+    assert run_fresh(code).strip() == "ok"
+
+
+def test_loadgen_names_stay_reachable_from_service():
+    code = """
+import sys
+import repro.service as service
+assert "repro.service.loadgen" not in sys.modules
+from repro.service import LoadPlan, build_plan, replay
+from repro.service import loadgen
+assert (LoadPlan, build_plan, replay) == (loadgen.LoadPlan, loadgen.build_plan, loadgen.replay)
+for name in service.__all__:
+    getattr(service, name)
+print("ok")
+"""
+    assert run_fresh(code).strip() == "ok"

@@ -5,6 +5,8 @@ work-stealing order, pool warmth, and intra-kernel thread count change
 wall-clock only -- never a single result bit.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestWorkerPool:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
+
+    def test_warm_modules_import_and_include_scipy(self):
+        # The repro modules load scipy only when their DSP first runs, so
+        # the warm list must name it or every worker's first task pays.
+        from repro.parallel.pool import _WARM_MODULES
+
+        for name in _WARM_MODULES:
+            importlib.import_module(name)
+        assert {"scipy.signal", "scipy.optimize"} <= set(_WARM_MODULES)
 
 
 class TestBitwiseDeterminism:

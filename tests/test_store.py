@@ -325,6 +325,15 @@ class TestPersistentSharded:
             PersistentShardedFbDatabase(directory)
         assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
 
+    @pytest.mark.parametrize("text", ["", '{"n_shards": 2', "[2, 50]", "null"])
+    def test_unparsable_sidecar_is_refused(self, tmp_path, text):
+        directory = tmp_path / "fb.d"
+        directory.mkdir()
+        (directory / META_FILE).write_text(text)
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            PersistentShardedFbDatabase(directory)
+        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
+
     def test_sidecar_keeps_recording_sqlite_backend(self, tmp_path):
         directory = tmp_path / "fb.d"
         PersistentShardedFbDatabase(directory, n_shards=2).close()

@@ -9,22 +9,29 @@ exactly.  A second property pins the rebalance invariant: migrating a
 *any* shard count preserves ``known_nodes()`` and every per-node
 history bit for bit.  A third drives :class:`SqliteFbStore` through
 batches that commit or roll back and through reopens of its file: the
-in-memory node count must track the reference throughout.
+in-memory node count must track the reference throughout.  A fourth
+reopens sharded directories whose sidecar has a corrupted layout field:
+each must be refused with a :class:`ConfigurationError` naming the field
+before any shard file is opened.
 """
 
 import copy
+import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import FbDatabase
+from repro.errors import ConfigurationError
 from repro.server.store import (
     LruCachedStore,
     PersistentShardedFbDatabase,
     SqliteFbStore,
 )
+from repro.server.store.sharded import META_FILE
 
 #: Small node pool and history depth so pruning and forgetting both fire.
 NODES = ["26000000", "26000001", "26000002"]
@@ -195,3 +202,37 @@ def test_sqlite_node_count_tracks_reference_through_rollback_and_reopen(script):
                 assert store.known_nodes() == reference.known_nodes()
         finally:
             store.close()
+
+
+#: A missing key, or a JSON value that is not an integer >= 1.
+_MISSING = object()
+bad_layout_values = st.one_of(
+    st.just(_MISSING),
+    st.integers(max_value=0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=4) | st.integers(min_value=1, max_value=64).map(str),
+    st.none(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["n_shards", "history_len"]),
+    value=bad_layout_values,
+    explicit_shards=st.booleans(),
+)
+def test_reopen_refuses_corrupted_sidecar(field, value, explicit_shards):
+    meta = {"n_shards": 3, "history_len": HISTORY_LEN, "backend": "sqlite"}
+    if value is _MISSING:
+        del meta[field]
+    else:
+        meta[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "fb.d"
+        directory.mkdir()
+        (directory / META_FILE).write_text(json.dumps(meta))
+        n_shards = 3 if explicit_shards else None
+        with pytest.raises(ConfigurationError, match=field):
+            PersistentShardedFbDatabase(directory, n_shards=n_shards)
+        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
