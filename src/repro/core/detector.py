@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.constants import FB_ESTIMATION_RESOLUTION_HZ
 from repro.errors import ConfigurationError
@@ -24,10 +24,18 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class FbInterval:
-    """Closed acceptance interval for a node's FB, in Hz."""
+    """Closed acceptance interval for a node's FB, in Hz.
+
+    ``samples`` is how many recorded estimates the bounds span.  A store
+    fills it from the same read as the bounds, so the detector judges a
+    frame with one store read.  It has no default: a store that left it
+    out would keep every node in the learning phase, accepting every
+    frame.  It takes no part in equality.
+    """
 
     low_hz: float
     high_hz: float
+    samples: int = field(compare=False)
 
     def contains(self, fb_hz: float) -> bool:
         return self.low_hz <= fb_hz <= self.high_hz
@@ -76,11 +84,21 @@ class FbStore(Protocol):
     The protocol is ``runtime_checkable`` so a backend missing a method
     fails an ``isinstance`` conformance test instead of exploding later
     inside a worker; the full surface below is what the detector, the
-    network server's ``device_state``, the LRU hot-cache, and shard
-    rebalancing collectively require of every store.
+    network server's ``device_state``, provisioning, the LRU hot-cache,
+    and shard rebalancing collectively require of every store.
+
+    The detector's per-frame traffic is one read and at most one write:
+    ``interval`` returns the guarded bounds together with the sample
+    count they span (:attr:`FbInterval.samples`), and ``record`` appends
+    an accepted estimate.  ``record_many`` appends a whole ``(time_s,
+    fb_hz)`` history in one call -- what an offline profile bootstrap
+    and shard rebalancing write -- with the same result as one
+    ``record`` per pair.
     """
 
     def record(self, node_id: str, fb_hz: float, time_s: float = 0.0) -> None: ...
+
+    def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None: ...
 
     def sample_count(self, node_id: str) -> int: ...
 
@@ -116,6 +134,13 @@ class FbDatabase:
         queue = self._history.setdefault(node_id, deque(maxlen=self.history_len))
         queue.append((time_s, fb_hz))
 
+    def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None:
+        """Store ``(time_s, fb_hz)`` pairs in order, as one ``record`` each."""
+        pairs = [(time_s, fb_hz) for time_s, fb_hz in history]
+        if pairs:
+            queue = self._history.setdefault(node_id, deque(maxlen=self.history_len))
+            queue.extend(pairs)
+
     def known_nodes(self) -> list[str]:
         return sorted(self._history)
 
@@ -137,7 +162,11 @@ class FbDatabase:
         values = self.estimates(node_id)
         if not values:
             return None
-        return FbInterval(low_hz=min(values) - guard_hz, high_hz=max(values) + guard_hz)
+        return FbInterval(
+            low_hz=min(values) - guard_hz,
+            high_hz=max(values) + guard_hz,
+            samples=len(values),
+        )
 
     def forget(self, node_id: str) -> None:
         self._history.pop(node_id, None)
@@ -180,7 +209,7 @@ class ReplayDetector:
     def check(self, node_id: str, fb_hz: float, time_s: float = 0.0) -> DetectionResult:
         """Classify one received frame's FB against the claimed node."""
         interval = self.database.interval(node_id, self.guard_hz)
-        history = self.database.sample_count(node_id)
+        history = 0 if interval is None else interval.samples
         if interval is None or history < self.min_history:
             result = DetectionResult(
                 node_id=node_id,
@@ -216,6 +245,9 @@ class ReplayDetector:
         return result
 
     def bootstrap(self, node_id: str, fb_estimates: list[float]) -> None:
-        """Load an offline-built FB profile for a node (paper Sec. 7.2)."""
-        for fb in fb_estimates:
-            self.database.record(node_id, fb)
+        """Load an offline-built FB profile for a node (paper Sec. 7.2).
+
+        The estimates are recorded in order at ``time_s = 0`` with one
+        bulk ``record_many`` write.
+        """
+        self.database.record_many(node_id, [(0.0, fb) for fb in fb_estimates])

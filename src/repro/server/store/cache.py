@@ -1,15 +1,16 @@
 """Bounded write-through LRU hot-cache over any durable FB store.
 
-The replay hot path touches a node's history three times per verdict
-(``interval``, ``sample_count``, then ``record`` on accept); against a
-file-backed store that is three round trips for state that almost never
-leaves a small working set.  :class:`LruCachedStore` keeps the most
-recently touched ``max_nodes`` node histories in memory as bounded
-deques (exactly the :class:`~repro.core.detector.FbDatabase`
-representation) and serves interval/count/estimate reads from them,
-while every ``record`` is **written through** to the backing store
-before the cache is updated -- the cache can always be dropped (or the
-process killed) without losing an accepted estimate.
+The replay hot path touches a node's history twice per verdict
+(``interval``, then ``record`` on accept); against a file-backed store
+that is two round trips for state that almost never leaves a small
+working set.  :class:`LruCachedStore` keeps the most recently touched
+``max_nodes`` node histories in memory as bounded deques (exactly the
+:class:`~repro.core.detector.FbDatabase` representation) and serves
+interval/count/estimate reads from them, while every ``record`` and
+``record_many`` is **written through** to the backing store before the
+cache is updated -- the cache can always be dropped (or the process
+killed) without losing an accepted estimate.  A ``batch`` that rolls
+back drops the hot copies, so the cache never keeps rolled-back writes.
 
 Hit/miss/eviction counters feed the daemon's ``/metrics`` store series.
 """
@@ -17,8 +18,9 @@ Hit/miss/eviction counters feed the daemon's ``/metrics`` store series.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.core.detector import FbInterval, FbStore
 from repro.errors import ConfigurationError
@@ -131,6 +133,19 @@ class LruCachedStore:
         self.backing.record(node_id, fb_hz, time_s)
         entry.append((float(time_s), float(fb_hz)))
 
+    def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None:
+        """Write a whole history through; extend the hot copy if cached.
+
+        A bulk load (profile bootstrap) does not pull the node into the
+        cache, so booting a large registry neither reads every history
+        back nor evicts the working set.
+        """
+        pairs = [(float(time_s), float(fb_hz)) for time_s, fb_hz in history]
+        self.backing.record_many(node_id, pairs)
+        entry = self._cache.get(node_id)
+        if entry is not None:
+            entry.extend(pairs)
+
     def sample_count(self, node_id: str) -> int:
         """Recorded estimates for one node (served from the hot copy)."""
         return len(self._entry(node_id))
@@ -148,7 +163,11 @@ class LruCachedStore:
         values = [fb for _, fb in self._entry(node_id)]
         if not values:
             return None
-        return FbInterval(low_hz=min(values) - guard_hz, high_hz=max(values) + guard_hz)
+        return FbInterval(
+            low_hz=min(values) - guard_hz,
+            high_hz=max(values) + guard_hz,
+            samples=len(values),
+        )
 
     def known_nodes(self) -> list[str]:
         """Every tracked node id (from the backing store of record)."""
@@ -165,17 +184,23 @@ class LruCachedStore:
 
     # -- durability passthrough -------------------------------------------------
 
-    def batch(self):
+    @contextmanager
+    def batch(self) -> Iterator["LruCachedStore"]:
         """Delegate transactional batching to the backing store.
 
         A backing store without transactions (the in-memory databases)
         gets a no-op context: every record is immediately final there,
-        so "commit at window close" is trivially true.
+        so "commit at window close" is trivially true.  An exception
+        rolls the backing batch back and drops every hot copy
+        (:meth:`invalidate`), so later reads reload the committed state.
         """
         batch = getattr(self.backing, "batch", None)
-        if batch is None:
-            return nullcontext(self)
-        return batch()
+        with nullcontext() if batch is None else batch():
+            try:
+                yield self
+            except BaseException:
+                self.invalidate()
+                raise
 
     def flush(self) -> None:
         """Flush the backing store (the cache itself is write-through)."""

@@ -26,7 +26,7 @@ import numbers
 import zlib
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.detector import FbInterval
 from repro.errors import ConfigurationError
@@ -151,6 +151,10 @@ class PersistentShardedFbDatabase:
         """Store an accepted FB estimate in the node's shard."""
         self.shard_for(node_id).record(node_id, fb_hz, time_s)
 
+    def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None:
+        """Store ``(time_s, fb_hz)`` pairs in order in the node's shard."""
+        self.shard_for(node_id).record_many(node_id, history)
+
     def sample_count(self, node_id: str) -> int:
         """Recorded estimates for one node."""
         return self.shard_for(node_id).sample_count(node_id)
@@ -221,8 +225,9 @@ class PersistentShardedFbDatabase:
            the current shard files, in sorted node order;
         2. close and delete the old shard files;
         3. recreate the directory under ``n_shards`` CRC32-routed
-           shards, replaying each node's history in order (so per-node
-           ``seq`` numbering restarts dense from 0);
+           shards, writing each node's history in order with one
+           ``record_many`` (so per-node ``seq`` numbering restarts
+           dense from 0);
         4. rewrite the sidecar.
 
         Every node keeps its exact history -- ``known_nodes()`` and
@@ -250,9 +255,7 @@ class PersistentShardedFbDatabase:
         self._shards = self._open_shards()
         with self.batch():
             for node in sorted(histories):
-                store = self.shard_for(node)
-                for time_s, fb_hz in histories[node]:
-                    store.record(node, fb_hz, time_s)
+                self.record_many(node, histories[node])
         self.flush()
 
     def __repr__(self) -> str:

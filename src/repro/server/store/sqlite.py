@@ -21,18 +21,40 @@ Durability contract:
   the window commits or none does -- a crash can lose the uncommitted
   window wholesale but can never leave a half-written history behind.
 
-The tracked-node count is loaded once on open and then kept in memory
-(moved by ``record``/``forget``, restored on rollback), so the daemon's
-per-flush ``node_count`` gauge never scans the table.  The count assumes
-the store is the file's only writer.
+Statements per call (plus ``BEGIN``/``COMMIT`` outside a batch):
+
+* ``interval`` -- one ``SELECT COUNT(*), MIN(fb_hz), MAX(fb_hz)``, so
+  the detector gets the bounds and the sample count from one read;
+* ``record`` -- one read of the node's next ``seq`` (``MAX(seq) + 1``)
+  and one ``INSERT``, plus one pruning ``DELETE`` only once
+  ``seq >= history_len``;
+* ``record_many`` -- the same read and one multi-row ``INSERT`` of the
+  whole history (only its newest ``history_len`` pairs, at most
+  ``_ROWS_PER_INSERT`` rows per statement), plus one ``DELETE`` only
+  when the node already had rows and the history overflows.  With
+  ``history_len <= _ROWS_PER_INSERT`` a profile bootstrap therefore
+  runs the same statements whatever its length.
+
+Numbering the row inside the ``INSERT`` (``INSERT ... SELECT MAX(seq)
++ 1 ... RETURNING seq``) saves the read but costs more than it: SQLite
+builds an ephemeral table both for ``RETURNING`` and for an ``INSERT``
+that reads its own table.
+
+No per-node ``seq`` is kept in memory; the primary key makes each
+``MAX(seq)`` one index seek.  The tracked-node count is loaded once on
+open and then kept in memory (moved by a node's first written row and by
+``forget``, restored on rollback), so the daemon's per-flush
+``node_count`` gauge never scans the table.  The count assumes the
+store is the file's only writer.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.detector import FbInterval
 from repro.errors import ConfigurationError
@@ -46,6 +68,21 @@ CREATE TABLE IF NOT EXISTS fb_history (
     PRIMARY KEY (node_id, seq)
 ) WITHOUT ROWID
 """
+
+#: Most rows one INSERT binds (four parameters each), inside SQLite's
+#: smallest host-parameter limit of 999.
+_ROWS_PER_INSERT = 200
+
+_NEXT_SEQ = "SELECT COALESCE(MAX(seq), -1) + 1 FROM fb_history WHERE node_id = ?"
+
+_PRUNE = "DELETE FROM fb_history WHERE node_id = ? AND seq <= ?"
+
+
+@lru_cache(maxsize=_ROWS_PER_INSERT)
+def _insert(rows: int) -> str:
+    """One INSERT of ``rows`` ``(node_id, seq, time_s, fb_hz)`` rows."""
+    values = ", ".join(["(?, ?, ?, ?)"] * rows)
+    return f"INSERT INTO fb_history (node_id, seq, time_s, fb_hz) VALUES {values}"
 
 
 class SqliteFbStore:
@@ -134,21 +171,38 @@ class SqliteFbStore:
     def record(self, node_id: str, fb_hz: float, time_s: float = 0.0) -> None:
         """Append one accepted FB estimate, pruning beyond ``history_len``."""
         with self._tx() as conn:
-            row = conn.execute(
-                "SELECT COALESCE(MAX(seq), -1) + 1 FROM fb_history WHERE node_id = ?",
-                (node_id,),
-            ).fetchone()
-            seq = int(row[0])
-            conn.execute(
-                "INSERT INTO fb_history (node_id, seq, time_s, fb_hz) VALUES (?, ?, ?, ?)",
-                (node_id, seq, float(time_s), float(fb_hz)),
-            )
-            conn.execute(
-                "DELETE FROM fb_history WHERE node_id = ? AND seq <= ?",
-                (node_id, seq - self.history_len),
-            )
-            if seq == 0:  # the node's first row (or first since forget)
+            (seq,) = conn.execute(_NEXT_SEQ, (node_id,)).fetchone()
+            conn.execute(_insert(1), (node_id, seq, float(time_s), float(fb_hz)))
+            if seq >= self.history_len:
+                conn.execute(_PRUNE, (node_id, seq - self.history_len))
+            elif seq == 0:  # the node's first row (or first since forget)
                 self._node_count += 1
+
+    def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None:
+        """Append ``(time_s, fb_hz)`` pairs in order, as one ``record`` each.
+
+        Only the newest ``history_len`` pairs can survive pruning, so only
+        they are written, numbered as if every pair had been.
+        """
+        rows = [(float(time_s), float(fb_hz)) for time_s, fb_hz in history]
+        if not rows:
+            return
+        skip = max(0, len(rows) - self.history_len)
+        with self._tx() as conn:
+            (next_seq,) = conn.execute(_NEXT_SEQ, (node_id,)).fetchone()
+            seq = next_seq + skip
+            for start in range(skip, len(rows), _ROWS_PER_INSERT):
+                chunk = rows[start : start + _ROWS_PER_INSERT]
+                params: list = []
+                for time_s, fb_hz in chunk:
+                    params += (node_id, seq, time_s, fb_hz)
+                    seq += 1
+                conn.execute(_insert(len(chunk)), params)
+            last = seq - 1
+            if next_seq == 0:  # the node's first rows (or first since forget)
+                self._node_count += 1
+            elif last >= self.history_len:
+                conn.execute(_PRUNE, (node_id, last - self.history_len))
 
     def sample_count(self, node_id: str) -> int:
         """Recorded estimates for one node."""
@@ -173,14 +227,14 @@ class SqliteFbStore:
         return [(row[0], row[1]) for row in rows]
 
     def interval(self, node_id: str, guard_hz: float) -> FbInterval | None:
-        """[min - guard, max + guard] over the node's recorded history."""
-        row = self._conn.execute(
-            "SELECT MIN(fb_hz), MAX(fb_hz) FROM fb_history WHERE node_id = ?",
+        """[min - guard, max + guard] and the sample count, from one read."""
+        count, low, high = self._conn.execute(
+            "SELECT COUNT(*), MIN(fb_hz), MAX(fb_hz) FROM fb_history WHERE node_id = ?",
             (node_id,),
         ).fetchone()
-        if row[0] is None:
+        if count == 0:
             return None
-        return FbInterval(low_hz=row[0] - guard_hz, high_hz=row[1] + guard_hz)
+        return FbInterval(low_hz=low - guard_hz, high_hz=high + guard_hz, samples=count)
 
     def known_nodes(self) -> list[str]:
         """Every tracked node id, sorted."""

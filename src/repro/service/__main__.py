@@ -33,7 +33,7 @@ import sys
 from repro.core.detector import ReplayDetector
 from repro.lorawan.security import SessionKeys
 from repro.server.network_server import NetworkServer
-from repro.server.store import open_store, store_stats
+from repro.server.store import open_store, store_batch, store_stats
 from repro.service.config import ServiceConfig
 from repro.service.daemon import NetworkServerDaemon
 
@@ -74,20 +74,24 @@ def _provision(server: NetworkServer, path: str) -> int:
     A persistent store already holds the histories learned before a
     restart -- re-recording the offline profile on top of them would
     shift every acceptance interval, so profiles apply only when the
-    store has no samples for the node (reload-on-boot).
+    store has no samples for the node (reload-on-boot).  Every profile
+    is written inside one store transaction: a malformed entry
+    part-way through the table rolls back the profiles before it.
     """
     with open(path, encoding="utf-8") as handle:
         table = json.load(handle)
-    for addr_text, entry in table.items():
-        dev_addr = int(addr_text, 16)
-        keys = SessionKeys(
-            nwk_skey=bytes.fromhex(entry["nwk_skey"]),
-            app_skey=bytes.fromhex(entry["app_skey"]),
-        )
-        server.register_device(dev_addr, keys)
-        profile = entry.get("fb_profile")
-        if profile and server.detector.database.sample_count(f"{dev_addr:08x}") == 0:
-            server.bootstrap_fb_profile(dev_addr, [float(v) for v in profile])
+    database = server.detector.database
+    with store_batch(database):
+        for addr_text, entry in table.items():
+            dev_addr = int(addr_text, 16)
+            keys = SessionKeys(
+                nwk_skey=bytes.fromhex(entry["nwk_skey"]),
+                app_skey=bytes.fromhex(entry["app_skey"]),
+            )
+            server.register_device(dev_addr, keys)
+            profile = entry.get("fb_profile")
+            if profile and database.sample_count(f"{dev_addr:08x}") == 0:
+                server.bootstrap_fb_profile(dev_addr, [float(v) for v in profile])
     return len(table)
 
 

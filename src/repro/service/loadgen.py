@@ -40,6 +40,7 @@ from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server.forwarding import GatewayForward
 from repro.server.network_server import NetworkServer, ServerVerdict
+from repro.server.store import store_batch
 from repro.service.semtech import (
     PullAck,
     PullData,
@@ -113,14 +114,16 @@ class LoadPlan:
         when the server sits on a persistent FB store that survived a
         restart, the history already contains these estimates (plus
         everything learned since) and recording them again would shift
-        the acceptance intervals.
+        the acceptance intervals.  All profiles are written in one
+        store transaction.
         """
         for dev_addr, keys in self.registrations:
             server.register_device(dev_addr, keys)
         database = server.detector.database
-        for dev_addr, estimates in self.profiles:
-            if database.sample_count(f"{dev_addr:08x}") == 0:
-                server.bootstrap_fb_profile(dev_addr, list(estimates))
+        with store_batch(database):
+            for dev_addr, estimates in self.profiles:
+                if database.sample_count(f"{dev_addr:08x}") == 0:
+                    server.bootstrap_fb_profile(dev_addr, list(estimates))
 
 
 def new_server(adr=None) -> NetworkServer:

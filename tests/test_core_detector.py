@@ -20,7 +20,8 @@ class TestFbDatabase:
         for fb in (-20000.0, -20100.0, -19950.0):
             db.record("node", fb)
         interval = db.interval("node", guard_hz=100.0)
-        assert interval == FbInterval(low_hz=-20200.0, high_hz=-19850.0)
+        assert interval == FbInterval(low_hz=-20200.0, high_hz=-19850.0, samples=3)
+        assert interval.samples == 3
 
     def test_interval_of_unknown_node_is_none(self):
         assert FbDatabase().interval("ghost", 100.0) is None
@@ -158,11 +159,11 @@ class TestReplayDetector:
 
 class TestFbInterval:
     def test_contains(self):
-        interval = FbInterval(low_hz=-10.0, high_hz=10.0)
+        interval = FbInterval(low_hz=-10.0, high_hz=10.0, samples=1)
         assert interval.contains(0.0)
         assert interval.contains(-10.0)
         assert interval.contains(10.0)
         assert not interval.contains(10.1)
 
     def test_width(self):
-        assert FbInterval(low_hz=-5.0, high_hz=15.0).width_hz == 20.0
+        assert FbInterval(low_hz=-5.0, high_hz=15.0, samples=1).width_hz == 20.0

@@ -423,3 +423,35 @@ class TestPersistentStore:
         _provision(server, str(path))
         assert reopened.sample_count("26000042") == 3
         reopened.close()
+
+    def test_malformed_devices_table_records_no_profile(self, tmp_path):
+        """Provisioning is one store transaction: a bad entry undoes it all."""
+        from repro.core.detector import ReplayDetector
+        from repro.server.store import SqliteFbStore
+        from repro.service.__main__ import _provision
+
+        table = {}
+        for dev_addr in (0x26000040, 0x26000041):
+            keys = SessionKeys.derive_for_test(dev_addr)
+            table[f"{dev_addr:08x}"] = {
+                "nwk_skey": keys.nwk_skey.hex(),
+                "app_skey": keys.app_skey.hex(),
+                "fb_profile": [-20.0, 5.0, 30.0],
+            }
+        table["26000042"] = {"nwk_skey": "not hex", "app_skey": "00" * 16}
+        path = tmp_path / "devices.json"
+        path.write_text(json.dumps(table))
+        db_path = tmp_path / "fb.sqlite"
+
+        store = SqliteFbStore(db_path)
+        server = NetworkServer(detector=ReplayDetector(database=store))
+        with pytest.raises(ValueError):
+            _provision(server, str(path))
+        assert store.node_count() == 0
+        assert store.known_nodes() == []
+        store.close()
+
+        reopened = SqliteFbStore(db_path)
+        assert reopened.known_nodes() == []
+        assert reopened.sample_count("26000040") == 0
+        reopened.close()

@@ -232,6 +232,100 @@ class TestSqliteNodeCount:
         store.close()
 
 
+def _statements(store, action) -> list[str]:
+    """The SQL statements ``action`` runs on ``store``'s connection.
+
+    The trace callback sees each statement once per execution (an
+    ``executemany`` would show once per row), so the counts below are
+    the statements SQLite actually ran.
+    """
+    seen: list[str] = []
+    store._conn.set_trace_callback(seen.append)
+    try:
+        action()
+    finally:
+        store._conn.set_trace_callback(None)
+    return [statement.split()[0].upper() for statement in seen]
+
+
+class _CallCounter:
+    """Forwards to an FB store, counting the store methods called."""
+
+    def __init__(self, store):
+        self.store = store
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.store, name)
+
+
+class TestStatementCounts:
+    """One read and one write per verdict; a bootstrap costs O(1) statements."""
+
+    def test_interval_is_one_read_with_the_sample_count(self, tmp_path):
+        store = SqliteFbStore(tmp_path / "s.sqlite")
+        store.record_many("n", [(0.0, 10.0), (1.0, -5.0), (2.0, 2.5)])
+        got = []
+        assert _statements(store, lambda: got.append(store.interval("n", 1.0))) == ["SELECT"]
+        assert (got[0].low_hz, got[0].high_hz, got[0].samples) == (-6.0, 11.0, 3)
+        assert _statements(store, lambda: got.append(store.interval("x", 1.0))) == ["SELECT"]
+        assert got[1] is None
+        store.close()
+
+    def test_record_is_one_read_and_one_insert_until_the_history_is_full(self, tmp_path):
+        store = SqliteFbStore(tmp_path / "s.sqlite", history_len=4)
+        with store.batch():
+            for i in range(4):
+                assert _statements(store, lambda: store.record("n", float(i), 0.0)) == [
+                    "SELECT",
+                    "INSERT",
+                ]
+            for i in range(4, 7):
+                assert _statements(store, lambda: store.record("n", float(i), 0.0)) == [
+                    "SELECT",
+                    "INSERT",
+                    "DELETE",
+                ]
+        assert store.estimates("n") == [3.0, 4.0, 5.0, 6.0]
+        store.close()
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_bootstrap_statements_do_not_grow_with_the_profile(self, tmp_path, fresh):
+        counts = {}
+        for k in (1, 5, 60):
+            store = SqliteFbStore(tmp_path / f"s{k}{fresh}.sqlite", history_len=50)
+            detector = ReplayDetector(database=store)
+            prior = [] if fresh else [0.5] * 50  # none, or a full history
+            store.record_many("n", [(1.0, fb) for fb in prior])
+            profile = [float(i) for i in range(k)]
+            with store.batch():
+                counts[k] = _statements(store, lambda: detector.bootstrap("n", profile))
+            assert store.estimates("n") == (prior + profile)[-50:]
+            assert store.node_count() == 1
+            store.close()
+        # Fresh node: one read and one INSERT; a full one adds one prune.
+        want = ["SELECT", "INSERT"] if fresh else ["SELECT", "INSERT", "DELETE"]
+        assert counts == {1: want, 5: want, 60: want}
+
+    def test_check_makes_at_most_two_store_calls(self):
+        store = _CallCounter(FbDatabase())
+        detector = ReplayDetector(database=store, min_history=3)
+        detector.bootstrap("n", [100.0, 120.0, 140.0])
+        assert store.calls == ["record_many"]
+        for fb_hz, want in (
+            (110.0, ["interval", "record"]),  # accepted and learned
+            (5_000.0, ["interval"]),  # replay: nothing recorded
+        ):
+            store.calls.clear()
+            detector.check("n", fb_hz)
+            assert store.calls == want
+        store.calls.clear()
+        result = detector.check("new", 0.0)  # learning phase
+        assert store.calls == ["interval", "record"]
+        assert result.reason == "learning phase (0/3 samples)"
+
+
 class TestLruCachedStore:
     def test_write_through_and_counters(self, tmp_path):
         backing = SqliteFbStore(tmp_path / "s.sqlite")
@@ -341,19 +435,27 @@ class TestPersistentSharded:
         assert meta == {"n_shards": 2, "history_len": 50, "backend": "sqlite"}
 
     def test_rebalance_preserves_every_history(self, tmp_path):
-        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2)
+        def seqs(node):
+            rows = store.shard_for(node)._conn.execute(
+                "SELECT seq FROM fb_history WHERE node_id = ? ORDER BY seq", (node,)
+            )
+            return [seq for (seq,) in rows]
+
+        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2, history_len=4)
         histories = {}
         for i in range(25):
             node = f"{i:08x}"
-            for k in range(3):
+            for k in range(6):  # overflows, so the live seqs start at 2
                 store.record(node, float(i) + k * 0.25, float(k))
             histories[node] = store.history(node)
+            assert seqs(node) == [2, 3, 4, 5]
         for count in (7, 1, 4):
             store.rebalance(count)
             assert store.n_shards == count
             assert store.known_nodes() == sorted(histories)
             for node, history in histories.items():
                 assert store.history(node) == history
+                assert seqs(node) == [0, 1, 2, 3]  # dense from 0 again
         assert sum(store.shard_sizes()) == len(histories)
         store.close()
 

@@ -1,18 +1,22 @@
 """Property tests: every FB store is state-equivalent to FbDatabase.
 
-Hypothesis drives random ``record`` / ``interval`` / ``forget``
-sequences against each backend and the in-memory reference in
-lockstep; after every operation the observable state -- known nodes,
+Hypothesis drives random ``record`` / ``record_many`` / ``interval`` /
+``forget`` sequences against each backend and the in-memory reference
+in lockstep; after every operation the observable state -- known nodes,
 per-node histories, sample counts, guarded intervals -- must match
-exactly.  A second property pins the rebalance invariant: migrating a
+exactly.  A ``record_many`` carries up to twice the history depth, so
+one call can overflow a history.  A second property pins the rebalance
+invariant: migrating a
 :class:`~repro.server.store.sharded.PersistentShardedFbDatabase` to
 *any* shard count preserves ``known_nodes()`` and every per-node
 history bit for bit.  A third drives :class:`SqliteFbStore` through
 batches that commit or roll back and through reopens of its file: the
 in-memory node count must track the reference throughout.  A fourth
-reopens sharded directories whose sidecar has a corrupted layout field:
-each must be refused with a :class:`ConfigurationError` naming the field
-before any shard file is opened.
+rolls back a ``batch()`` holding a ``record_many`` on every backend:
+histories and node counts must return to their committed state.  A
+fifth reopens sharded directories whose sidecar has a corrupted layout
+field: each must be refused with a :class:`ConfigurationError` naming
+the field before any shard file is opened.
 """
 
 import copy
@@ -39,17 +43,34 @@ HISTORY_LEN = 4
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
-#: One store operation: (op, node, fb_hz, time_s/guard_hz).
+#: ``(time_s, fb_hz)`` pairs for one ``record_many``: enough to overflow.
+histories = st.lists(st.tuples(finite, finite), max_size=2 * HISTORY_LEN)
+
+#: One store operation: (op, node, fb_hz or history, time_s/guard_hz).
 operations = st.lists(
-    st.tuples(
-        st.sampled_from(["record", "interval", "forget"]),
-        st.sampled_from(NODES),
-        finite,
-        finite,
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["record", "interval", "forget"]),
+            st.sampled_from(NODES),
+            finite,
+            finite,
+        ),
+        st.tuples(st.just("record_many"), st.sampled_from(NODES), histories, finite),
     ),
     min_size=1,
     max_size=40,
 )
+
+
+def apply_write(op: str, node: str, value, extra: float, stores) -> None:
+    """Apply one ``record`` / ``record_many`` / ``forget`` to every store."""
+    for store in stores:
+        if op == "record":
+            store.record(node, value, extra)
+        elif op == "record_many":
+            store.record_many(node, value)
+        else:
+            store.forget(node)
 
 
 def build_backends(root: Path) -> dict:
@@ -73,12 +94,18 @@ def assert_same_state(reference: FbDatabase, store, label: str) -> None:
         assert store.sample_count(node) == reference.sample_count(node), label
         assert store.history(node) == reference.history(node), label
         assert store.estimates(node) == reference.estimates(node), label
-        want = reference.interval(node, 30.0)
-        got = store.interval(node, 30.0)
-        if want is None:
-            assert got is None, label
-        else:
-            assert (got.low_hz, got.high_hz) == (want.low_hz, want.high_hz), label
+        assert_same_interval(reference.interval(node, 30.0), store.interval(node, 30.0), label)
+
+
+def assert_same_interval(want, got, label: str) -> None:
+    if want is None:
+        assert got is None, label
+    else:
+        assert (got.low_hz, got.high_hz, got.samples) == (
+            want.low_hz,
+            want.high_hz,
+            want.samples,
+        ), label
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,27 +115,14 @@ def test_backends_track_reference_through_random_ops(ops):
         backends = build_backends(Path(tmp))
         reference = FbDatabase(history_len=HISTORY_LEN)
         try:
-            for op, node, fb_hz, extra in ops:
-                if op == "record":
-                    reference.record(node, fb_hz, extra)
-                    for store in backends.values():
-                        store.record(node, fb_hz, extra)
-                elif op == "forget":
-                    reference.forget(node)
-                    for store in backends.values():
-                        store.forget(node)
-                else:
+            for op, node, value, extra in ops:
+                if op == "interval":
                     guard = abs(extra)
                     want = reference.interval(node, guard)
                     for label, store in backends.items():
-                        got = store.interval(node, guard)
-                        if want is None:
-                            assert got is None, label
-                        else:
-                            assert (got.low_hz, got.high_hz) == (
-                                want.low_hz,
-                                want.high_hz,
-                            ), label
+                        assert_same_interval(want, store.interval(node, guard), label)
+                else:
+                    apply_write(op, node, value, extra, [reference, *backends.values()])
             for label, store in backends.items():
                 assert_same_state(reference, store, label)
         finally:
@@ -132,13 +146,9 @@ def test_rebalance_to_any_count_preserves_state(ops, shard_counts):
         )
         reference = FbDatabase(history_len=HISTORY_LEN)
         try:
-            for op, node, fb_hz, extra in ops:
-                if op == "record":
-                    reference.record(node, fb_hz, extra)
-                    store.record(node, fb_hz, extra)
-                elif op == "forget":
-                    reference.forget(node)
-                    store.forget(node)
+            for op, node, value, extra in ops:
+                if op != "interval":
+                    apply_write(op, node, value, extra, [reference, store])
             for count in shard_counts:
                 store.rebalance(count)
                 assert store.n_shards == count
@@ -202,6 +212,28 @@ def test_sqlite_node_count_tracks_reference_through_rollback_and_reopen(script):
                 assert store.known_nodes() == reference.known_nodes()
         finally:
             store.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=operations, node=st.sampled_from(NODES), history=histories)
+def test_rolled_back_record_many_restores_every_backend(ops, node, history):
+    with tempfile.TemporaryDirectory() as tmp:
+        backends = build_backends(Path(tmp))
+        reference = FbDatabase(history_len=HISTORY_LEN)
+        try:
+            for op, op_node, value, extra in ops:
+                if op != "interval":
+                    apply_write(op, op_node, value, extra, [reference, *backends.values()])
+            for label, store in backends.items():
+                store.interval(node, 30.0)  # warm the LRU copy, if any
+                with pytest.raises(_WindowDied):
+                    with store.batch():
+                        store.record_many(node, history)
+                        raise _WindowDied
+                assert_same_state(reference, store, label)
+        finally:
+            for store in backends.values():
+                store.close()
 
 
 #: A missing key, or a JSON value that is not an integer >= 1.
