@@ -322,14 +322,15 @@ class NetworkServer:
         if self.mac.keys_for(dev_addr) is None:
             return None
         node_id = f"{dev_addr:08x}"
-        database = self.detector.database
-        interval = database.interval(node_id, self.detector.guard_hz)
+        # One store read: the interval carries its sample count, and a
+        # store returns None exactly when the node has no samples.
+        interval = self.detector.database.interval(node_id, self.detector.guard_hz)
         last = next((v for v in reversed(self.verdicts) if v.dev_addr == dev_addr), None)
         state: dict = {
             "dev_addr": dev_addr,
             "node_id": node_id,
             "fb_profile": {
-                "sample_count": database.sample_count(node_id),
+                "sample_count": 0 if interval is None else interval.samples,
                 "guard_hz": self.detector.guard_hz,
                 "interval": None if interval is None else interval.as_dict(),
             },

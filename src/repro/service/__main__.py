@@ -48,7 +48,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--http-host", default="0.0.0.0", help="control-plane bind host")
     parser.add_argument("--http-port", type=int, default=8080, help="control-plane bind port")
     parser.add_argument(
-        "--queue-limit", type=int, default=10_000, help="bounded ingest queue, in forwards"
+        "--queue-limit", type=int, default=10_000, help="forwards that may await resolution"
     )
     parser.add_argument(
         "--linger-s", type=float, default=0.05, help="idle time that closes a batch (s)"

@@ -24,13 +24,13 @@ class ServiceConfig:
             bound port is exposed as ``daemon.udp_port`` after start).
         http_host: Bind address of the REST control plane.
         http_port: Control-plane TCP port (0 picks a free port).
-        queue_limit: Bounded ingest depth in *forwards*: a PUSH_DATA
-            whose rxpks would push the queue past this limit has those
-            forwards dropped (and counted) instead of growing memory
+        queue_limit: Bound on forwards awaiting resolution: once this
+            many sit in the open batch, further rxpks are dropped (and
+            counted) until the batch resolves, instead of growing memory
             without bound -- backpressure by shedding, never by
             blocking the UDP receive path.
         linger_s: Idle flush timeout.  When the ingest stream goes quiet
-            for this long the worker resolves whatever is pending rather
+            for this long the daemon resolves whatever is pending rather
             than waiting for a window tick; copies of one transmission
             arrive within microseconds of each other, so a few
             milliseconds of linger keeps cross-gateway copies grouped.
@@ -41,7 +41,7 @@ class ServiceConfig:
         verdict_page_limit: Hard cap on one ``GET /verdicts`` page.
         alert_queue_limit: Per-subscriber buffered alerts before the
             slowest ``/alerts`` client starts losing events (each loss is
-            counted, never blocks the worker).
+            counted, never blocks ingest).
     """
 
     udp_host: str = "0.0.0.0"

@@ -10,23 +10,23 @@ with the shape real LoRaWAN network servers have:
    ``PUSH_ACK``, ``PULL_DATA`` keep-alives register the gateway's
    downlink address, and per-EUI :class:`GatewaySession` records track
    who is forwarding;
-2. **bounded ingest** -- decoded forwards enter a bounded queue
-   (``queue_limit``); overload sheds forwards (counted, never blocking
-   the receive path) instead of growing memory without bound;
-3. **batched workers** -- a worker task groups queued forwards and runs
-   each batch through :meth:`NetworkServer.process_step` within the
-   dedup airtime window: a batch closes on a gateway ``stat`` beacon
-   (the load generator's window tick), after ``linger_s`` of ingest
-   silence, or at the ``max_hold_s`` wall-clock bound, whichever comes
-   first -- so cross-gateway copies of one transmission always resolve
-   together and verdicts are bit-identical to driving the wrapped
-   server in process (golden-pinned in ``tests/test_service_daemon.py``);
-4. **control plane** -- the REST/SSE endpoints of
+2. **inline batching** -- the datagram callback appends each decoded
+   forward to the open batch (at most ``queue_limit`` forwards await
+   resolution; overload sheds, counted, never blocking the receive path)
+   and resolves it through :meth:`NetworkServer.process_step` on the
+   spot when a gateway ``stat`` beacon (the load generator's window
+   tick) arrives or a forward reaches ``max_hold_s``; one ``call_at``
+   deadline timer per open batch closes it after ``linger_s`` of ingest
+   silence or at ``max_hold_s``.  Cross-gateway copies of one
+   transmission thus resolve together, and verdicts are bit-identical to
+   driving the wrapped server in process (golden-pinned in
+   ``tests/test_service_daemon.py``);
+3. **control plane** -- the REST/SSE endpoints of
    :mod:`repro.service.rest` ride on top: device state, paged verdicts,
    health, Prometheus ``/metrics``, and a live ``/alerts`` stream fed by
    this module's :class:`AlertBroker` on every ``attack_detected``
    verdict;
-5. **downlink path** -- when the wrapped server runs an
+4. **downlink path** -- when the wrapped server runs an
    :class:`~repro.server.adr.AdrController`, queued ``LinkADRReq``
    commands leave as ``PULL_RESP`` datagrams through a polling gateway's
    registered downlink address, with in-flight commands gauged on
@@ -36,8 +36,8 @@ with the shape real LoRaWAN network servers have:
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, DecodeError
@@ -58,8 +58,12 @@ from repro.service.semtech import (
     TxAck,
     decode_datagram,
     encode_datagram,
+    forward_from_rxpk,
+    gateway_id_from_eui,
     txpk_for_downlink,
 )
+
+_log = logging.getLogger("repro.service")
 
 
 @dataclass
@@ -91,7 +95,7 @@ class GatewaySession:
 class AlertBroker:
     """Fan-out of detection alerts to ``/alerts`` SSE subscribers.
 
-    Publishing never blocks the worker: a subscriber whose buffer is
+    Publishing never blocks ingest: a subscriber whose buffer is
     full loses the event (counted by the caller), exactly like a slow
     Prometheus scraper loses samples rather than stalling the service.
     """
@@ -165,18 +169,18 @@ class NetworkServerDaemon:
     sessions: dict[bytes, GatewaySession] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        """Register the metric families and the internal ingest state."""
+        """Register the metric families and the internal batching state."""
         self.alerts = AlertBroker(self.config.alert_queue_limit)
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._queued_forwards = 0
         self._pending: list[GatewayForward] = []
-        self._pending_since: float | None = None
+        self._first_arrival_s = 0.0
+        self._last_arrival_s = 0.0
+        self._deadline: asyncio.TimerHandle | None = None
+        self._drained = asyncio.Event()
+        self._drained.set()
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._transport: asyncio.DatagramTransport | None = None
         self._control: ControlPlane | None = None
-        self._worker_task: asyncio.Task | None = None
         self._started_s: float | None = None
-        self._idle = asyncio.Event()
-        self._idle.set()
         m = self.metrics
         self._m_datagrams = m.counter(
             "repro_service_datagrams_total", "UDP datagrams received, by packet type."
@@ -186,17 +190,21 @@ class NetworkServerDaemon:
             "Datagrams or rxpk entries rejected by the Semtech codec.",
         )
         self._m_uplinks = m.counter(
-            "repro_service_uplinks_total", "Gateway forwards accepted into the ingest queue."
+            "repro_service_uplinks_total", "Gateway forwards accepted into the open batch."
         )
         self._m_overflow = m.counter(
             "repro_service_queue_overflow_total",
-            "Forwards shed because the bounded ingest queue was full.",
+            "Forwards shed because queue_limit forwards already awaited resolution.",
         )
         self._m_depth = m.gauge(
-            "repro_service_queue_depth", "Forwards currently queued or awaiting resolution."
+            "repro_service_queue_depth", "Forwards currently awaiting resolution."
         )
         self._m_batches = m.counter(
-            "repro_service_batches_total", "Worker batches resolved through process_step."
+            "repro_service_batches_total", "Batches resolved through process_step."
+        )
+        self._m_flush_errors = m.counter(
+            "repro_service_flush_errors_total",
+            "Batches dropped because resolving them through process_step raised.",
         )
         self._m_verdicts = m.counter(
             "repro_service_verdicts_total", "Fused verdicts issued, by final status."
@@ -273,39 +281,36 @@ class NetworkServerDaemon:
 
     @property
     def uptime_s(self) -> float:
-        """Wall-clock seconds since :meth:`start` (0.0 before)."""
-        return 0.0 if self._started_s is None else time.monotonic() - self._started_s
+        """Event-loop seconds since :meth:`start` (0.0 before)."""
+        return 0.0 if self._started_s is None else self._loop.time() - self._started_s
 
     async def start(self) -> None:
-        """Bind the UDP front end and control plane; spawn the worker."""
+        """Bind the UDP front end and the control plane."""
         if self._transport is not None:
             raise ConfigurationError("daemon already started")
-        loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._transport, _ = await loop.create_datagram_endpoint(
             lambda: _SemtechProtocol(self),
             local_addr=(self.config.udp_host, self.config.udp_port),
         )
         self._control = ControlPlane(self)
         await self._control.start()
-        self._worker_task = loop.create_task(self._worker())
-        self._started_s = time.monotonic()
+        self._started_s = loop.time()
         # A durable store reloads its nodes before any batch flows;
         # publish them immediately so a freshly booted daemon's gauges
         # reflect the reloaded state, not zero.
         self._update_store_metrics()
 
     async def stop(self) -> None:
-        """Flush pending work, sync the FB store, and tear endpoints down.
+        """Resolve the open batch, sync the FB store, and tear endpoints down.
 
         A durable store gets a final ``flush()`` (e.g. a WAL checkpoint)
         so the on-disk file is complete at shutdown; the store stays
         open -- whoever built it owns closing it -- and a restarted
         daemon pointed at the same store resumes verdict-bit-identically.
         """
-        if self._worker_task is not None:
-            self._queue.put_nowait(("stop", None))
-            await self._worker_task
-            self._worker_task = None
+        if self._transport is not None:
+            self._flush()
         if self._control is not None:
             await self._control.stop()
             self._control = None
@@ -317,13 +322,11 @@ class NetworkServerDaemon:
             flush()
 
     async def drain(self, timeout_s: float = 30.0) -> None:
-        """Wait until every queued forward has been resolved to a verdict."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self._queued_forwards == 0 and not self._pending and self._queue.empty():
-                return
-            await asyncio.sleep(0.005)
-        raise TimeoutError(f"daemon did not drain within {timeout_s} s")
+        """Wait until every accepted forward has been resolved to a verdict."""
+        try:
+            await asyncio.wait_for(self._drained.wait(), timeout_s)
+        except asyncio.TimeoutError:
+            raise TimeoutError(f"daemon did not drain within {timeout_s} s") from None
 
     # -- UDP front end ------------------------------------------------------------
 
@@ -344,7 +347,7 @@ class NetworkServerDaemon:
             session = self._session(message.gateway_eui)
             session.pull_addr = addr
             session.pull_count += 1
-            session.last_seen_s = time.monotonic()
+            session.last_seen_s = self._now()
         elif isinstance(message, TxAck):
             self._m_datagrams.inc(labels={"type": PacketType.TX_ACK.name})
             self._m_adr_inflight.inc(-1.0)
@@ -354,34 +357,45 @@ class NetworkServerDaemon:
             self._m_malformed.inc()
 
     def _on_push_data(self, message: PushData, addr: tuple[str, int]) -> None:
+        now = self._now()
         session = self._session(message.gateway_eui)
         session.push_addr = addr
         session.push_count += 1
-        session.last_seen_s = time.monotonic()
+        session.last_seen_s = now
         for rxpk in message.rxpks:
             try:
-                forward = _forward_of(message, rxpk)
+                forward = forward_from_rxpk(session.gateway_id, rxpk)
             except DecodeError:
                 self._m_malformed.inc()
                 continue
-            if self._queued_forwards >= self.config.queue_limit:
+            if len(self._pending) >= self.config.queue_limit:
                 self._m_overflow.inc()
                 continue
-            self._queued_forwards += 1
+            if not self._pending:
+                self._first_arrival_s = now
+                self._drained.clear()
+            if self._deadline is None and self._loop is not None:
+                self._deadline = self._loop.call_at(now + self.config.linger_s, self._on_deadline)
+            self._pending.append(forward)
+            self._last_arrival_s = now
             session.forward_count += 1
             self._m_uplinks.inc()
-            self._idle.clear()
-            self._queue.put_nowait(("forward", forward))
+            if now - self._first_arrival_s >= self.config.max_hold_s:
+                self._flush()
         if message.stat is not None:
             # A gateway status beacon doubles as the ingest stream's
             # window tick: everything forwarded before it resolves now.
-            self._queue.put_nowait(("tick", None))
-        self._m_depth.set(self._queued_forwards + len(self._pending))
+            self._flush()
+        self._m_depth.set(len(self._pending))
+
+    def _now(self) -> float:
+        # Before start() there is no loop; the default event loop reads this clock.
+        return time.monotonic() if self._loop is None else self._loop.time()
 
     def _session(self, eui: bytes) -> GatewaySession:
         session = self.sessions.get(eui)
         if session is None:
-            session = GatewaySession(eui=bytes(eui), gateway_id=_gateway_id(eui))
+            session = GatewaySession(eui=bytes(eui), gateway_id=gateway_id_from_eui(eui))
             self.sessions[eui] = session
             self._m_gateways.set(len(self.sessions))
         return session
@@ -390,68 +404,61 @@ class NetworkServerDaemon:
         if self._transport is not None:
             self._transport.sendto(encode_datagram(message), addr)
 
-    # -- the batching worker --------------------------------------------------------
+    # -- batching -------------------------------------------------------------------
 
-    async def _worker(self) -> None:
-        """Group queued forwards into dedup-window batches and resolve them."""
-        while True:
-            timeout = None
-            if self._pending:
-                held = time.monotonic() - (self._pending_since or time.monotonic())
-                timeout = max(min(self.config.linger_s, self.config.max_hold_s - held), 0.0)
-            try:
-                kind, payload = await asyncio.wait_for(self._queue.get(), timeout)
-            except asyncio.TimeoutError:
-                self._flush()
-                continue
-            if kind == "forward":
-                self._queued_forwards -= 1
-                if not self._pending:
-                    self._pending_since = time.monotonic()
-                self._pending.append(payload)
-                if time.monotonic() - self._pending_since >= self.config.max_hold_s:
-                    self._flush()
-            elif kind == "tick":
-                self._flush()
-            else:  # "stop"
-                self._flush()
-                return
+    def _on_deadline(self) -> None:
+        """Close the open batch at its deadline; re-arm if forwards moved it."""
+        due = min(
+            self._last_arrival_s + self.config.linger_s,
+            self._first_arrival_s + self.config.max_hold_s,
+        )
+        if due > self._deadline.when():
+            self._deadline = self._loop.call_at(due, self._on_deadline)
+        else:
+            self._flush()
 
     def _flush(self) -> None:
-        """Resolve the pending batch through the wrapped server.
+        """Resolve the open batch through the wrapped server.
 
         The resolution runs inside one FB-store transaction
         (:func:`repro.server.store.store_batch`), so a durable store
         commits the whole dedup window's verdicts atomically -- a crash
         between windows never leaves a half-written history -- and the
-        commit latency lands on ``/metrics``.
+        commit latency lands on ``/metrics``.  A batch whose resolution
+        raises is logged, counted and dropped; the daemon keeps serving.
         """
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
         batch, self._pending = self._pending, []
-        self._pending_since = None
         if batch:
-            store = self.server.detector.database
-            with ExitStack() as stack:
-                stack.enter_context(store_batch(store))
-                verdicts = self.server.process_step(batch)
-                commit_start = time.perf_counter()
-            self._m_store_flush.set(time.perf_counter() - commit_start)
-            self._m_store_batches.inc()
-            self._update_store_metrics()
-            self._m_batches.inc()
-            for verdict in verdicts:
-                self._m_verdicts.inc(labels={"status": verdict.status.value})
-                if verdict.status is ServerStatus.REPLAY_DETECTED:
-                    self._publish_alert(verdict)
-            self._m_dedup.set(self.server.dedup_rate)
-            elapsed = self.uptime_s
-            if elapsed > 0:
-                self._m_uplink_rate.set(self._m_uplinks.total() / elapsed)
-                self._m_verdict_rate.set(self._m_verdicts.total() / elapsed)
+            try:
+                self._resolve(batch)
+            except Exception:
+                self._m_flush_errors.inc()
+                _log.exception("dropped a batch of %d forwards: resolution failed", len(batch))
         if self.server.adr is not None:
             self._dispatch_adr()
-        self._m_depth.set(self._queued_forwards)
-        if self._queued_forwards == 0:
-            self._idle.set()
+        self._m_depth.set(0)
+        self._drained.set()
+
+    def _resolve(self, batch: list[GatewayForward]) -> None:
+        with store_batch(self.server.detector.database):
+            verdicts = self.server.process_step(batch)
+            commit_start = time.perf_counter()
+        self._m_store_flush.set(time.perf_counter() - commit_start)
+        self._m_store_batches.inc()
+        self._update_store_metrics()
+        self._m_batches.inc()
+        for verdict in verdicts:
+            self._m_verdicts.inc(labels={"status": verdict.status.value})
+            if verdict.status is ServerStatus.REPLAY_DETECTED:
+                self._publish_alert(verdict)
+        self._m_dedup.set(self.server.dedup_rate)
+        elapsed = self.uptime_s
+        if elapsed > 0:
+            self._m_uplink_rate.set(self._m_uplinks.total() / elapsed)
+            self._m_verdict_rate.set(self._m_verdicts.total() / elapsed)
 
     def _update_store_metrics(self) -> None:
         """Refresh the FB-store gauges from a live store snapshot."""
@@ -510,21 +517,10 @@ class NetworkServerDaemon:
         return {
             "status": "ok",
             "uptime_s": self.uptime_s,
-            "queue_depth": self._queued_forwards + len(self._pending),
+            "queue_depth": len(self._pending),
             "uplinks_total": int(self._m_uplinks.total()),
             "verdicts_total": len(self.server.verdicts),
             "gateways": [s.as_dict() for s in self.sessions.values()],
             "store": store_stats(self.server.detector.database),
         }
 
-
-def _gateway_id(eui: bytes) -> str:
-    from repro.service.semtech import gateway_id_from_eui
-
-    return gateway_id_from_eui(eui)
-
-
-def _forward_of(message: PushData, rxpk: dict) -> GatewayForward:
-    from repro.service.semtech import forward_from_rxpk
-
-    return forward_from_rxpk(message.gateway_id, rxpk)

@@ -349,6 +349,38 @@ class TestNetworkServer:
         server.process_step([forward("gw-0", fcnt=0, fb=-20.7e3)])
         assert server.detector.database.sample_count(f"{DEV_ADDR:08x}") == before
 
+    def test_device_state_reads_the_store_once(self):
+        class CountingStore:
+            """Records every store method the server calls."""
+
+            def __init__(self):
+                self.inner = FbDatabase()
+                self.calls = []
+
+            def __getattr__(self, name):
+                method = getattr(self.inner, name)
+
+                def counted(*args, **kwargs):
+                    self.calls.append(name)
+                    return method(*args, **kwargs)
+
+                return counted
+
+        store = CountingStore()
+        server = self.make_server(detector=ReplayDetector(database=store))
+        store.calls.clear()
+        empty = server.device_state(DEV_ADDR)
+        assert store.calls == ["interval"]
+        assert empty["fb_profile"]["sample_count"] == 0
+        assert empty["fb_profile"]["interval"] is None
+
+        server.bootstrap_fb_profile(DEV_ADDR, [-20e3, -20.01e3, -19.99e3])
+        store.calls.clear()
+        state = server.device_state(DEV_ADDR)
+        assert store.calls == ["interval"]
+        assert state["fb_profile"]["sample_count"] == 3
+        assert state["fb_profile"]["interval"]["low_hz"] == -20.01e3 - server.detector.guard_hz
+
     def test_process_step_requires_clean_state(self):
         server = self.make_server()
         server.ingest(forward("gw-0"))

@@ -8,7 +8,10 @@ equality over ``ServerVerdict.as_dict()`` streams.
 """
 
 import asyncio
+import dataclasses
 import json
+import logging
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.lorawan.downlink import parse_downlink
 from repro.lorawan.mac import LinkADRReq, parse_mac_commands
 from repro.lorawan.security import SessionKeys
 from repro.server import AdrController, NetworkServer
+from repro.server.forwarding import GatewayForward
 from repro.service import (
     NetworkServerDaemon,
     ServiceConfig,
@@ -66,6 +70,268 @@ async def make_daemon(plan, server=None, config=None) -> NetworkServerDaemon:
     daemon = NetworkServerDaemon(server=server, config=config or loopback_config())
     await daemon.start()
     return daemon
+
+
+class _FakeClock:
+    """Stands in for ``time.monotonic``, which ``loop.time()`` also reads."""
+
+    def __init__(self, now: float = 1000.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+#: Loop turns granted after every schedule step, so whatever the daemon
+#: reacts to (a datagram, a deadline the clock just passed) settles
+#: before the clock moves again.
+SETTLE_TURNS = 100
+
+
+def _frame(fcnt: int) -> bytes:
+    """A minimal unconfirmed-uplink PHYPayload whose FHDR carries ``fcnt``."""
+    return (
+        bytes([0x40])
+        + (0x26000001).to_bytes(4, "little")
+        + bytes([0x00])
+        + fcnt.to_bytes(2, "little")
+        + bytes([0x01, 0xAA])
+        + bytes(4)
+    )
+
+
+def _push(gateway_id: str, fcnts, stat=None) -> bytes:
+    rxpks = tuple(
+        rxpk_from_forward(GatewayForward(gateway_id, _frame(f), 0.0, 0.0, 10.0)) for f in fcnts
+    )
+    eui = eui_from_gateway_id(gateway_id)
+    return encode_datagram(PushData(token=1, gateway_eui=eui, rxpks=rxpks, stat=stat))
+
+
+def _beacon() -> bytes:
+    return _push("gw-0", (), stat={"rxnb": 0})
+
+
+def _stream(settle_first: bool) -> list:
+    """A forward every 0.7 s, alternating gateways: linger never fires.
+
+    With ``settle_first`` the clock moves and the loop settles before
+    each forward arrives, so a passed max-hold deadline closes the batch
+    first; without it the forward arrives first and closes the batch.
+    """
+    steps = []
+    for i in range(12):
+        if settle_first:
+            steps.append((0.7 * i, None))
+        steps.append((0.7 * i, _push(f"gw-{i % 2}", (i,))))
+    return steps + [(10.0, None)]
+
+
+#: Arrival schedules as (seconds after start, datagram or None).  A step
+#: sets the fake clock, hands the datagram (if any) to
+#: ``handle_datagram`` at once, then lets the loop settle; a ``None``
+#: step only moves the clock, so deadlines it passes fire before the
+#: next datagram at the same time.  ``"stop"`` calls ``daemon.stop()``.
+BATCH_SCHEDULES = {
+    "beacon_closes_window": [
+        (0.0, _beacon()),
+        (0.1, _push("gw-0", (1, 2))),
+        (0.2, _push("gw-1", (1, 2))),
+        (0.3, _beacon()),
+        (0.4, _push("gw-0", (3,))),
+        (0.5, _beacon()),
+        (0.6, _beacon()),
+    ],
+    "linger_gap_splits_window": [
+        (0.0, _push("gw-0", (1,))),
+        (0.5, _push("gw-1", (1,))),
+        (1.25, None),
+        (1.75, None),
+        (1.75, _push("gw-0", (2,))),
+        (2.0, _push("gw-1", (2,))),
+        # Arrives after the linger deadline, before the loop turned to
+        # notice it: the forward joins the open batch.
+        (3.5, _push("gw-0", (3,))),
+        (5.0, None),
+    ],
+    "max_hold_cuts_stream_on_arrival": _stream(settle_first=False),
+    "max_hold_cuts_stream_on_deadline": _stream(settle_first=True),
+    "beacon_shares_push_data": [
+        (0.0, _push("gw-0", (1,))),
+        (0.1, _push("gw-1", (1,), stat={"rxnb": 1})),
+        (0.2, _push("gw-0", (2,))),
+        (0.3, _push("gw-1", (2, 3), stat={"rxnb": 2})),
+    ],
+    "stop_flushes_pending": [
+        (0.0, _push("gw-0", (1,))),
+        (0.1, _beacon()),
+        (0.2, _push("gw-0", (2, 3))),
+        (0.3, _push("gw-1", (2,))),
+        (0.4, "stop"),
+    ],
+}
+
+#: Batch compositions (gateway, FCnt) recorded at the queue-and-worker
+#: daemon these schedules were written against; linger 1 s, hold 3 s.
+EXPECTED_BATCHES = {
+    "beacon_closes_window": [
+        [("gw-0", 1), ("gw-0", 2), ("gw-1", 1), ("gw-1", 2)],
+        [("gw-0", 3)],
+    ],
+    "beacon_shares_push_data": [
+        [("gw-0", 1), ("gw-1", 1)],
+        [("gw-0", 2), ("gw-1", 2), ("gw-1", 3)],
+    ],
+    "linger_gap_splits_window": [
+        [("gw-0", 1), ("gw-1", 1)],
+        [("gw-0", 2), ("gw-1", 2), ("gw-0", 3)],
+    ],
+    "max_hold_cuts_stream_on_arrival": [
+        [("gw-0", 0), ("gw-1", 1), ("gw-0", 2), ("gw-1", 3), ("gw-0", 4), ("gw-1", 5)],
+        [("gw-0", 6), ("gw-1", 7), ("gw-0", 8), ("gw-1", 9), ("gw-0", 10), ("gw-1", 11)],
+    ],
+    "max_hold_cuts_stream_on_deadline": [
+        [("gw-0", 0), ("gw-1", 1), ("gw-0", 2), ("gw-1", 3), ("gw-0", 4)],
+        [("gw-1", 5), ("gw-0", 6), ("gw-1", 7), ("gw-0", 8), ("gw-1", 9)],
+        [("gw-0", 10), ("gw-1", 11)],
+    ],
+    "stop_flushes_pending": [
+        [("gw-0", 1)],
+        [("gw-0", 2), ("gw-0", 3), ("gw-1", 2)],
+    ],
+}
+
+
+def _run_schedule(monkeypatch, schedule) -> list[list[tuple[str, int]]]:
+    clock = _FakeClock()
+    monkeypatch.setattr(time, "monotonic", clock)
+    start = clock.now
+    batches = []
+
+    async def run():
+        daemon = NetworkServerDaemon(
+            server=NetworkServer(),
+            config=loopback_config(linger_s=1.0, max_hold_s=3.0),
+        )
+        await daemon.start()
+        step = daemon.server.process_step
+
+        def recorded(forwards):
+            batches.append(
+                [(f.gateway_id, int.from_bytes(f.mac_bytes[6:8], "little")) for f in forwards]
+            )
+            return step(forwards)
+
+        daemon.server.process_step = recorded
+        stopped = False
+        for offset, datagram in schedule:
+            clock.now = start + offset
+            if datagram == "stop":
+                await daemon.stop()
+                stopped = True
+                continue
+            if datagram is not None:
+                daemon.handle_datagram(datagram, ("127.0.0.1", 40000))
+            for _ in range(SETTLE_TURNS):
+                await asyncio.sleep(0)
+        if not stopped:
+            await daemon.stop()
+
+    asyncio.run(run())
+    return batches
+
+
+class TestBatchComposition:
+    """Linger, max-hold and beacon semantics, pinned on a fake clock."""
+
+    @pytest.mark.parametrize("case", sorted(BATCH_SCHEDULES))
+    def test_scripted_arrivals_batch_as_recorded(self, monkeypatch, case):
+        got = _run_schedule(monkeypatch, BATCH_SCHEDULES[case])
+        assert got == EXPECTED_BATCHES[case]
+
+
+class _AckClient(asyncio.DatagramProtocol):
+    """Closed-loop forwarder: one datagram in flight, awaited on its ack.
+
+    It awaits a bare future per datagram -- no ``wait_for``, no task, no
+    timer -- so whatever tasks and timers the loop sees are the daemon's.
+    """
+
+    def __init__(self):
+        self.transport = None
+        self.acked: asyncio.Future | None = None
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def datagram_received(self, data, addr):
+        if self.acked is not None and not self.acked.done():
+            self.acked.set_result(decode_datagram(data))
+
+    async def send(self, datagram: bytes):
+        self.acked = asyncio.get_running_loop().create_future()
+        self.transport.sendto(datagram)
+        return await self.acked
+
+
+def _window_datagrams(plan, batch) -> list[bytes]:
+    """One delivery window: a PUSH_DATA per gateway, then a stat beacon."""
+    by_gateway: dict[str, list] = {}
+    for forward in batch:
+        by_gateway.setdefault(forward.gateway_id, []).append(forward)
+    datagrams = [
+        encode_datagram(
+            PushData(
+                token=1,
+                gateway_eui=eui_from_gateway_id(gateway_id),
+                rxpks=tuple(rxpk_from_forward(f) for f in forwards),
+            )
+        )
+        for gateway_id, forwards in by_gateway.items()
+    ]
+    eui = eui_from_gateway_id(plan.gateway_ids[0])
+    beacon = PushData(token=1, gateway_eui=eui, rxpks=(), stat={"rxnb": len(batch)})
+    return datagrams + [encode_datagram(beacon)]
+
+
+class TestLoopWork:
+    def test_windows_stream_without_tasks_and_one_timer_each(self, plan):
+        """Batching costs the event loop no task and at most one timer per window."""
+
+        async def run():
+            daemon = await make_daemon(plan)
+            loop = asyncio.get_running_loop()
+            _, client = await loop.create_datagram_endpoint(
+                _AckClient, remote_addr=("127.0.0.1", daemon.udp_port)
+            )
+            windows = [_window_datagrams(plan, batch) for batch in plan.batches]
+            counts = {"tasks": 0, "timers": 0}
+            create_task, call_at = loop.create_task, loop.call_at
+
+            def counted_task(*args, **kwargs):
+                counts["tasks"] += 1
+                return create_task(*args, **kwargs)
+
+            def counted_timer(*args, **kwargs):
+                # call_later delegates here, so this counts both.
+                counts["timers"] += 1
+                return call_at(*args, **kwargs)
+
+            loop.create_task, loop.call_at = counted_task, counted_timer
+            try:
+                for datagrams in windows:
+                    for datagram in datagrams:
+                        await client.send(datagram)
+            finally:
+                del loop.create_task, loop.call_at
+            client.transport.close()
+            await daemon.stop()
+            return counts, [v.as_dict() for v in daemon.server.verdicts]
+
+        counts, got = asyncio.run(run())
+        assert got == list(plan.oracle_verdicts)
+        assert counts["tasks"] == 0
+        assert counts["timers"] <= len(plan.batches)
 
 
 class TestGoldenVerdicts:
@@ -210,6 +476,42 @@ class TestBackpressure:
             return count
 
         assert asyncio.run(run()) > 0
+
+
+    @pytest.mark.parametrize("where", ["process_step", "detector.check"])
+    def test_failing_resolution_drops_its_batch_and_keeps_serving(self, plan, caplog, where):
+        """A resolution that raises once costs one batch, not the daemon."""
+        windows = dataclasses.replace(plan, batches=plan.batches[:4])
+
+        async def run():
+            server = new_server()
+            owner = server if where == "process_step" else server.detector
+            name = where.rpartition(".")[2]
+            inner = getattr(owner, name)
+            calls = []
+
+            def flaky(*args, **kwargs):
+                calls.append(name)
+                if len(calls) == 1:
+                    raise RuntimeError("injected resolution failure")
+                return inner(*args, **kwargs)
+
+            setattr(owner, name, flaky)
+            daemon = await make_daemon(windows, server=server)
+            await replay(windows, "127.0.0.1", daemon.udp_port)
+            await daemon.drain(timeout_s=5.0)
+            errors = daemon.metrics.get("repro_service_flush_errors_total").total()
+            batches = daemon.metrics.get("repro_service_batches_total").total()
+            await daemon.stop()
+            return errors, batches, len(server.verdicts)
+
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            errors, batches, verdicts = asyncio.run(run())
+        assert errors == 1
+        assert batches == len(windows.batches) - 1
+        assert verdicts > 0
+        (record,) = [r for r in caplog.records if r.name == "repro.service"]
+        assert "injected resolution failure" in record.exc_text
 
 
 class TestAdrDownlink:
