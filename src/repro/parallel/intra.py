@@ -1,128 +1,18 @@
-"""Intra-process thread parallelism for GIL-releasing numpy kernels.
+"""Intra-kernel thread count, kept for run provenance.
 
-The columnar engine's hot kernels -- the chunked device x site power
-matrix build and the per-window collision clusters -- are embarrassingly
-row-parallel: every unit of work writes a disjoint slice of a
-preallocated output (or returns an independent array), and the heavy
-arithmetic runs inside numpy, which releases the GIL.  This module
-provides the one shared knob and the one shared primitive those kernels
-use:
-
-* :func:`intra_thread_count` -- the process-wide intra-kernel thread
-  count, settable programmatically (:func:`set_intra_threads`) or via
-  the ``REPRO_INTRA_THREADS`` environment variable; defaults to 1
-  (fully serial) so nothing threads unless asked;
-* :func:`thread_map` -- an ordered map over a persistent, size-keyed
-  thread pool, degrading to a plain loop for one thread or fewer than
-  two items.
-
-Thread count never changes results: each work item's arithmetic is
-untouched and outputs are written to disjoint destinations, so the
-kernels stay *bitwise* identical at any thread count (pinned in
-``tests/test_parallel.py``).
+The columnar kernels -- the device x site power matrix build and the
+per-window collision clusters -- run serially in the calling thread.
+Benchmark records report the thread count they ran with through the
+one function here.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-from multiprocessing.pool import ThreadPool
-from typing import Any, Callable, Iterable, TypeVar
-
-from repro.errors import ConfigurationError
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: Environment variable consulted when no programmatic override is set.
-INTRA_THREADS_ENV = "REPRO_INTRA_THREADS"
-
-_override: int | None = None
-_pools: dict[int, ThreadPool] = {}
-
-
-def set_intra_threads(n: int | None) -> None:
-    """Set (or clear) the process-wide intra-kernel thread count.
-
-    Args:
-        n: Threads the row-parallel kernels may use; ``None`` clears the
-            override, falling back to ``REPRO_INTRA_THREADS`` (default 1).
-
-    Raises:
-        ConfigurationError: If ``n`` is set but smaller than 1.
-    """
-    global _override
-    if n is not None and n < 1:
-        raise ConfigurationError(f"intra-kernel thread count must be >= 1, got {n}")
-    _override = None if n is None else int(n)
-
 
 def intra_thread_count() -> int:
-    """The current intra-kernel thread count.
-
-    Resolution order: the :func:`set_intra_threads` override, then the
-    ``REPRO_INTRA_THREADS`` environment variable, then 1 (serial).
+    """Threads the columnar kernels run on: always 1 (serial).
 
     Returns:
-        The thread count, always >= 1.
-
-    Raises:
-        ConfigurationError: If the environment variable is set but is
-            not a positive integer.
+        1.
     """
-    if _override is not None:
-        return _override
-    raw = os.environ.get(INTRA_THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{INTRA_THREADS_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ConfigurationError(f"{INTRA_THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
-def thread_map(
-    fn: Callable[[_T], _R], items: Iterable[_T], n_threads: int | None = None
-) -> list[_R]:
-    """Map ``fn`` over ``items``, preserving order, on worker threads.
-
-    Falls back to a plain serial loop when the resolved thread count is
-    1 or there are fewer than two items, so serial callers pay nothing.
-    Pools are persistent (one per distinct size) and reused across
-    calls; exceptions raised by ``fn`` propagate to the caller.
-
-    Args:
-        fn: The per-item kernel.  It must be thread-safe: write only to
-            disjoint outputs, or return an independent result.
-        items: Work items; consumed into a list.
-        n_threads: Thread count for this call; ``None`` resolves through
-            :func:`intra_thread_count`.
-
-    Returns:
-        ``[fn(item) for item in items]`` -- identical contents at any
-        thread count.
-    """
-    work: list[Any] = list(items)
-    n = intra_thread_count() if n_threads is None else max(1, int(n_threads))
-    if n <= 1 or len(work) < 2:
-        return [fn(item) for item in work]
-    pool = _pools.get(n)
-    if pool is None:
-        pool = ThreadPool(processes=n)
-        _pools[n] = pool
-    return pool.map(fn, work)
-
-
-def _shutdown_pools() -> None:
-    """Terminate every cached thread pool (atexit hook)."""
-    while _pools:
-        _, pool = _pools.popitem()
-        pool.terminate()
-
-
-atexit.register(_shutdown_pools)
+    return 1

@@ -67,7 +67,6 @@ from repro.lorawan.duty_cycle import DutyCycleLimiter
 from repro.lorawan.mac import LinkADRAns, LinkADRReq
 from repro.lorawan.regional import EU868
 from repro.lorawan.security import SessionKeys
-from repro.parallel.intra import thread_map
 from repro.phy.airtime import airtime_s
 from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, noise_floor_dbm
 from repro.radio.geometry import Position
@@ -77,9 +76,8 @@ from repro.sim.rng import RngStreams
 from repro.sim.runtime import (
     CollisionChannel,
     RuntimeReport,
-    cluster_survival_matrix,
-    overlap_cluster_indices,
     site_power_columns,
+    window_survival,
 )
 from repro.core.timestamping import ElapsedTimeCodec
 from repro.sim.traffic import PeriodicTrafficModel
@@ -303,12 +301,7 @@ class FleetState:
     rngs: list[np.random.Generator] | None = None
 
     @classmethod
-    def from_world(
-        cls,
-        world: LoRaWanWorld,
-        chunk_rows: int | None = None,
-        power_dtype: np.dtype | str | None = None,
-    ) -> "FleetState":
+    def from_world(cls, world: LoRaWanWorld) -> "FleetState":
         """Columnize a world's fleet (devices, links, duty budgets).
 
         Airtimes are evaluated through the memoized
@@ -319,12 +312,6 @@ class FleetState:
 
         Args:
             world: The world to snapshot; must hold at least one device.
-            chunk_rows: Build the power/delay/loss matrices in row
-                chunks of this size (bounded peak memory); ``None``
-                builds them in one pass.
-            power_dtype: Storage dtype of the ``(n, n_sites)`` matrices
-                (e.g. ``np.float32`` to halve 1M-row footprints);
-                ``None`` keeps float64.
 
         Returns:
             A fully populated state, duty budgets copied from the live
@@ -349,14 +336,7 @@ class FleetState:
         )
         sites, site_xyz = world.site_columns()
         powers, delays, loss = site_power_columns(
-            sites,
-            site_xyz,
-            devices,
-            positions,
-            tx_power,
-            chunk_rows=chunk_rows,
-            out_dtype=power_dtype,
-            return_loss=True,
+            sites, site_xyz, devices, positions, tx_power, return_loss=True
         )
         floors = np.array([SX1276_DEMOD_SNR_FLOOR_DB[int(s)] for s in sf])
         site_noise = np.array(
@@ -388,13 +368,7 @@ class FleetState:
         )
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: FleetSpec,
-        world: LoRaWanWorld,
-        chunk_rows: int | None = 262_144,
-        power_dtype: np.dtype | str | None = None,
-    ) -> "FleetState":
+    def from_spec(cls, spec: FleetSpec, world: LoRaWanWorld) -> "FleetState":
         """Materialize the columns straight from a :class:`FleetSpec`.
 
         No :class:`EndDevice` is ever constructed and no session key is
@@ -402,18 +376,13 @@ class FleetState:
         memoized evaluation broadcast across the fleet, and the
         device x site matrices stream through
         ``PathLossModel.loss_db_from_distance`` in bounded-memory
-        chunks.  The result is bitwise identical (at the default
-        float64) to ``from_world`` over ``spec.realize()`` devices --
-        pinned in ``tests/test_columnar.py``.
+        chunks.  The result is bitwise identical to ``from_world`` over
+        ``spec.realize()`` devices -- pinned in ``tests/test_columnar.py``.
 
         Args:
             spec: The fleet description.
             world: Supplies the gateway topology (sites, noise figures,
                 antenna gains); its device map is not consulted.
-            chunk_rows: Row-chunk size for the power/delay/loss
-                matrices; ``None`` builds them in one pass.
-            power_dtype: Storage dtype of the ``(n, n_sites)``
-                matrices; ``None`` keeps float64.
 
         Returns:
             A state whose rows follow ``spec.names`` order.
@@ -431,14 +400,7 @@ class FleetState:
         tx_power = np.full(n, float(spec.tx_power_dbm))
         sites, site_xyz = world.site_columns()
         powers, delays, loss = site_power_columns(
-            sites,
-            site_xyz,
-            None,
-            positions,
-            tx_power,
-            chunk_rows=chunk_rows,
-            out_dtype=power_dtype,
-            return_loss=True,
+            sites, site_xyz, None, positions, tx_power, return_loss=True
         )
         site_noise = np.array(
             [noise_floor_dbm(site.link.bandwidth_hz, site.link.noise_figure_db) for site in sites]
@@ -1099,30 +1061,7 @@ class ColumnarRuntime:
         self._pend_emission, self._pend_device, self._pend_air = [], [], []
         self._pend_sf, self._pend_fcnt, self._pend_ans = [], [], []
         self._pend_powers, self._pend_in_range, self._pend_delays = [], [], []
-        survives = np.ones_like(in_range)
-        if emission.size >= 2:
-
-            def resolve_cluster(cluster: np.ndarray) -> None:
-                """Resolve one overlap cluster into the survival matrix.
-
-                Clusters are disjoint row sets, so concurrent writes into
-                ``survives`` never touch the same rows and the result is
-                bitwise-identical at any thread count.
-                """
-                survives[cluster] = cluster_survival_matrix(
-                    emission[cluster, None] + delays[cluster],
-                    air[cluster],
-                    powers[cluster],
-                    sf[cluster],
-                    table,
-                )
-
-            clusters = [
-                cluster
-                for cluster in overlap_cluster_indices(emission, emission + air)
-                if cluster.size >= 2
-            ]
-            thread_map(resolve_cluster, clusters)
+        survives = window_survival(emission, air, delays, powers, sf, table)
         attacked = self._attacked_rows[devices] if self._attacked_rows.size else np.zeros(
             emission.size, dtype=bool
         )

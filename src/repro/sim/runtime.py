@@ -7,8 +7,8 @@ the world's timeline; this module holds the pieces it is built from:
    resolved *per gateway* by a :class:`CollisionChannel` (co-SF power
    capture plus the inter-SF quasi-orthogonality matrix for
    SF-heterogeneous fleets), using each gateway site's own received
-   powers; :func:`overlap_cluster_indices` and
-   :func:`cluster_survival_matrix` are its vectorized sweep;
+   powers; :func:`window_survival` is its vectorized sweep, shared
+   with the counters-mode flush;
 2. **link columns** -- :func:`site_power_columns` evaluates the
    per-(frame, site) received powers and propagation delays in one
    vectorized path-loss pass per gateway;
@@ -25,7 +25,6 @@ pre-ADR runtime (``tests/test_adr.py`` golden-pins this).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,13 +34,7 @@ from repro.analysis.metrics import ContentionStats
 from repro.constants import SPEED_OF_LIGHT_M_S
 from repro.core.softlora import SoftLoRaStatus
 from repro.errors import ConfigurationError
-from repro.parallel.intra import thread_map
-from repro.radio.channel import (
-    DEFAULT_CAPTURE_THRESHOLD_DB,
-    InterSfCaptureMatrix,
-    Transmission,
-    propagation_delay_s,
-)
+from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, InterSfCaptureMatrix
 from repro.sim.network import (
     EventKind,
     GatewaySite,
@@ -49,7 +42,10 @@ from repro.sim.network import (
     StagedTransmission,
     WorldEvent,
 )
-from repro.sim.traffic import AlohaChannel
+
+#: Device rows per slice of the power/delay/loss matrix build: bounds
+#: the build's temporary memory without changing a result bit.
+_CHUNK_ROWS = 262_144
 
 
 def overlap_cluster_indices(starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
@@ -78,10 +74,7 @@ def site_power_columns(
     dev_xyz: np.ndarray,
     tx_power_dbm: np.ndarray,
     *,
-    chunk_rows: int | None = None,
-    out_dtype: np.dtype | type | None = None,
     return_loss: bool = False,
-    n_threads: int | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Per-(frame, site) received powers and propagation delays.
 
@@ -92,6 +85,11 @@ def site_power_columns(
     ``None``, e.g. log-distance with shadowing) fall back to the scalar
     per-device call, which stays exact.
 
+    Device rows are processed in slices of ``_CHUNK_ROWS``, so the
+    temporaries stay bounded on million-device fleets.  Every operation
+    is elementwise, so the result is *bitwise* identical to a one-pass
+    build (``tests/test_columnar.py`` pins this).
+
     Args:
         sites: Gateway placements, as returned by ``world.site_columns()``.
         site_xyz: ``(n_sites, 3)`` site coordinates, same call.
@@ -101,73 +99,50 @@ def site_power_columns(
             :class:`ConfigurationError` instead of failing obscurely.
         dev_xyz: ``(n, 3)`` device coordinates, one row per staged frame.
         tx_power_dbm: ``(n,)`` per-frame transmit powers.
-        chunk_rows: When set, process the device rows in slices of at
-            most this many rows per site column, bounding the peak
-            temporary memory at ``O(chunk_rows)`` instead of ``O(n)``.
-            Every operation is elementwise, so the chunked result is
-            *bitwise* identical to the unchunked one
-            (``tests/test_columnar.py`` pins this).
-        out_dtype: Storage dtype of the returned matrices (default
-            float64).  Arithmetic always runs in float64 per chunk; a
-            float32 ``out_dtype`` only narrows the stored result, which
-            halves the footprint of a 1M-device x 8-gateway matrix.
         return_loss: Also return the raw per-(frame, site) path loss in
             dB -- callers that later retune transmit powers (ADR) can
             then rebuild a power row with the exact build-time
             arithmetic.
-        n_threads: Worker threads for the (site, row-chunk) tiles;
-            defaults to :func:`repro.parallel.intra_thread_count` (the
-            ``REPRO_INTRA_THREADS`` knob).  Tiles write disjoint output
-            slices and the arithmetic is elementwise, so any thread
-            count produces the *bitwise*-identical matrices.
 
     Returns:
-        ``(powers, delays)``, each ``(n, n_sites)`` -- plus ``loss`` of
-        the same shape when ``return_loss`` is set.
+        ``(powers, delays)``, each ``(n, n_sites)`` float64 -- plus
+        ``loss`` of the same shape when ``return_loss`` is set.
     """
     n = dev_xyz.shape[0]
-    dtype = np.float64 if out_dtype is None else np.dtype(out_dtype)
-    powers = np.empty((n, len(sites)), dtype=dtype)
-    delays = np.empty((n, len(sites)), dtype=dtype)
-    loss_out = np.empty((n, len(sites)), dtype=dtype) if return_loss else None
-    step = n if not chunk_rows else max(1, int(chunk_rows))
-
-    def fill_tile(tile: tuple[int, int]) -> None:
-        """Fill one (site column, row chunk) slice of the outputs."""
-        column, lo = tile
-        site = sites[column]
-        hi = min(lo + step, n)
+    powers = np.empty((n, len(sites)))
+    delays = np.empty((n, len(sites)))
+    loss_out = np.empty((n, len(sites))) if return_loss else None
+    for column, site in enumerate(sites):
         vectorized = getattr(site.link.pathloss, "loss_db_from_distance", None)
-        diff = dev_xyz[lo:hi] - site_xyz[column]
-        distance = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
-        loss = None
-        if vectorized is not None:
-            loss = vectorized(distance)
-        if loss is None:
-            if devices is None:
-                raise ConfigurationError(
-                    f"path-loss model {type(site.link.pathloss).__name__} has no "
-                    "vectorized distance-only form and no device objects exist "
-                    "to fall back on; use a closed-form model for spec-built fleets"
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            diff = dev_xyz[lo:hi] - site_xyz[column]
+            distance = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+            loss = None
+            if vectorized is not None:
+                loss = vectorized(distance)
+            if loss is None:
+                if devices is None:
+                    raise ConfigurationError(
+                        f"path-loss model {type(site.link.pathloss).__name__} has no "
+                        "vectorized distance-only form and no device objects exist "
+                        "to fall back on; use a closed-form model for spec-built fleets"
+                    )
+                loss = np.array(
+                    [
+                        site.link.pathloss.loss_db(device.position, site.position)
+                        for device in devices[lo:hi]
+                    ]
                 )
-            loss = np.array(
-                [
-                    site.link.pathloss.loss_db(device.position, site.position)
-                    for device in devices[lo:hi]
-                ]
+            powers[lo:hi, column] = (
+                tx_power_dbm[lo:hi]
+                + site.link.tx_antenna_gain_db
+                + site.link.rx_antenna_gain_db
+                - loss
             )
-        powers[lo:hi, column] = (
-            tx_power_dbm[lo:hi]
-            + site.link.tx_antenna_gain_db
-            + site.link.rx_antenna_gain_db
-            - loss
-        )
-        delays[lo:hi, column] = distance / SPEED_OF_LIGHT_M_S
-        if loss_out is not None:
-            loss_out[lo:hi, column] = loss
-
-    tiles = [(column, lo) for column in range(len(sites)) for lo in range(0, n, step)]
-    thread_map(fill_tile, tiles, n_threads=n_threads)
+            delays[lo:hi, column] = distance / SPEED_OF_LIGHT_M_S
+            if loss_out is not None:
+                loss_out[lo:hi, column] = loss
     if return_loss:
         return powers, delays, loss_out
     return powers, delays
@@ -210,6 +185,49 @@ def cluster_survival_matrix(
     return ~fatal.any(axis=1)
 
 
+def window_survival(
+    emission: np.ndarray,
+    airtime: np.ndarray,
+    delays: np.ndarray,
+    powers: np.ndarray,
+    spreading_factor: np.ndarray,
+    threshold_table: np.ndarray,
+) -> np.ndarray:
+    """Which (frame, site) receptions survive one event window.
+
+    Chains the window's frames into overlap clusters on emission times
+    (:func:`overlap_cluster_indices`), then resolves every multi-frame
+    cluster with :func:`cluster_survival_matrix` on the propagation-
+    shifted per-site arrival times.  Frames alone in their cluster
+    survive everywhere.
+
+    Args:
+        emission: ``(n,)`` emission times.
+        airtime: ``(n,)`` frame airtimes.
+        delays: ``(n, n_sites)`` propagation delays.
+        powers: ``(n, n_sites)`` received powers (dBm).
+        spreading_factor: ``(n,)`` integer SFs in 7..12.
+        threshold_table: The 6x6 grid from
+            :meth:`InterSfCaptureMatrix.threshold_table`.
+
+    Returns:
+        ``(n, n_sites)`` boolean survival matrix.
+    """
+    survives = np.ones(powers.shape, dtype=bool)
+    if emission.size < 2:
+        return survives
+    for cluster in overlap_cluster_indices(emission, emission + airtime):
+        if cluster.size >= 2:
+            survives[cluster] = cluster_survival_matrix(
+                emission[cluster, None] + delays[cluster],
+                airtime[cluster],
+                powers[cluster],
+                spreading_factor[cluster],
+                threshold_table,
+            )
+    return survives
+
+
 def replay_detected(event: WorldEvent) -> bool:
     """Did the defense flag this world event as a replay?
 
@@ -229,13 +247,13 @@ def replay_detected(event: WorldEvent) -> bool:
 class CollisionChannel:
     """Per-gateway collision/capture resolution for one event window.
 
-    Built on :class:`AlohaChannel`: every staged transmission is offered
-    to one channel per gateway site with the power *that site* receives,
-    so a frame lost in a collision under one gateway can still be
-    captured by another that hears the colliders at very different
-    powers.  Overlap clustering runs once on emission times (propagation
-    differences are microseconds against >=40 ms airtimes), so sparse
-    windows resolve in O(n log n) instead of O(n^2) pair checks.
+    Every staged transmission contends at each gateway site with the
+    power *that site* receives, so a frame lost in a collision under one
+    gateway can still be captured by another that hears the colliders at
+    very different powers.  Overlap clustering runs once on emission
+    times (propagation differences are microseconds against >=40 ms
+    airtimes), so sparse windows resolve in O(n log n) instead of
+    O(n^2) pair checks.
 
     SF-heterogeneous fleets contend through an
     :class:`~repro.radio.channel.InterSfCaptureMatrix`: cross-SF
@@ -253,115 +271,39 @@ class CollisionChannel:
         if self.capture_matrix is None:
             self.capture_matrix = InterSfCaptureMatrix(co_sf_db=self.capture_threshold_db)
 
-    def _overlap_clusters(self, staged: list[StagedTransmission]) -> list[list[int]]:
-        """Indices of staged transmissions chained by airtime overlap."""
-        order = sorted(range(len(staged)), key=lambda i: staged[i].transmission.emission_time_s)
-        clusters: list[list[int]] = []
-        cluster_end = -math.inf
-        for i in order:
-            tx = staged[i].transmission
-            if tx.emission_time_s < cluster_end:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-            cluster_end = max(cluster_end, tx.end_time_s)
-        return clusters
-
     def surviving_sites(
         self, world: LoRaWanWorld, staged: list[StagedTransmission]
     ) -> dict[int, set[int]]:
         """Map each staged index to the site indices where it survives.
 
-        One sorted-interval sweep clusters the window's emissions, then
-        every multi-frame cluster resolves all (frame, site) fates in a
-        single broadcast against the capture-threshold table -- no
-        per-site :class:`AlohaChannel` objects, no per-pair Python
-        calls.  :meth:`surviving_sites_reference` keeps the original
-        object-per-frame loop as the property-test oracle; the two
-        agree except where a received-power comparison lands within
-        ~1 ulp of the capture threshold (``np.log10`` vs
-        ``math.log10`` in the path-loss evaluation).
+        Resolves the window through :func:`window_survival` and turns
+        its survival matrix into per-frame site sets.
+        ``tests/test_collision_vectorized.py`` pins it against an
+        object-per-frame :class:`AlohaChannel` loop; the two agree
+        except where a received-power comparison lands within ~1 ulp of
+        the capture threshold (``np.log10`` vs ``math.log10`` in the
+        path-loss evaluation).
         """
         sites, site_xyz = world.site_columns()
         mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}
         if len(staged) < 2:
             return mask
-        emission = np.array([item.transmission.emission_time_s for item in staged])
-        airtime = np.array([item.transmission.airtime_s for item in staged])
-        clusters = [
-            cluster
-            for cluster in overlap_cluster_indices(emission, emission + airtime)
-            if cluster.size >= 2
-        ]
-        if not clusters:
-            return mask
-        spreading_factor = np.array(
-            [item.transmission.spreading_factor for item in staged], dtype=np.int64
-        )
-        tx_power = np.array([item.transmission.tx_power_dbm for item in staged])
         devices = [world.devices[item.device_name] for item in staged]
         dev_xyz = np.array(
             [[device.position.x, device.position.y, device.position.z] for device in devices]
         )
+        tx_power = np.array([item.transmission.tx_power_dbm for item in staged])
         powers, delays = site_power_columns(sites, site_xyz, devices, dev_xyz, tx_power)
-        table = self.capture_matrix.threshold_table()
-
-        def resolve_cluster(cluster: np.ndarray) -> np.ndarray:
-            """Capture fates for one overlap cluster's (frame, site) grid."""
-            return cluster_survival_matrix(
-                emission[cluster, None] + delays[cluster],
-                airtime[cluster],
-                powers[cluster],
-                spreading_factor[cluster],
-                table,
-            )
-
-        # Clusters are disjoint, so their survival matrices compute
-        # independently on threads; the mask update stays serial (and
-        # ordered) because it mutates shared Python sets.
-        for cluster, survives in zip(clusters, thread_map(resolve_cluster, clusters)):
-            for row, site_index in zip(*np.nonzero(~survives)):
-                mask[int(cluster[row])].discard(int(site_index))
-        return mask
-
-    def surviving_sites_reference(
-        self, world: LoRaWanWorld, staged: list[StagedTransmission]
-    ) -> dict[int, set[int]]:
-        """The original per-cluster, per-site loop (property-test oracle).
-
-        Semantically identical to :meth:`surviving_sites` but built on
-        scalar :class:`AlohaChannel` resolution -- kept as the reference
-        implementation the hypothesis equivalence tests compare the
-        vectorized sweep against.
-        """
-        sites = world.sites
-        mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}
-        for cluster in self._overlap_clusters(staged):
-            if len(cluster) < 2:
-                continue
-            for site_index, site in enumerate(sites):
-                channel = AlohaChannel(
-                    capture_threshold_db=self.capture_threshold_db,
-                    capture_matrix=self.capture_matrix,
-                )
-                for index in cluster:
-                    device = world.devices[staged[index].device_name]
-                    tx = staged[index].transmission
-                    channel.offer(
-                        Transmission(
-                            sender=f"{index}:{staged[index].device_name}",
-                            start_time_s=tx.emission_time_s
-                            + propagation_delay_s(device.position, site.position),
-                            airtime_s=tx.airtime_s,
-                            rx_power_dbm=site.link.rx_power_dbm(
-                                tx.tx_power_dbm, device.position, site.position
-                            ),
-                            spreading_factor=tx.spreading_factor,
-                        )
-                    )
-                for index, outcome in zip(cluster, channel.resolve()):
-                    if not outcome.delivered:
-                        mask[index].discard(site_index)
+        survives = window_survival(
+            np.array([item.transmission.emission_time_s for item in staged]),
+            np.array([item.transmission.airtime_s for item in staged]),
+            delays,
+            powers,
+            np.array([item.transmission.spreading_factor for item in staged], dtype=np.int64),
+            self.capture_matrix.threshold_table(),
+        )
+        for row, site_index in zip(*np.nonzero(~survives)):
+            mask[int(row)].discard(int(site_index))
         return mask
 
 

@@ -2,13 +2,15 @@
 
 :meth:`CollisionChannel.surviving_sites` resolves a window's contention
 as one sorted-interval sweep plus a broadcast capture-matrix pass;
-:meth:`CollisionChannel.surviving_sites_reference` keeps the original
+:func:`surviving_sites_reference` below keeps the original
 object-per-frame loop as the oracle.  Hypothesis drives both over
 SF-heterogeneous clusters, capture-edge power ties (discrete power and
 position grids, mirrored geometry), 1..3 gateway sites, and path-loss
 models with and without a vectorized distance-only form (the latter
 exercising the scalar fallback inside ``site_power_columns``).
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,9 +20,64 @@ from repro.lorawan.device import UplinkTransmission
 from repro.phy.airtime import airtime_s
 from repro.radio.geometry import Position
 from repro.radio.pathloss import FixedPathLoss, LogDistancePathLoss
-from repro.radio.channel import LinkBudget
+from repro.radio.channel import LinkBudget, Transmission, propagation_delay_s
 from repro.sim.network import GatewaySite, StagedTransmission
 from repro.sim.runtime import CollisionChannel
+from repro.sim.traffic import AlohaChannel
+
+
+def _overlap_clusters(staged: list[StagedTransmission]) -> list[list[int]]:
+    """Indices of staged transmissions chained by airtime overlap."""
+    order = sorted(range(len(staged)), key=lambda i: staged[i].transmission.emission_time_s)
+    clusters: list[list[int]] = []
+    cluster_end = -math.inf
+    for i in order:
+        tx = staged[i].transmission
+        if tx.emission_time_s < cluster_end:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+        cluster_end = max(cluster_end, tx.end_time_s)
+    return clusters
+
+
+def surviving_sites_reference(
+    channel: CollisionChannel, world, staged: list[StagedTransmission]
+) -> dict[int, set[int]]:
+    """The original per-cluster, per-site loop (property-test oracle).
+
+    Semantically identical to :meth:`CollisionChannel.surviving_sites`
+    but built on scalar :class:`AlohaChannel` resolution.
+    """
+    sites = world.sites
+    mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}
+    for cluster in _overlap_clusters(staged):
+        if len(cluster) < 2:
+            continue
+        for site_index, site in enumerate(sites):
+            aloha = AlohaChannel(
+                capture_threshold_db=channel.capture_threshold_db,
+                capture_matrix=channel.capture_matrix,
+            )
+            for index in cluster:
+                device = world.devices[staged[index].device_name]
+                tx = staged[index].transmission
+                aloha.offer(
+                    Transmission(
+                        sender=f"{index}:{staged[index].device_name}",
+                        start_time_s=tx.emission_time_s
+                        + propagation_delay_s(device.position, site.position),
+                        airtime_s=tx.airtime_s,
+                        rx_power_dbm=site.link.rx_power_dbm(
+                            tx.tx_power_dbm, device.position, site.position
+                        ),
+                        spreading_factor=tx.spreading_factor,
+                    )
+                )
+            for index, outcome in zip(cluster, aloha.resolve()):
+                if not outcome.delivered:
+                    mask[index].discard(site_index)
+    return mask
 
 
 class OpaquePathLoss:
@@ -125,7 +182,7 @@ def test_vectorized_sweep_matches_reference(site_specs, frames, pathloss_kind, t
     world, staged = _build_case(site_specs, frames, pathloss_kind)
     channel = CollisionChannel(capture_threshold_db=threshold)
     fast = channel.surviving_sites(world, staged)
-    slow = channel.surviving_sites_reference(world, staged)
+    slow = surviving_sites_reference(channel, world, staged)
     assert fast == slow
 
 
@@ -151,6 +208,6 @@ def test_mirrored_tie_matches_reference(sf_pair, overlap_half_slots):
     ]
     world, staged = _build_case(site_specs, frames, "logdistance")
     channel = CollisionChannel(capture_threshold_db=6.0)
-    assert channel.surviving_sites(world, staged) == channel.surviving_sites_reference(
-        world, staged
+    assert channel.surviving_sites(world, staged) == surviving_sites_reference(
+        channel, world, staged
     )

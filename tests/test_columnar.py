@@ -554,22 +554,16 @@ class TestFleetSpec:
             with pytest.raises(ConfigurationError):
                 build_fleet_spec(**kwargs)
 
-    def test_chunked_power_matrix_bitwise_equal(self):
+    def test_chunked_power_matrix_bitwise_equal(self, monkeypatch):
         spec = FleetSpec(n_devices=11, ring_radius_m=300.0, seed=2)
         world = self._world()
-        whole = FleetState.from_spec(spec, world, chunk_rows=None)
-        chunked = FleetState.from_spec(spec, world, chunk_rows=3)
+        whole = FleetState.from_spec(spec, world)
+        # 11 rows in slices of 3 leave a short last chunk.
+        monkeypatch.setattr("repro.sim.runtime._CHUNK_ROWS", 3)
+        chunked = FleetState.from_spec(spec, world)
         for name in ("powers_dbm", "delays_s", "loss_db", "in_range"):
             assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
-        assert whole.powers_dbm.dtype == chunked.powers_dbm.dtype
-
-    def test_float32_power_storage(self):
-        spec = FleetSpec(n_devices=9, ring_radius_m=250.0, seed=3)
-        world = self._world()
-        narrow = FleetState.from_spec(spec, world, power_dtype=np.float32)
-        wide = FleetState.from_spec(spec, world)
-        assert narrow.powers_dbm.dtype == np.float32
-        assert np.allclose(narrow.powers_dbm, wide.powers_dbm, atol=1e-3)
+        assert whole.powers_dbm.dtype == chunked.powers_dbm.dtype == np.float64
 
     def test_spec_state_drives_counters_on_device_less_world(self):
         spec = FleetSpec(n_devices=50, ring_radius_m=400.0, seed=8)

@@ -1,8 +1,8 @@
 """Tests for the repro.parallel layer: pools and scheduling.
 
 The load-bearing guarantee is pinned here: worker count, chunk plan,
-work-stealing order, pool warmth, and intra-kernel thread count change
-wall-clock only -- never a single result bit.
+work-stealing order, and pool warmth change wall-clock only -- never a
+single result bit.
 """
 
 import importlib
@@ -12,14 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import SweepExecutor, SweepPoint
-from repro.parallel import (
-    WorkerPool,
-    default_pool,
-    intra_thread_count,
-    plan_chunks,
-    set_intra_threads,
-    thread_map,
-)
+from repro.parallel import WorkerPool, default_pool, intra_thread_count, plan_chunks
 from repro.sim.rng import RngStreams
 
 
@@ -67,26 +60,12 @@ class TestPlanChunks:
             plan_chunks([1.0], n_workers=1, chunks_per_worker=0)
 
 
-class TestThreadMap:
-    def test_results_stay_ordered(self):
-        items = list(range(40))
-        assert thread_map(lambda x: x * x, items, n_threads=4) == [x * x for x in items]
-
-    def test_serial_fallback(self):
-        assert thread_map(lambda x: -x, [5], n_threads=8) == [-5]
-        assert thread_map(lambda x: -x, [1, 2], n_threads=1) == [-1, -2]
-
-    def test_env_knob_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INTRA_THREADS", "3")
-        assert intra_thread_count() == 3
-        set_intra_threads(5)
-        try:
-            assert intra_thread_count() == 5
-        finally:
-            set_intra_threads(None)
-        monkeypatch.setenv("REPRO_INTRA_THREADS", "zero")
-        with pytest.raises(ConfigurationError):
-            intra_thread_count()
+class TestIntraThreadCount:
+    def test_env_override_is_ignored(self, monkeypatch):
+        # The columnar kernels are serial and never read the variable.
+        for value in ("4", "zero"):
+            monkeypatch.setenv("REPRO_INTRA_THREADS", value)
+            assert intra_thread_count() == 1
 
 
 class TestWorkerPool:
@@ -182,68 +161,3 @@ class TestBitwiseDeterminism:
         second = executor.run(points, measure_key_noise, point_seed=7)
         assert second.transport.pool_reused
         assert first.measurements == second.measurements
-
-
-class TestIntraKernelThreads:
-    def test_site_power_columns_bitwise_at_any_thread_count(self):
-        from repro.sim.runtime import site_power_columns
-
-        class _Loss:
-            def loss_db_from_distance(self, distance):
-                return 40.0 + 30.0 * np.log10(np.maximum(distance, 1.0))
-
-        class _Link:
-            pathloss = _Loss()
-            tx_antenna_gain_db = 2.0
-            rx_antenna_gain_db = 3.0
-
-        class _Site:
-            link = _Link()
-            position = None
-
-        rng = np.random.default_rng(7)
-        dev_xyz = rng.uniform(-1000.0, 1000.0, (997, 3))
-        site_xyz = rng.uniform(-500.0, 500.0, (3, 3))
-        tx = rng.uniform(2.0, 14.0, 997)
-        sites = [_Site() for _ in range(3)]
-        base = site_power_columns(sites, site_xyz, None, dev_xyz, tx, chunk_rows=128)
-        for n_threads in (2, 5):
-            out = site_power_columns(
-                sites, site_xyz, None, dev_xyz, tx, chunk_rows=128, n_threads=n_threads
-            )
-            for got, want in zip(out, base):
-                assert np.array_equal(got, want)
-
-    def test_intra_threads_do_not_change_columnar_counters(self):
-        from repro.experiments.fleet_scale import FleetScaleParams, measure_fleet_cell
-        from repro.server.fusion import FusionPolicy
-
-        params = FleetScaleParams(
-            clean_rounds=2,
-            attack_rounds=1,
-            attack_fraction=0.2,
-            attack_delay_s=120.0,
-            fusion=FusionPolicy.INVERSE_VARIANCE,
-            spreading_factor=7,
-            area_radius_m=1500.0,
-            gateway_ring_m=700.0,
-            pathloss_exponent=3.4,
-            seed=2020,
-            period_s=600.0,
-            jitter_s=60.0,
-            window_s=30.0,
-            mode="counters",
-        )
-        point = SweepPoint(key=(2, 50))
-
-        def run_cell():
-            cell = measure_fleet_cell(point, 0, None, None, params=params)
-            return (cell.uplink_attempts, cell.collision_rate, cell.delivery_rate)
-
-        set_intra_threads(1)
-        try:
-            base = run_cell()
-            set_intra_threads(4)
-            assert run_cell() == base
-        finally:
-            set_intra_threads(None)
