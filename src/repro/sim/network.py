@@ -331,20 +331,35 @@ class LoRaWanWorld:
             else:
                 direct.append((index, name, tx, snr, arrival))
 
-        if direct:
+        # Every attack executes before the window's one FB-measurement
+        # draw: the attack rng is its own stream, so the world rng sees
+        # the direct deliveries' and the replays' FB noise interleaved in
+        # staged order, and measure_batch is elementwise identical to the
+        # per-frame measure calls it replaces.
+        outcomes = {
+            index: self.attack.execute(tx, self.attack_delay_s)
+            for index, _, tx, _, _, _ in attacked
+        }
+        measured = sorted(
+            [(index, tx.fb_hz, snr, tx.spreading_factor) for index, _, tx, snr, _ in direct]
+            + [
+                (index, outcomes[index].replayed.fb_hz, snr, tx.spreading_factor)
+                for index, _, tx, snr, _, _ in attacked
+            ]
+        )
+        fb_of: dict[int, float] = {}
+        if measured:
             fbs = self.fb_model.measure_batch(
-                np.array([tx.fb_hz for _, _, tx, _, _ in direct]),
-                np.array([snr for _, _, _, snr, _ in direct]),
+                np.array([fb for _, fb, _, _ in measured]),
+                np.array([snr for _, _, snr, _ in measured]),
                 self.rng,
-                spreading_factors=np.array(
-                    [tx.spreading_factor for _, _, tx, _, _ in direct]
-                ),
+                spreading_factors=np.array([sf for _, _, _, sf in measured]),
             )
+            fb_of = {index: float(fb) for (index, _, _, _), fb in zip(measured, fbs)}
+
+        if direct:
             receptions = self.gateway.process_frame_batch(
-                [
-                    (tx.mac_bytes, arrival, float(fb))
-                    for (_, _, tx, _, arrival), fb in zip(direct, fbs)
-                ]
+                [(tx.mac_bytes, arrival, fb_of[index]) for index, _, tx, _, arrival in direct]
             )
             for (index, name, tx, snr, arrival), reception in zip(direct, receptions):
                 primary[index] = WorldEvent(
@@ -357,49 +372,30 @@ class LoRaWanWorld:
                 )
 
         suppressed_events: dict[int, WorldEvent] = {}
-        if attacked:
-            # One batched FB draw for the window's replays, mirroring the
-            # direct path.  The attack rng is its own stream, so running
-            # every execute() before the measurement batch keeps both
-            # streams' draw orders: the world rng still sees the replays'
-            # FB noise in staged order, and measure_batch is elementwise
-            # identical to the per-frame measure calls it replaces.
-            outcomes = [
-                self.attack.execute(tx, self.attack_delay_s) for _, _, tx, _, _, _ in attacked
-            ]
-            replay_fbs = self.fb_model.measure_batch(
-                np.array([outcome.replayed.fb_hz for outcome in outcomes]),
-                np.array([snr for _, _, _, snr, _, _ in attacked]),
-                self.rng,
-                spreading_factors=np.array(
-                    [tx.spreading_factor for _, _, tx, _, _, _ in attacked]
-                ),
+        for index, name, tx, snr, delay, arrival in attacked:
+            outcome = outcomes[index]
+            suppressed_events[index] = WorldEvent(
+                kind=EventKind.SUPPRESSED_BY_JAMMING,
+                time_s=arrival,
+                device_name=name,
+                snr_db=snr,
+                transmission=tx,
+                detail=f"jam outcome: {outcome.jam_outcome.value}",
+                metadata={"attack": outcome},
             )
-            for (index, name, tx, snr, delay, arrival), outcome, fb_measured in zip(
-                attacked, outcomes, replay_fbs
-            ):
-                suppressed_events[index] = WorldEvent(
-                    kind=EventKind.SUPPRESSED_BY_JAMMING,
-                    time_s=arrival,
-                    device_name=name,
-                    snr_db=snr,
-                    transmission=tx,
-                    detail=f"jam outcome: {outcome.jam_outcome.value}",
-                    metadata={"attack": outcome},
-                )
-                replay_arrival = outcome.replayed.arrival_time_s + delay
-                reception = self.gateway.process_frame(
-                    outcome.replayed.mac_bytes, replay_arrival, float(fb_measured)
-                )
-                primary[index] = WorldEvent(
-                    kind=EventKind.REPLAY_DELIVERED,
-                    time_s=replay_arrival,
-                    device_name=name,
-                    snr_db=snr,
-                    transmission=tx,
-                    reception=reception,
-                    metadata={"attack": outcome},
-                )
+            replay_arrival = outcome.replayed.arrival_time_s + delay
+            reception = self.gateway.process_frame(
+                outcome.replayed.mac_bytes, replay_arrival, fb_of[index]
+            )
+            primary[index] = WorldEvent(
+                kind=EventKind.REPLAY_DELIVERED,
+                time_s=replay_arrival,
+                device_name=name,
+                snr_db=snr,
+                transmission=tx,
+                reception=reception,
+                metadata={"attack": outcome},
+            )
 
         ordered = []
         for index in range(len(staged)):

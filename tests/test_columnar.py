@@ -94,10 +94,10 @@ def _traffic(streams, period_s, jitter_s):
 GOLDEN_SINGLE_GW = "5d56de6cb46619a949a6c53d50a8b2020efef823568216fc441ae1c0bc4f2406"
 GOLDEN_FUSED = "170cd02c39980cf2c5c21564d49d38c20c1e8e05f18d1081377d0ad624bd982d"
 GOLDEN_ADR = "f9a38fc702e31c1eaf38bf90cb3dbfe3688a6ce0dec219d09a84f25596164468"
-#: Single-gateway serverless attack phases: pins the batched replay-FB
-#: measurement path in ``network._deliver_single`` (one batch draw per
-#: window) to the stream the per-replay scalar draws produced.
-GOLDEN_ATTACK_SINGLE_GW = "1c7b2a40cd70d197f8ec67727f92b9e58019d581dafc328cdf8479223e6b7666"
+#: Single-gateway attack phases: pins the window's one FB-measurement
+#: draw, direct deliveries and replays interleaved in staged order (the
+#: order the fused path draws in).
+GOLDEN_ATTACK_SINGLE_GW = "6dd11ea55564990947374f69079892b4036585d371e5f507f1cf085ba7af0636"
 #: Fused multi-gateway clean + attack phases and a device-subset phase,
 #: recorded where the heap-driven and time-wheel runtimes both produced
 #: them.
