@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attack.jammer import JammingOutcome
-from repro.core.softlora import SoftLoRaStatus
+from repro.server import ServerStatus
 from repro.experiments.attack_e2e import run_attack_e2e
 
 
@@ -27,4 +27,4 @@ def test_sec81_full_attack(benchmark):
     assert result.replay_within_linear_range
     assert not result.monitor_can_hear_replay
     # SoftLoRa's FB check flags the replay.
-    assert result.softlora_status is SoftLoRaStatus.REPLAY_DETECTED
+    assert result.softlora_status is ServerStatus.REPLAY_DETECTED

@@ -2,8 +2,8 @@
 """A 16-node fleet under attack: run-time FB learning and detection.
 
 Simulates a monitoring deployment like the paper's Fig. 13 fleet: 16
-devices report every minute; the SoftLoRa gateway learns each node's
-frequency-bias profile from clean traffic, then a frame delay attacker
+devices report every minute; the network server behind the SoftLoRa
+gateway learns each node's frequency-bias profile from clean traffic, then a frame delay attacker
 starts targeting four of the nodes.  Prints the learned FB database and
 the per-node detection outcome.
 
@@ -11,8 +11,7 @@ Run:  python examples/fleet_monitoring.py
 """
 
 from repro.attack import FrameDelayAttack, Replayer, StealthyJammer
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
@@ -27,14 +26,8 @@ def main() -> None:
     streams = RngStreams(16)
     devices = build_fleet(n_devices=16, streams=streams)
     config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-    commodity = CommodityGateway()
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
-    )
     world = LoRaWanWorld(
-        gateway=gateway,
+        gateway=SoftLoRaGateway(config=config, commodity=CommodityGateway()),
         gateway_position=Position(0.0, 0.0, 1.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
         rng=streams.stream("world"),
@@ -42,7 +35,7 @@ def main() -> None:
     for device in devices:
         world.add_device(device)
 
-    # Phase 1: four rounds of clean traffic -- the gateway learns profiles.
+    # Phase 1: four rounds of clean traffic -- the server learns profiles.
     period = 60.0
     for round_index in range(4):
         for device in devices:
@@ -50,7 +43,7 @@ def main() -> None:
             world.uplink(device.name, 6.0 + round_index * period)
 
     print("learned FB profiles after 4 clean rounds:")
-    db = gateway.replay_detector.database
+    db = world.server.detector.database
     for node_id in db.known_nodes():
         estimates = db.estimates(node_id)
         print(f"  {node_id}: mean {sum(estimates) / len(estimates) / 1e3:+.2f} kHz "
@@ -70,9 +63,9 @@ def main() -> None:
         for device in devices:
             device.take_reading(100.0 + round_index, 5.0 + round_index * period)
             event = world.uplink(device.name, 6.0 + round_index * period)
-            if event.reception is None:
+            if event.verdict is None:
                 continue
-            flagged = event.reception.status is SoftLoRaStatus.REPLAY_DETECTED
+            flagged = event.verdict.attack_detected
             if event.kind is EventKind.REPLAY_DELIVERED:
                 detected += flagged
                 missed += not flagged
@@ -85,8 +78,8 @@ def main() -> None:
           f"{sum(1 for e in world.events if e.kind is EventKind.DELIVERED)} legitimate frames")
     print("\nper-node verdicts in the last round:")
     for event in world.events[-16:]:
-        if event.reception is not None:
-            print(f"  {event.device_name:8s} -> {event.reception.status.value}")
+        if event.verdict is not None:
+            print(f"  {event.device_name:8s} -> {event.verdict.status.value}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ Run:  python examples/fleet_runtime.py
 """
 
 from repro.attack import FrameDelayAttack, Replayer, StealthyJammer
-from repro.core.detector import FbDatabase, ReplayDetector
 from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
@@ -47,13 +46,8 @@ def main() -> None:
     streams = RngStreams(500)
     devices = build_fleet(n_devices=N_DEVICES, streams=streams, ring_radius_m=400.0)
     config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=CommodityGateway(),
-        replay_detector=ReplayDetector(database=FbDatabase()),
-    )
     world = LoRaWanWorld(
-        gateway=gateway,
+        gateway=SoftLoRaGateway(config=config, commodity=CommodityGateway()),
         gateway_position=Position(0.0, 0.0, 15.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
         rng=streams.stream("world"),
@@ -61,7 +55,7 @@ def main() -> None:
     profile_rng = streams.stream("profiles")
     for device in devices:
         world.add_device(device)
-        gateway.bootstrap_fb_profile(
+        world.server.bootstrap_fb_profile(
             device.dev_addr,
             [device.fb_hz + float(e) for e in profile_rng.normal(0.0, 15.0, 5)],
         )

@@ -10,9 +10,9 @@ Reproduces the paper's core narrative (Secs. 4, 7, 8.1.1):
    valid, frame counter fresh;
 4. a commodity gateway accepts the replay and mis-timestamps every
    reading by τ;
-5. the SoftLoRa gateway estimates the replay's frequency bias, sees it
-   deviate from the device's profile by the replay chain's offset, and
-   drops the frame.
+5. the SoftLoRa gateway forwards the replay's frequency bias; its network
+   server sees it deviate from the device's profile by the replay
+   chain's offset, and drops the frame.
 
 Run:  python examples/frame_delay_attack.py
 """
@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.attack import Eavesdropper, FrameDelayAttack, Replayer, StealthyJammer
 from repro.sdr.receiver import SdrReceiver
+from repro.server import FusionPolicy, GatewayForward, NetworkServer
 
 
 def main() -> None:
@@ -51,10 +52,10 @@ def main() -> None:
     # Two gateways watch the same channel: a commodity one and SoftLoRa.
     naive = CommodityGateway(name="commodity")
     naive.register_device(dev_addr, keys)
-    softlora_commodity = CommodityGateway(name="softlora-side")
-    softlora_commodity.register_device(dev_addr, keys)
-    softlora = SoftLoRaGateway(config=config, commodity=softlora_commodity)
-    softlora.bootstrap_fb_profile(dev_addr, [device.fb_hz + e for e in (-20.0, 5.0, 30.0)])
+    softlora = SoftLoRaGateway(config=config, commodity=CommodityGateway(name="softlora-side"))
+    server = NetworkServer(mac=softlora.commodity, fusion=FusionPolicy.BEST_SNR)
+    server.register_device(dev_addr, keys)
+    server.bootstrap_fb_profile(dev_addr, [device.fb_hz + e for e in (-20.0, 5.0, 30.0)])
 
     # The adversary: jammer + eavesdropper + single-USRP replayer.
     attack = FrameDelayAttack(
@@ -90,8 +91,9 @@ def main() -> None:
           f"spoofed by {spoofed.global_time_s - t_event:+.1f} s)")
 
     # SoftLoRa checks the frequency bias first.
-    softlora_view = softlora.process_frame(
-        outcome.replayed.mac_bytes, outcome.replayed.arrival_time_s, outcome.replayed.fb_hz
+    replay = outcome.replayed
+    (softlora_view,) = server.process_step(
+        [GatewayForward("gw-0", replay.mac_bytes, replay.arrival_time_s, replay.fb_hz, 10.0)]
     )
     print(f"\nSoftLoRa gateway: {softlora_view.status.value}")
     print(f"  {softlora_view.detail}")

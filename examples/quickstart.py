@@ -6,10 +6,10 @@ Walks the full pipeline of the paper on a synthetic capture:
 1. an end device (drifting clock, biased radio crystal) buffers two
    sensor readings and transmits them with compact elapsed-time fields;
 2. the SDR front end captures the frame at complex baseband with noise;
-3. SoftLoRa timestamps the PHY onset (AIC), estimates the transmitter's
-   frequency bias (least squares), demodulates and MIC-checks the frame,
-   verifies the FB against the device's profile, and reconstructs global
-   timestamps for both readings.
+3. the SoftLoRa gateway timestamps the PHY onset (AIC), estimates the
+   transmitter's frequency bias (least squares) and demodulates the frame;
+4. the network server MIC-checks the frame, verifies the FB against the
+   device's profile, and reconstructs global timestamps for both readings.
 
 Run:  python examples/quickstart.py
 """
@@ -27,6 +27,7 @@ from repro import (
     SoftLoRaGateway,
 )
 from repro.sdr.noise import complex_awgn, noise_power_for_snr
+from repro.server import FusionPolicy, NetworkServer
 
 
 def main() -> None:
@@ -48,12 +49,12 @@ def main() -> None:
     print(f"device radio frequency bias: {device.fb_hz / 1e3:+.2f} kHz "
           f"({device.fb_hz / 869.75e6 * 1e6:+.1f} ppm of the carrier)")
 
-    # --- the SoftLoRa gateway -------------------------------------------------
-    commodity = CommodityGateway()
-    commodity.register_device(dev_addr, keys)
-    gateway = SoftLoRaGateway(config=config, commodity=commodity)
+    # --- the SoftLoRa gateway and its network server ---------------------------
+    gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
+    server = NetworkServer(mac=gateway.commodity, fusion=FusionPolicy.BEST_SNR)
+    server.register_device(dev_addr, keys)
     # Offline FB profile (could equally be learned from clean traffic).
-    gateway.bootstrap_fb_profile(dev_addr, [device.fb_hz + e for e in (-25.0, 0.0, 25.0)])
+    server.bootstrap_fb_profile(dev_addr, [device.fb_hz + e for e in (-25.0, 0.0, 25.0)])
 
     # --- sensing and transmission ----------------------------------------------
     t_reading_1, t_reading_2 = 1000.0, 1030.0
@@ -81,15 +82,16 @@ def main() -> None:
     print(f"capture: {len(trace)} samples at {snr_db:.0f} dB SNR")
 
     # --- the SoftLoRa pipeline ---------------------------------------------------
-    reception = gateway.process_capture(trace, noise_power=noise_power)
-    print(f"\nreception status : {reception.status.value}")
-    print(f"PHY timestamp    : {reception.phy_timestamp_s:.9f} s "
-          f"(error {(reception.phy_timestamp_s - uplink.emission_time_s) * 1e6:+.2f} µs)")
-    print(f"estimated FB     : {reception.fb_hz / 1e3:+.3f} kHz "
+    forward = gateway.process_capture(trace, "gw-0", snr_db, noise_power=noise_power)
+    (verdict,) = server.process_step([forward])
+    print(f"\nreception status : {verdict.status.value}")
+    print(f"PHY timestamp    : {forward.arrival_time_s:.9f} s "
+          f"(error {(forward.arrival_time_s - uplink.emission_time_s) * 1e6:+.2f} µs)")
+    print(f"estimated FB     : {forward.fb_hz / 1e3:+.3f} kHz "
           f"(true {device.fb_hz / 1e3:+.3f} kHz)")
-    print(f"replay check     : {reception.replay_check.reason}")
+    print(f"replay check     : {verdict.detection.reason}")
     print("\nreconstructed timestamps (sync-free):")
-    for reading, truth in zip(reception.readings, (t_reading_1, t_reading_2)):
+    for reading, truth in zip(verdict.readings, (t_reading_1, t_reading_2)):
         print(f"  value {reading.value:6.1f}  at t={reading.global_time_s:10.3f} s "
               f"(true {truth:10.3f} s, error {(reading.global_time_s - truth) * 1e3:+.2f} ms)")
     print("\nno clock synchronization ran on the device; the gateway alone "

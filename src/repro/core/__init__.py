@@ -37,7 +37,7 @@ from repro.core.timestamping import (
 # device/gateway modules themselves use core.timestamping.  Re-export it
 # lazily (PEP 562) so importing a core submodule does not recurse through
 # the lorawan package.
-_LAZY_SOFTLORA = ("SoftLoRaGateway", "SoftLoRaReception", "SoftLoRaStatus")
+_LAZY_SOFTLORA = ("SoftLoRaGateway",)
 
 
 def __getattr__(name: str):
@@ -60,7 +60,6 @@ __all__ = [
     "OnsetResult",
     "ReplayDetector",
     "SoftLoRaGateway",
-    "SoftLoRaReception",
     "SpectrogramOnsetDetector",
     "SyncFreeTimestamper",
     "TimestampedReading",

@@ -1,207 +1,106 @@
-"""The SoftLoRa gateway (paper Sec. 5): secure sync-free timestamping.
+"""The SoftLoRa gateway (paper Sec. 5): the SDR front end.
 
-Ties the whole pipeline together, mirroring Fig. 4's software
-architecture: a capture from the SDR receiver is (1) PHY-timestamped with
-the AIC onset detector, (2) FB-estimated from the second preamble chirp,
-(3) demodulated (the commodity chip's role) and MIC/counter-checked, then
-(4) the estimated FB is checked against the claimed source's history;
-replays are flagged and never used for data timestamping, and flagged FBs
-never update the history.
+Mirrors Fig. 4's software architecture.  A capture from the SDR receiver
+is (1) PHY-timestamped with the AIC onset detector, (2) FB-estimated from
+the second preamble chirp and (3) demodulated.  What comes out is a
+:class:`repro.server.GatewayForward`: the raw frame plus the SDR's
+measurements.  The verdict belongs to a :class:`repro.server.NetworkServer`.
+It checks MIC and frame counter once per uplink, checks the FB against
+the claimed source's history, flags replays (which are never used for
+data timestamping) and keeps flagged FBs out of the history.
 
-Four entry points:
+Two entry points:
 
-* :meth:`SoftLoRaGateway.process_capture` -- full waveform path: every
-  number is produced by actual signal processing on I/Q samples;
-* :meth:`SoftLoRaGateway.process_batch` -- the same waveform path over a
+* :meth:`SoftLoRaGateway.process_capture` -- one capture; every number
+  is produced by actual signal processing on I/Q samples;
+* :meth:`SoftLoRaGateway.process_batch` -- the same chain over a
   :class:`repro.pipeline.CaptureBatch`: onset detection, PHY
   timestamping, chirp slicing and FB estimation run as vectorized stages
-  over the whole batch (the fleet hot path); demodulation and the
-  stateful MAC/replay checks then run per capture in arrival order;
-* :meth:`SoftLoRaGateway.process_frame` -- frame-level path for large
-  fleet simulations: arrival time and measured FB are supplied (e.g. the
-  true FB plus calibrated estimation noise), skipping the DSP;
-* :meth:`SoftLoRaGateway.process_frame_batch` -- many frame-level
-  receptions in arrival order, the entry :mod:`repro.sim.network` uses
-  for fleet steps.
+  over the whole batch; demodulation then runs per capture.
 
-In a multi-gateway deployment the gateway instead acts as a *forwarder*:
-:meth:`SoftLoRaGateway.forward_capture` runs only the PHY stages (onset,
-FB, demodulation) and ships the raw frame plus measurements to a
-:class:`repro.server.NetworkServer`, which deduplicates across gateways,
-verifies the MAC once, fuses the FB evidence, and issues the verdict.
+The paired commodity chip (:attr:`SoftLoRaGateway.commodity`) holds the
+session keys and counters: a :class:`repro.sim.network.LoRaWanWorld`
+makes it the MAC back end of its default network server.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
-from repro.core.detector import DetectionResult, FbDatabase, ReplayDetector
-from repro.core.freq_bias import FbEstimate, LeastSquaresFbEstimator
-from repro.core.onset import AicDetector, OnsetResult
-from repro.core.timestamping import TimestampedReading
-from repro.errors import DecodeError, ReproError
-from repro.lorawan.gateway import CommodityGateway, GatewayReception, ReceiveStatus
+import numpy as np
+
+from repro.core.freq_bias import LeastSquaresFbEstimator
+from repro.core.onset import AicDetector
+from repro.errors import ReproError
+from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.phy.frame import PhyReceiver
 from repro.sdr.iq import IQTrace
 
 if TYPE_CHECKING:
     from repro.pipeline.batch import CaptureBatch
-
-
-class SoftLoRaStatus(enum.Enum):
-    """Final disposition of one reception at the SoftLoRa gateway."""
-
-    ACCEPTED = "accepted"
-    REPLAY_DETECTED = "replay_detected"
-    PHY_DECODE_FAILED = "phy_decode_failed"
-    MAC_REJECTED = "mac_rejected"
-
-
-@dataclass
-class SoftLoRaReception:
-    """Everything SoftLoRa derives from one uplink."""
-
-    status: SoftLoRaStatus
-    phy_timestamp_s: float
-    fb_hz: float | None = None
-    onset: OnsetResult | None = None
-    fb_estimate: FbEstimate | None = None
-    replay_check: DetectionResult | None = None
-    gateway_reception: GatewayReception | None = None
-    readings: list[TimestampedReading] = field(default_factory=list)
-    detail: str = ""
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def accepted(self) -> bool:
-        return self.status is SoftLoRaStatus.ACCEPTED
-
-    @property
-    def attack_detected(self) -> bool:
-        return self.status is SoftLoRaStatus.REPLAY_DETECTED
+    from repro.server.forwarding import GatewayForward
 
 
 @dataclass
 class SoftLoRaGateway:
-    """Commodity LoRaWAN gateway + SDR receiver + defense pipeline."""
+    """Commodity LoRaWAN gateway + SDR receiver: the gateway-side chain."""
 
     config: ChirpConfig
     commodity: CommodityGateway
     onset_detector: AicDetector = field(default_factory=AicDetector)
     fb_estimator: LeastSquaresFbEstimator | None = None
-    replay_detector: ReplayDetector = field(
-        default_factory=lambda: ReplayDetector(database=FbDatabase())
-    )
-    receptions: list[SoftLoRaReception] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.fb_estimator is None:
             self.fb_estimator = LeastSquaresFbEstimator(self.config)
         self._phy_receiver = PhyReceiver(self.config)
 
-    # -- full waveform path ---------------------------------------------------
-
     def process_capture(
-        self, trace: IQTrace, noise_power: float = 0.0, onset_component: str = "i"
-    ) -> SoftLoRaReception:
-        """Run the complete SoftLoRa pipeline on one SDR capture."""
-        onset = self.onset_detector.detect(trace, component=onset_component)
-        phy_timestamp = onset.time_s
-        spc = self.config.samples_per_chirp
-        second_chirp = trace.samples[onset.index + spc : onset.index + 2 * spc]
-        try:
-            fb_estimate = self.fb_estimator.estimate(second_chirp, noise_power=noise_power)
-        except ReproError as exc:
-            reception = SoftLoRaReception(
-                status=SoftLoRaStatus.PHY_DECODE_FAILED,
-                phy_timestamp_s=phy_timestamp,
-                onset=onset,
-                detail=f"FB estimation failed: {exc}",
-            )
-            self.receptions.append(reception)
-            return reception
-        try:
-            decoded = self._phy_receiver.decode(
-                trace.samples, onset.index, fb_hz=fb_estimate.fb_hz
-            )
-        except (DecodeError, ReproError) as exc:
-            reception = SoftLoRaReception(
-                status=SoftLoRaStatus.PHY_DECODE_FAILED,
-                phy_timestamp_s=phy_timestamp,
-                onset=onset,
-                fb_hz=fb_estimate.fb_hz,
-                fb_estimate=fb_estimate,
-                detail=f"PHY decode failed: {exc}",
-            )
-            self.receptions.append(reception)
-            return reception
-        return self._finish(
-            mac_bytes=decoded.payload,
-            arrival_time_s=phy_timestamp,
-            fb_hz=fb_estimate.fb_hz,
-            onset=onset,
-            fb_estimate=fb_estimate,
-        )
-
-    def forward_capture(
         self,
         trace: IQTrace,
         gateway_id: str,
         snr_db: float,
         noise_power: float = 0.0,
         onset_component: str = "i",
-    ):
-        """PHY-only processing for multi-gateway forwarding.
+    ) -> "GatewayForward | None":
+        """Run onset detection, FB estimation and demodulation on one capture.
 
-        Runs onset detection, FB estimation, and demodulation -- the
-        parts a keyless gateway can do -- and returns a
-        :class:`repro.server.GatewayForward` for the network server, or
-        ``None`` when the capture does not decode at this gateway (the
-        frame may still be resolved from another gateway's copy).
+        Returns the :class:`repro.server.GatewayForward` this gateway
+        ships to the network server, or ``None`` when the capture does
+        not decode here (the frame may still be resolved from another
+        gateway's copy).  ``snr_db`` is the link SNR reported with the
+        forward; ``noise_power`` is only consulted by the ``"de"`` FB
+        estimator.
         """
-        from repro.server.forwarding import GatewayForward
-
         spc = self.config.samples_per_chirp
         try:
             onset = self.onset_detector.detect(trace, component=onset_component)
             second_chirp = trace.samples[onset.index + spc : onset.index + 2 * spc]
-            fb_estimate = self.fb_estimator.estimate(second_chirp, noise_power=noise_power)
-            decoded = self._phy_receiver.decode(
-                trace.samples, onset.index, fb_hz=fb_estimate.fb_hz
-            )
-        except (DecodeError, ReproError):
+            fb_hz = self.fb_estimator.estimate(second_chirp, noise_power=noise_power).fb_hz
+        except ReproError:
             return None
-        return GatewayForward(
-            gateway_id=gateway_id,
-            mac_bytes=decoded.payload,
-            arrival_time_s=onset.time_s,
-            fb_hz=fb_estimate.fb_hz,
-            snr_db=snr_db,
-            spreading_factor=self.config.spreading_factor,
+        return self._demodulate(
+            trace.samples, onset.index, onset.time_s, fb_hz, gateway_id, snr_db
         )
-
-    # -- batched waveform path ------------------------------------------------
 
     def process_batch(
         self,
         batch: "CaptureBatch",
+        gateway_id: str,
+        snr_db: Any,
         noise_powers: Any = None,
         onset_component: str = "i",
-    ) -> list[SoftLoRaReception]:
-        """Run the SoftLoRa pipeline over a whole :class:`CaptureBatch`.
+    ) -> "list[GatewayForward | None]":
+        """Run the gateway chain over a whole :class:`CaptureBatch`.
 
         The DSP stages (onset, PHY timestamping, chirp slicing, FB
         estimation) run vectorized over the stack via
-        :class:`repro.pipeline.BatchPipeline`; demodulation and the
-        stateful MAC + replay checks then proceed capture by capture in
-        batch order, so the receptions (and the FB database they train)
-        are the same as feeding :meth:`process_capture` each capture in
-        sequence.  ``noise_powers`` (scalar or per-capture) is only
-        consulted by the ``"de"`` estimator, mirroring the single-capture
-        signature.
+        :class:`repro.pipeline.BatchPipeline`; demodulation then runs
+        capture by capture.  Returns one entry per capture, as
+        :meth:`process_capture` would.  ``snr_db`` and ``noise_powers``
+        are scalars or per-capture sequences.
         """
         from repro.pipeline.engine import BatchPipeline
 
@@ -211,124 +110,42 @@ class SoftLoRaGateway:
             fb_estimator=self.fb_estimator,
         )
         staged = engine.run(batch, component=onset_component, noise_powers=noise_powers)
-        receptions = []
-        for row, outcome in enumerate(staged.outcomes):
-            if outcome.fb_estimate is None:
-                reception = SoftLoRaReception(
-                    status=SoftLoRaStatus.PHY_DECODE_FAILED,
-                    phy_timestamp_s=outcome.phy_timestamp_s,
-                    onset=outcome.onset,
-                    detail=f"FB estimation failed: {outcome.error}",
-                )
-                self.receptions.append(reception)
-                receptions.append(reception)
-                continue
-            try:
-                decoded = self._phy_receiver.decode(
-                    batch.samples[row], outcome.onset.index, fb_hz=outcome.fb_estimate.fb_hz
-                )
-            except (DecodeError, ReproError) as exc:
-                reception = SoftLoRaReception(
-                    status=SoftLoRaStatus.PHY_DECODE_FAILED,
-                    phy_timestamp_s=outcome.phy_timestamp_s,
-                    onset=outcome.onset,
-                    fb_hz=outcome.fb_estimate.fb_hz,
-                    fb_estimate=outcome.fb_estimate,
-                    detail=f"PHY decode failed: {exc}",
-                )
-                self.receptions.append(reception)
-                receptions.append(reception)
-                continue
-            receptions.append(
-                self._finish(
-                    mac_bytes=decoded.payload,
-                    arrival_time_s=outcome.phy_timestamp_s,
-                    fb_hz=outcome.fb_estimate.fb_hz,
-                    onset=outcome.onset,
-                    fb_estimate=outcome.fb_estimate,
-                )
-            )
-        return receptions
-
-    # -- frame-level path -----------------------------------------------------
-
-    def process_frame(
-        self, mac_bytes: bytes, arrival_time_s: float, fb_hz: float
-    ) -> SoftLoRaReception:
-        """Frame-level pipeline: MAC checks + FB replay check.
-
-        ``fb_hz`` is the FB measurement the SDR path would have produced;
-        fleet simulations supply the true FB plus estimation noise.
-        """
-        return self._finish(mac_bytes, arrival_time_s, fb_hz, onset=None, fb_estimate=None)
-
-    def process_frame_batch(
-        self, frames: Sequence[tuple[bytes, float, float]]
-    ) -> list[SoftLoRaReception]:
-        """Frame-level receptions for a whole fleet step, in arrival order.
-
-        ``frames`` holds ``(mac_bytes, arrival_time_s, fb_hz)`` triples.
-        MAC verification and the FB replay check are stateful (frame
-        counters and the FB database learn from each accepted frame), so
-        this processes sequentially by construction; the batch entry
-        exists so fleet steps hand the gateway one delivery list instead
-        of calling into it per frame.
-        """
+        snrs = np.broadcast_to(np.asarray(snr_db, dtype=float), (len(staged.outcomes),))
         return [
-            self._finish(mac_bytes, arrival_time_s, fb_hz, onset=None, fb_estimate=None)
-            for mac_bytes, arrival_time_s, fb_hz in frames
+            None
+            if outcome.fb_estimate is None
+            else self._demodulate(
+                batch.samples[row],
+                outcome.onset.index,
+                outcome.phy_timestamp_s,
+                outcome.fb_estimate.fb_hz,
+                gateway_id,
+                float(snrs[row]),
+            )
+            for row, outcome in enumerate(staged.outcomes)
         ]
 
-    # -- shared back half -------------------------------------------------------
-
-    def _finish(
+    def _demodulate(
         self,
-        mac_bytes: bytes,
+        samples: np.ndarray,
+        onset_index: int,
         arrival_time_s: float,
         fb_hz: float,
-        onset: OnsetResult | None,
-        fb_estimate: FbEstimate | None,
-    ) -> SoftLoRaReception:
-        gw_reception = self.commodity.receive_frame(mac_bytes, arrival_time_s)
-        if gw_reception.status is not ReceiveStatus.OK:
-            reception = SoftLoRaReception(
-                status=SoftLoRaStatus.MAC_REJECTED,
-                phy_timestamp_s=arrival_time_s,
-                fb_hz=fb_hz,
-                onset=onset,
-                fb_estimate=fb_estimate,
-                gateway_reception=gw_reception,
-                detail=f"MAC layer rejected: {gw_reception.status.value}",
-            )
-            self.receptions.append(reception)
-            return reception
-        node_id = f"{gw_reception.mac_frame.dev_addr:08x}"
-        check = self.replay_detector.check(node_id, fb_hz, time_s=arrival_time_s)
-        if check.is_replay:
-            reception = SoftLoRaReception(
-                status=SoftLoRaStatus.REPLAY_DETECTED,
-                phy_timestamp_s=arrival_time_s,
-                fb_hz=fb_hz,
-                onset=onset,
-                fb_estimate=fb_estimate,
-                replay_check=check,
-                gateway_reception=gw_reception,
-                detail=check.reason,
-            )
-        else:
-            reception = SoftLoRaReception(
-                status=SoftLoRaStatus.ACCEPTED,
-                phy_timestamp_s=arrival_time_s,
-                fb_hz=fb_hz,
-                onset=onset,
-                fb_estimate=fb_estimate,
-                replay_check=check,
-                gateway_reception=gw_reception,
-                readings=gw_reception.readings,
-            )
-        self.receptions.append(reception)
-        return reception
+        gateway_id: str,
+        snr_db: float,
+    ) -> "GatewayForward | None":
+        """Demodulate from the onset and wrap the result as a forward."""
+        from repro.server.forwarding import GatewayForward
 
-    def bootstrap_fb_profile(self, dev_addr: int, fb_estimates: list[float]) -> None:
-        """Load an offline FB profile for a device (paper Sec. 7.2)."""
-        self.replay_detector.bootstrap(f"{dev_addr:08x}", fb_estimates)
+        try:
+            decoded = self._phy_receiver.decode(samples, onset_index, fb_hz=fb_hz)
+        except ReproError:
+            return None
+        return GatewayForward(
+            gateway_id=gateway_id,
+            mac_bytes=decoded.payload,
+            arrival_time_s=arrival_time_s,
+            fb_hz=fb_hz,
+            snr_db=snr_db,
+            spreading_factor=self.config.spreading_factor,
+        )

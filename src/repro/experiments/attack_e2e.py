@@ -35,15 +35,13 @@ from repro.attack.replayer import Replayer
 from repro.clock.clocks import DriftingClock
 from repro.clock.oscillator import Oscillator
 from repro.constants import SX1276_DEMOD_SNR_FLOOR_DB
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
 from repro.experiments.common import SweepPoint, run_sweep
 from repro.lorawan.device import EndDevice
 from repro.lorawan.gateway import CommodityGateway
 from repro.lorawan.security import SessionKeys
-from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import noise_floor_dbm
 from repro.radio.geometry import Position
+from repro.server import FusionPolicy, GatewayForward, NetworkServer, ServerStatus
 from repro.sim.columnar import ColumnarRuntime
 from repro.sim.rng import RngStreams
 from repro.sim.scenarios import build_pinned_link_world
@@ -58,7 +56,7 @@ class AttackE2EResult:
     commodity_accepted_replay: bool
     timestamp_shift_s: float
     injected_delay_s: float
-    softlora_status: SoftLoRaStatus
+    softlora_status: ServerStatus
     replay_rx_power_dbm: float
     replay_within_linear_range: bool
     replay_snr_at_monitor_db: float
@@ -172,7 +170,7 @@ def _measure_detection_latency(
         gateway_position=Position(190.0, 0.0, 18.0),
         sample_rate_hz=sample_rate_hz,
     )
-    world.gateway.bootstrap_fb_profile(
+    world.server.bootstrap_fb_profile(
         device.dev_addr,
         [device.fb_hz + float(e) for e in streams.stream("runtime-profile").normal(0, 15, 5)],
     )
@@ -209,7 +207,6 @@ def _execute_scenario(
     """The Sec. 8.1.1 scenario body (one sweep-point measurement)."""
     streams = RngStreams(seed)
     sf = min_viable_spreading_factor(link_snr_db)
-    config = ChirpConfig(spreading_factor=sf, sample_rate_hz=sample_rate_hz)
 
     dev_addr = 0x26011BDA
     keys = SessionKeys.derive_for_test(dev_addr)
@@ -222,14 +219,9 @@ def _execute_scenario(
         spreading_factor=sf,
         rng=streams.stream("device"),
     )
-    commodity = CommodityGateway()
-    commodity.register_device(dev_addr, keys)
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
-    )
-    gateway.bootstrap_fb_profile(
+    server = NetworkServer(fusion=FusionPolicy.BEST_SNR)
+    server.register_device(dev_addr, keys)
+    server.bootstrap_fb_profile(
         dev_addr, [device.fb_hz + float(e) for e in streams.stream("profile").normal(0, 15, 5)]
     )
 
@@ -255,11 +247,6 @@ def _execute_scenario(
     if commodity_view.accepted and commodity_view.readings:
         shift = commodity_view.readings[0].global_time_s - t0
 
-    # The SoftLoRa view: FB check flags the replay.
-    softlora_view = gateway.process_frame(
-        outcome.replayed.mac_bytes, outcome.replayed.arrival_time_s, outcome.replayed.fb_hz
-    )
-
     # Replay power budget: the replayer sits ~1 m from the gateway
     # (free-space loss ~31.6 dB at 868 MHz).  Keeping its TX power at or
     # below 7 dBm (paper Sec. 8.1.1) holds the received power inside the
@@ -273,6 +260,21 @@ def _execute_scenario(
     within_linear = sensitivity <= replay_rx_power <= 0.0
     monitor_snr = replay_power_dbm - monitor_loss_db - floor
     monitor_hears = monitor_snr >= SX1276_DEMOD_SNR_FLOOR_DB[12]
+
+    # The SoftLoRa view: the gateway forwards the replay's measured FB
+    # and the network server's FB check flags it.
+    (softlora_view,) = server.process_step(
+        [
+            GatewayForward(
+                gateway_id="gw-0",
+                mac_bytes=outcome.replayed.mac_bytes,
+                arrival_time_s=outcome.replayed.arrival_time_s,
+                fb_hz=outcome.replayed.fb_hz,
+                snr_db=replay_rx_power - floor,
+                spreading_factor=sf,
+            )
+        ]
+    )
 
     latency_s = _measure_detection_latency(
         streams, sf, link_snr_db, injected_delay_s, sample_rate_hz

@@ -2,7 +2,7 @@
 
 Runs the 16-node fleet through many uplink rounds with the frame delay
 attack armed against a subset of nodes, and tallies detection statistics
-at the SoftLoRa gateway.  With the paper's numbers -- estimation
+at the network server.  With the paper's numbers -- estimation
 resolution 0.14 ppm (120 Hz) versus replay offsets of at least 0.62 ppm
 (543 Hz) -- detection should be perfect and false alarms absent, even
 while benign temperature drift slowly moves every node's true FB.
@@ -17,8 +17,7 @@ from repro.analysis.report import format_table
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
@@ -74,14 +73,8 @@ def run_detection(
     streams = RngStreams(seed)
     devices = build_fleet(n_devices=n_devices, streams=streams)
     config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-    commodity = CommodityGateway()
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
-    )
     world = LoRaWanWorld(
-        gateway=gateway,
+        gateway=SoftLoRaGateway(config=config, commodity=CommodityGateway()),
         gateway_position=Position(0.0, 0.0, 1.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
         rng=streams.stream("world"),
@@ -108,18 +101,18 @@ def run_detection(
                 float(100 + round_index), 10.0 + round_index * period
             )
             event = world.uplink(device.name, 12.0 + round_index * period)
-            if event.reception is None:
+            if event.verdict is None:
                 continue
             is_attack = event.kind is EventKind.REPLAY_DELIVERED
-            flagged = event.reception.status is SoftLoRaStatus.REPLAY_DETECTED
+            flagged = event.verdict.attack_detected
             # Only frames past the learning phase count toward the stats.
             if round_index >= warmup_rounds:
                 labels.append(is_attack)
                 predictions.append(flagged)
 
     statuses: dict[str, int] = {}
-    for reception in gateway.receptions:
-        statuses[reception.status.value] = statuses.get(reception.status.value, 0) + 1
+    for verdict in world.server.verdicts:
+        statuses[verdict.status.value] = statuses.get(verdict.status.value, 0) + 1
     return DetectionResultSummary(
         stats=detection_stats(labels, predictions),
         rounds=rounds,

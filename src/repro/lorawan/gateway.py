@@ -58,7 +58,6 @@ class CommodityGateway:
     tx_latency_compensation_s: float = 0.0
     _keys: dict[int, SessionKeys] = field(default_factory=dict)
     _counter: FrameCounterValidator = field(default_factory=FrameCounterValidator)
-    receptions: list[GatewayReception] = field(default_factory=list)
 
     def register_device(self, dev_addr: int, keys: SessionKeys) -> None:
         """Provision a device's session keys (ABP)."""
@@ -87,38 +86,29 @@ class CommodityGateway:
         try:
             frame = verify_and_decrypt(mac_bytes, self._lookup_keys(mac_bytes))
         except KeyError:
-            reception = GatewayReception(
+            return GatewayReception(
                 status=ReceiveStatus.UNKNOWN_DEVICE,
                 arrival_time_s=arrival,
                 detail="no session keys for the claimed DevAddr",
             )
-            self.receptions.append(reception)
-            return reception
         except MicError as exc:
-            reception = GatewayReception(
+            return GatewayReception(
                 status=ReceiveStatus.MIC_FAILURE, arrival_time_s=arrival, detail=str(exc)
             )
-            self.receptions.append(reception)
-            return reception
         if not self._counter.validate(frame.dev_addr, frame.fcnt):
-            reception = GatewayReception(
+            return GatewayReception(
                 status=ReceiveStatus.COUNTER_REJECT,
                 arrival_time_s=arrival,
                 mac_frame=frame,
                 detail=f"frame counter {frame.fcnt} not after "
                 f"{self._counter.last_seen(frame.dev_addr)}",
             )
-            self.receptions.append(reception)
-            return reception
-        readings = self._reconstruct(frame, arrival)
-        reception = GatewayReception(
+        return GatewayReception(
             status=ReceiveStatus.OK,
             arrival_time_s=arrival,
             mac_frame=frame,
-            readings=readings,
+            readings=self._reconstruct(frame, arrival),
         )
-        self.receptions.append(reception)
-        return reception
 
     def _lookup_keys(self, mac_bytes: bytes) -> SessionKeys:
         if len(mac_bytes) < 5:

@@ -19,11 +19,7 @@ one from an operator spec string with :func:`open_store`.
 
 from repro.server.adr import AdrCommand, AdrController
 from repro.server.dedup import DeduplicatedUplink, UplinkDeduplicator, UplinkKey
-from repro.server.forwarding import (
-    GatewayForward,
-    forward_from_event,
-    forward_from_reception,
-)
+from repro.server.forwarding import GatewayForward
 from repro.server.fusion import (
     FbMeasurementModel,
     FusedFb,
@@ -61,8 +57,6 @@ __all__ = [
     "UplinkDeduplicator",
     "UplinkKey",
     "best_snr_contribution",
-    "forward_from_event",
-    "forward_from_reception",
     "fuse_fb",
     "fuse_timestamp_s",
     "open_store",

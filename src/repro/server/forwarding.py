@@ -1,32 +1,23 @@
 """The gateway -> network-server forwarding contract.
 
 Real LoRaWAN gateways are packet forwarders: they hold no session keys
-and run no application logic.  A SoftLoRa gateway in a multi-gateway
-deployment therefore ships, per uplink it hears, exactly what its SDR
+and run no application logic.  A SoftLoRa gateway therefore ships,
+per uplink it hears, exactly what its SDR
 front end measured -- the raw PHYPayload, the AIC PHY timestamp, the
 estimated frequency bias, and the link SNR -- and leaves MAC
 verification, deduplication, FB fusion, and the replay verdict to the
 :class:`repro.server.NetworkServer`.
 
-Two constructors cover the repo's two abstraction levels:
-
-* :func:`forward_from_reception` lifts a fully processed
-  :class:`repro.core.softlora.SoftLoRaReception` (waveform or frame
-  path) into a forward;
-* :func:`forward_from_event` does the same for a frame-level
-  :class:`repro.sim.network.WorldEvent`.
+:meth:`repro.core.softlora.SoftLoRaGateway.process_capture` builds them
+from I/Q captures; :class:`repro.sim.network.LoRaWanWorld` builds them
+at frame level, with the FB drawn from the calibrated noise model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.core.softlora import SoftLoRaReception
-    from repro.sim.network import WorldEvent
 
 
 @dataclass(frozen=True)
@@ -63,44 +54,3 @@ class GatewayForward:
         if not self.mac_bytes:
             raise ConfigurationError("a forward needs a non-empty PHYPayload")
 
-
-def forward_from_reception(
-    gateway_id: str,
-    reception: "SoftLoRaReception",
-    snr_db: float,
-    mac_bytes: bytes,
-    spreading_factor: int = 7,
-) -> GatewayForward:
-    """Lift a processed SoftLoRa reception into a server forward.
-
-    ``mac_bytes`` must be supplied by the caller: a reception keeps the
-    parsed frame, not the wire bytes, and the server re-verifies the MIC
-    itself rather than trusting a gateway-side verdict.
-    ``spreading_factor`` should name the SF the capture was demodulated
-    at so fusion weights the estimate with the right per-SF noise.
-    """
-    return GatewayForward(
-        gateway_id=gateway_id,
-        mac_bytes=mac_bytes,
-        arrival_time_s=reception.phy_timestamp_s,
-        fb_hz=float(reception.fb_hz) if reception.fb_hz is not None else 0.0,
-        snr_db=snr_db,
-        spreading_factor=spreading_factor,
-    )
-
-
-def forward_from_event(gateway_id: str, event: "WorldEvent") -> GatewayForward:
-    """Lift a frame-level world event into a server forward."""
-    if event.transmission is None or event.reception is None:
-        raise ConfigurationError(
-            f"event {event.kind.value!r} carries no delivered frame to forward"
-        )
-    fb = event.reception.fb_hz
-    return GatewayForward(
-        gateway_id=gateway_id,
-        mac_bytes=event.transmission.mac_bytes,
-        arrival_time_s=event.reception.phy_timestamp_s,
-        fb_hz=float(fb) if fb is not None else 0.0,
-        snr_db=event.snr_db,
-        spreading_factor=event.transmission.spreading_factor,
-    )

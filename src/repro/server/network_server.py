@@ -35,7 +35,7 @@ from repro.lorawan.mac import LinkADRAns, parse_mac_commands
 from repro.lorawan.security import SessionKeys
 from repro.server.adr import AdrController
 from repro.server.dedup import DeduplicatedUplink, UplinkDeduplicator
-from repro.server.forwarding import GatewayForward, forward_from_event
+from repro.server.forwarding import GatewayForward
 from repro.server.fusion import (
     FbMeasurementModel,
     FbNoiseModel,
@@ -48,7 +48,6 @@ from repro.server.fusion import (
 
 if TYPE_CHECKING:
     from repro.core.timestamping import TimestampedReading
-    from repro.sim.network import WorldEvent
 
 
 class ServerStatus(enum.Enum):
@@ -99,8 +98,12 @@ class ServerVerdict:
 
     @property
     def readings(self) -> "list[TimestampedReading]":
-        """Sync-free reconstructed sensor readings of the accepted frame."""
-        return [] if self.reception is None else self.reception.readings
+        """Sync-free reconstructed sensor readings of the accepted frame.
+
+        Empty for every other status: a flagged replay's readings carry
+        the attacker's delay and are never used for data timestamping.
+        """
+        return self.reception.readings if self.accepted else []
 
     def as_dict(self) -> dict:
         """JSON-safe form of the verdict for the service control plane.
@@ -197,10 +200,6 @@ class NetworkServer:
     def ingest(self, forward: GatewayForward) -> None:
         """Collect one gateway forward for the next resolution pass."""
         self._dedup.offer(forward)
-
-    def ingest_event(self, gateway_id: str, event: "WorldEvent") -> None:
-        """Collect a frame-level world event heard by one gateway."""
-        self.ingest(forward_from_event(gateway_id, event))
 
     @property
     def malformed(self) -> int:

@@ -26,12 +26,11 @@ Two modes, one engine:
   :class:`FleetState` columns, frames are never assembled, and the
   report carries counters only.  It covers the full scenario matrix --
   armed frame-delay attacks, ADR downlink retuning, and multi-gateway
-  fusion (with or without an attached server) -- with counter-for-
-  counter parity against events mode on object-built fleets: attempt
-  and deferral gates share the arithmetic, emission jitter draws come
-  from the same per-device streams, and the delivered / collided /
-  low-SNR / suppressed split resolves through the identical capture
-  matrix.  (Spec-built fleets have no per-device streams; their jitter
+  fusion -- with counter-for-counter parity against events mode on
+  object-built fleets: attempt and deferral gates share the arithmetic,
+  emission jitter draws come from the same per-device streams, and the
+  delivered / collided / low-SNR / suppressed split resolves through the
+  identical capture matrix.  (Spec-built fleets have no per-device streams; their jitter
   comes from one engine stream and the split is statistically
   equivalent instead.)
 
@@ -721,8 +720,7 @@ class ColumnarRuntime:
         staged, self._pending = self._pending, []
         mask = self._channel.surviving_sites(self.world, staged)
         events = self.world.deliver_staged(staged, site_mask=mask)
-        server = self.world.server
-        if server is not None and server.adr is not None:
+        if self.world.server.adr is not None:
             self._dispatch_adr(events, now_s)
 
     def _dispatch_adr(self, events: list[WorldEvent], now_s: float) -> None:
@@ -772,10 +770,9 @@ class ColumnarRuntime:
             # (and duty-cycle budget) when it slips to the second window.
             rx1_airtime = airtime_s(len(raw), tx.spreading_factor)
             rx2_airtime = airtime_s(len(raw), 12)
-            gateway_ids = anchor.metadata.get("gateway_ids", ()) or (world.sites[0].gateway_id,)
             window = None
-            for gateway_id in gateway_ids:
-                scheduler = self._scheduler_for(site_index_of.get(gateway_id, 0))
+            for gateway_id in anchor.metadata["gateway_ids"]:
+                scheduler = self._scheduler_for(site_index_of[gateway_id])
                 window = scheduler.schedule(tx.end_time_s, rx1_airtime, rx2_airtime)
                 if window is not None:
                     # The scheduler records the true transmit start
@@ -813,7 +810,7 @@ class ColumnarRuntime:
         if self._state is None:
             self._state = FleetState.from_world(world)
         state = self._state
-        self._adr = world.server.adr if world.server is not None else None
+        self._adr = world.server.adr
         attacked = np.zeros(state.n_devices, dtype=bool)
         if world.attack is not None:
             for name in world.attack_targets:

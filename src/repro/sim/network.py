@@ -1,4 +1,4 @@
-"""Frame-level world simulation: devices, SoftLoRa gateway(s), attacker.
+"""Frame-level world simulation: devices, SoftLoRa gateways, attacker.
 
 This layer runs fleets of devices against one or more gateways over
 link-budget channels, with an optional frame delay attacker.  Signal
@@ -9,43 +9,42 @@ frames simulate in milliseconds while preserving exactly the quantities
 the defense sees: arrival times and measured FBs.  Waveform-level
 experiments bypass this module and run the real DSP.
 
-Two topologies:
-
-* **single gateway** (the paper's setup): every uplink lands at
-  :attr:`LoRaWanWorld.gateway` and the verdict is the gateway's own --
-  the original code path, bit-for-bit;
-* **multi-gateway**: :meth:`LoRaWanWorld.add_gateway` places additional
-  :class:`GatewaySite`\\ s and :meth:`LoRaWanWorld.attach_server` puts a
-  :class:`repro.server.NetworkServer` above them.  Each transmission
-  then routes to *every* in-range gateway in one batched step; each
-  gateway measures its own FB (noise drawn at its own link SNR) and
-  forwards; the server deduplicates, fuses, and issues the single
-  verdict carried in ``WorldEvent.verdict``.
+Every world judges through one :class:`repro.server.NetworkServer`.
+Each transmission routes to every in-range gateway in one batched step.
+Each gateway measures its own FB (noise drawn at its own link SNR) and
+forwards it; the server deduplicates, fuses, and issues the verdict
+carried in ``WorldEvent.verdict``.  By default the server runs on the
+primary gateway's commodity chip with best-SNR fusion, which is the
+paper's one-gateway setup: the detector sees that gateway's FB
+unchanged.  :meth:`LoRaWanWorld.add_gateway` places more
+:class:`GatewaySite` instances and :meth:`LoRaWanWorld.attach_server`
+swaps in another server.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.constants import SX1276_DEMOD_SNR_FLOOR_DB
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaReception
+from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.lorawan.device import EndDevice, UplinkTransmission
 from repro.radio.channel import LinkBudget, propagation_delay_s
 from repro.radio.geometry import Position
-from repro.server.fusion import FbMeasurementModel
+from repro.server.forwarding import GatewayForward
+from repro.server.fusion import FbMeasurementModel, FusionPolicy
+from repro.server.network_server import NetworkServer, ServerVerdict
 from repro.sim.events import Simulator
-
-if TYPE_CHECKING:
-    from repro.server.network_server import NetworkServer, ServerVerdict
 
 
 class EventKind(enum.Enum):
+    """What happened to one uplink on the air."""
+
     DELIVERED = "delivered"
     LOST_LOW_SNR = "lost_low_snr"
     LOST_COLLISION = "lost_collision"
@@ -55,20 +54,31 @@ class EventKind(enum.Enum):
 
 @dataclass
 class WorldEvent:
-    """One thing that happened on the simulated air interface."""
+    """One thing that happened on the simulated air interface.
+
+    Attributes:
+        kind: What happened.
+        time_s: When it reached the earliest gateway that heard it.
+        device_name: The transmitting device.
+        snr_db: Best link SNR over the gateway sites.
+        transmission: The device's uplink.
+        detail: Why a frame was lost or suppressed.
+        metadata: The server's ``"verdict"`` and the ``"gateway_ids"``
+            that heard the frame, plus the attack outcome of suppressed
+            and replayed frames under ``"attack"``.
+    """
 
     kind: EventKind
     time_s: float
     device_name: str
     snr_db: float
     transmission: UplinkTransmission | None = None
-    reception: SoftLoRaReception | None = None
     detail: str = ""
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def verdict(self) -> "ServerVerdict | None":
-        """The network server's fused verdict (multi-gateway worlds only)."""
+    def verdict(self) -> ServerVerdict | None:
+        """The network server's verdict, for delivered and replayed frames."""
         return self.metadata.get("verdict")
 
 
@@ -89,7 +99,8 @@ class StagedTransmission:
     radio-latency draw) has already run; the channel -- contention,
     per-gateway SNR, delivery -- has not.  The event-driven runtime
     stages these as device traffic fires and delivers each event window
-    in one batch (:meth:`LoRaWanWorld.deliver_staged`)."""
+    in one batch (:meth:`LoRaWanWorld.deliver_staged`).
+    """
 
     device_name: str
     transmission: UplinkTransmission
@@ -97,7 +108,26 @@ class StagedTransmission:
 
 @dataclass
 class LoRaWanWorld:
-    """Devices + SoftLoRa gateway(s) + channel (+ optional attacker)."""
+    """Devices, SoftLoRa gateways, their network server, channel, attacker.
+
+    Attributes:
+        gateway: The primary gateway's SDR front end and commodity chip.
+        gateway_position: Where the primary gateway stands.
+        link: The primary gateway's link budget.
+        devices: Every device, by name.
+        fb_model: Calibrated FB-estimation noise of the frame-level path.
+        rng: Draws the FB-estimation noise and the waveform path's AWGN.
+        simulator: The world's clock (``now_s``, ``run_until``).
+        events: Every event so far, in delivery order.
+        attack: The armed frame delay attack, if any.
+        attack_targets: Names of the attacked devices.
+        attack_delay_s: How long the attacker holds each frame.
+        primary_gateway_id: The primary gateway's id in forwards.
+        extra_gateways: Further gateway placements.
+        server: The network server issuing every verdict.  ``None``
+            builds the default: best-SNR fusion over the primary
+            gateway's commodity chip.
+    """
 
     gateway: SoftLoRaGateway
     gateway_position: Position
@@ -112,17 +142,23 @@ class LoRaWanWorld:
     attack_delay_s: float = 10.0
     primary_gateway_id: str = "gw-0"
     extra_gateways: list[GatewaySite] = field(default_factory=list)
-    server: "NetworkServer | None" = None
+    server: NetworkServer = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        """Build the default network server when none was given."""
+        if self.server is None:
+            self.server = NetworkServer(
+                mac=self.gateway.commodity, fusion=FusionPolicy.BEST_SNR
+            )
 
     def add_device(self, device: EndDevice) -> None:
+        """Add a device and provision its session keys on the server."""
         if device.name in self.devices:
             raise ConfigurationError(f"duplicate device name {device.name!r}")
         self.devices[device.name] = device
-        self.gateway.commodity.register_device(device.dev_addr, device.keys)
-        if self.server is not None:
-            self.server.register_device(device.dev_addr, device.keys)
+        self.server.register_device(device.dev_addr, device.keys)
 
-    # -- multi-gateway topology -------------------------------------------------
+    # -- gateway topology -------------------------------------------------------
 
     @property
     def sites(self) -> list[GatewaySite]:
@@ -155,12 +191,18 @@ class LoRaWanWorld:
         link: LinkBudget | None = None,
         gateway_id: str | None = None,
     ) -> GatewaySite:
-        """Place an additional gateway (its own position and link budget).
+        """Place an additional gateway with its own position and link budget.
 
-        ``link=None`` reuses the primary gateway's link budget.  Uplinks
-        only route to the extra gateways once a network server is
-        attached (:meth:`attach_server`) -- without one there is nothing
-        to deduplicate the copies.
+        Args:
+            position: Where the gateway stands.
+            link: Its link budget; ``None`` reuses the primary gateway's.
+            gateway_id: Its id in forwards; ``None`` numbers it ``gw-<n>``.
+
+        Returns:
+            The new site.  Uplinks route to it from the next delivery on.
+
+        Raises:
+            ConfigurationError: When the id is already taken.
         """
         if gateway_id is None:
             gateway_id = f"gw-{1 + len(self.extra_gateways)}"
@@ -175,16 +217,20 @@ class LoRaWanWorld:
         self.extra_gateways.append(site)
         return site
 
-    def attach_server(self, server: "NetworkServer | None" = None) -> "NetworkServer":
-        """Put a network server above the gateways and switch to fused routing.
+    def attach_server(self, server: NetworkServer | None = None) -> NetworkServer:
+        """Replace the world's network server.
 
         Every already-known device's session keys are provisioned on the
-        server (gateways become keyless forwarders); devices added later
-        are provisioned automatically.
+        new server; devices added later are provisioned automatically.
+
+        Args:
+            server: The new server; ``None`` builds a default
+                :class:`NetworkServer` (inverse-variance fusion).
+
+        Returns:
+            The attached server.
         """
         if server is None:
-            from repro.server.network_server import NetworkServer
-
             server = NetworkServer()
         self.server = server
         for device in self.devices.values():
@@ -203,13 +249,11 @@ class LoRaWanWorld:
         self.attack_delay_s = delay_s
 
     def disarm_attack(self) -> None:
+        """Stop attacking; later uplinks travel untouched."""
         self.attack = None
         self.attack_targets = set()
 
     # -- uplink processing ----------------------------------------------------
-
-    def _snr_for(self, device: EndDevice) -> float:
-        return self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)
 
     def uplink(self, device_name: str, request_time_s: float) -> WorldEvent:
         """Run one uplink through the channel (and attacker) synchronously.
@@ -226,24 +270,19 @@ class LoRaWanWorld:
 
         Every device is staged at ``request_time_s`` (the MAC layer stays
         per-device -- counters and buffers are stateful) and the whole
-        step is delivered in one :meth:`deliver_staged` call.  At a
-        single gateway that is one vectorized FB-measurement draw for all
-        direct deliveries and a single
-        :meth:`SoftLoRaGateway.process_frame_batch` call in device order;
-        attacked devices follow, matching the timeline (their replays
-        arrive ``attack_delay_s`` later).  With a network server attached
-        the step routes every uplink to all in-range gateways instead
-        (see :meth:`attach_server`).
+        step is delivered in one :meth:`deliver_staged` call.
 
-        ``device_names=None`` steps the whole fleet.  Returns one primary
-        event per device, aligned with ``device_names``; jam-suppression
-        events of attacked devices are appended to :attr:`events` too.
-        An empty batch is a no-op returning ``[]``.
+        Args:
+            device_names: Devices to step; ``None`` steps the whole fleet.
+            request_time_s: When every device is asked to transmit.
+
+        Returns:
+            One primary event per device, aligned with ``device_names``
+            (``[]`` for an empty batch).  Jam-suppression events of
+            attacked devices are appended to :attr:`events` too.
         """
         names = list(self.devices) if device_names is None else list(device_names)
         return self.deliver_staged(self.stage_uplinks(names, request_time_s))
-
-    # -- staged delivery (the event-driven runtime's entry) -----------------------
 
     def stage_uplinks(
         self, device_names: list[str], request_time_s: float
@@ -265,181 +304,45 @@ class LoRaWanWorld:
         staged: list[StagedTransmission],
         site_mask: dict[int, set[int]] | None = None,
     ) -> list[WorldEvent]:
-        """Run already-staged transmissions through the channel + gateway(s).
+        """Route one staged batch through every in-range gateway to the server.
 
-        ``site_mask`` carries contention outcomes: it maps a *staged
-        index* to the set of gateway-site indices (positions in
-        :attr:`sites`) at which that transmission survived collision
-        resolution.  Indices absent from the mask are unconstrained.  A
-        transmission masked out of every in-range site becomes a
-        :attr:`EventKind.LOST_COLLISION` event; attacked devices bypass
-        the mask (the jammer suppresses the original regardless, and the
-        attacker replays into a clear window of its choosing).
-        """
-        if self.server is not None:
-            return self._deliver_fused(staged, site_mask)
-        if self.extra_gateways:
-            raise ConfigurationError(
-                "extra gateways are placed but no network server is attached; "
-                "call attach_server() to enable multi-gateway routing"
-            )
-        return self._deliver_single(staged, site_mask)
-
-    def _deliver_single(
-        self,
-        staged: list[StagedTransmission],
-        site_mask: dict[int, set[int]] | None = None,
-    ) -> list[WorldEvent]:
-        """Single-gateway delivery of one staged batch (the classic path)."""
-        if not staged:
-            return []
-        primary: dict[int, WorldEvent] = {}
-        direct = []
-        attacked = []
-        for index, item in enumerate(staged):
-            name = item.device_name
-            device = self.devices[name]
-            tx = item.transmission
-            snr = self.link.snr_db(tx.tx_power_dbm, device.position, self.gateway_position)
-            delay = propagation_delay_s(device.position, self.gateway_position)
-            # The frame's own SF/power, not the device's current ones: an
-            # ADR downlink may have retuned the device since this frame
-            # was staged.
-            floor = SX1276_DEMOD_SNR_FLOOR_DB[tx.spreading_factor]
-            arrival = tx.emission_time_s + delay
-            if snr < floor:
-                primary[index] = WorldEvent(
-                    kind=EventKind.LOST_LOW_SNR,
-                    time_s=arrival,
-                    device_name=name,
-                    snr_db=snr,
-                    transmission=tx,
-                    detail=f"SNR {snr:.1f} dB below SF{tx.spreading_factor} "
-                    f"floor {floor:.1f} dB",
-                )
-            elif self.attack is not None and name in self.attack_targets:
-                attacked.append((index, name, tx, snr, delay, arrival))
-            elif site_mask is not None and 0 not in site_mask.get(index, {0}):
-                primary[index] = WorldEvent(
-                    kind=EventKind.LOST_COLLISION,
-                    time_s=arrival,
-                    device_name=name,
-                    snr_db=snr,
-                    transmission=tx,
-                    detail="lost in co-SF collision at the gateway",
-                )
-            else:
-                direct.append((index, name, tx, snr, arrival))
-
-        # Every attack executes before the window's one FB-measurement
-        # draw: the attack rng is its own stream, so the world rng sees
-        # the direct deliveries' and the replays' FB noise interleaved in
-        # staged order, and measure_batch is elementwise identical to the
-        # per-frame measure calls it replaces.
-        outcomes = {
-            index: self.attack.execute(tx, self.attack_delay_s)
-            for index, _, tx, _, _, _ in attacked
-        }
-        measured = sorted(
-            [(index, tx.fb_hz, snr, tx.spreading_factor) for index, _, tx, snr, _ in direct]
-            + [
-                (index, outcomes[index].replayed.fb_hz, snr, tx.spreading_factor)
-                for index, _, tx, snr, _, _ in attacked
-            ]
-        )
-        fb_of: dict[int, float] = {}
-        if measured:
-            fbs = self.fb_model.measure_batch(
-                np.array([fb for _, fb, _, _ in measured]),
-                np.array([snr for _, _, snr, _ in measured]),
-                self.rng,
-                spreading_factors=np.array([sf for _, _, _, sf in measured]),
-            )
-            fb_of = {index: float(fb) for (index, _, _, _), fb in zip(measured, fbs)}
-
-        if direct:
-            receptions = self.gateway.process_frame_batch(
-                [(tx.mac_bytes, arrival, fb_of[index]) for index, _, tx, _, arrival in direct]
-            )
-            for (index, name, tx, snr, arrival), reception in zip(direct, receptions):
-                primary[index] = WorldEvent(
-                    kind=EventKind.DELIVERED,
-                    time_s=arrival,
-                    device_name=name,
-                    snr_db=snr,
-                    transmission=tx,
-                    reception=reception,
-                )
-
-        suppressed_events: dict[int, WorldEvent] = {}
-        for index, name, tx, snr, delay, arrival in attacked:
-            outcome = outcomes[index]
-            suppressed_events[index] = WorldEvent(
-                kind=EventKind.SUPPRESSED_BY_JAMMING,
-                time_s=arrival,
-                device_name=name,
-                snr_db=snr,
-                transmission=tx,
-                detail=f"jam outcome: {outcome.jam_outcome.value}",
-                metadata={"attack": outcome},
-            )
-            replay_arrival = outcome.replayed.arrival_time_s + delay
-            reception = self.gateway.process_frame(
-                outcome.replayed.mac_bytes, replay_arrival, fb_of[index]
-            )
-            primary[index] = WorldEvent(
-                kind=EventKind.REPLAY_DELIVERED,
-                time_s=replay_arrival,
-                device_name=name,
-                snr_db=snr,
-                transmission=tx,
-                reception=reception,
-                metadata={"attack": outcome},
-            )
-
-        ordered = []
-        for index in range(len(staged)):
-            if index in suppressed_events:
-                self.events.append(suppressed_events[index])
-            event = primary[index]
-            self.events.append(event)
-            ordered.append(event)
-        return ordered
-
-    # -- multi-gateway fused path -------------------------------------------------
-
-    def _deliver_fused(
-        self,
-        staged: list[StagedTransmission],
-        site_mask: dict[int, set[int]] | None = None,
-    ) -> list[WorldEvent]:
-        """One staged batch routed through every in-range gateway.
-
-        The MAC layer stays per-device; everything after it is batched
-        per step: per-(device, gateway) SNRs from each site's link
-        budget, one vectorized FB-measurement draw across the whole
-        delivery matrix (each gateway's estimate carries noise at its
-        own SNR), one :class:`~repro.server.GatewayForward` per
-        delivery, then a single :meth:`NetworkServer.process_step` that
-        deduplicates, fuses, and issues one verdict per transmission
-        (``event.verdict``).
+        The MAC layer has already run per device; everything after it is
+        batched: per-(device, gateway) SNRs from each site's link budget,
+        one vectorized FB-measurement draw over every delivery in staged
+        order (each gateway's estimate carries noise at its own SNR), one
+        :class:`~repro.server.GatewayForward` per delivery, then a single
+        :meth:`NetworkServer.process_step` that deduplicates, fuses, and
+        issues one verdict per transmission (``event.verdict``).
 
         The frame delay attack jams at the device side, so the original
         is suppressed at *every* gateway; the replay is modeled as heard
         by the same in-range set (the replayer's placement is not
         tracked at frame level), which keeps multi-gateway detection a
-        question of FB evidence rather than replay coverage.  Attacked
-        devices bypass ``site_mask`` for the same reason (see
-        :meth:`deliver_staged`).
+        question of FB evidence rather than replay coverage.
+
+        Args:
+            staged: The transmissions to deliver.
+            site_mask: Contention outcomes: maps a *staged index* to the
+                gateway-site indices (positions in :attr:`sites`) at
+                which that transmission survived collision resolution.
+                Indices absent from the mask are unconstrained.  A
+                transmission masked out of every in-range site becomes a
+                :attr:`EventKind.LOST_COLLISION` event.  Attacked devices
+                bypass the mask: the jammer suppresses the original
+                regardless, and the attacker replays into a clear window
+                of its choosing.
+
+        Returns:
+            One primary event per staged transmission, in staged order.
         """
         if not staged:
             return []
         sites = self.sites
         primary: dict[int, WorldEvent] = {}
-        suppressed_events: dict[int, WorldEvent] = {}
-        # (name, tx, fb_true, site_index, snr, arrival) per delivery.
-        deliveries: list[tuple[str, UplinkTransmission, float, int, float, float]] = []
-        delivered_meta: dict[int, dict[str, Any]] = {}
+        suppressed: dict[int, WorldEvent] = {}
+        # (tx, fb_true, site_index, snr, arrival) per gateway delivery.
+        deliveries: list[tuple[UplinkTransmission, float, int, float, float]] = []
+        heard: dict[int, WorldEvent] = {}
         for index, item in enumerate(staged):
             name = item.device_name
             device = self.devices[name]
@@ -449,10 +352,14 @@ class LoRaWanWorld:
                 for site in sites
             ]
             delays = [propagation_delay_s(device.position, site.position) for site in sites]
+            # The frame's own SF/power, not the device's current ones: an
+            # ADR downlink may have retuned the device since this frame
+            # was staged.
             floor = SX1276_DEMOD_SNR_FLOOR_DB[tx.spreading_factor]
             in_range = [i for i, snr in enumerate(snrs) if snr >= floor]
             best_snr = max(snrs)
             if not in_range:
+                where = f" at all {len(sites)} gateways" if len(sites) > 1 else ""
                 primary[index] = WorldEvent(
                     kind=EventKind.LOST_LOW_SNR,
                     time_s=tx.emission_time_s + min(delays),
@@ -460,7 +367,7 @@ class LoRaWanWorld:
                     snr_db=best_snr,
                     transmission=tx,
                     detail=f"SNR {best_snr:.1f} dB below SF{tx.spreading_factor} "
-                    f"floor {floor:.1f} dB at all {len(snrs)} gateways",
+                    f"floor {floor:.1f} dB{where}",
                 )
                 continue
             attacked = self.attack is not None and name in self.attack_targets
@@ -473,17 +380,15 @@ class LoRaWanWorld:
                         device_name=name,
                         snr_db=best_snr,
                         transmission=tx,
-                        detail="lost in co-SF collision at all "
-                        f"{len(in_range)} in-range gateways",
+                        detail="lost in co-SF collision at every in-range gateway",
                     )
                     continue
                 in_range = surviving
             if attacked:
                 outcome = self.attack.execute(tx, self.attack_delay_s)
-                arrival = tx.emission_time_s + delays[in_range[0]]
-                suppressed_events[index] = WorldEvent(
+                suppressed[index] = WorldEvent(
                     kind=EventKind.SUPPRESSED_BY_JAMMING,
-                    time_s=arrival,
+                    time_s=tx.emission_time_s + delays[in_range[0]],
                     device_name=name,
                     snr_db=best_snr,
                     transmission=tx,
@@ -492,35 +397,31 @@ class LoRaWanWorld:
                 )
                 fb_true = outcome.replayed.fb_hz
                 kind = EventKind.REPLAY_DELIVERED
-                base_meta: dict[str, Any] = {"attack": outcome}
+                metadata: dict[str, Any] = {"attack": outcome}
                 emission = outcome.replayed.arrival_time_s
             else:
                 fb_true = tx.fb_hz
                 kind = EventKind.DELIVERED
-                base_meta = {}
+                metadata = {}
                 emission = tx.emission_time_s
             for i in in_range:
-                deliveries.append((name, tx, fb_true, i, snrs[i], emission + delays[i]))
-            delivered_meta[index] = {
-                "kind": kind,
-                "meta": base_meta,
-                "snr": best_snr,
-                "time": emission + min(delays[i] for i in in_range),
-                "tx": tx,
-                "gateways": tuple(sites[i].gateway_id for i in in_range),
-            }
+                deliveries.append((tx, fb_true, i, snrs[i], emission + delays[i]))
+            metadata["gateway_ids"] = tuple(sites[i].gateway_id for i in in_range)
+            heard[index] = WorldEvent(
+                kind=kind,
+                time_s=emission + min(delays[i] for i in in_range),
+                device_name=name,
+                snr_db=best_snr,
+                transmission=tx,
+                metadata=metadata,
+            )
 
-        verdicts_by_key: dict[tuple[int, int], "ServerVerdict"] = {}
         if deliveries:
-            from repro.server.forwarding import GatewayForward
-
             fbs = self.fb_model.measure_batch(
-                np.array([fb_true for _, _, fb_true, _, _, _ in deliveries]),
-                np.array([snr for _, _, _, _, snr, _ in deliveries]),
+                np.array([fb_true for _, fb_true, _, _, _ in deliveries]),
+                np.array([snr for _, _, _, snr, _ in deliveries]),
                 self.rng,
-                spreading_factors=np.array(
-                    [tx.spreading_factor for _, tx, _, _, _, _ in deliveries]
-                ),
+                spreading_factors=np.array([tx.spreading_factor for tx, *_ in deliveries]),
             )
             forwards = [
                 GatewayForward(
@@ -531,42 +432,22 @@ class LoRaWanWorld:
                     snr_db=snr,
                     spreading_factor=tx.spreading_factor,
                 )
-                for (_, tx, _, i, snr, arrival), fb in zip(deliveries, fbs)
+                for (tx, _, i, snr, arrival), fb in zip(deliveries, fbs)
             ]
-            for verdict in self.server.process_step(forwards):
-                verdicts_by_key[(verdict.dev_addr, verdict.fcnt)] = verdict
-
-        for index, info in delivered_meta.items():
-            tx = info["tx"]
-            verdict = verdicts_by_key.get((tx.dev_addr, tx.fcnt))
-            metadata = dict(info["meta"])
-            metadata["verdict"] = verdict
-            metadata["gateway_ids"] = info["gateways"]
-            primary[index] = WorldEvent(
-                kind=info["kind"],
-                time_s=info["time"],
-                device_name=staged[index].device_name,
-                snr_db=info["snr"],
-                transmission=tx,
-                metadata=metadata,
-            )
+            verdicts = {(v.dev_addr, v.fcnt): v for v in self.server.process_step(forwards)}
+            for index, event in heard.items():
+                tx = event.transmission
+                event.metadata["verdict"] = verdicts.get((tx.dev_addr, tx.fcnt))
+                primary[index] = event
 
         ordered = []
         for index in range(len(staged)):
-            if index in suppressed_events:
-                self.events.append(suppressed_events[index])
+            if index in suppressed:
+                self.events.append(suppressed[index])
             event = primary[index]
             self.events.append(event)
             ordered.append(event)
         return ordered
-
-    def schedule_uplink(self, device_name: str, request_time_s: float) -> None:
-        """Queue an uplink on the discrete-event simulator."""
-        self.simulator.schedule(request_time_s, self.uplink, device_name, request_time_s)
-
-    def run(self) -> int:
-        """Drain the event queue."""
-        return self.simulator.run()
 
     # -- waveform-level path ------------------------------------------------------
 
@@ -577,26 +458,30 @@ class LoRaWanWorld:
         pad_samples: int = 1200,
         tail_samples: int = 1024,
     ) -> WorldEvent:
-        """One uplink through the *full DSP pipeline*.
+        """One uplink through the *full DSP pipeline* at the primary gateway.
 
         Unlike :meth:`uplink`, this synthesizes the actual baseband
-        waveform at the link-budget SNR and runs
+        waveform at the link-budget SNR, runs
         :meth:`SoftLoRaGateway.process_capture` -- onset detection, FB
-        estimation, demodulation, MIC check, replay check -- end to end.
-        Slower, but nothing is abstracted.
+        estimation, demodulation -- and hands the forward to the network
+        server for the MIC, counter and replay checks.  Slower, but
+        nothing is abstracted.  A capture the SDR chain cannot decode
+        yields a delivered event without a verdict.
         """
         from repro.sdr.iq import IQTrace
         from repro.sdr.noise import complex_awgn, noise_power_for_snr
 
         device = self.devices[device_name]
         tx = device.transmit(request_time_s)
-        snr = self._snr_for(device)
+        snr = self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)
         floor = SX1276_DEMOD_SNR_FLOOR_DB[device.spreading_factor]
-        delay = propagation_delay_s(device.position, self.gateway_position)
+        arrival = tx.emission_time_s + propagation_delay_s(
+            device.position, self.gateway_position
+        )
         if snr < floor:
             event = WorldEvent(
                 kind=EventKind.LOST_LOW_SNR,
-                time_s=tx.emission_time_s + delay,
+                time_s=arrival,
                 device_name=device_name,
                 snr_db=snr,
                 transmission=tx,
@@ -617,21 +502,35 @@ class LoRaWanWorld:
         capture = IQTrace(
             noisy,
             config.sample_rate_hz,
-            start_time_s=tx.emission_time_s + delay - pad_samples / config.sample_rate_hz,
+            start_time_s=arrival - pad_samples / config.sample_rate_hz,
         )
-        reception = self.gateway.process_capture(capture, noise_power=noise_power)
-        event = WorldEvent(
-            kind=EventKind.DELIVERED,
-            time_s=reception.phy_timestamp_s,
-            device_name=device_name,
-            snr_db=snr,
-            transmission=tx,
-            reception=reception,
+        forward = self.gateway.process_capture(
+            capture, self.primary_gateway_id, snr, noise_power=noise_power
         )
+        if forward is None:
+            event = WorldEvent(
+                kind=EventKind.DELIVERED,
+                time_s=arrival,
+                device_name=device_name,
+                snr_db=snr,
+                transmission=tx,
+                detail="the SDR front end could not decode the capture",
+            )
+        else:
+            (verdict,) = self.server.process_step([forward])
+            event = WorldEvent(
+                kind=EventKind.DELIVERED,
+                time_s=forward.arrival_time_s,
+                device_name=device_name,
+                snr_db=snr,
+                transmission=tx,
+                metadata={"verdict": verdict, "gateway_ids": (forward.gateway_id,)},
+            )
         self.events.append(event)
         return event
 
     # -- queries ----------------------------------------------------------------
 
     def events_of(self, kind: EventKind) -> list[WorldEvent]:
+        """Every recorded event of one kind, in delivery order."""
         return [e for e in self.events if e.kind is kind]

@@ -13,8 +13,8 @@ the world's timeline; this module holds the pieces it is built from:
    per-(frame, site) received powers and propagation delays in one
    vectorized path-loss pass per gateway;
 3. **reports** -- :class:`RuntimeReport` is what one runtime phase put
-   on the air, and :func:`replay_detected` reads the defense's verdict
-   off a world event on either topology.
+   on the air, and :func:`replay_detected` reads the network server's
+   verdict off a world event.
 
 With a single device there is nothing to contend with and the runtime
 degenerates to the classic caller-stepped schedule bit for bit
@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.analysis.metrics import ContentionStats
 from repro.constants import SPEED_OF_LIGHT_M_S
-from repro.core.softlora import SoftLoRaStatus
 from repro.errors import ConfigurationError
 from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, InterSfCaptureMatrix
 from repro.sim.network import (
@@ -229,18 +228,8 @@ def window_survival(
 
 
 def replay_detected(event: WorldEvent) -> bool:
-    """Did the defense flag this world event as a replay?
-
-    Works on both topologies: multi-gateway events carry the network
-    server's fused verdict, single-gateway events the gateway's own
-    reception.
-    """
-    if event.verdict is not None:
-        return event.verdict.attack_detected
-    return (
-        event.reception is not None
-        and event.reception.status is SoftLoRaStatus.REPLAY_DETECTED
-    )
+    """Did the network server flag this world event as a replay?"""
+    return event.verdict is not None and event.verdict.attack_detected
 
 
 @dataclass

@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.detector import FbDatabase, ReplayDetector
 from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError, DecodeError, FrameSizeError, MicError
 from repro.lorawan.downlink import RX1_DELAY_S, build_downlink
@@ -47,7 +46,6 @@ def build_world(seed=0, n_devices=4, exponent=2.0, ring_radius_m=5.0, spreading_
         gateway=SoftLoRaGateway(
             config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
             commodity=CommodityGateway(),
-            replay_detector=ReplayDetector(database=FbDatabase()),
         ),
         gateway_position=Position(0.0, 0.0, 1.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=exponent)),
@@ -390,15 +388,9 @@ class TestGoldenPr3BitIdentity:
     def _signature(self, events):
         h = hashlib.sha256()
         for e in events:
-            if e.reception is not None:
-                # A single-gateway event still carries the gateway's own
-                # reception: read it as the one-gateway verdict it is.
-                status = e.reception.status.value
-                verdict = (status, None if status == "mac_rejected" else e.reception.fb_hz)
-            elif e.verdict is not None:
-                verdict = (e.verdict.status.value, e.verdict.fused_fb_hz)
-            else:
-                verdict = None
+            verdict = (
+                None if e.verdict is None else (e.verdict.status.value, e.verdict.fused_fb_hz)
+            )
             h.update(
                 repr(
                     (

@@ -14,12 +14,13 @@ from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
 from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
+from repro.server import FusionPolicy, NetworkServer, ServerStatus
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
 from repro.sim.scenarios import build_fleet
@@ -47,16 +48,20 @@ ROUND_PERIOD_S = 60.0
 def build_world(seed: int = 4242, n_devices: int = 4) -> tuple[LoRaWanWorld, RngStreams]:
     streams = RngStreams(seed)
     devices = build_fleet(n_devices=n_devices, streams=streams)
-    gateway = SoftLoRaGateway(
-        config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
-        commodity=CommodityGateway(),
-        replay_detector=ReplayDetector(database=FbDatabase(), min_history=3),
-    )
+    commodity = CommodityGateway()
     world = LoRaWanWorld(
-        gateway=gateway,
+        gateway=SoftLoRaGateway(
+            config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
+            commodity=commodity,
+        ),
         gateway_position=Position(0.0, 0.0, 1.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
         rng=streams.stream("world"),
+        server=NetworkServer(
+            mac=commodity,
+            detector=ReplayDetector(database=FbDatabase(), min_history=3),
+            fusion=FusionPolicy.BEST_SNR,
+        ),
     )
     for device in devices:
         world.add_device(device)
@@ -64,7 +69,7 @@ def build_world(seed: int = 4242, n_devices: int = 4) -> tuple[LoRaWanWorld, Rng
 
 
 def run_schedule(world: LoRaWanWorld, streams: RngStreams) -> list[list[str]]:
-    """Drive the fixed plan; returns per-round gateway verdict lists."""
+    """Drive the fixed plan; returns per-round server verdict lists."""
     attack = FrameDelayAttack(
         jammer=StealthyJammer(),
         replayer=Replayer.single_usrp(streams.stream("replayer")),
@@ -88,7 +93,7 @@ def run_schedule(world: LoRaWanWorld, streams: RngStreams) -> list[list[str]]:
             events = [
                 world.uplink(name, base + 2.0) for name in list(world.devices)
             ]
-        verdicts.append([event.reception.status.value for event in events])
+        verdicts.append([event.verdict.status.value for event in events])
     return verdicts
 
 
@@ -100,9 +105,9 @@ class TestAdversarialSchedule:
         def expected_round(round_index: int) -> list[str]:
             targets, _ = ATTACK_SCHEDULE.get(round_index, ((), 0.0))
             return [
-                SoftLoRaStatus.REPLAY_DETECTED.value
+                ServerStatus.REPLAY_DETECTED.value
                 if f"node-{n}" in targets
-                else SoftLoRaStatus.ACCEPTED.value
+                else ServerStatus.ACCEPTED.value
                 for n in range(4)
             ]
 
@@ -112,8 +117,8 @@ class TestAdversarialSchedule:
         world_a, streams_a = build_world()
         world_b, streams_b = build_world()
         assert run_schedule(world_a, streams_a) == run_schedule(world_b, streams_b)
-        fbs_a = [e.reception.fb_hz for e in world_a.events if e.reception is not None]
-        fbs_b = [e.reception.fb_hz for e in world_b.events if e.reception is not None]
+        fbs_a = [e.verdict.fused_fb_hz for e in world_a.events if e.verdict is not None]
+        fbs_b = [e.verdict.fused_fb_hz for e in world_b.events if e.verdict is not None]
         assert fbs_a == fbs_b  # measured FBs, not just verdicts, replay exactly
 
     def test_no_false_alarms_and_no_misses(self):
@@ -123,13 +128,11 @@ class TestAdversarialSchedule:
         delivered = world.events_of(EventKind.DELIVERED)
         n_attacked = sum(len(t) for t, _ in ATTACK_SCHEDULE.values())
         assert len(replays) == n_attacked
-        assert all(
-            e.reception.status is SoftLoRaStatus.REPLAY_DETECTED for e in replays
-        )
-        assert all(e.reception.status is SoftLoRaStatus.ACCEPTED for e in delivered)
+        assert all(e.verdict.status is ServerStatus.REPLAY_DETECTED for e in replays)
+        assert all(e.verdict.status is ServerStatus.ACCEPTED for e in delivered)
         # Flagged frames never teach the FB database: every node's history
         # holds only its clean-round estimates.
-        database = world.gateway.replay_detector.database
+        database = world.server.detector.database
         clean_rounds = ROUNDS - sum(
             1
             for r in range(ROUNDS)

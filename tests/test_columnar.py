@@ -65,11 +65,6 @@ def build_world(seed, n, ring=400.0, sf=7, exponent=2.0, extra_gw=False, server=
 
 def verdict_signature(event):
     """``(status, fused FB)`` of the event's verdict, ``None`` without one."""
-    if event.reception is not None:
-        # A single-gateway event still carries the gateway's own
-        # reception: read it as the one-gateway best-SNR verdict it is.
-        status = event.reception.status.value
-        return (status, None if status == "mac_rejected" else event.reception.fb_hz)
     if event.verdict is None:
         return None
     return (event.verdict.status.value, event.verdict.fused_fb_hz)

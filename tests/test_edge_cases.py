@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clock.clocks import GpsClock
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.errors import DecodeError
 from repro.lorawan.device import EndDevice
 from repro.lorawan.gateway import CommodityGateway, ReceiveStatus
@@ -15,6 +15,7 @@ from repro.clock.clocks import DriftingClock
 from repro.phy.chirp import ChirpConfig
 from repro.phy.frame import PhyFrame, PhyReceiver, PhyTransmitter
 from repro.sdr.iq import IQTrace
+from repro.server import FusionPolicy, GatewayForward, NetworkServer, ServerStatus
 
 
 class TestPhyReceiverEdgeCases:
@@ -110,41 +111,46 @@ class TestSoftLoRaEdgeCases:
     def _system(self, fast_config):
         dev_addr = 0x26040010
         keys = SessionKeys.derive_for_test(dev_addr)
-        commodity = CommodityGateway()
-        commodity.register_device(dev_addr, keys)
-        gateway = SoftLoRaGateway(config=fast_config, commodity=commodity)
-        return gateway, dev_addr, keys
+        gateway = SoftLoRaGateway(config=fast_config, commodity=CommodityGateway())
+        server = NetworkServer(mac=gateway.commodity, fusion=FusionPolicy.BEST_SNR)
+        server.register_device(dev_addr, keys)
+        return gateway, server, dev_addr, keys
+
+    @staticmethod
+    def _judge(server, raw, fb_hz):
+        return server.process_step([GatewayForward("gw-0", raw, 10.0, fb_hz, snr_db=10.0)])
 
     def test_unknown_device_frame_is_mac_rejected(self, fast_config):
-        gateway, _, _ = self._system(fast_config)
+        _, server, _, _ = self._system(fast_config)
         stranger_keys = SessionKeys.derive_for_test(0xDEADBEEF)
         raw = build_uplink(stranger_keys, 0xDEADBEEF, 1, b"hello")
-        reception = gateway.process_frame(raw, 10.0, -20e3)
-        assert reception.status is SoftLoRaStatus.MAC_REJECTED
+        (verdict,) = self._judge(server, raw, -20e3)
+        assert verdict.status is ServerStatus.MAC_REJECTED
 
     def test_garbled_bytes_are_mac_rejected_not_crash(self, fast_config):
-        gateway, _, _ = self._system(fast_config)
-        reception = gateway.process_frame(bytes(16), 10.0, -20e3)
-        assert reception.status is SoftLoRaStatus.MAC_REJECTED
+        # Bytes that do not even parse as a MAC frame never reach the MAC:
+        # the server counts them as malformed and issues no verdict.
+        _, server, _, _ = self._system(fast_config)
+        assert self._judge(server, bytes(16), -20e3) == []
+        assert server.malformed == 1
 
     def test_capture_too_short_for_estimation(self, fast_config, rng):
-        gateway, _, _ = self._system(fast_config)
+        gateway, _, _, _ = self._system(fast_config)
         # Barely longer than the AIC minimum but far too short for a
         # frame: the pipeline must fail cleanly, not crash.
         noise = rng.standard_normal(600) + 1j * rng.standard_normal(600)
         trace = IQTrace(noise, fast_config.sample_rate_hz)
-        reception = gateway.process_capture(trace)
-        assert reception.status is SoftLoRaStatus.PHY_DECODE_FAILED
+        assert gateway.process_capture(trace, "gw-0", 0.0) is None
 
     def test_learning_phase_would_accept_first_replay(self, fast_config):
         # Documented limitation (paper Sec. 7.2): run-time profile
         # building assumes an attack-free learning phase.  A replay seen
         # *before* any history exists is accepted and poisons the profile
         # -- which is why offline bootstrapping is preferred.
-        gateway, dev_addr, keys = self._system(fast_config)
+        _, server, dev_addr, keys = self._system(fast_config)
         raw = build_uplink(keys, dev_addr, 1, b"")
-        reception = gateway.process_frame(raw, 10.0, -20e3 - 600.0)
-        assert reception.status is SoftLoRaStatus.ACCEPTED
+        (verdict,) = self._judge(server, raw, -20e3 - 600.0)
+        assert verdict.status is ServerStatus.ACCEPTED
 
 
 class TestChirpConfigBoundaries:

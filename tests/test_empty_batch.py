@@ -62,13 +62,7 @@ class TestEmptyPipelineRun:
 
     def test_gateway_process_batch_empty(self, config):
         gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
-        receptions = gateway.process_batch(CaptureBatch.empty(config.sample_rate_hz))
-        assert receptions == []
-        assert gateway.receptions == []
-
-    def test_gateway_process_frame_batch_empty(self, config):
-        gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
-        assert gateway.process_frame_batch([]) == []
+        assert gateway.process_batch(CaptureBatch.empty(config.sample_rate_hz), "gw-0", 0.0) == []
 
     def test_nonempty_after_empty_unaffected(self, config, rng):
         # An empty run must not poison caches or reference state.
@@ -101,4 +95,4 @@ class TestEmptyWorldStep:
             world.add_device(device)
         assert world.uplink_batch([]) == []
         assert world.events == []
-        assert len(world.gateway.receptions) == 0
+        assert world.server.verdicts == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.attack.jammer import JammingOutcome
-from repro.core.softlora import SoftLoRaStatus
+from repro.server import ServerStatus
 from repro.experiments.attack_e2e import min_viable_spreading_factor, run_attack_e2e
 from repro.experiments.campus import run_campus
 from repro.experiments.common import synthesize_capture
@@ -248,7 +248,7 @@ class TestAttackE2E:
         )
         assert result.replay_within_linear_range
         assert not result.monitor_can_hear_replay
-        assert result.softlora_status is SoftLoRaStatus.REPLAY_DETECTED
+        assert result.softlora_status is ServerStatus.REPLAY_DETECTED
 
 
 class TestDetection:

@@ -9,8 +9,7 @@ from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
 from repro.clock.clocks import DriftingClock
 from repro.clock.oscillator import Oscillator
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.device import EndDevice
 from repro.lorawan.gateway import CommodityGateway, ReceiveStatus
 from repro.lorawan.security import SessionKeys
@@ -18,6 +17,7 @@ from repro.phy.chirp import ChirpConfig
 from repro.sdr.iq import IQTrace
 from repro.sdr.noise import complex_awgn, noise_power_for_snr
 from repro.sdr.receiver import SdrReceiver
+from repro.server import FusionPolicy, GatewayForward, NetworkServer, ServerStatus
 from repro.sim.rng import RngStreams
 
 DEV = 0x26017777
@@ -35,14 +35,25 @@ def build_system(seed=21, sf=7, fs=0.5e6, drift_ppm=40.0):
         spreading_factor=sf,
         rng=streams.stream("dev"),
     )
-    commodity = CommodityGateway()
-    commodity.register_device(device.dev_addr, device.keys)
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
+    gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
+    server = NetworkServer(mac=gateway.commodity, fusion=FusionPolicy.BEST_SNR)
+    server.register_device(device.dev_addr, device.keys)
+    return config, device, gateway, server, streams
+
+
+def judge_frame(server, mac_bytes, arrival_time_s, fb_hz):
+    """The server's verdict on one frame-level forward from one gateway."""
+    (verdict,) = server.process_step(
+        [GatewayForward("gw-0", mac_bytes, arrival_time_s, fb_hz, snr_db=10.0)]
     )
-    return config, device, gateway, streams
+    return verdict
+
+
+def judge_capture(server, gateway, trace, noise_power):
+    """Run a capture through the gateway, then its forward through the server."""
+    forward = gateway.process_capture(trace, "gw-0", 15.0, noise_power=noise_power)
+    (verdict,) = server.process_step([forward])
+    return verdict
 
 
 def noisy_capture(wave, emission_time_s, config, rng, snr_db=15.0, pad=1200, tail=1024):
@@ -59,7 +70,7 @@ class TestNormalOperationStory:
     """Sec. 3.2: sync-free timestamping in benign conditions."""
 
     def test_continuous_monitoring_with_drifting_clock(self):
-        config, device, gateway, streams = build_system()
+        config, device, gateway, server, streams = build_system()
         rng = streams.stream("noise")
         worst_error = 0.0
         # Learn the FB profile over the first three frames, then measure.
@@ -71,25 +82,25 @@ class TestNormalOperationStory:
             tx = device.transmit(base + 90.0)
             wave = device.modulate(tx, config)
             trace, noise_power = noisy_capture(wave, tx.emission_time_s, config, rng)
-            reception = gateway.process_capture(trace, noise_power=noise_power)
-            assert reception.status is SoftLoRaStatus.ACCEPTED
-            for reading, truth in zip(reception.readings, event_times):
+            verdict = judge_capture(server, gateway, trace, noise_power)
+            assert verdict.status is ServerStatus.ACCEPTED
+            for reading, truth in zip(verdict.readings, event_times):
                 worst_error = max(worst_error, abs(reading.global_time_s - truth))
         # The paper's end-to-end budget: drift + latency + quantization,
         # all well under 10 ms.
         assert worst_error < 10e-3
 
     def test_fb_profile_converges(self):
-        config, device, gateway, streams = build_system()
+        config, device, gateway, server, streams = build_system()
         rng = streams.stream("noise")
         for frame_index in range(4):
             device.take_reading(1.0, 100.0 * (frame_index + 1))
             tx = device.transmit(100.0 * (frame_index + 1) + 5.0)
             wave = device.modulate(tx, config)
             trace, noise_power = noisy_capture(wave, tx.emission_time_s, config, rng)
-            gateway.process_capture(trace, noise_power=noise_power)
+            judge_capture(server, gateway, trace, noise_power)
         node_id = f"{DEV:08x}"
-        estimates = gateway.replay_detector.database.estimates(node_id)
+        estimates = server.detector.database.estimates(node_id)
         assert len(estimates) == 4
         # At 0.5 Msps one sample of onset error biases the FB by
         # rate/fs ~ 244 Hz, which dominates the scatter here.
@@ -100,13 +111,13 @@ class TestAttackStory:
     """Sec. 4 + Sec. 7.2: the frame delay attack and its detection."""
 
     def test_commodity_gateway_is_fooled_softlora_is_not(self):
-        config, device, gateway, streams = build_system()
+        config, device, gateway, server, streams = build_system()
         rng = streams.stream("noise")
         # Warm-up traffic to learn the profile.
         for i in range(3):
             device.take_reading(1.0, 50.0 + 100.0 * i)
             tx = device.transmit(55.0 + 100.0 * i)
-            gateway.process_frame(tx.mac_bytes, tx.emission_time_s, device.fb_hz)
+            judge_frame(server, tx.mac_bytes, tx.emission_time_s, device.fb_hz)
 
         # The attacked uplink, full waveform path through the chain.
         device.take_reading(7.7, 1000.0)
@@ -147,17 +158,17 @@ class TestAttackStory:
             config.sample_rate_hz,
             start_time_s=outcome.replayed_trace.start_time_s - pad / config.sample_rate_hz,
         )
-        softlora_view = gateway.process_capture(capture, noise_power=noise_power)
-        assert softlora_view.status is SoftLoRaStatus.REPLAY_DETECTED
+        softlora_view = judge_capture(server, gateway, capture, noise_power)
+        assert softlora_view.status is ServerStatus.REPLAY_DETECTED
         assert softlora_view.readings == []
 
     def test_detection_across_delays(self):
         # Detection is delay-independent: any τ produces the same FB shift.
-        config, device, gateway, streams = build_system()
+        config, device, gateway, server, streams = build_system()
         for i in range(3):
             device.take_reading(1.0, 10.0 + 100.0 * i)
             tx = device.transmit(12.0 + 100.0 * i)
-            gateway.process_frame(tx.mac_bytes, tx.emission_time_s, device.fb_hz)
+            judge_frame(server, tx.mac_bytes, tx.emission_time_s, device.fb_hz)
         attack = FrameDelayAttack(
             jammer=StealthyJammer(), replayer=Replayer.single_usrp(streams.stream("r"))
         )
@@ -165,19 +176,20 @@ class TestAttackStory:
             device.take_reading(1.0, 2000.0 + delay)
             tx = device.transmit(2001.0 + delay)
             outcome = attack.execute(tx, delay_s=delay)
-            reception = gateway.process_frame(
+            verdict = judge_frame(
+                server,
                 outcome.replayed.mac_bytes,
                 outcome.replayed.arrival_time_s,
                 outcome.replayed.fb_hz,
             )
-            assert reception.status is SoftLoRaStatus.REPLAY_DETECTED
+            assert verdict.status is ServerStatus.REPLAY_DETECTED
 
 
 class TestTemperatureDriftStory:
     """Sec. 7.2: benign FB drift is tracked, attacks still detected."""
 
     def test_detector_follows_thermal_drift_and_catches_replay(self):
-        config, device, gateway, streams = build_system()
+        config, device, gateway, server, streams = build_system()
         # Frames while the device warms from 25 to 33 degrees in half-
         # degree steps: the AT-cut parabola moves the FB a few hundred Hz
         # per frame at most, inside the guard band (the paper's premise
@@ -186,10 +198,8 @@ class TestTemperatureDriftStory:
             device.temperature_c = 25.0 + 0.5 * step
             device.take_reading(1.0, 100.0 * (step + 1))
             tx = device.transmit(100.0 * (step + 1) + 2.0)
-            reception = gateway.process_frame(
-                tx.mac_bytes, tx.emission_time_s, device.fb_hz
-            )
-            assert reception.status is SoftLoRaStatus.ACCEPTED
+            verdict = judge_frame(server, tx.mac_bytes, tx.emission_time_s, device.fb_hz)
+            assert verdict.status is ServerStatus.ACCEPTED
         # Total drift so far is large, yet a replay at the *current*
         # temperature still stands out by the chain offset.
         attack = FrameDelayAttack(
@@ -198,12 +208,13 @@ class TestTemperatureDriftStory:
         device.take_reading(1.0, 5000.0)
         tx = device.transmit(5001.0)
         outcome = attack.execute(tx, delay_s=60.0)
-        reception = gateway.process_frame(
+        verdict = judge_frame(
+            server,
             outcome.replayed.mac_bytes,
             outcome.replayed.arrival_time_s,
             outcome.replayed.fb_hz,
         )
-        assert reception.status is SoftLoRaStatus.REPLAY_DETECTED
+        assert verdict.status is ServerStatus.REPLAY_DETECTED
 
 
 class TestMultiDeviceStory:
@@ -211,13 +222,7 @@ class TestMultiDeviceStory:
         # Two devices with nearly identical FBs (like nodes 3/8/14 in
         # Fig. 13): per-node change detection still works.
         streams = RngStreams(33)
-        config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-        commodity = CommodityGateway()
-        gateway = SoftLoRaGateway(
-            config=config,
-            commodity=commodity,
-            replay_detector=ReplayDetector(database=FbDatabase()),
-        )
+        server = NetworkServer(fusion=FusionPolicy.BEST_SNR)
         devices = []
         for idx in range(2):
             dev_addr = 0x26020000 + idx
@@ -229,23 +234,24 @@ class TestMultiDeviceStory:
                 clock=DriftingClock(drift_ppm=30.0),
                 rng=streams.stream(f"d{idx}"),
             )
-            commodity.register_device(dev_addr, device.keys)
+            server.register_device(dev_addr, device.keys)
             devices.append(device)
         for device in devices:
             for i in range(3):
                 device.take_reading(1.0, 10.0 + 100.0 * i)
                 tx = device.transmit(11.0 + 100.0 * i)
-                assert gateway.process_frame(
-                    tx.mac_bytes, tx.emission_time_s, device.fb_hz
-                ).status is SoftLoRaStatus.ACCEPTED
+                verdict = judge_frame(server, tx.mac_bytes, tx.emission_time_s, device.fb_hz)
+                assert verdict.status is ServerStatus.ACCEPTED
         attack = FrameDelayAttack(
             jammer=StealthyJammer(), replayer=Replayer.single_usrp(streams.stream("r"))
         )
         devices[0].take_reading(1.0, 900.0)
         tx = devices[0].transmit(901.0)
         outcome = attack.execute(tx, delay_s=30.0)
-        assert gateway.process_frame(
+        verdict = judge_frame(
+            server,
             outcome.replayed.mac_bytes,
             outcome.replayed.arrival_time_s,
             outcome.replayed.fb_hz,
-        ).status is SoftLoRaStatus.REPLAY_DETECTED
+        )
+        assert verdict.status is ServerStatus.REPLAY_DETECTED

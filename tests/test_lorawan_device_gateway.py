@@ -235,14 +235,6 @@ class TestCommodityGateway:
         delayed = gateway.receive_frame(tx.mac_bytes, tx.emission_time_s + 60.0)
         assert delayed.status is ReceiveStatus.OK
 
-    def test_receptions_logged(self):
-        device = make_device()
-        gateway = make_gateway(device)
-        device.take_reading(1.0, 0.0)
-        tx = device.transmit(1.0)
-        gateway.receive_frame(tx.mac_bytes, tx.emission_time_s)
-        assert len(gateway.receptions) == 1
-
     def test_counter_reset_support(self):
         device = make_device()
         gateway = make_gateway(device)

@@ -6,7 +6,6 @@ import pytest
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
-from repro.core.detector import FbDatabase, ReplayDetector
 from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.lorawan.gateway import CommodityGateway
@@ -30,7 +29,6 @@ def build_world(seed=0, n_devices=4, exponent=2.0):
     gateway = SoftLoRaGateway(
         config=config,
         commodity=CommodityGateway(),
-        replay_detector=ReplayDetector(database=FbDatabase()),
     )
     world = LoRaWanWorld(
         gateway=gateway,
@@ -59,8 +57,8 @@ class TestGoldenDegenerate:
             event.time_s,
             event.device_name,
             event.snr_db,
-            None if event.reception is None else event.reception.fb_hz,
-            None if event.reception is None else event.reception.status,
+            None if event.verdict is None else event.verdict.fused_fb_hz,
+            None if event.verdict is None else event.verdict.status,
             None if event.transmission is None else event.transmission.fcnt,
         )
 
@@ -204,7 +202,7 @@ class TestColumnarRuntime:
     def test_phases_extend_one_timeline(self):
         world, devices, streams = build_world(seed=5, n_devices=8)
         for device in devices:
-            world.gateway.bootstrap_fb_profile(
+            world.server.bootstrap_fb_profile(
                 device.dev_addr,
                 [device.fb_hz + float(e) for e in streams.stream("p").normal(0, 15, 5)],
             )

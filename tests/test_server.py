@@ -104,70 +104,6 @@ class TestForwardConstructors:
         with pytest.raises(ConfigurationError):
             GatewayForward(gateway_id="gw", mac_bytes=b"", arrival_time_s=0, fb_hz=0, snr_db=0)
 
-    def test_forward_from_reception(self):
-        from repro.core.softlora import SoftLoRaGateway
-        from repro.lorawan.gateway import CommodityGateway
-        from repro.phy.chirp import ChirpConfig
-        from repro.server import forward_from_reception
-
-        config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-        gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
-        gateway.commodity.register_device(DEV_ADDR, KEYS)
-        raw = frame(0)
-        reception = gateway.process_frame(raw, 123.0, -20e3)
-        fwd = forward_from_reception("gw-7", reception, snr_db=12.0, mac_bytes=raw)
-        assert fwd.gateway_id == "gw-7"
-        assert fwd.mac_bytes == raw
-        assert fwd.arrival_time_s == 123.0
-        assert fwd.fb_hz == -20e3
-        assert fwd.snr_db == 12.0
-
-    def test_forward_from_event(self):
-        from repro.core.softlora import SoftLoRaReception, SoftLoRaStatus
-        from repro.lorawan.device import UplinkTransmission
-        from repro.phy.frame import PhyFrame
-        from repro.server import forward_from_event
-        from repro.sim.network import EventKind, WorldEvent
-
-        raw = frame(0)
-        tx = UplinkTransmission(
-            device_name="node",
-            dev_addr=DEV_ADDR,
-            mac_bytes=raw,
-            phy_frame=PhyFrame(payload=raw),
-            request_time_s=10.0,
-            emission_time_s=10.003,
-            fb_hz=-20e3,
-            tx_power_dbm=14.0,
-            spreading_factor=7,
-            airtime_s=0.05,
-        )
-        reception = SoftLoRaReception(
-            status=SoftLoRaStatus.ACCEPTED, phy_timestamp_s=10.003, fb_hz=-20.1e3
-        )
-        event = WorldEvent(
-            kind=EventKind.DELIVERED,
-            time_s=10.003,
-            device_name="node",
-            snr_db=9.0,
-            transmission=tx,
-            reception=reception,
-        )
-        fwd = forward_from_event("gw-2", event)
-        assert fwd.mac_bytes == raw
-        assert fwd.fb_hz == -20.1e3
-        assert fwd.snr_db == 9.0
-
-    def test_forward_from_event_without_frame_rejected(self):
-        from repro.server import forward_from_event
-        from repro.sim.network import EventKind, WorldEvent
-
-        lost = WorldEvent(
-            kind=EventKind.LOST_LOW_SNR, time_s=1.0, device_name="node", snr_db=-30.0
-        )
-        with pytest.raises(ConfigurationError):
-            forward_from_event("gw-0", lost)
-
 
 class TestFusion:
     def setup_method(self):
@@ -312,11 +248,19 @@ class TestNetworkServer:
 
     def test_mac_checked_once_per_uplink(self):
         server = self.make_server()
+        calls = []
+        receive_frame = server.mac.receive_frame
+
+        def counting_receive_frame(mac_bytes, arrival_s):
+            calls.append((mac_bytes, arrival_s))
+            return receive_frame(mac_bytes, arrival_s)
+
+        server.mac.receive_frame = counting_receive_frame
         raw = frame(0)
         server.process_step(
             [forward(f"gw-{i}", fcnt=0, mac_bytes=raw, arrival=100.0) for i in range(4)]
         )
-        assert len(server.mac.receptions) == 1
+        assert calls == [(raw, 100.0)]
 
     def test_unknown_device_rejected(self):
         server = NetworkServer()  # no keys provisioned
@@ -423,15 +367,14 @@ class TestNetworkServer:
             config.sample_rate_hz,
             start_time_s=tx.emission_time_s - 1200 / config.sample_rate_hz,
         )
-        fwd = gateway.forward_capture(
+        fwd = gateway.process_capture(
             trace, gateway_id="gw-0", snr_db=snr_db, noise_power=noise_power
         )
         assert fwd is not None
+        assert fwd.gateway_id == "gw-0"
+        assert fwd.snr_db == snr_db
         assert fwd.mac_bytes == tx.mac_bytes
         assert fwd.fb_hz == pytest.approx(device.fb_hz, abs=300.0)
-        # The forwarding gateway never touched MAC or replay state.
-        assert gateway.receptions == []
-        assert gateway.commodity.receptions == []
 
         server = self.make_server()
         (verdict,) = server.process_step([fwd])

@@ -6,14 +6,14 @@ import pytest
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError, SimulationError
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
+from repro.server import FusionPolicy, ServerStatus
 from repro.sim.events import Simulator
 from repro.sim.network import EventKind, FbMeasurementModel, LoRaWanWorld
 from repro.sim.rng import RngStreams
@@ -165,14 +165,8 @@ def build_world(seed=0, n_devices=4):
     streams = RngStreams(seed)
     devices = build_fleet(n_devices=n_devices, streams=streams)
     config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
-    commodity = CommodityGateway()
-    gateway = SoftLoRaGateway(
-        config=config,
-        commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
-    )
     world = LoRaWanWorld(
-        gateway=gateway,
+        gateway=SoftLoRaGateway(config=config, commodity=CommodityGateway()),
         gateway_position=Position(0.0, 0.0, 1.0),
         link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
         rng=streams.stream("world"),
@@ -188,7 +182,7 @@ class TestLoRaWanWorld:
         devices[0].take_reading(1.0, 0.0)
         event = world.uplink(devices[0].name, 1.0)
         assert event.kind is EventKind.DELIVERED
-        assert event.reception.status is SoftLoRaStatus.ACCEPTED
+        assert event.verdict.status is ServerStatus.ACCEPTED
 
     def test_duplicate_device_rejected(self):
         world, devices, _ = build_world()
@@ -201,7 +195,7 @@ class TestLoRaWanWorld:
         devices[0].take_reading(1.0, 0.0)
         event = world.uplink(devices[0].name, 1.0)
         assert event.kind is EventKind.LOST_LOW_SNR
-        assert event.reception is None
+        assert event.verdict is None
 
     def test_attack_suppresses_then_replays(self):
         world, devices, streams = build_world()
@@ -216,7 +210,7 @@ class TestLoRaWanWorld:
         devices[0].take_reading(9.0, 1000.0)
         event = world.uplink(devices[0].name, 1001.0)
         assert event.kind is EventKind.REPLAY_DELIVERED
-        assert event.reception.status is SoftLoRaStatus.REPLAY_DETECTED
+        assert event.verdict.status is ServerStatus.REPLAY_DETECTED
         kinds = [e.kind for e in world.events]
         assert EventKind.SUPPRESSED_BY_JAMMING in kinds
 
@@ -282,7 +276,7 @@ class TestLoRaWanWorld:
     def _delivery_signatures(events):
         rows = []
         for event in events:
-            reception = event.reception
+            verdict = event.verdict
             rows.append(
                 (
                     event.kind.value,
@@ -290,9 +284,9 @@ class TestLoRaWanWorld:
                     event.device_name,
                     event.snr_db.hex(),
                     event.detail,
-                    None if reception is None else reception.fb_hz.hex(),
-                    None if reception is None else reception.status.value,
-                    None if reception is None else reception.phy_timestamp_s.hex(),
+                    None if verdict is None else verdict.fused_fb_hz.hex(),
+                    None if verdict is None else verdict.status.value,
+                    None if verdict is None else verdict.timestamp_s.hex(),
                 )
             )
         return rows
@@ -316,22 +310,14 @@ class TestLoRaWanWorld:
         ).hexdigest()
         assert digest == self.GOLDEN_SINGLE_GATEWAY_DELIVERY
 
-    def test_extra_gateway_without_server_rejects_uplink(self):
+    def test_default_server_judges_on_the_commodity_chip(self):
         world, devices, _ = build_world()
-        world.add_gateway(Position(50.0, 0.0, 1.0))
-        with pytest.raises(ConfigurationError, match="no network server is attached"):
-            world.uplink(devices[0].name, 1.0)
-
-    def test_scheduled_uplinks_run_in_order(self):
-        world, devices, _ = build_world()
-        for i, device in enumerate(devices):
-            device.take_reading(float(i), 10.0 * i)
-            world.schedule_uplink(device.name, 10.0 * i + 1.0)
-        world.run()
-        delivered = world.events_of(EventKind.DELIVERED)
-        assert len(delivered) == len(devices)
-        times = [e.time_s for e in delivered]
-        assert times == sorted(times)
+        assert world.server.mac is world.gateway.commodity
+        assert world.server.fusion is FusionPolicy.BEST_SNR
+        devices[0].take_reading(1.0, 0.0)
+        event = world.uplink(devices[0].name, 1.0)
+        assert world.server.verdicts == [event.verdict]
+        assert event.verdict.gateway_ids == ("gw-0",)
 
 
 class TestScenarios:

@@ -54,14 +54,15 @@ class TestTopology:
         with pytest.raises(ConfigurationError):
             world.add_gateway(Position(1.0, 1.0, 1.0), gateway_id="gw-0")
 
-    def test_extra_gateways_without_server_is_an_error(self):
+    def test_extra_gateways_route_through_the_default_server(self):
         world, devices, _ = build_multi_world(n_gateways=2)
-        with pytest.raises(ConfigurationError):
-            world.uplink_batch()
-        # The single-uplink entry must refuse too, not silently route to
-        # the primary gateway alone.
-        with pytest.raises(ConfigurationError):
-            world.uplink(devices[0].name, 5.0)
+        events = world.uplink_batch()
+        assert [e.verdict.n_gateways for e in events] == [2] * len(devices)
+        # The single-uplink entry routes the same way, not to the
+        # primary gateway alone.
+        event = world.uplink(devices[0].name, 300.0)
+        assert sorted(event.verdict.gateway_ids) == ["gw-0", "gw-1"]
+        assert world.server.verdicts[-1] is event.verdict
 
     def test_attach_server_provisions_existing_devices(self):
         world, devices, _ = build_multi_world(n_gateways=2)
@@ -80,7 +81,6 @@ class TestFusedUplinks:
         assert len(server.verdicts) == len(devices)
         for event in events:
             assert event.kind is EventKind.DELIVERED
-            assert event.reception is None  # gateways forward, server judges
             assert event.verdict is not None
             assert event.verdict.n_gateways == 4
         assert server.dedup_rate == 4.0

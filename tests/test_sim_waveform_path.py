@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.detector import FbDatabase, ReplayDetector
-from repro.core.softlora import SoftLoRaGateway, SoftLoRaStatus
+from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
+from repro.server import ServerStatus
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
 from repro.sim.scenarios import build_fleet
@@ -23,7 +23,6 @@ def world():
     gateway = SoftLoRaGateway(
         config=config,
         commodity=commodity,
-        replay_detector=ReplayDetector(database=FbDatabase()),
     )
     w = LoRaWanWorld(
         gateway=gateway,
@@ -42,10 +41,10 @@ class TestWaveformUplink:
         device.take_reading(7.0, 100.0)
         event = world.uplink_with_capture("node-0", 105.0)
         assert event.kind is EventKind.DELIVERED
-        assert event.reception.status is SoftLoRaStatus.ACCEPTED
-        # The PHY timestamp was produced by actual onset detection.
-        assert event.reception.onset is not None
-        assert event.reception.fb_estimate is not None
+        assert event.verdict.status is ServerStatus.ACCEPTED
+        # The primary gateway's SDR chain forwarded its own measurements.
+        assert event.verdict.gateway_ids == ("gw-0",)
+        assert event.time_s == event.verdict.timestamp_s
 
     def test_phy_timestamp_accuracy(self, world):
         device = world.devices["node-0"]
@@ -53,20 +52,20 @@ class TestWaveformUplink:
         event = world.uplink_with_capture("node-0", 105.0)
         tx = event.transmission
         # Arrival = emission + propagation; both are sub-µs here.
-        assert abs(event.reception.phy_timestamp_s - tx.emission_time_s) < 20e-6
+        assert abs(event.verdict.timestamp_s - tx.emission_time_s) < 20e-6
 
     def test_fb_estimate_matches_device(self, world):
         device = world.devices["node-1"]
         device.take_reading(7.0, 100.0)
         event = world.uplink_with_capture("node-1", 105.0)
         # Within the sample-grid slicing bias at 0.5 Msps.
-        assert event.reception.fb_hz == pytest.approx(device.fb_hz, abs=300.0)
+        assert event.verdict.fused_fb_hz == pytest.approx(device.fb_hz, abs=300.0)
 
     def test_reconstructed_reading_accuracy(self, world):
         device = world.devices["node-0"]
         device.take_reading(42.0, 200.0)
         event = world.uplink_with_capture("node-0", 260.0)
-        reading = event.reception.readings[0]
+        reading = event.verdict.readings[0]
         assert reading.value == 42.0
         assert reading.global_time_s == pytest.approx(200.0, abs=10e-3)
 
@@ -85,6 +84,6 @@ class TestWaveformUplink:
         fast = world.uplink("node-0", 12.0)
         device.take_reading(2.0, 300.0)
         full = world.uplink_with_capture("node-0", 302.0)
-        assert fast.reception.status is SoftLoRaStatus.ACCEPTED
-        assert full.reception.status is SoftLoRaStatus.ACCEPTED
-        assert fast.reception.fb_hz == pytest.approx(full.reception.fb_hz, abs=400.0)
+        assert fast.verdict.status is ServerStatus.ACCEPTED
+        assert full.verdict.status is ServerStatus.ACCEPTED
+        assert fast.verdict.fused_fb_hz == pytest.approx(full.verdict.fused_fb_hz, abs=400.0)
