@@ -1,6 +1,8 @@
 """Tests for multi-gateway routing in LoRaWanWorld + the fused verdicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
@@ -13,9 +15,11 @@ from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import FusionPolicy, NetworkServer, ServerStatus
+from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
 from repro.sim.scenarios import build_fleet
+from repro.sim.traffic import PeriodicTrafficModel
 
 
 def build_multi_world(seed=0, n_devices=6, n_gateways=4, exponent=2.0, ring_m=60.0):
@@ -213,3 +217,68 @@ class TestFusedAccuracy:
             best_errors.append(abs(verdict.gateway_fbs_hz[best_row] - truth))
         assert len(fused_errors) == 16 * 20
         assert float(np.mean(fused_errors)) <= float(np.mean(best_errors))
+
+
+def _deaf_gateway_run(seed, targets, deaf):
+    """Clean then attacked events-mode phases; ``deaf`` adds an unreachable gateway."""
+    streams = RngStreams(seed)
+    world = LoRaWanWorld(
+        gateway=SoftLoRaGateway(
+            config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
+            commodity=CommodityGateway(),
+        ),
+        gateway_position=Position(0.0, 0.0, 15.0),
+        link=LinkBudget(pathloss=LogDistancePathLoss(exponent=2.0)),
+        rng=streams.stream("world"),
+    )
+    if deaf:
+        world.add_gateway(Position(1e7, 0.0, 15.0))  # below every SF floor
+    for device in build_fleet(n_devices=8, streams=streams, ring_radius_m=300.0):
+        world.add_device(device)
+    traffic = PeriodicTrafficModel(period_s=30.0, jitter_s=10.0, rng=streams.stream("traffic"))
+    runtime = ColumnarRuntime(world, traffic, window_s=2.0, mode="events")
+    events = runtime.run(90.0).events
+    world.arm_attack(
+        FrameDelayAttack(
+            jammer=StealthyJammer(),
+            replayer=Replayer.single_usrp(streams.stream("replayer")),
+            rng=streams.stream("attack"),
+        ),
+        [f"node-{i}" for i in targets],
+        delay_s=20.0,
+    )
+    events += runtime.run(120.0).events
+    return [
+        (
+            e.kind.value,
+            e.time_s,
+            e.device_name,
+            e.snr_db,
+            None if e.transmission is None else e.transmission.fcnt,
+            None
+            if e.verdict is None
+            else (
+                e.verdict.status.value,
+                e.verdict.fused_fb_hz,
+                e.verdict.gateway_fbs_hz,
+                e.verdict.timestamp_s,
+                e.verdict.gateway_ids,
+            ),
+        )
+        for e in events
+    ]
+
+
+class TestDeafGateway:
+    """A gateway no device can reach changes no event and no verdict."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        targets=st.sets(st.integers(0, 7), min_size=1, max_size=8),
+    )
+    def test_unreachable_gateway_changes_nothing(self, seed, targets):
+        alone = _deaf_gateway_run(seed, sorted(targets), deaf=False)
+        assert _deaf_gateway_run(seed, sorted(targets), deaf=True) == alone
+        kinds = {row[0] for row in alone}
+        assert {"delivered", "replay_delivered"} <= kinds
