@@ -81,9 +81,7 @@ class SoftLoRaGateway:
             fb_hz = self.fb_estimator.estimate(second_chirp, noise_power=noise_power).fb_hz
         except ReproError:
             return None
-        return self._demodulate(
-            trace.samples, onset.index, onset.time_s, fb_hz, gateway_id, snr_db
-        )
+        return self._demodulate(trace.samples, onset.index, onset.time_s, fb_hz, gateway_id, snr_db)
 
     def process_batch(
         self,

@@ -147,9 +147,7 @@ class LoRaWanWorld:
     def __post_init__(self) -> None:
         """Build the default network server when none was given."""
         if self.server is None:
-            self.server = NetworkServer(
-                mac=self.gateway.commodity, fusion=FusionPolicy.BEST_SNR
-            )
+            self.server = NetworkServer(mac=self.gateway.commodity, fusion=FusionPolicy.BEST_SNR)
 
     def add_device(self, device: EndDevice) -> None:
         """Add a device and provision its session keys on the server."""
@@ -475,9 +473,7 @@ class LoRaWanWorld:
         tx = device.transmit(request_time_s)
         snr = self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)
         floor = SX1276_DEMOD_SNR_FLOOR_DB[device.spreading_factor]
-        arrival = tx.emission_time_s + propagation_delay_s(
-            device.position, self.gateway_position
-        )
+        arrival = tx.emission_time_s + propagation_delay_s(device.position, self.gateway_position)
         if snr < floor:
             event = WorldEvent(
                 kind=EventKind.LOST_LOW_SNR,
