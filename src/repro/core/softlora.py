@@ -87,7 +87,7 @@ class SoftLoRaGateway:
         self,
         batch: "CaptureBatch",
         gateway_id: str,
-        snr_db: Any,
+        snr_db: float,
         noise_powers: Any = None,
         onset_component: str = "i",
     ) -> "list[GatewayForward | None]":
@@ -97,8 +97,8 @@ class SoftLoRaGateway:
         estimation) run vectorized over the stack via
         :class:`repro.pipeline.BatchPipeline`; demodulation then runs
         capture by capture.  Returns one entry per capture, as
-        :meth:`process_capture` would.  ``snr_db`` and ``noise_powers``
-        are scalars or per-capture sequences.
+        :meth:`process_capture` would.  ``noise_powers`` is a scalar or a
+        per-capture sequence.
         """
         from repro.pipeline.engine import BatchPipeline
 
@@ -108,7 +108,6 @@ class SoftLoRaGateway:
             fb_estimator=self.fb_estimator,
         )
         staged = engine.run(batch, component=onset_component, noise_powers=noise_powers)
-        snrs = np.broadcast_to(np.asarray(snr_db, dtype=float), (len(staged.outcomes),))
         return [
             None
             if outcome.fb_estimate is None
@@ -118,7 +117,7 @@ class SoftLoRaGateway:
                 outcome.phy_timestamp_s,
                 outcome.fb_estimate.fb_hz,
                 gateway_id,
-                float(snrs[row]),
+                snr_db,
             )
             for row, outcome in enumerate(staged.outcomes)
         ]

@@ -12,6 +12,7 @@ from repro.core.softlora import SoftLoRaGateway
 from repro.lorawan.device import EndDevice
 from repro.lorawan.gateway import CommodityGateway
 from repro.lorawan.security import SessionKeys
+from repro.pipeline import CaptureBatch
 from repro.sdr.iq import IQTrace
 from repro.sdr.noise import complex_awgn, noise_power_for_snr
 from repro.server import FusionPolicy, GatewayForward, NetworkServer, ServerStatus
@@ -130,6 +131,19 @@ class TestFullWaveformPath:
         noise = complex_awgn(20 * fast_config.samples_per_chirp, 1.0, rng)
         trace = IQTrace(noise, fast_config.sample_rate_hz)
         assert gateway.process_capture(trace, "gw-0", 0.0) is None
+
+    def test_batch_forwards_match_single_captures(self, fast_config, device, gateway, rng):
+        device.take_reading(1.0, 10.0)
+        trace, noise_power = capture_of(device, device.transmit(20.0), fast_config, rng)
+        noise = complex_awgn(len(trace), noise_power, rng)
+        garbage = IQTrace(noise, fast_config.sample_rate_hz)
+        batch = CaptureBatch.from_traces([trace, garbage])
+        forwards = gateway.process_batch(batch, "gw-0", 15.0, noise_powers=noise_power)
+        assert forwards == [
+            gateway.process_capture(t, "gw-0", 15.0, noise_power=noise_power)
+            for t in (trace, garbage)
+        ]
+        assert forwards[0] is not None and forwards[1] is None
 
 
 class TestFrameLevelPath:
