@@ -1,10 +1,10 @@
 """The gateway -> network-server forwarding contract.
 
 Real LoRaWAN gateways are packet forwarders: they hold no session keys
-and run no application logic.  A SoftLoRa gateway therefore ships,
-per uplink it hears, exactly what its SDR
-front end measured -- the raw PHYPayload, the AIC PHY timestamp, the
-estimated frequency bias, and the link SNR -- and leaves MAC
+and run no application logic.  A SoftLoRa gateway therefore ships, per
+uplink it hears, exactly what its SDR front end measured -- the raw
+PHYPayload, the AIC PHY timestamp, the estimated frequency bias, and
+the link SNR -- and leaves MAC
 verification, deduplication, FB fusion, and the replay verdict to the
 :class:`repro.server.NetworkServer`.
 
@@ -53,4 +53,3 @@ class GatewayForward:
             raise ConfigurationError("a forward needs a non-empty gateway id")
         if not self.mac_bytes:
             raise ConfigurationError("a forward needs a non-empty PHYPayload")
-

@@ -5,7 +5,7 @@ events mode reproduces, *bit for bit*, the event streams the original
 heap-driven runtime produced (single-gateway, fused multi-gateway,
 ADR-on, and attack phase sequences), while counters mode resolves the
 full scenario matrix -- plain traffic, armed frame-delay attacks, ADR
-downlinks, serverless multi-gateway fusion -- into counters that match
+downlinks, multi-gateway fusion -- into counters that match
 events mode counter for counter on the same seeds.  Spec-built worlds
 (:class:`FleetSpec` / :meth:`FleetState.from_spec`) must be bitwise
 equal to the object-built snapshot, chunked power matrices bitwise
@@ -351,7 +351,7 @@ class TestCountersMode:
         assert sum(phase[10] for phase in counters) > 0
 
     def test_serverless_multi_gateway_matches_fused_events(self):
-        """Serverless counters fusion == events mode with a server attached."""
+        """Counters fusion, which never consults the server, == events mode."""
         world_e, streams_e = build_world(
             seed=9, n=20, ring=600.0, extra_gw=True, server=NetworkServer
         )
