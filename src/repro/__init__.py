@@ -94,7 +94,6 @@ __all__ = [
     "NetworkServer",
     "Oscillator",
     "PerfectClock",
-    "PersistentShardedFbDatabase",
     "PhyFrame",
     "PhyReceiver",
     "PhyTransmitter",
@@ -138,10 +137,6 @@ _LAZY = {
     "ServerVerdict": ("repro.server.network_server", "ServerVerdict"),
     "SqliteFbStore": ("repro.server.store.sqlite", "SqliteFbStore"),
     "LruCachedStore": ("repro.server.store.cache", "LruCachedStore"),
-    "PersistentShardedFbDatabase": (
-        "repro.server.store.sharded",
-        "PersistentShardedFbDatabase",
-    ),
     "open_store": ("repro.server.store", "open_store"),
     "ScenarioSpec": ("repro.experiments.common", "ScenarioSpec"),
     "SweepExecutor": ("repro.experiments.common", "SweepExecutor"),

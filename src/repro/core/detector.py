@@ -77,23 +77,21 @@ class FbStore(Protocol):
     """Anything that can hold per-node FB history for a detector.
 
     :class:`FbDatabase` is the in-process implementation; the backends
-    in :mod:`repro.server.store` persist it (a SQLite file, an LRU
-    write-through cache, CRC32-routed per-shard SQLite files with
-    rebalancing).
+    in :mod:`repro.server.store` persist it (a SQLite file and an LRU
+    write-through cache).
 
     The protocol is ``runtime_checkable`` so a backend missing a method
     fails an ``isinstance`` conformance test instead of exploding later
     inside a worker; the full surface below is what the detector, the
-    network server's ``device_state``, provisioning, the LRU hot-cache,
-    and shard rebalancing collectively require of every store.
+    network server's ``device_state``, provisioning and the LRU
+    hot-cache collectively require of every store.
 
     The detector's per-frame traffic is one read and at most one write:
     ``interval`` returns the guarded bounds together with the sample
     count they span (:attr:`FbInterval.samples`), and ``record`` appends
     an accepted estimate.  ``record_many`` appends a whole ``(time_s,
     fb_hz)`` history in one call -- what an offline profile bootstrap
-    and shard rebalancing write -- with the same result as one
-    ``record`` per pair.
+    writes -- with the same result as one ``record`` per pair.
     """
 
     def record(self, node_id: str, fb_hz: float, time_s: float = 0.0) -> None: ...

@@ -11,10 +11,9 @@ into one replay verdict per over-the-air transmission.
 :mod:`repro.server.store` adds durable drop-in FB stores behind the
 same :class:`~repro.core.detector.FbStore` protocol as the in-memory
 :class:`~repro.core.detector.FbDatabase`: WAL-mode SQLite
-(:class:`SqliteFbStore`), a write-through LRU hot-cache
-(:class:`LruCachedStore`), and CRC32-sharded per-shard SQLite files
-with offline rebalancing (:class:`PersistentShardedFbDatabase`); build
-one from an operator spec string with :func:`open_store`.
+(:class:`SqliteFbStore`) and a write-through LRU hot-cache
+(:class:`LruCachedStore`); build one from an operator spec string with
+:func:`open_store`.
 """
 
 from repro.server.adr import AdrCommand, AdrController
@@ -32,7 +31,6 @@ from repro.server.network_server import NetworkServer, ServerStatus, ServerVerdi
 from repro.server.store import (
     CacheStats,
     LruCachedStore,
-    PersistentShardedFbDatabase,
     SqliteFbStore,
     open_store,
     store_batch,
@@ -50,7 +48,6 @@ __all__ = [
     "GatewayForward",
     "LruCachedStore",
     "NetworkServer",
-    "PersistentShardedFbDatabase",
     "ServerStatus",
     "ServerVerdict",
     "SqliteFbStore",

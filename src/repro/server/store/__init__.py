@@ -11,16 +11,11 @@ the in-memory reference, including across a crash and restart:
 * :class:`~repro.server.store.sqlite.SqliteFbStore` -- one WAL-mode
   SQLite file; dedup windows commit in one transaction;
 * :class:`~repro.server.store.cache.LruCachedStore` -- bounded
-  write-through hot-cache with hit/miss/eviction counters;
-* :class:`~repro.server.store.sharded.PersistentShardedFbDatabase` --
-  CRC32 routing of node ids over per-shard SQLite files, with offline
-  :meth:`rebalance
-  <repro.server.store.sharded.PersistentShardedFbDatabase.rebalance>`
-  when gateways are added.
+  write-through hot-cache with hit/miss/eviction counters.
 
 :func:`open_store` turns an operator-facing spec string (the daemon's
-``--store`` flag) into a configured store.  The backend matrix,
-durability contract, and rebalance procedure live in ``docs/store.md``.
+``--store`` flag) into a configured store.  The backend matrix and
+durability contract live in ``docs/store.md``.
 """
 
 from __future__ import annotations
@@ -30,37 +25,31 @@ from contextlib import nullcontext
 from repro.core.detector import FbDatabase, FbStore
 from repro.errors import ConfigurationError
 from repro.server.store.cache import CacheStats, LruCachedStore
-from repro.server.store.sharded import PersistentShardedFbDatabase
 from repro.server.store.sqlite import SqliteFbStore
 
 __all__ = [
     "CacheStats",
     "LruCachedStore",
-    "PersistentShardedFbDatabase",
     "SqliteFbStore",
     "open_store",
     "store_batch",
     "store_stats",
 ]
 
-#: Default file/directory names when a spec omits the path.
-_DEFAULT_PATHS = {
-    "sqlite": "fb_store.sqlite",
-    "sharded-sqlite": "fb_store.d",
-}
+#: Default file name when a ``sqlite`` spec omits the path.
+_DEFAULT_PATH = "fb_store.sqlite"
 
 
 def _parse_options(query: str, spec: str) -> dict[str, int]:
-    """``cache=N&shards=N&history=N`` -> validated int options."""
+    """``cache=N&history=N`` -> validated int options."""
     options: dict[str, int] = {}
     if not query:
         return options
     for pair in query.split("&"):
         name, sep, value = pair.partition("=")
-        if not sep or name not in ("cache", "shards", "history"):
+        if not sep or name not in ("cache", "history"):
             raise ConfigurationError(
-                f"bad store option {pair!r} in spec {spec!r}; "
-                "expected cache=N, shards=N, or history=N"
+                f"bad store option {pair!r} in spec {spec!r}; expected cache=N or history=N"
             )
         try:
             options[name] = int(value)
@@ -80,11 +69,9 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
     * ``memory`` -- the in-memory :class:`FbDatabase` (dies with the
       process; the pre-persistence default);
     * ``sqlite:PATH`` -- one durable WAL SQLite file (``sqlite:`` alone
-      uses ``fb_store.sqlite`` in the working directory);
-    * ``sharded-sqlite:DIR`` -- a :class:`PersistentShardedFbDatabase`
-      directory (``?shards=N`` for a new directory, default 16).
+      uses ``fb_store.sqlite`` in the working directory).
 
-    Any durable backend takes ``?cache=N`` to wrap it in an
+    Either backend takes ``?cache=N`` to wrap it in an
     :class:`LruCachedStore` holding ``N`` hot node histories;
     ``?history=N`` overrides ``history_len``.
 
@@ -103,26 +90,20 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
     if not sep and "?" in backend:
         backend, _, rest = spec.partition("?")
         rest = "?" + rest
+    if backend not in ("memory", "sqlite"):
+        raise ConfigurationError(
+            f"unknown store backend {backend!r} in spec {spec!r}; expected one of memory, sqlite"
+        )
     path, query = (rest.split("?", 1) + [""])[:2] if "?" in rest else (rest, "")
     options = _parse_options(query, spec)
     history = options.get("history", history_len)
     cache = options.get("cache", 0)
-    shards = options.get("shards")
 
     store: FbStore
     if backend == "memory":
         store = FbDatabase(history_len=history)
-    elif backend == "sqlite":
-        store = SqliteFbStore(path or _DEFAULT_PATHS[backend], history_len=history)
-    elif backend == "sharded-sqlite":
-        store = PersistentShardedFbDatabase(
-            path or _DEFAULT_PATHS[backend], n_shards=shards, history_len=history
-        )
     else:
-        raise ConfigurationError(
-            f"unknown store backend {backend!r} in spec {spec!r}; expected one of "
-            "memory, sqlite, sharded-sqlite"
-        )
+        store = SqliteFbStore(path or _DEFAULT_PATH, history_len=history)
     if cache:
         store = LruCachedStore(store, max_nodes=cache)
     return store

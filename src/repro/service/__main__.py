@@ -13,11 +13,15 @@ The ``--devices`` file maps hex DevAddrs to session key material::
 
 ``--store`` selects the FB-history backend
 (:func:`repro.server.store.open_store` specs): the default ``memory``
-dies with the process, while ``sqlite:PATH`` (or
-``sharded-sqlite:DIR``) persists every enrolled fingerprint across
-restarts -- on boot the daemon reloads the store and skips
-``fb_profile`` bootstraps for devices that already have history, so a
-restart never re-opens the replay window or double-records a profile.
+dies with the process, while ``sqlite:PATH`` persists every enrolled
+fingerprint across restarts -- on boot the daemon reloads the store and
+skips ``fb_profile`` bootstraps for devices that already have history,
+so a restart keeps every learned FB interval and never double-records a
+profile.  Only the FB half survives: the per-device FCnt-up watermark
+(the commodity gateway's frame-counter validator) and the ADR state,
+FCnt-down included, live in memory and start over, so after a restart
+the first frame from each device passes the counter check whatever its
+FCnt, and only its FB decides the replay verdict.
 
 See ``docs/service.md`` for the full operator guide and ``docs/store.md``
 for the backend matrix.
@@ -62,8 +66,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--store",
         default="memory",
-        help="FB-history store spec: memory (default), sqlite:PATH, "
-        "sharded-sqlite:DIR; add ?cache=N for an LRU hot-cache (see docs/store.md)",
+        help="FB-history store spec: memory (default) or sqlite:PATH; "
+        "add ?cache=N for an LRU hot-cache (see docs/store.md)",
     )
     return parser.parse_args(argv)
 

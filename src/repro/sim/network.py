@@ -465,10 +465,21 @@ class LoRaWanWorld:
         server for the MIC, counter and replay checks.  Slower, but
         nothing is abstracted.  A capture the SDR chain cannot decode
         yields a delivered event without a verdict.
+
+        Raises:
+            ConfigurationError: When the device is an armed attack
+                target: this path models no jammer or replayer, so
+                delivering the capture untouched would misreport the
+                attack.  Use :meth:`uplink` for attacked devices.
         """
         from repro.sdr.iq import IQTrace
         from repro.sdr.noise import complex_awgn, noise_power_for_snr
 
+        if self.attack is not None and device_name in self.attack_targets:
+            raise ConfigurationError(
+                f"device {device_name!r} is an armed attack target; the waveform "
+                "path models no jammer or replayer"
+            )
         device = self.devices[device_name]
         tx = device.transmit(request_time_s)
         snr = self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)

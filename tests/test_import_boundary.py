@@ -43,6 +43,32 @@ sys.meta_path.insert(0, _NoScipy())
 """
 
 
+#: Opens the cached durable store, records and reads back one node across
+#: a reopen, and checks that the removed sharded backend is refused.
+OPEN_DURABLE_STORE = """
+import tempfile
+from pathlib import Path
+
+from repro.errors import ConfigurationError
+from repro.server.store import open_store
+
+with tempfile.TemporaryDirectory() as tmp:
+    spec = f"sqlite:{Path(tmp) / 'fb.sqlite'}?cache=8"
+    store = open_store(spec)
+    store.record("26000000", -20e3, 1.0)
+    store.close()
+    store = open_store(spec)
+    assert store.history("26000000") == [(1.0, -20e3)], store.history("26000000")
+    store.close()
+try:
+    open_store("sharded-sqlite:x")
+except ConfigurationError:
+    pass
+else:
+    raise AssertionError("open_store accepted the sharded-sqlite backend")
+"""
+
+
 def run_fresh(code: str) -> str:
     """Run ``code`` in a new interpreter with ``src`` on the path; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -72,6 +98,7 @@ print(json.dumps(sorted(m for m in {DAEMON_FREE_OF!r} if m in sys.modules)))
 def test_daemon_resolves_verdicts_without_scipy():
     code = (
         BLOCK_SCIPY
+        + OPEN_DURABLE_STORE
         + """
 from repro.lorawan.mac import build_uplink
 from repro.lorawan.security import SessionKeys

@@ -1,4 +1,4 @@
-"""Tests for the network-server layer: dedup, fusion, sharding, verdicts."""
+"""Tests for the network-server layer: dedup, fusion, verdicts."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.server import (
     FusionPolicy,
     GatewayForward,
     NetworkServer,
-    PersistentShardedFbDatabase,
     ServerStatus,
     UplinkDeduplicator,
     best_snr_contribution,
@@ -150,59 +149,6 @@ class TestFusion:
             fuse_fb([], FusionPolicy.BEST_SNR, self.model)
         with pytest.raises(ConfigurationError):
             fuse_timestamp_s([])
-
-
-class TestShardedFbDatabase:
-    """CRC32-sharded per-shard SQLite files as a drop-in flat FB store."""
-
-    def test_drop_in_for_flat_database(self, tmp_path):
-        sharded = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=4)
-        flat = FbDatabase()
-        for node in ("aaaa", "bbbb", "cccc"):
-            for fb in (-20e3, -20.1e3, -19.9e3):
-                sharded.record(node, fb, time_s=1.0)
-                flat.record(node, fb, time_s=1.0)
-        for node in ("aaaa", "bbbb", "cccc"):
-            assert sharded.estimates(node) == flat.estimates(node)
-            assert sharded.sample_count(node) == flat.sample_count(node)
-            assert sharded.interval(node, 360.0) == flat.interval(node, 360.0)
-        assert sharded.known_nodes() == flat.known_nodes()
-        assert sharded.node_count() == 3
-        sharded.close()
-
-    def test_routing_is_stable_and_total(self, tmp_path):
-        sharded = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=8)
-        nodes = [f"{i:08x}" for i in range(100)]
-        with sharded.batch():
-            for node in nodes:
-                sharded.record(node, -20e3)
-        assert sharded.node_count() == 100
-        assert sum(sharded.shard_sizes()) == 100
-        for node in nodes:
-            assert sharded.shard_index(node) == sharded.shard_index(node)
-            assert sharded.shard_for(node).sample_count(node) == 1
-        sharded.close()
-
-    def test_forget_reaches_owning_shard(self, tmp_path):
-        sharded = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=4)
-        sharded.record("node", -20e3)
-        sharded.forget("node")
-        assert sharded.node_count() == 0
-        assert sharded.shard_sizes() == [0, 0, 0, 0]
-        sharded.close()
-
-    def test_detector_accepts_sharded_store(self, tmp_path):
-        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=4)
-        detector = ReplayDetector(database=store, min_history=2)
-        for _ in range(2):
-            assert not detector.check("node", -20e3).is_replay
-        assert detector.check("node", -19.99e3).is_replay is False
-        assert detector.check("node", -15e3).is_replay is True
-        store.close()
-
-    def test_bad_shard_count_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=0)
 
 
 class TestNetworkServer:

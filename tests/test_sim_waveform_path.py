@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.attack.delay_attack import FrameDelayAttack
+from repro.attack.jammer import StealthyJammer
+from repro.attack.replayer import Replayer
 from repro.core.softlora import SoftLoRaGateway
+from repro.errors import ConfigurationError
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
@@ -87,3 +91,22 @@ class TestWaveformUplink:
         assert fast.verdict.status is ServerStatus.ACCEPTED
         assert full.verdict.status is ServerStatus.ACCEPTED
         assert fast.verdict.fused_fb_hz == pytest.approx(full.verdict.fused_fb_hz, abs=400.0)
+
+    def test_armed_attack_target_is_refused(self, world):
+        # The waveform path has no jammer or replayer model: an attacked
+        # device must not come back delivered and accepted untouched.
+        attack = FrameDelayAttack(
+            jammer=StealthyJammer(), replayer=Replayer.single_usrp(RngStreams(5).stream("r"))
+        )
+        world.arm_attack(attack, ["node-0"], delay_s=60.0)
+        for name in ("node-0", "node-1"):
+            world.devices[name].take_reading(7.0, 100.0)
+        with pytest.raises(ConfigurationError, match="'node-0'"):
+            world.uplink_with_capture("node-0", 105.0)
+        assert world.events == []
+        bystander = world.uplink_with_capture("node-1", 105.0)
+        assert bystander.verdict.status is ServerStatus.ACCEPTED
+        world.disarm_attack()
+        event = world.uplink_with_capture("node-0", 105.0)
+        assert event.verdict.status is ServerStatus.ACCEPTED
+        assert event.transmission.fcnt == 0

@@ -8,7 +8,6 @@ the middle of a scenario.
 """
 
 import dataclasses
-import json
 import math
 
 import pytest
@@ -18,13 +17,11 @@ from repro.errors import ConfigurationError
 from repro.server import NetworkServer
 from repro.server.store import (
     LruCachedStore,
-    PersistentShardedFbDatabase,
     SqliteFbStore,
     open_store,
     store_batch,
     store_stats,
 )
-from repro.server.store.sharded import META_FILE
 from repro.service import build_plan
 
 
@@ -41,9 +38,6 @@ def store_builders(tmp_path):
         "sqlite": lambda: SqliteFbStore(tmp_path / "fb.sqlite"),
         "lru-sqlite": lambda: LruCachedStore(
             SqliteFbStore(tmp_path / "fb-lru.sqlite"), max_nodes=64
-        ),
-        "sharded-sqlite": lambda: PersistentShardedFbDatabase(
-            tmp_path / "fb.d", n_shards=3
         ),
     }
 
@@ -214,23 +208,6 @@ class TestSqliteNodeCount:
         assert reopened.node_count() == ref.node_count() == 5
         reopened.close()
 
-    def test_count_survives_rebalance(self, tmp_path):
-        ref = FbDatabase()
-        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2)
-        for i in range(17):
-            for db in (ref, store):
-                db.record(f"{i:08x}", float(i), 1.0)
-        for db in (ref, store):
-            db.forget(f"{3:08x}")
-        for count in (5, 1, 3):
-            store.rebalance(count)
-            assert store.node_count() == ref.node_count() == 16
-            per_shard = [0] * count
-            for node in ref.known_nodes():
-                per_shard[store.shard_index(node)] += 1
-            assert store.shard_sizes() == per_shard
-        store.close()
-
 
 def _statements(store, action) -> list[str]:
     """The SQL statements ``action`` runs on ``store``'s connection.
@@ -379,104 +356,6 @@ class TestLruCachedStore:
         assert cached.estimates("n") == [1.0]
 
 
-class TestPersistentSharded:
-    #: ``bytes(shard_index(f"{i:08x}") for i in range(40)).hex()`` per shard
-    #: count, recorded from the in-memory sharding this store's routing was
-    #: written to match; existing directories depend on nodes keeping them.
-    RECORDED_SHARDS = {
-        5: "04010000040002010102030104030301000100000402040104010204010304010201010103000404",
-        16: "03050f090a0c06000107010b0d0e080202040e080b0d07010006000a0c0f090301070d0b080e0402",
-    }
-
-    def test_routing_matches_in_memory_sharding(self, tmp_path):
-        for n_shards, recorded in self.RECORDED_SHARDS.items():
-            store = PersistentShardedFbDatabase(tmp_path / str(n_shards), n_shards=n_shards)
-            assert bytes(store.shard_index(f"{i:08x}") for i in range(40)).hex() == recorded
-            store.close()
-
-    def test_meta_sidecar_reload_and_mismatch(self, tmp_path):
-        directory = tmp_path / "fb.d"
-        store = PersistentShardedFbDatabase(directory, n_shards=3, history_len=7)
-        store.record("node", 1.0, 1.0)
-        store.close()
-        assert (directory / META_FILE).exists()
-        reopened = PersistentShardedFbDatabase(directory)
-        assert reopened.n_shards == 3
-        assert reopened.history_len == 7
-        assert reopened.estimates("node") == [1.0]
-        reopened.close()
-        with pytest.raises(ConfigurationError, match="rebalance"):
-            PersistentShardedFbDatabase(directory, n_shards=8)
-
-    @pytest.mark.parametrize("backend", ["rocksdb", None])
-    def test_sidecar_naming_another_backend_is_refused(self, tmp_path, backend):
-        directory = tmp_path / "fb.d"
-        directory.mkdir()
-        (directory / META_FILE).write_text(
-            json.dumps({"n_shards": 2, "history_len": 50, "backend": backend})
-        )
-        with pytest.raises(ConfigurationError, match=repr(backend)):
-            PersistentShardedFbDatabase(directory)
-        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
-
-    @pytest.mark.parametrize("text", ["", '{"n_shards": 2', "[2, 50]", "null"])
-    def test_unparsable_sidecar_is_refused(self, tmp_path, text):
-        directory = tmp_path / "fb.d"
-        directory.mkdir()
-        (directory / META_FILE).write_text(text)
-        with pytest.raises(ConfigurationError, match="JSON object"):
-            PersistentShardedFbDatabase(directory)
-        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
-
-    def test_sidecar_keeps_recording_sqlite_backend(self, tmp_path):
-        directory = tmp_path / "fb.d"
-        PersistentShardedFbDatabase(directory, n_shards=2).close()
-        meta = json.loads((directory / META_FILE).read_text())
-        assert meta == {"n_shards": 2, "history_len": 50, "backend": "sqlite"}
-
-    def test_rebalance_preserves_every_history(self, tmp_path):
-        def seqs(node):
-            rows = store.shard_for(node)._conn.execute(
-                "SELECT seq FROM fb_history WHERE node_id = ? ORDER BY seq", (node,)
-            )
-            return [seq for (seq,) in rows]
-
-        store = PersistentShardedFbDatabase(tmp_path / "fb.d", n_shards=2, history_len=4)
-        histories = {}
-        for i in range(25):
-            node = f"{i:08x}"
-            for k in range(6):  # overflows, so the live seqs start at 2
-                store.record(node, float(i) + k * 0.25, float(k))
-            histories[node] = store.history(node)
-            assert seqs(node) == [2, 3, 4, 5]
-        for count in (7, 1, 4):
-            store.rebalance(count)
-            assert store.n_shards == count
-            assert store.known_nodes() == sorted(histories)
-            for node, history in histories.items():
-                assert store.history(node) == history
-                assert seqs(node) == [0, 1, 2, 3]  # dense from 0 again
-        assert sum(store.shard_sizes()) == len(histories)
-        store.close()
-
-    def test_rebalance_is_deterministic(self, tmp_path):
-        def build(directory):
-            store = PersistentShardedFbDatabase(directory, n_shards=2)
-            for i in range(12):
-                store.record(f"{i:08x}", float(i), float(i))
-            store.rebalance(5)
-            store.flush()
-            store.close()
-
-        build(tmp_path / "a")
-        build(tmp_path / "b")
-        for index in range(5):
-            name = f"shard-{index:04d}.sqlite"
-            a = (tmp_path / "a" / name).read_bytes()
-            b = (tmp_path / "b" / name).read_bytes()
-            assert a == b, f"shard file {name} diverged between identical runs"
-
-
 class TestOpenStore:
     def test_specs_build_expected_backends(self, tmp_path):
         assert isinstance(open_store("memory"), FbDatabase)
@@ -487,10 +366,8 @@ class TestOpenStore:
         assert isinstance(cached, LruCachedStore)
         assert cached.backing.history_len == 4
         cached.close()
-        sharded = open_store(f"sharded-sqlite:{tmp_path / 'fb.d'}?shards=2")
-        assert isinstance(sharded, PersistentShardedFbDatabase)
-        assert sharded.n_shards == 2
-        sharded.close()
+        with pytest.raises(ConfigurationError, match="unknown store backend 'sharded-sqlite'"):
+            open_store(f"sharded-sqlite:{tmp_path / 'fb.d'}")
 
     def test_memory_spec_with_options_and_defaults(self):
         store = open_store("memory?history=4")
@@ -500,12 +377,13 @@ class TestOpenStore:
     def test_bad_specs_raise(self):
         with pytest.raises(ConfigurationError, match="unknown store backend"):
             open_store("redis:somewhere")
-        for spec in ("sharded", "sharded?shards=4"):
+        for spec in ("sharded", "sharded-sqlite", "sharded-sqlite:fb.d?shards=16"):
             with pytest.raises(
-                ConfigurationError,
-                match="expected one of memory, sqlite, sharded-sqlite$",
+                ConfigurationError, match="unknown store backend.*expected one of memory, sqlite$"
             ):
                 open_store(spec)
+        with pytest.raises(ConfigurationError, match="bad store option 'shards=4'"):
+            open_store("sqlite:fb.sqlite?shards=4")
         with pytest.raises(ConfigurationError, match="bad store option"):
             open_store("memory?turbo=1")
         with pytest.raises(ConfigurationError, match="must be an integer"):
@@ -533,35 +411,25 @@ class TestGoldenVerdictParity:
             if callable(close):
                 close()
 
-    def test_crash_and_restart_mid_scenario_is_bit_identical(self, plan, tmp_path):
+    @pytest.mark.parametrize("graceful", [False, True], ids=["crashed", "closed"])
+    @pytest.mark.parametrize("query", ["", "?cache=8"], ids=["sqlite", "sqlite-cache8"])
+    def test_restart_is_bit_identical(self, plan, tmp_path, query, graceful):
         oracle = list(plan.oracle_verdicts)
         half = len(plan.batches) // 2
-        path = tmp_path / "crash.sqlite"
+        spec = f"sqlite:{tmp_path / 'crash.sqlite'}{query}"
 
-        first = SqliteFbStore(path)
+        first = open_store(spec)
         before = _drive(dataclasses.replace(plan, batches=plan.batches[:half]), first)
-        # Crash: the first process never flushes or closes; a new store
-        # opens the same file, and provisioning skips the FB bootstraps
-        # because the histories are already on disk.
-        survivor = SqliteFbStore(path)
+        # A crashed first process never flushes or closes; a graceful one
+        # closes before the restart.  Either way a new store opens the
+        # same file, and provisioning skips the FB bootstraps because the
+        # histories are already on disk.
+        if graceful:
+            first.close()
+        survivor = open_store(spec)
         after = _drive(
             dataclasses.replace(plan, batches=plan.batches[half:]), survivor
         )
         assert before + after == oracle
         survivor.close()
         first.close()
-
-    def test_restart_with_sharded_store_directory(self, plan, tmp_path):
-        oracle = list(plan.oracle_verdicts)
-        half = len(plan.batches) // 2
-        directory = tmp_path / "crash.d"
-
-        first = PersistentShardedFbDatabase(directory, n_shards=3)
-        before = _drive(dataclasses.replace(plan, batches=plan.batches[:half]), first)
-        first.close()
-        survivor = PersistentShardedFbDatabase(directory)
-        after = _drive(
-            dataclasses.replace(plan, batches=plan.batches[half:]), survivor
-        )
-        assert before + after == oracle
-        survivor.close()

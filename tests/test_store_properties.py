@@ -5,22 +5,15 @@ Hypothesis drives random ``record`` / ``record_many`` / ``interval`` /
 in lockstep; after every operation the observable state -- known nodes,
 per-node histories, sample counts, guarded intervals -- must match
 exactly.  A ``record_many`` carries up to twice the history depth, so
-one call can overflow a history.  A second property pins the rebalance
-invariant: migrating a
-:class:`~repro.server.store.sharded.PersistentShardedFbDatabase` to
-*any* shard count preserves ``known_nodes()`` and every per-node
-history bit for bit.  A third drives :class:`SqliteFbStore` through
-batches that commit or roll back and through reopens of its file: the
-in-memory node count must track the reference throughout.  A fourth
-rolls back a ``batch()`` holding a ``record_many`` on every backend:
-histories and node counts must return to their committed state.  A
-fifth reopens sharded directories whose sidecar has a corrupted layout
-field: each must be refused with a :class:`ConfigurationError` naming
-the field before any shard file is opened.
+one call can overflow a history.  A second property drives
+:class:`SqliteFbStore` through batches that commit or roll back and
+through reopens of its file: the in-memory node count must track the
+reference throughout.  A third rolls back a ``batch()`` holding a
+``record_many`` on every backend: histories and node counts must
+return to their committed state.
 """
 
 import copy
-import json
 import tempfile
 from pathlib import Path
 
@@ -29,13 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import FbDatabase
-from repro.errors import ConfigurationError
-from repro.server.store import (
-    LruCachedStore,
-    PersistentShardedFbDatabase,
-    SqliteFbStore,
-)
-from repro.server.store.sharded import META_FILE
+from repro.server.store import LruCachedStore, SqliteFbStore
 
 #: Small node pool and history depth so pruning and forgetting both fire.
 NODES = ["26000000", "26000001", "26000002"]
@@ -80,9 +67,6 @@ def build_backends(root: Path) -> dict:
         "lru-sqlite": LruCachedStore(
             SqliteFbStore(root / "fb-lru.sqlite", history_len=HISTORY_LEN),
             max_nodes=2,  # smaller than the node pool, so eviction fires
-        ),
-        "sharded-sqlite": PersistentShardedFbDatabase(
-            root / "fb.d", n_shards=2, history_len=HISTORY_LEN
         ),
     }
 
@@ -130,31 +114,6 @@ def test_backends_track_reference_through_random_ops(ops):
                 close = getattr(store, "close", None)
                 if callable(close):
                     close()
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    ops=operations,
-    shard_counts=st.lists(
-        st.integers(min_value=1, max_value=9), min_size=1, max_size=3
-    ),
-)
-def test_rebalance_to_any_count_preserves_state(ops, shard_counts):
-    with tempfile.TemporaryDirectory() as tmp:
-        store = PersistentShardedFbDatabase(
-            Path(tmp) / "fb.d", n_shards=3, history_len=HISTORY_LEN
-        )
-        reference = FbDatabase(history_len=HISTORY_LEN)
-        try:
-            for op, node, value, extra in ops:
-                if op != "interval":
-                    apply_write(op, node, value, extra, [reference, store])
-            for count in shard_counts:
-                store.rebalance(count)
-                assert store.n_shards == count
-                assert_same_state(reference, store, f"rebalance({count})")
-        finally:
-            store.close()
 
 
 class _WindowDied(Exception):
@@ -234,37 +193,3 @@ def test_rolled_back_record_many_restores_every_backend(ops, node, history):
         finally:
             for store in backends.values():
                 store.close()
-
-
-#: A missing key, or a JSON value that is not an integer >= 1.
-_MISSING = object()
-bad_layout_values = st.one_of(
-    st.just(_MISSING),
-    st.integers(max_value=0),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.booleans(),
-    st.text(max_size=4) | st.integers(min_value=1, max_value=64).map(str),
-    st.none(),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    field=st.sampled_from(["n_shards", "history_len"]),
-    value=bad_layout_values,
-    explicit_shards=st.booleans(),
-)
-def test_reopen_refuses_corrupted_sidecar(field, value, explicit_shards):
-    meta = {"n_shards": 3, "history_len": HISTORY_LEN, "backend": "sqlite"}
-    if value is _MISSING:
-        del meta[field]
-    else:
-        meta[field] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp) / "fb.d"
-        directory.mkdir()
-        (directory / META_FILE).write_text(json.dumps(meta))
-        n_shards = 3 if explicit_shards else None
-        with pytest.raises(ConfigurationError, match=field):
-            PersistentShardedFbDatabase(directory, n_shards=n_shards)
-        assert sorted(p.name for p in directory.iterdir()) == [META_FILE]
