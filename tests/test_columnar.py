@@ -113,6 +113,15 @@ GOLDEN_ATTACK_SINGLE_GW = "2b5d00255f524639943325c30a3fc9723e5b1f76999e489904af1
 #: them.
 GOLDEN_ATTACK_FUSED = "298961a44548ca86f68184fd198db90e8213e841b15210de5faa119a1299731d"
 GOLDEN_DEVICE_SUBSET = "719901f617ff30eb06779a2c1a7ff83760be919e4290c01cbeac2b6480e58b3c"
+#: ADR-on phases whose ends split a popped window (entries past the
+#: horizon go back on the wheel), recorded on the tree whose two modes
+#: each re-pushed the tail their own way; both modes must keep them.
+GOLDEN_HORIZON_SPLIT = "71b1b47217c7fd209fe8bc340d1dc5103f8bced62ba624676d6238c5f243a5bf"
+GOLDEN_HORIZON_SPLIT_STATS = [
+    (133, 574, 133, 61, 72, 0, 0, 0, 6, 24, 6),
+    (143, 1019, 143, 66, 77, 0, 0, 0, 6, 6, 6),
+    (117, 943, 117, 52, 65, 0, 0, 0, 0, 0, 0),
+]
 #: Every measured column of a 2-gateway x 25-device fleet-scale cell
 #: (events mode), recorded the same way.
 GOLDEN_FLEET_CELL = {
@@ -364,6 +373,38 @@ class TestCountersMode:
         ).run(300.0)
         assert _stats_tuple(counters_report) == _stats_tuple(events_report)
         assert counters_report.contention.delivered > 0
+
+
+    @pytest.mark.parametrize("mode", ["events", "counters"])
+    def test_horizon_split_windows_pinned(self, mode):
+        """Phase ends falling inside a popped window carry its tail over."""
+        world, streams = build_world(
+            seed=21,
+            n=30,
+            ring=50.0,
+            sf=9,
+            server=lambda: NetworkServer(adr=AdrController(min_history=2)),
+        )
+        runtime = ColumnarRuntime(world, _traffic(streams, 6.0, 3.0), window_s=10.0, mode=mode)
+        popped = []
+        pop_window = runtime._wheel.pop_window
+
+        def spy():
+            window = pop_window()
+            popped.append(float(window[1].max()))
+            return window
+
+        runtime._wheel.pop_window = spy
+        reports, split = [], []
+        for duration in (61.0, 47.0, 33.0):
+            first = len(popped)
+            reports.append(runtime.run(duration))
+            split.append(max(popped[first:]) > world.simulator.now_s)
+        # Without a window straddling the horizon this pins nothing.
+        assert any(split)
+        assert [_stats_tuple(r) for r in reports] == GOLDEN_HORIZON_SPLIT_STATS
+        if mode == "events":
+            assert event_sha([e for r in reports for e in r.events]) == GOLDEN_HORIZON_SPLIT
 
 
 class TestTimeWheel:
