@@ -303,7 +303,7 @@ def measure_adr_cell(point, trial, captures, prng, params: AdrConvergenceParams)
         ),
         window_s=params.window_s,
     )
-    start_s = world.simulator.now_s
+    start_s = world.now_s
     sent = dropped = applied = 0
     for _ in range(params.max_adr_rounds):
         report = runtime.run(params.period_s)

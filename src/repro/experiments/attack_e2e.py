@@ -181,7 +181,7 @@ def _measure_detection_latency(
         ),
     )
     runtime.run(clean_periods * period_s)
-    armed_at_s = world.simulator.now_s
+    armed_at_s = world.now_s
     world.arm_attack(
         FrameDelayAttack(
             jammer=StealthyJammer(),

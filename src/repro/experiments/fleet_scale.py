@@ -232,7 +232,7 @@ def _measure_cell(
     else:
         heard = {verdict.node_id for verdict in server.verdicts}
         reachable = [d for d in devices if f"{d.dev_addr:08x}" in heard] or devices
-    armed_at_s = world.simulator.now_s
+    armed_at_s = world.now_s
     world.arm_attack(
         attack,
         [d.name for d in reachable[:n_attacked]],

@@ -71,9 +71,10 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
     * ``sqlite:PATH`` -- one durable WAL SQLite file (``sqlite:`` alone
       uses ``fb_store.sqlite`` in the working directory).
 
-    Either backend takes ``?cache=N`` to wrap it in an
-    :class:`LruCachedStore` holding ``N`` hot node histories;
-    ``?history=N`` overrides ``history_len``.
+    ``sqlite`` takes ``?cache=N`` to wrap it in an
+    :class:`LruCachedStore` holding ``N`` hot node histories; ``memory``
+    refuses it, since the cache would be a second in-memory copy.
+    Either backend takes ``?history=N`` to override ``history_len``.
 
     Args:
         spec: The spec string, e.g. ``"sqlite:/var/lib/repro/fb.sqlite?cache=4096"``.
@@ -84,7 +85,8 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
         A configured store satisfying :class:`FbStore`.
 
     Raises:
-        ConfigurationError: On an unknown backend or a malformed option.
+        ConfigurationError: On an unknown backend, a malformed option,
+            or ``cache`` on ``memory``.
     """
     backend, sep, rest = spec.partition(":")
     if not sep and "?" in backend:
@@ -101,6 +103,11 @@ def open_store(spec: str, history_len: int = 50) -> FbStore:
 
     store: FbStore
     if backend == "memory":
+        if "cache" in options:
+            raise ConfigurationError(
+                f"store option 'cache' in spec {spec!r} only applies to sqlite; "
+                "the memory backend already holds every history in memory"
+            )
         store = FbDatabase(history_len=history)
     else:
         store = SqliteFbStore(path or _DEFAULT_PATH, history_len=history)

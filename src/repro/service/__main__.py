@@ -67,7 +67,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         "--store",
         default="memory",
         help="FB-history store spec: memory (default) or sqlite:PATH; "
-        "add ?cache=N for an LRU hot-cache (see docs/store.md)",
+        "add ?cache=N to sqlite for an LRU hot-cache (see docs/store.md)",
     )
     return parser.parse_args(argv)
 

@@ -438,7 +438,7 @@ class NetworkServerDaemon:
                 self._m_flush_errors.inc()
                 _log.exception("dropped a batch of %d forwards: resolution failed", len(batch))
         if self.server.adr is not None:
-            self._dispatch_adr()
+            self._send_adr_downlinks()
         self._m_depth.set(0)
         self._drained.set()
 
@@ -478,7 +478,7 @@ class NetworkServerDaemon:
 
     # -- ADR downlink dispatch ------------------------------------------------------
 
-    def _dispatch_adr(self) -> None:
+    def _send_adr_downlinks(self) -> None:
         """Ship queued LinkADRReq commands as PULL_RESP downlink orders.
 
         The command leaves through a gateway that polled for downlinks

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate: event queue, world wiring, scenarios."""
 
 from repro.sim.columnar import ColumnarRuntime, FleetSpec, FleetState
-from repro.sim.events import Simulator, TimeWheel
+from repro.sim.events import TimeWheel
 from repro.sim.network import (
     FbMeasurementModel,
     LoRaWanWorld,
@@ -34,7 +34,6 @@ __all__ = [
     "PeriodicTrafficModel",
     "RngStreams",
     "RuntimeReport",
-    "Simulator",
     "StagedTransmission",
     "TimeWheel",
     "WorldEvent",

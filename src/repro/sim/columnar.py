@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,9 @@ from repro.lorawan.security import SessionKeys
 from repro.phy.airtime import airtime_s
 from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, noise_floor_dbm
 from repro.radio.geometry import Position
+from repro.server.adr import AdrCommand
 from repro.sim.events import TimeWheel
-from repro.sim.network import EventKind, LoRaWanWorld, StagedTransmission, WorldEvent
+from repro.sim.network import EventKind, LoRaWanWorld, StagedTransmission
 from repro.sim.rng import RngStreams
 from repro.sim.runtime import (
     CollisionChannel,
@@ -441,12 +443,20 @@ class ColumnarRuntime:
     """Schedules, contends, and delivers fleet traffic over a time wheel.
 
     One runtime drives one :class:`LoRaWanWorld` (either topology).
-    Each :meth:`run` phase starts at the world's clock
-    (``world.simulator.now_s``) and leaves the clock at the phase's
-    end, so a caller can run a clean phase, arm the frame-delay attack,
-    advance the world, and keep running on one timeline.  The fleet is
+    Each :meth:`run` phase starts at the world clock
+    (``world.now_s``) and sets the clock to the phase's end, so a
+    caller can run a clean phase, arm the frame-delay attack, move the
+    clock forward, and keep running on one timeline.  The fleet is
     fixed at construction: devices added to the world later are not
     scheduled.
+
+    Both modes share one drive loop over the wheel's windows, one
+    ``(time, seq)`` walk for duty-cycle retries and ADR applies, and one
+    ADR downlink shipper.  Only the MAC step differs: events mode reads
+    the duty gate, transmits, applies downlinks, and flushes through the
+    :class:`~repro.lorawan.device.EndDevice` objects; counters mode does
+    the same on :class:`FleetState` columns, and takes a vectorized pass
+    over windows without ADR or repeated devices.
 
     ``window_s`` is the batching grain: staged transmissions flush to
     the gateways at the next window boundary, so larger windows amortize
@@ -495,13 +505,14 @@ class ColumnarRuntime:
         if self.mode not in ("events", "counters"):
             raise ConfigurationError(f"mode must be 'events' or 'counters', got {self.mode!r}")
         self._channel = CollisionChannel(capture_threshold_db=self.capture_threshold_db)
+        self._table = self._channel.capture_matrix.threshold_table()
         self._wheel = TimeWheel(self.window_s)
         if self.state is not None:
             self._names = list(self.state.names)
         else:
             self._names = list(self.world.devices)
         self._index_of = {name: i for i, name in enumerate(self._names)}
-        if self.mode == "events" and self.state is not None:
+        if self.mode == "events":
             missing = next((n for n in self._names if n not in self.world.devices), None)
             if missing is not None:
                 raise ConfigurationError(
@@ -509,8 +520,18 @@ class ColumnarRuntime:
                     "EndDevice in the world; realize the spec (FleetSpec.realize) "
                     "or use mode='counters'"
                 )
+            self._devices = [self.world.devices[name] for name in self._names]
+            self._next_allowed_s = self._device_next_allowed_s
+            self._transmit, self._apply = self._transmit_device, self._apply_downlink
+            self._flush = self._flush_events
+        else:
+            self._next_allowed_s = self._row_next_allowed_s
+            self._transmit, self._apply = self._transmit_row, self._apply_retune
+            self._flush = self._flush_counters
         self._pending: list[StagedTransmission] = []
-        self._apply_payloads: list[tuple[str, bytes]] = []
+        # Shipped ADR commands awaiting their apply instant (negative
+        # wheel items index this list): row, request, FCnt-down.
+        self._applies: list[tuple[int, LinkADRReq, int]] = []
         self._downlink_schedulers: dict[int, DownlinkScheduler] = {}
         self._state: FleetState | None = self.state
         self._processed = 0
@@ -528,12 +549,9 @@ class ColumnarRuntime:
         # delivered, collided, low-SNR, suppressed, replays-delivered.
         self._counts = np.zeros(5, dtype=np.int64)
         self._heard_per_device = np.zeros(len(self._names), dtype=np.int64)
-        # Counters-mode ADR mirror: queued retune commands (negative
-        # wheel items index this list) and per-row pending FOpts bytes.
-        self._apply_commands: list[tuple[int, LinkADRReq]] = []
+        # Counters-mode pending FOpts bytes (queued LinkADRAns) per row.
         self._fopts_len: dict[int, int] = {}
         self._adr = None
-        self._attacked_rows = np.zeros(0, dtype=bool)
 
     def run(self, duration_s: float, device_names: list[str] | None = None) -> RuntimeReport:
         """Schedule one phase of fleet traffic and run it to completion.
@@ -547,13 +565,17 @@ class ColumnarRuntime:
 
         Args:
             duration_s: Phase length in simulated seconds.
-            device_names: Subset of devices to schedule; ``None`` means
-                the whole fleet.
+            device_names: Subset of devices to schedule, each named
+                once; ``None`` means the whole fleet.
 
         Returns:
             A :class:`RuntimeReport` over exactly this phase -- with the
             full event list (events mode) or pre-tallied counters and an
             empty event list (counters mode).
+
+        Raises:
+            ConfigurationError: On a non-positive duration, or a subset
+                naming an unknown device or one device more than once.
         """
         if duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {duration_s}")
@@ -566,9 +588,13 @@ class ColumnarRuntime:
             unknown = [n for n in names if n not in self._index_of]
             if unknown:
                 raise ConfigurationError(f"unknown devices: {unknown}")
-        # Read the world clock at every phase start: callers may advance
-        # the simulator between phases.
-        start_s = world.simulator.now_s
+            # A repeated name would schedule that device's traffic twice.
+            repeated = [n for n, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ConfigurationError(f"repeated devices: {repeated}")
+        # Read the world clock at every phase start: callers may move it
+        # forward between phases.
+        start_s = world.now_s
         times, indices = self.traffic.schedule_arrays(len(names), duration_s, start_s=start_s)
         if device_names is not None and times.size:
             indices = np.array([self._index_of[n] for n in names], dtype=np.int64)[indices]
@@ -583,14 +609,14 @@ class ColumnarRuntime:
         processed0 = self._processed
         counts0 = self._counts.copy()
         wall0 = time.perf_counter()
-        if self.mode == "events":
-            self._drive_events(end_s)
-        else:
-            self._drive_counters(end_s)
+        self._adr = world.server.adr
+        if self.mode == "counters":
+            self._start_counters_phase()
+        self._drive(end_s)
         wall_s = time.perf_counter() - wall0
-        # Advance the world clock to the phase end, so phase anchors,
-        # attack arming, and the next phase see the runtime's timeline.
-        world.simulator.run_until(end_s)
+        # Phase anchors, attack arming, and the next phase see the
+        # runtime's timeline.
+        world.now_s = end_s
         counters = None
         if self.mode == "counters":
             delivered, collided, low, suppressed, replays = (self._counts - counts0).tolist()
@@ -638,220 +664,25 @@ class ColumnarRuntime:
             raise ConfigurationError("heard_names() is tracked in counters mode only")
         return [self._names[i] for i in np.flatnonzero(self._heard_per_device)]
 
-    # -- events mode: per-device MAC, full event stream -------------------------
+    # -- both modes: drive loop, window walk, ADR shipping ----------------------
 
-    def _drive_events(self, end_s: float) -> None:
-        """Pop windows and replay them through the per-device MAC layer."""
-        while True:
-            peek = self._wheel.peek_time_s()
-            if peek is None or peek > end_s:
-                break
-            key, w_times, w_seq, w_items = self._wheel.pop_window()
-            boundary = self._wheel.window_end_s(key)
-            self._process_window_events(w_times, w_seq, w_items, boundary, end_s)
-            if boundary <= end_s:
-                self._flush_events(boundary)
-        # The horizon can split a window: frames staged before ``end_s``
-        # flush now (the explicit end-of-phase flush);
-        # the window's remaining events stay on the wheel.
-        self._flush_events(end_s)
-        # That flush can queue ADR applies landing exactly at ``end_s``;
-        # fire those before reporting.
-        while True:
-            peek = self._wheel.peek_time_s()
-            if peek is None or peek > end_s:
-                break
-            key, w_times, w_seq, w_items = self._wheel.pop_window()
-            self._process_window_events(
-                w_times, w_seq, w_items, self._wheel.window_end_s(key), end_s
-            )
-        self._flush_events(end_s)
-
-    def _process_window_events(
-        self,
-        w_times: np.ndarray,
-        w_seq: np.ndarray,
-        w_items: np.ndarray,
-        boundary: float,
-        end_s: float,
-    ) -> None:
-        """Run one popped window's events in exact ``(time, seq)`` order.
-
-        A local heap merges the window's events with anything scheduled
-        *into* the window while processing it (duty-cycle retries), so
-        the total order matches one shared event heap.  Events
-        past ``end_s`` go back on the wheel for the next phase.
-        """
-        world = self.world
-        heap = list(zip(w_times.tolist(), w_seq.tolist(), w_items.tolist()))
-        heapq.heapify(heap)
-        while heap:
-            t, _, item = heapq.heappop(heap)
-            if t > end_s:
-                rest = sorted(heap)
-                rest.insert(0, (t, _, item))
-                self._wheel.push(
-                    np.array([r[0] for r in rest]), np.array([r[2] for r in rest])
-                )
-                return
-            self._processed += 1
-            if item < 0:
-                name, raw = self._apply_payloads[-int(item) - 1]
-                world.devices[name].receive_downlink(raw, at_time_s=t)
-                self.adr_applied += 1
-                continue
-            name = self._names[int(item)]
-            device = world.devices[name]
-            if not device.duty_cycle.can_transmit(t):
-                self.deferrals += 1
-                retry = max(device.duty_cycle.next_allowed_s() + self.backoff_s, t)
-                if retry < boundary and retry <= end_s:
-                    heapq.heappush(heap, (retry, self._wheel.reserve_sequence(), item))
-                else:
-                    self._wheel.push(np.array([retry]), np.array([item]))
-                continue
-            self.attempts += 1
-            self._pending.append(StagedTransmission(name, device.transmit(t)))
-
-    def _flush_events(self, now_s: float) -> None:
-        """Resolve and deliver everything staged, then dispatch ADR."""
-        if not self._pending:
-            return
-        staged, self._pending = self._pending, []
-        mask = self._channel.surviving_sites(self.world, staged)
-        events = self.world.deliver_staged(staged, site_mask=mask)
-        if self.world.server.adr is not None:
-            self._dispatch_adr(events, now_s)
-
-    def _dispatch_adr(self, events: list[WorldEvent], now_s: float) -> None:
-        """Ship queued LinkADRReq commands into class-A receive windows.
-
-        Each command anchors to its device's uplink from the window just
-        delivered: RX1/RX2 open off that uplink's *real* end-of-airtime.
-        The downlink leaves through the first gateway that heard the
-        uplink *and* has duty-cycle budget left (the server's gateway
-        choice); when no hearing gateway can hit either window the
-        command is dropped and the device simply keeps its data rate
-        (the controller re-arms for a retry).
-
-        Args:
-            events: The delivery window's emitted events (anchor source).
-            now_s: Current simulation time; applies never fire in the past.
-        """
-        world = self.world
-        adr = world.server.adr
-        commands = adr.take_pending()
-        if not commands:
-            return
-        site_index_of = {site.gateway_id: i for i, site in enumerate(world.sites)}
-        anchors: dict[int, WorldEvent] = {}
-        for event in events:
-            if event.kind is EventKind.DELIVERED and event.transmission is not None:
-                anchors[event.transmission.dev_addr] = event
-        for command in commands:
-            anchor = anchors.get(command.dev_addr)
-            if anchor is None:
-                # The triggering uplink resolved outside this window
-                # (e.g. caller-stepped use); retry off a later uplink.
-                self.adr_dropped += 1
-                adr.command_dropped(command.dev_addr)
-                continue
-            tx = anchor.transmission
-            device = world.devices[anchor.device_name]
-            raw = build_downlink(
-                device.keys,
-                command.dev_addr,
-                adr.next_fcnt_down(command.dev_addr),
-                payload=command.request.encode(),
-                fport=0,
-            )
-            # RX1 mirrors the uplink data rate; EU868 pins RX2 at
-            # DR0/SF12, so the same frame costs up to ~32x more airtime
-            # (and duty-cycle budget) when it slips to the second window.
-            rx1_airtime = airtime_s(len(raw), tx.spreading_factor)
-            rx2_airtime = airtime_s(len(raw), 12)
-            window = None
-            for gateway_id in anchor.metadata["gateway_ids"]:
-                scheduler = self._scheduler_for(site_index_of[gateway_id])
-                window = scheduler.schedule(tx.end_time_s, rx1_airtime, rx2_airtime)
-                if window is not None:
-                    # The scheduler records the true transmit start
-                    # (window opening, pushed back by its busy chain).
-                    start_s = scheduler.scheduled[-1][0]
-                    break
-            if window is None:
-                self.adr_dropped += 1
-                adr.command_dropped(command.dev_addr)
-                continue
-            self.adr_sent += 1
-            # The device acts once the downlink is fully received.
-            # Windowed batching can resolve an uplink after its receive
-            # windows conceptually passed; the device then applies the
-            # command at the flush instant rather than in the past.
-            on_air = rx1_airtime if window.which == "RX1" else rx2_airtime
-            self._schedule_apply(max(start_s + on_air, now_s), anchor.device_name, raw)
-
-    def _scheduler_for(self, site_index: int) -> DownlinkScheduler:
-        """The per-gateway downlink chain (one transmission at a time)."""
-        if site_index not in self._downlink_schedulers:
-            self._downlink_schedulers[site_index] = DownlinkScheduler()
-        return self._downlink_schedulers[site_index]
-
-    def _schedule_apply(self, time_s: float, device_name: str, raw: bytes) -> None:
-        """Queue a downlink application on the wheel (negative item codes)."""
-        self._apply_payloads.append((device_name, raw))
-        self._wheel.push(np.array([time_s]), np.array([-len(self._apply_payloads)]))
-
-    # -- counters mode: columnar MAC, no events ---------------------------------
-
-    def _drive_counters(self, end_s: float) -> None:
-        """Pop windows and resolve them as whole-array operations."""
-        world = self.world
-        if self._state is None:
-            self._state = FleetState.from_world(world)
-        state = self._state
-        self._adr = world.server.adr
-        attacked = np.zeros(state.n_devices, dtype=bool)
-        if world.attack is not None:
-            for name in world.attack_targets:
-                row = self._index_of.get(name)
-                if row is not None:
-                    attacked[row] = True
-        self._attacked_rows = attacked
-        table = self._channel.capture_matrix.threshold_table()
-        while True:
-            peek = self._wheel.peek_time_s()
-            if peek is None or peek > end_s:
-                break
-            boundary, w_times, w_seq, w_items = self._pop_window_clipped(end_s)
-            if w_times.size:
-                if self._adr is not None:
-                    # Retune applies (negative items) interleave with
-                    # transmits inside the window; only the exact heap
-                    # walk preserves that order.
-                    self._window_pass_sequential(w_times, w_seq, w_items, state, boundary, end_s)
-                elif np.unique(w_items).size == w_items.size:
-                    self._window_pass_vector(w_times, w_items, state)
-                else:
-                    # A device appearing twice in one pass (retry chains
-                    # inside a long window) needs sequential duty-state
-                    # updates; fall back to the exact heap walk.
-                    self._window_pass_sequential(w_times, w_seq, w_items, state, boundary, end_s)
-            if boundary <= end_s:
-                self._flush_counters(state, table, boundary)
-        self._flush_counters(state, table, end_s)
-        if self._adr is not None:
-            # The end flush can queue retune applies landing exactly at
-            # ``end_s``; fire them before reporting (mirrors the events
-            # drive's second pop loop).
-            while True:
-                peek = self._wheel.peek_time_s()
-                if peek is None or peek > end_s:
-                    break
+    def _drive(self, end_s: float) -> None:
+        """Pop, walk, and flush every window up to the phase end ``end_s``."""
+        vector = self.mode == "counters" and self._adr is None
+        for _ in range(2):
+            # The second pass fires the ADR applies that the first pass's
+            # end flush queued at exactly ``end_s``.
+            while (peek := self._wheel.peek_time_s()) is not None and peek <= end_s:
                 boundary, w_times, w_seq, w_items = self._pop_window_clipped(end_s)
-                if w_times.size:
-                    self._window_pass_sequential(w_times, w_seq, w_items, state, boundary, end_s)
-            self._flush_counters(state, table, end_s)
+                if vector and np.unique(w_items).size == w_items.size:
+                    self._window_pass_vector(w_times, w_items)
+                else:
+                    self._window_walk(w_times, w_seq, w_items, boundary, end_s)
+                if boundary <= end_s:
+                    self._flush(boundary)
+            # The horizon can split a window: its tail stayed on the
+            # wheel, and the frames staged before ``end_s`` flush now.
+            self._flush(end_s)
 
     def _pop_window_clipped(self, end_s: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """Pop one wheel window, re-pushing anything beyond the horizon.
@@ -870,9 +701,163 @@ class ColumnarRuntime:
             w_times, w_seq, w_items = w_times[keep], w_seq[keep], w_items[keep]
         return boundary, w_times, w_seq, w_items
 
-    def _window_pass_vector(
-        self, w_times: np.ndarray, w_items: np.ndarray, state: FleetState
+    def _window_walk(
+        self,
+        w_times: np.ndarray,
+        w_seq: np.ndarray,
+        w_items: np.ndarray,
+        boundary: float,
+        end_s: float,
     ) -> None:
+        """Run one popped window's events in exact ``(time, seq)`` order.
+
+        A local heap merges the window's events with the duty-cycle
+        retries scheduled *into* the window while walking it, so the
+        total order matches one shared event heap; retries landing past
+        the window or the horizon go back on the wheel.  Negative items
+        are ADR applies.
+        """
+        heap = list(zip(w_times.tolist(), w_seq.tolist(), w_items.tolist()))
+        heapq.heapify(heap)
+        while heap:
+            t, _, item = heapq.heappop(heap)
+            self._processed += 1
+            if item < 0:
+                self._apply(*self._applies[-item - 1], t)
+                self.adr_applied += 1
+                continue
+            next_allowed_s = self._next_allowed_s(item)
+            if t < next_allowed_s:
+                self.deferrals += 1
+                retry = max(next_allowed_s + self.backoff_s, t)
+                if retry < boundary and retry <= end_s:
+                    heapq.heappush(heap, (retry, self._wheel.reserve_sequence(), item))
+                else:
+                    self._wheel.push(np.array([retry]), np.array([item]))
+                continue
+            self.attempts += 1
+            self._transmit(item, t)
+
+    def _ship_adr(
+        self,
+        commands: list[AdrCommand],
+        anchors: dict[int, tuple[int, float, int, list[int]]],
+        now_s: float,
+    ) -> None:
+        """Ship queued LinkADRReq commands into class-A receive windows.
+
+        Each command anchors to its device's last uplink delivered in
+        the window just flushed, given per DevAddr as ``(row,
+        uplink_end_s, sf, site indices of the gateways that heard it)``:
+        RX1/RX2 open off that uplink's *real* end of airtime.  The
+        downlink leaves through the first hearing gateway with
+        duty-cycle budget left for either window (the server's gateway
+        choice).  The FCnt-down is drawn here; the apply fires from the
+        wheel.
+
+        Args:
+            commands: The controller's pending commands.
+            anchors: Anchor uplinks by DevAddr.
+            now_s: Current simulation time; applies never fire in the past.
+        """
+        adr = self._adr
+        for command in commands:
+            anchor = anchors.get(command.dev_addr)
+            window = None
+            if anchor is not None:
+                row, uplink_end_s, sf, sites = anchor
+                fcnt_down = adr.next_fcnt_down(command.dev_addr)
+                # The length build_downlink gives the request (FPort 0).
+                size = _FRAME_OVERHEAD_BYTES + len(command.request.encode())
+                # RX1 mirrors the uplink data rate; EU868 pins RX2 at
+                # DR0/SF12, so the same frame costs up to ~32x more
+                # airtime (and duty-cycle budget) in the second window.
+                rx1_airtime, rx2_airtime = airtime_s(size, sf), airtime_s(size, 12)
+                for site in sites:
+                    scheduler = self._downlink_schedulers.setdefault(site, DownlinkScheduler())
+                    window = scheduler.schedule(uplink_end_s, rx1_airtime, rx2_airtime)
+                    if window is not None:
+                        break
+            if window is None:
+                # The triggering uplink resolved outside this window, or
+                # no hearing gateway can hit either receive window: the
+                # device keeps its data rate and the controller re-arms.
+                self.adr_dropped += 1
+                adr.command_dropped(command.dev_addr)
+                continue
+            self.adr_sent += 1
+            # The scheduler records the true transmit start (window
+            # opening, pushed back by its busy chain).  Windowed batching
+            # can resolve an uplink after its receive windows passed; the
+            # device then applies the command at the flush instant.
+            start_s = scheduler.scheduled[-1][0]
+            on_air = rx1_airtime if window.which == "RX1" else rx2_airtime
+            self._applies.append((row, command.request, fcnt_down))
+            self._wheel.push(
+                np.array([max(start_s + on_air, now_s)]), np.array([-len(self._applies)])
+            )
+
+    # -- events mode: per-device MAC, full event stream -------------------------
+
+    def _device_next_allowed_s(self, row: int) -> float:
+        """The device's own duty-cycle gate."""
+        return self._devices[row].duty_cycle.next_allowed_s()
+
+    def _transmit_device(self, row: int, t: float) -> None:
+        """Transmit through the device and stage the frame for the flush."""
+        device = self._devices[row]
+        self._pending.append(StagedTransmission(device.name, device.transmit(t)))
+
+    def _apply_downlink(self, row: int, request: LinkADRReq, fcnt_down: int, t: float) -> None:
+        """Build the shipped downlink and hand it to the device."""
+        device = self._devices[row]
+        raw = build_downlink(
+            device.keys, device.dev_addr, fcnt_down, payload=request.encode(), fport=0
+        )
+        device.receive_downlink(raw, at_time_s=t)
+
+    def _flush_events(self, now_s: float) -> None:
+        """Resolve and deliver everything staged, then ship ADR commands."""
+        if not self._pending:
+            return
+        staged, self._pending = self._pending, []
+        mask = self._channel.surviving_sites(self.world, staged)
+        events = self.world.deliver_staged(staged, site_mask=mask)
+        commands = self._adr.take_pending() if self._adr is not None else []
+        if not commands:
+            return
+        site_index_of = {site.gateway_id: i for i, site in enumerate(self.world.sites)}
+        anchors = {}
+        for event in events:
+            tx = event.transmission
+            if event.kind is EventKind.DELIVERED and tx is not None:
+                anchors[tx.dev_addr] = (
+                    self._index_of[event.device_name],
+                    tx.end_time_s,
+                    tx.spreading_factor,
+                    [site_index_of[g] for g in event.metadata["gateway_ids"]],
+                )
+        self._ship_adr(commands, anchors, now_s)
+
+    # -- counters mode: columnar MAC, no events ---------------------------------
+
+    def _start_counters_phase(self) -> None:
+        """Snapshot the fleet on first use and mark the attacked rows."""
+        if self._state is None:
+            self._state = FleetState.from_world(self.world)
+        attacked = np.zeros(self._state.n_devices, dtype=bool)
+        if self.world.attack is not None:
+            for name in self.world.attack_targets:
+                row = self._index_of.get(name)
+                if row is not None:
+                    attacked[row] = True
+        self._attacked_rows = attacked
+
+    def _row_next_allowed_s(self, row: int) -> float:
+        """The row's duty-cycle gate column."""
+        return float(self._state.next_allowed_s[row])
+
+    def _window_pass_vector(self, w_times: np.ndarray, w_items: np.ndarray) -> None:
         """One vectorized duty-gate/transmit pass over unique devices.
 
         In-window retries go back on the wheel, re-creating the bucket;
@@ -881,6 +866,7 @@ class ColumnarRuntime:
         (each pass holds one event per device, and only a device's own
         event order affects its duty budget).
         """
+        state = self._state
         self._processed += w_times.size
         gate = w_times >= state.next_allowed_s[w_items]
         blocked_t, blocked_d = w_times[~gate], w_items[~gate]
@@ -893,59 +879,32 @@ class ColumnarRuntime:
             self.attempts += att_t.size
             self._register_attempts(att_t, att_d, state)
 
-    def _window_pass_sequential(
-        self,
-        w_times: np.ndarray,
-        w_seq: np.ndarray,
-        w_items: np.ndarray,
-        state: FleetState,
-        boundary: float,
-        end_s: float,
-    ) -> None:
-        """Exact heap walk for retry chains and ADR retune interleaving."""
-        heap = list(zip(w_times.tolist(), w_seq.tolist(), w_items.tolist()))
-        heapq.heapify(heap)
-        while heap:
-            t, _, item = heapq.heappop(heap)
-            self._processed += 1
-            if item < 0:
-                self._apply_retune(int(item), state)
-                continue
-            device = int(item)
-            if t < state.next_allowed_s[device]:
-                self.deferrals += 1
-                retry = max(float(state.next_allowed_s[device]) + self.backoff_s, t)
-                if retry < boundary and retry <= end_s:
-                    heapq.heappush(heap, (retry, self._wheel.reserve_sequence(), item))
-                else:
-                    self._wheel.push(np.array([retry]), np.array([device]))
-                continue
-            self.attempts += 1
-            fopts = self._fopts_len.pop(device, 0)
-            if fopts:
-                # A pending LinkADRAns rides in FOpts: the frame grows
-                # and so does its airtime (same memoized arithmetic the
-                # device's transmit would use).
-                air = airtime_s(
-                    int(state.frame_bytes[device]) + fopts,
-                    int(state.spreading_factor[device]),
-                    coding_rate=int(state.coding_rate[device]),
-                )
-            else:
-                air = float(state.airtime_s[device])
-            state.next_allowed_s[device] = t + air + air * (
-                1.0 / float(state.duty_cycle[device]) - 1.0
+    def _transmit_row(self, row: int, t: float) -> None:
+        """One row's transmit bookkeeping, LinkADRAns FOpts included."""
+        state = self._state
+        fopts = self._fopts_len.pop(row, 0)
+        if fopts:
+            # A pending LinkADRAns rides in FOpts: the frame grows
+            # and so does its airtime (same memoized arithmetic the
+            # device's transmit would use).
+            air = airtime_s(
+                int(state.frame_bytes[row]) + fopts,
+                int(state.spreading_factor[row]),
+                coding_rate=int(state.coding_rate[row]),
             )
-            fcnt = int(state.fcnt[device])
-            state.fcnt[device] = (state.fcnt[device] + 1) & 0xFFFF
-            self._stage_counters(
-                np.array([t]),
-                np.array([device], dtype=np.int64),
-                state,
-                air=np.array([air]),
-                fcnt=np.array([fcnt], dtype=np.int64),
-                ans=np.array([fopts > 0]),
-            )
+        else:
+            air = float(state.airtime_s[row])
+        state.next_allowed_s[row] = t + air + air * (1.0 / float(state.duty_cycle[row]) - 1.0)
+        fcnt = int(state.fcnt[row])
+        state.fcnt[row] = (state.fcnt[row] + 1) & 0xFFFF
+        self._stage_counters(
+            np.array([t]),
+            np.array([row], dtype=np.int64),
+            state,
+            air=np.array([air]),
+            fcnt=np.array([fcnt], dtype=np.int64),
+            ans=np.array([fopts > 0]),
+        )
 
     def _register_attempts(self, att_t: np.ndarray, att_d: np.ndarray, state: FleetState) -> None:
         """Duty/FCnt bookkeeping plus emission staging for one attempt batch."""
@@ -997,16 +956,17 @@ class ColumnarRuntime:
         self._pend_in_range.append(state.in_range[att_d].copy())
         self._pend_delays.append(state.delays_s[att_d])
 
-    def _apply_retune(self, item: int, state: FleetState) -> None:
-        """Apply a queued LinkADRReq to a fleet row (device-side mirror).
+    def _apply_retune(self, row: int, request: LinkADRReq, fcnt_down: int, t: float) -> None:
+        """Apply a shipped LinkADRReq to a fleet row (device-side mirror).
 
         Mirrors ``EndDevice.apply_link_adr`` on the columns: SF and TX
         power switch when the request validates, airtime / received
         powers / range masks rebuild from the cached path-loss column,
         and a 2-byte LinkADRAns queues into the row's FOpts budget
-        either way.
+        either way.  No frame is built, so ``fcnt_down`` and ``t`` go
+        unused.
         """
-        row, request = self._apply_commands[-item - 1]
+        state = self._state
         data_rate = EU868.DATA_RATES.get(request.data_rate_index)
         accepted = (
             request.ch_mask != 0
@@ -1031,9 +991,8 @@ class ColumnarRuntime:
         pending = self._fopts_len.get(row, 0)
         if pending + _LINK_ADR_ANS_BYTES <= _FOPTS_CAPACITY:
             self._fopts_len[row] = pending + _LINK_ADR_ANS_BYTES
-        self.adr_applied += 1
 
-    def _flush_counters(self, state: FleetState, table: np.ndarray, now_s: float) -> None:
+    def _flush_counters(self, now_s: float) -> None:
         """Resolve one window's staged frames straight into counters.
 
         Classification mirrors the events-mode delivery exactly: frames
@@ -1041,11 +1000,20 @@ class ColumnarRuntime:
         range are suppressed by the jammer and their recordings replayed
         (they still interfere as colliders); the rest deliver if they
         survive capture at any in-range site and collide otherwise.
-        Delivered frames then feed the ADR mirror when a controller is
-        attached.
+
+        With an ADR controller attached, delivered frames then feed it
+        -- a server-side mirror of ``NetworkServer.resolve`` without
+        frames or keys: SNR evidence is the link-budget power column
+        minus the site noise floor, and observations arrive in the
+        deduplicator's ``(first arrival, DevAddr, FCnt)`` order with the
+        fused (earliest surviving-site) timestamp.  Suppressed frames
+        never feed the controller (the replay detector is assumed to
+        catch their replays).  Queued commands ship off each device's
+        last delivered uplink.
         """
         if not self._pend_emission:
             return
+        state = self._state
         emission = np.concatenate(self._pend_emission)
         devices = np.concatenate(self._pend_device)
         air = np.concatenate(self._pend_air)
@@ -1058,10 +1026,8 @@ class ColumnarRuntime:
         self._pend_emission, self._pend_device, self._pend_air = [], [], []
         self._pend_sf, self._pend_fcnt, self._pend_ans = [], [], []
         self._pend_powers, self._pend_in_range, self._pend_delays = [], [], []
-        survives = window_survival(emission, air, delays, powers, sf, table)
-        attacked = self._attacked_rows[devices] if self._attacked_rows.size else np.zeros(
-            emission.size, dtype=bool
-        )
+        survives = window_survival(emission, air, delays, powers, sf, self._table)
+        attacked = self._attacked_rows[devices]
         reachable = in_range.any(axis=1)
         ok = in_range & survives
         delivered = ok.any(axis=1) & ~attacked
@@ -1072,48 +1038,16 @@ class ColumnarRuntime:
         n_collided = emission.size - n_low - n_suppressed - n_delivered
         self._counts += (n_delivered, n_collided, n_low, n_suppressed, n_suppressed)
         np.add.at(self._heard_per_device, devices[delivered | suppressed], 1)
-        if self._adr is not None:
-            self._adr_feed_and_dispatch(
-                state, emission, devices, air, sf, fcnt, ans, powers, delays, ok, delivered, now_s
-            )
-
-    def _adr_feed_and_dispatch(
-        self,
-        state: FleetState,
-        emission: np.ndarray,
-        devices: np.ndarray,
-        air: np.ndarray,
-        sf: np.ndarray,
-        fcnt: np.ndarray,
-        ans: np.ndarray,
-        powers: np.ndarray,
-        delays: np.ndarray,
-        ok: np.ndarray,
-        delivered: np.ndarray,
-        now_s: float,
-    ) -> None:
-        """Feed delivered frames to the ADR controller and ship commands.
-
-        Server-side mirror of ``NetworkServer.resolve`` +
-        :meth:`_dispatch_adr`, without frames or keys: SNR evidence is
-        the link-budget power column minus the site noise floor,
-        observations arrive in the deduplicator's ``(first arrival,
-        DevAddr, FCnt)`` order with the fused (earliest surviving-site)
-        timestamp, and each queued LinkADRReq anchors to its device's
-        last delivered uplink -- RX1/RX2 scheduling, gateway choice,
-        duty budgets, and the apply-time arithmetic all match the
-        events-mode dispatcher.
-        Suppressed frames never feed the controller (the replay detector
-        is assumed to catch their replays).
-        """
         adr = self._adr
+        if adr is None:
+            return
         idx = np.flatnonzero(delivered)
+        addrs = state.dev_addr[devices[idx]]
         if idx.size:
             arrivals = np.where(ok[idx], emission[idx, None] + delays[idx], np.inf).min(axis=1)
             snrs = np.where(
                 ok[idx], powers[idx] - state.site_noise[None, :], -np.inf
             ).max(axis=1)
-            addrs = state.dev_addr[devices[idx]]
             order = np.lexsort((fcnt[idx], addrs, arrivals))
             for k in order.tolist():
                 frame = int(idx[k])
@@ -1125,38 +1059,15 @@ class ColumnarRuntime:
         commands = adr.take_pending()
         if not commands:
             return
-        sent = dropped = 0
-        anchors: dict[int, int] = {}
-        for frame in idx.tolist():
-            anchors[int(state.dev_addr[devices[frame]])] = frame
+        last_frame = dict(zip(addrs.tolist(), idx.tolist()))
+        anchors = {}
         for command in commands:
-            frame = anchors.get(command.dev_addr)
-            if frame is None:
-                dropped += 1
-                adr.command_dropped(command.dev_addr)
-                continue
-            raw_len = _FRAME_OVERHEAD_BYTES + len(command.request.encode())
-            adr.next_fcnt_down(command.dev_addr)
-            rx1_airtime = airtime_s(raw_len, int(sf[frame]))
-            rx2_airtime = airtime_s(raw_len, 12)
-            uplink_end_s = float(emission[frame] + air[frame])
-            window = None
-            for site_index in np.flatnonzero(ok[frame]).tolist():
-                scheduler = self._scheduler_for(site_index)
-                window = scheduler.schedule(uplink_end_s, rx1_airtime, rx2_airtime)
-                if window is not None:
-                    start_s = scheduler.scheduled[-1][0]
-                    break
-            if window is None:
-                dropped += 1
-                adr.command_dropped(command.dev_addr)
-                continue
-            sent += 1
-            on_air = rx1_airtime if window.which == "RX1" else rx2_airtime
-            self._apply_commands.append((int(devices[frame]), command.request))
-            self._wheel.push(
-                np.array([max(start_s + on_air, now_s)]),
-                np.array([-len(self._apply_commands)]),
-            )
-        self.adr_sent += sent
-        self.adr_dropped += dropped
+            frame = last_frame.get(command.dev_addr)
+            if frame is not None:
+                anchors[command.dev_addr] = (
+                    int(devices[frame]),
+                    float(emission[frame] + air[frame]),
+                    int(sf[frame]),
+                    np.flatnonzero(ok[frame]).tolist(),
+                )
+        self._ship_adr(commands, anchors, now_s)

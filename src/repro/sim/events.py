@@ -1,109 +1,19 @@
-"""A minimal discrete-event simulator (heap-based event queue).
+"""The fleet runtime's event calendar.
 
-Two scheduling backends live here:
-
-* :class:`Simulator` -- the classic one-callback-per-event heap, exact
-  and general, but paying a Python function call plus a heap operation
-  per event;
-* :class:`TimeWheel` -- a bucketed calendar for the columnar engine:
-  events are pushed as whole numpy arrays, land in ``floor(t/w)``
-  buckets, and pop out one *window* at a time already time-sorted, so a
-  million-event phase costs a handful of array operations per window
-  instead of a million heap pushes.
+:class:`TimeWheel` is a bucketed calendar for the columnar engine:
+events are pushed as whole numpy arrays, land in ``floor(t/w)``
+buckets, and pop out one *window* at a time already time-sorted, so a
+million-event phase costs a handful of array operations per window
+instead of a million heap pushes.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import SimulationError
-
-
-@dataclass(order=True)
-class _Event:
-    time_s: float
-    sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
-
-class Simulator:
-    """Executes callbacks in global-time order.
-
-    Events scheduled at equal times run in scheduling order (stable FIFO
-    tie-break), which keeps attack orchestration deterministic.
-    """
-
-    def __init__(self, start_time_s: float = 0.0):
-        self._now = start_time_s
-        self._queue: list[_Event] = []
-        self._counter = itertools.count()
-        self._processed = 0
-
-    @property
-    def now_s(self) -> float:
-        return self._now
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    @property
-    def processed(self) -> int:
-        return self._processed
-
-    def schedule(self, time_s: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``callback(*args)`` at ``time_s`` (never in the past)."""
-        if time_s < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time_s:.6f}s; simulation time is {self._now:.6f}s"
-            )
-        heapq.heappush(self._queue, _Event(time_s, next(self._counter), callback, args))
-
-    def schedule_in(self, delay_s: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule relative to the current simulation time."""
-        if delay_s < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay_s}")
-        self.schedule(self._now + delay_s, callback, *args)
-
-    def step(self) -> bool:
-        """Run the next event; False when the queue is empty."""
-        if not self._queue:
-            return False
-        event = heapq.heappop(self._queue)
-        self._now = event.time_s
-        event.callback(*event.args)
-        self._processed += 1
-        return True
-
-    def run_until(self, time_s: float) -> None:
-        """Run all events with time <= ``time_s``; advance the clock to it."""
-        while self._queue and self._queue[0].time_s <= time_s:
-            self.step()
-        self._now = max(self._now, time_s)
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue; returns the number of events processed.
-
-        Raises :class:`SimulationError` only if events are still pending
-        once the budget is spent -- a schedule of exactly ``max_events``
-        events drains cleanly.
-        """
-        count = 0
-        while self._queue:
-            if count >= max_events:
-                raise SimulationError(
-                    f"event budget of {max_events} exhausted with "
-                    f"{len(self._queue)} events still pending; runaway schedule?"
-                )
-            self.step()
-            count += 1
-        return count
 
 
 class TimeWheel:
@@ -114,8 +24,8 @@ class TimeWheel:
     ``argsort`` + a few array slices; events land in calendar buckets of
     width ``window_s`` keyed by ``floor(t / window_s)``.  ``pop_window``
     returns the earliest non-empty bucket's events sorted by
-    ``(time, push sequence)`` -- the same global order the heap-based
-    :class:`Simulator` would process them in, FIFO tie-break included.
+    ``(time, push sequence)`` -- the order one global event heap with a
+    FIFO tie-break would process them in.
 
     The bucket directory is a dict; a lazy min-heap of bucket keys finds
     the earliest window without scanning.  Re-pushing into an
@@ -124,6 +34,15 @@ class TimeWheel:
     """
 
     def __init__(self, window_s: float):
+        """Create an empty wheel.
+
+        Args:
+            window_s: Bucket width in seconds; also the span of one
+                popped window.
+
+        Raises:
+            SimulationError: If ``window_s`` is not positive.
+        """
         if window_s <= 0:
             raise SimulationError(f"window must be positive, got {window_s}")
         self.window_s = float(window_s)
@@ -196,8 +115,8 @@ class TimeWheel:
     def pop_window(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
         """Pop the earliest window: ``(key, times, sequences, items)``.
 
-        Events come back sorted by time with ties broken by push order,
-        matching the heap simulator's FIFO semantics; the sequence
+        Events come back sorted by time with ties broken by push order
+        (FIFO among equal times); the sequence
         column lets the caller merge its own mid-window insertions on
         the same total order.  Returns ``None`` when the wheel is empty.
         """

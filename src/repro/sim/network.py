@@ -39,7 +39,6 @@ from repro.radio.geometry import Position
 from repro.server.forwarding import GatewayForward
 from repro.server.fusion import FbMeasurementModel, FusionPolicy
 from repro.server.network_server import NetworkServer, ServerVerdict
-from repro.sim.events import Simulator
 
 
 class EventKind(enum.Enum):
@@ -117,7 +116,9 @@ class LoRaWanWorld:
         devices: Every device, by name.
         fb_model: Calibrated FB-estimation noise of the frame-level path.
         rng: Draws the FB-estimation noise and the waveform path's AWGN.
-        simulator: The world's clock (``now_s``, ``run_until``).
+        now_s: The world clock in simulated seconds.  Each runtime
+            phase starts here and leaves it at the phase end; callers
+            may move it forward between phases.
         events: Every event so far, in delivery order.
         attack: The armed frame delay attack, if any.
         attack_targets: Names of the attacked devices.
@@ -135,7 +136,7 @@ class LoRaWanWorld:
     devices: dict[str, EndDevice] = field(default_factory=dict)
     fb_model: FbMeasurementModel = field(default_factory=FbMeasurementModel)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    simulator: Simulator = field(default_factory=Simulator)
+    now_s: float = field(init=False, default=0.0)
     events: list[WorldEvent] = field(default_factory=list)
     attack: FrameDelayAttack | None = None
     attack_targets: set[str] = field(default_factory=set)

@@ -399,7 +399,7 @@ class TestCountersMode:
         for duration in (61.0, 47.0, 33.0):
             first = len(popped)
             reports.append(runtime.run(duration))
-            split.append(max(popped[first:]) > world.simulator.now_s)
+            split.append(max(popped[first:]) > world.now_s)
         # Without a window straddling the horizon this pins nothing.
         assert any(split)
         assert [_stats_tuple(r) for r in reports] == GOLDEN_HORIZON_SPLIT_STATS

@@ -209,7 +209,7 @@ class TestColumnarRuntime:
         runtime = make_runtime(world, seed=3, period_s=30.0, jitter_s=10.0)
         clean = runtime.run(60.0)
         assert clean.contention.replays_delivered == 0
-        armed_at = world.simulator.now_s
+        armed_at = world.now_s
         assert armed_at >= 60.0
         attack = FrameDelayAttack(
             jammer=StealthyJammer(),
@@ -241,6 +241,13 @@ class TestColumnarRuntime:
             make_runtime(world).run(0.0)
         with pytest.raises(ConfigurationError):
             make_runtime(world).run(10.0, device_names=["ghost"])
+        (name,) = world.devices
+        runtime = make_runtime(world)
+        with pytest.raises(ConfigurationError, match=rf"repeated devices: \['{name}'\]"):
+            runtime.run(600.0, device_names=[name, name])
+        # A refused phase schedules nothing; the same name once still runs.
+        assert runtime.attempts == 0
+        assert runtime.run(600.0, device_names=[name]).attempts == 10
 
     def test_phase_starts_at_world_clock(self):
         # A caller may advance the world between phases; the next phase
@@ -249,11 +256,11 @@ class TestColumnarRuntime:
         runtime = make_runtime(world)
         first = runtime.run(60.0)
         assert first.start_s == 0.0
-        world.simulator.run_until(500.0)
+        world.now_s = 500.0
         second = runtime.run(60.0)
         assert second.start_s == 500.0
         assert len(second.events) == 6
         assert min(e.time_s for e in second.events) >= 500.0
         # Values the original heap-driven runtime produced on this probe.
         assert second.events[0].time_s == 512.2214111475034
-        assert world.simulator.now_s == 560.0
+        assert world.now_s == 560.0

@@ -577,7 +577,7 @@ class TestAdrDownlink:
             daemon = NetworkServerDaemon(server=server, config=loopback_config())
             await daemon.start()
             daemon._pending = []
-            daemon._dispatch_adr()
+            daemon._send_adr_downlinks()
             undeliverable = daemon.metrics.get(
                 "repro_service_adr_undeliverable_total"
             ).total()
@@ -604,7 +604,7 @@ class TestAdrDownlink:
             daemon.handle_datagram(
                 encode_datagram(PullData(token=9, gateway_eui=eui)), ("127.0.0.1", 9)
             )
-            daemon._dispatch_adr()
+            daemon._send_adr_downlinks()
             undeliverable = daemon.metrics.get(
                 "repro_service_adr_undeliverable_total"
             ).total()

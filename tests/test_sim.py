@@ -7,14 +7,13 @@ from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
 from repro.core.softlora import SoftLoRaGateway
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import FusionPolicy, ServerStatus
-from repro.sim.events import Simulator
 from repro.sim.network import EventKind, FbMeasurementModel, LoRaWanWorld
 from repro.sim.rng import RngStreams
 from repro.sim.scenarios import (
@@ -52,97 +51,6 @@ class TestRngStreams:
         a = RngStreams(1).stream("x").standard_normal(4)
         b = RngStreams(2).stream("x").standard_normal(4)
         assert not np.allclose(a, b)
-
-
-class TestSimulator:
-    def test_events_run_in_time_order(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(2.0, log.append, "b")
-        sim.schedule(1.0, log.append, "a")
-        sim.schedule(3.0, log.append, "c")
-        sim.run()
-        assert log == ["a", "b", "c"]
-
-    def test_fifo_tie_break(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, log.append, 1)
-        sim.schedule(1.0, log.append, 2)
-        sim.run()
-        assert log == [1, 2]
-
-    def test_clock_advances(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        assert sim.now_s == 5.0
-
-    def test_past_scheduling_rejected(self):
-        sim = Simulator(start_time_s=10.0)
-        with pytest.raises(SimulationError):
-            sim.schedule(5.0, lambda: None)
-
-    def test_schedule_in(self):
-        sim = Simulator(start_time_s=3.0)
-        fired = []
-        sim.schedule_in(2.0, fired.append, True)
-        sim.run()
-        assert fired and sim.now_s == 5.0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1.0, lambda: None)
-
-    def test_run_until_partial(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, log.append, 1)
-        sim.schedule(10.0, log.append, 2)
-        sim.run_until(5.0)
-        assert log == [1]
-        assert sim.now_s == 5.0
-        assert sim.pending == 1
-
-    def test_cascading_events(self):
-        sim = Simulator()
-        log = []
-
-        def fire(n):
-            log.append(n)
-            if n < 3:
-                sim.schedule_in(1.0, fire, n + 1)
-
-        sim.schedule(0.0, fire, 0)
-        sim.run()
-        assert log == [0, 1, 2, 3]
-
-    def test_event_budget(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule_in(1.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_exact_budget_drains_cleanly(self):
-        # Regression: the budget-th event emptying the queue is success,
-        # not a budget violation.
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule(float(i), log.append, i)
-        assert sim.run(max_events=5) == 5
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_budget_exceeded_by_one_raises(self):
-        sim = Simulator()
-        for i in range(6):
-            sim.schedule(float(i), lambda: None)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=5)
 
 
 class TestFbMeasurementModel:

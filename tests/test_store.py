@@ -388,6 +388,9 @@ class TestOpenStore:
             open_store("memory?turbo=1")
         with pytest.raises(ConfigurationError, match="must be an integer"):
             open_store("memory?history=lots")
+        for spec in ("memory?cache=4", "memory?history=4&cache=0"):
+            with pytest.raises(ConfigurationError, match="store option 'cache'.*only applies"):
+                open_store(spec)
 
 
 def _drive(plan, store):
