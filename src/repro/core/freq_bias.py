@@ -28,8 +28,10 @@ vectorized numpy over the whole batch, with no per-capture Python loop:
 
 1. **dechirp** -- multiply by the cached conjugate sweep;
 2. **coarse search** -- the zero-padded FFT's bins, but only those inside
-   ``search_range_hz``, evaluated by one cached :class:`scipy.signal.ZoomFFT`
-   plan (``±40 kHz`` is 8 % of a 1 Msps spectrum);
+   ``search_range_hz``, evaluated by one cached zoom FFT (``±40 kHz`` is
+   8 % of a 1 Msps spectrum): a Bluestein chirp-z transform on
+   :mod:`numpy.fft` that repeats scipy's zoom FFT operation for
+   operation, so the dechirp method needs no scipy;
 3. **refinement** -- a safeguarded Newton ascent on ``|C(f)|²`` that
    starts from a parabolic fit through the peak bin's neighbours and keeps
    a per-row bracket of ``±1`` bin clipped to the search range.  One pass
@@ -40,13 +42,16 @@ bracket shrinks to ``refine_tol_hz`` and drops out of the remaining
 passes, and every reduction is row-wise.  So a row's estimate does not
 depend on the batch around it, and :meth:`estimate` -- the batch of one --
 agrees with :meth:`estimate_batch` bitwise.
+
+Only the reference ``method="de"`` loads scipy, lazily, for
+:func:`scipy.optimize.differential_evolution`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -58,9 +63,6 @@ from repro.phy.chirp import (
     cached_sweep_phase,
 )
 from repro.sdr.iq import IQTrace
-
-if TYPE_CHECKING:
-    from scipy.signal import ZoomFFT
 
 #: Hard cap on refinement passes.  Bisection alone shrinks a one-bin
 #: bracket below 1e-3 Hz in about 20 passes; Newton rows usually stop
@@ -112,6 +114,8 @@ def _chirp_samples(iq: np.ndarray | IQTrace, config: ChirpConfig) -> np.ndarray:
 def _chirp_stack(chirps: np.ndarray | list, config: ChirpConfig) -> np.ndarray:
     """Validate/stack a batch of chirps into an ``(n, spc)`` complex array."""
     if isinstance(chirps, (list, tuple)):
+        if not chirps:
+            return np.empty((0, config.samples_per_chirp), dtype=complex)
         chirps = [c.samples if isinstance(c, IQTrace) else c for c in chirps]
         lengths = {len(c) for c in chirps}
         spc = config.samples_per_chirp
@@ -137,6 +141,58 @@ def _quadratic_phase(config: ChirpConfig) -> np.ndarray:
     return cached_sweep_phase(config)
 
 
+def _next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer ``>= target``.
+
+    These are the lengths pocketfft transforms fastest; the result equals
+    ``scipy.fft.next_fast_len(target)`` for complex input.
+    """
+    size = target
+    while True:
+        rest = size
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
+@dataclass(frozen=True, eq=False)
+class _ZoomFft:
+    """Bluestein chirp-z transform onto ``m`` bins from ``f1``, ``(f2 − f1)/m`` apart.
+
+    The arithmetic is scipy's zoom FFT (``endpoint=False``) operation for
+    operation, including each expression's grouping, so both give the
+    same bits wherever numpy and scipy share a pocketfft.
+    """
+
+    #: ``a^{-k}·w^{k²/2}`` over the ``n`` input samples.
+    awk2: np.ndarray
+    #: The ``nfft``-point FFT of the reciprocal chirp ``w^{-k²/2}``,
+    #: ``k = 1−n … m−1``.
+    fwk2: np.ndarray
+    #: ``w^{k²/2}`` over the ``m`` output bins.
+    wk2: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, f1: float, f2: float, m: int, fs: float) -> "_ZoomFft":
+        """Plan the transform of ``n``-sample rows onto ``[f1, f2)`` at rate ``fs``."""
+        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+        scale = (f2 - f1) / fs
+        wk2 = np.exp(-(1j * np.pi * scale * k**2) / m)
+        awk2 = np.exp(-2j * np.pi * f1 / fs * k[:n]) * wk2[:n]
+        nfft = _next_fast_len(n + m - 1)
+        fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+        return cls(awk2=awk2, fwk2=fwk2, wk2=wk2[:m])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Transform every row of ``x``, shape ``(rows, n)`` → ``(rows, m)``."""
+        n, m = len(self.awk2), len(self.wk2)
+        y = np.fft.ifft(self.fwk2 * np.fft.fft(x * self.awk2, len(self.fwk2)))
+        return y[..., n - 1 : n + m - 1] * self.wk2
+
+
 @dataclass(frozen=True)
 class _ZoomPlan:
     """The coarse search's grid: the in-range bins of the zero-padded FFT."""
@@ -147,7 +203,7 @@ class _ZoomPlan:
     bin_width_hz: float
     #: Evaluates ``freqs`` on a ``(n, samples_per_chirp)`` stack; ``None``
     #: when the search range excludes every bin.
-    zoom: ZoomFFT | None
+    zoom: _ZoomFft | None
 
 
 @lru_cache(maxsize=32)
@@ -172,13 +228,10 @@ def _cached_zoom_plan(
     bin_width = config.sample_rate_hz / n_fft
     zoom = None
     if len(freqs):
-        # scipy loads here, at the first plan, so importing the core (as
-        # the network server does) stays numpy-only.
-        from scipy.signal import ZoomFFT
-
-        # endpoint=False spaces the m points exactly bin_width apart.
-        span = (freqs[0], freqs[0] + len(freqs) * bin_width)
-        zoom = ZoomFFT(n, span, len(freqs), fs=config.sample_rate_hz, endpoint=False)
+        # The span is m bins wide, so the m points land exactly on the
+        # in-range bins, bin_width apart.
+        f1 = freqs[0]
+        zoom = _ZoomFft.build(n, f1, f1 + len(freqs) * bin_width, len(freqs), config.sample_rate_hz)
     return _ZoomPlan(freqs=freqs, bin_width_hz=bin_width, zoom=zoom)
 
 

@@ -40,8 +40,10 @@ class CaptureBatch:
 
     def __post_init__(self) -> None:
         """Coerce/validate the stacked samples, start times, and metadata."""
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ConfigurationError(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
+            )
         self.samples = np.asarray(self.samples, dtype=complex)
         if self.samples.ndim != 2:
             raise ConfigurationError(

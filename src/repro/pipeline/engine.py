@@ -124,7 +124,9 @@ class BatchPipeline:
         capture window skip estimation and carry an ``error`` instead --
         the batch analogue of the single-capture ``EstimationError`` path.
         ``noise_powers`` (scalar or per-capture) is only consulted by the
-        reference ``"de"`` estimator.
+        reference ``"de"`` estimator.  ``node_ids`` or a non-scalar
+        ``noise_powers`` that is not one entry per capture raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if node_ids is not None and len(node_ids) != len(batch):
             raise ConfigurationError(
@@ -132,6 +134,11 @@ class BatchPipeline:
             )
         if node_ids is not None and replay_detector is None:
             raise ConfigurationError("node_ids given but no replay_detector to check them")
+        if np.ndim(noise_powers) > 0 and np.shape(noise_powers) != (len(batch),):
+            raise ConfigurationError(
+                f"noise powers of shape {np.shape(noise_powers)} do not match "
+                f"{len(batch)} captures"
+            )
         if len(batch) == 0:
             # An empty fleet step is a no-op, not a numpy shape error.
             return BatchResult(

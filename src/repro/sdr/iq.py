@@ -34,8 +34,12 @@ class IQTrace:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        # The chained comparison is False for NaN too: a NaN or infinite
+        # rate would turn every onset index into a NaN or 0.0 timestamp.
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ConfigurationError(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
+            )
         self.samples = np.asarray(self.samples, dtype=complex)
 
     def __len__(self) -> int:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import ZoomFFT
 
 from repro.core.freq_bias import (
     LeastSquaresFbEstimator,
     LinearRegressionFbEstimator,
+    _cached_zoom_plan,
+    _next_fast_len,
     estimate_amplitude,
 )
 from repro.errors import ConfigurationError, EstimationError
@@ -252,6 +256,66 @@ def test_dechirp_matches_golden_section_oracle(
     noisy = chirp + complex_awgn(len(chirp), noise_power, np.random.default_rng(seed))
     oracle = golden_section_fb(config, noisy, SEARCH_RANGE_HZ)
     assert abs(estimator.estimate(noisy).fb_hz - oracle) <= estimator.refine_tol_hz
+
+
+#: Widest search range of the zoom parity property, in bins, so that the
+#: SF12 grids' transforms stay a few tens of MB.
+MAX_ZOOM_BINS = 8192
+
+
+@st.composite
+def zoom_cases(draw):
+    """A chirp configuration, zero-pad factor and a range in its grid.
+
+    The range covers bins ``first … first + width``.  ``width = 0`` holds
+    exactly one bin; ``first`` below the grid's lowest bin or ``first +
+    width`` past its highest makes the range run over that edge.
+    """
+    config = ChirpConfig(
+        spreading_factor=draw(st.integers(7, 12)),
+        sample_rate_hz=draw(st.sampled_from([0.125e6, 0.25e6, 0.5e6, 1e6])),
+    )
+    zero_pad_factor = draw(st.sampled_from([1, 2, 8]))
+    n_fft = int(2 ** np.ceil(np.log2(config.samples_per_chirp * zero_pad_factor)))
+    half = n_fft // 2
+    first = draw(
+        st.one_of(st.integers(-half, half - 1), st.sampled_from([-half - 1, -half, half - 1]))
+    )
+    width = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, min(2 * half, MAX_ZOOM_BINS)),
+            st.just(half - 1 - first),
+        )
+    )
+    bin_width = config.sample_rate_hz / n_fft
+    search_range = ((first - 0.25) * bin_width, (first + width + 0.25) * bin_width)
+    return config, zero_pad_factor, search_range
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=zoom_cases(), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_zoom_fft_matches_scipy(case, rows, seed):
+    config, zero_pad_factor, search_range = case
+    # Unwrapped, so the drawn ranges do not evict the estimators' plans.
+    plan = _cached_zoom_plan.__wrapped__(config, search_range, zero_pad_factor)
+    m = len(plan.freqs)
+    assume(0 < m <= MAX_ZOOM_BINS + 1)
+    n = config.samples_per_chirp
+    first = plan.freqs[0]
+    reference = ZoomFFT(
+        n, (first, first + m * plan.bin_width_hz), m, fs=config.sample_rate_hz, endpoint=False
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    expected = reference(x)
+    np.testing.assert_allclose(plan.zoom(x), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(target) for target in range(1, 20_000)] == [
+        next_fast_len(target) for target in range(1, 20_000)
+    ]
 
 
 class TestAmplitudeEstimation:

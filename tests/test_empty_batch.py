@@ -8,6 +8,7 @@ result instead of tripping over zero-length stacking.
 import numpy as np
 import pytest
 
+from repro.core.freq_bias import LeastSquaresFbEstimator
 from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.experiments.common import ScenarioSpec
@@ -63,6 +64,12 @@ class TestEmptyPipelineRun:
     def test_gateway_process_batch_empty(self, config):
         gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
         assert gateway.process_batch(CaptureBatch.empty(config.sample_rate_hz), "gw-0", 0.0) == []
+
+    def test_estimator_empty_list(self, config):
+        # An empty list maps to no estimates, as an empty (0, spc) array does.
+        estimator = LeastSquaresFbEstimator(config)
+        assert estimator.estimate_batch([]) == []
+        assert estimator.estimate_batch(np.empty((0, config.samples_per_chirp))) == []
 
     def test_nonempty_after_empty_unaffected(self, config, rng):
         # An empty run must not poison caches or reference state.

@@ -1,11 +1,16 @@
-"""The network-server daemon's import graph holds only what it runs.
+"""The daemon's and the receive chain's import graphs hold only what they run.
 
-The SDR side of the system (dechirping, onset picking, FB estimation)
-needs scipy and the simulator; the network server only runs the FB
-consistency check.  Importing the daemon must therefore load neither:
-scipy is imported inside the DSP functions at first use, the load
-generator is a lazy export of :mod:`repro.service`, and the calibrated
-FB noise model lives in :mod:`repro.server.fusion`.
+The network server only runs the FB consistency check, so importing the
+daemon loads neither scipy nor the simulator: the load generator is a
+lazy export of :mod:`repro.service`, and the calibrated FB noise model
+lives in :mod:`repro.server.fusion`.  The SDR receive chain
+(:class:`~repro.pipeline.BatchPipeline` and
+:class:`~repro.core.softlora.SoftLoRaGateway` with their default AIC
+onset picker and dechirp FB estimator) runs on numpy alone too: its zoom
+FFT is built on :mod:`numpy.fft`.  scipy is imported at first use only
+by the DSP that needs it: the ``"de"`` reference FB estimator, the
+envelope, spectrogram and filtered-AIC onset detectors, and real-noise
+synthesis.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -122,6 +127,46 @@ print("ok")
 """
     )
     assert run_fresh(code).strip() == "ok"
+
+
+def test_receive_chain_runs_without_scipy():
+    code = (
+        BLOCK_SCIPY
+        + """
+import json
+
+import numpy as np
+
+from repro.core.softlora import SoftLoRaGateway
+from repro.experiments.common import synthesize_capture
+from repro.lorawan.gateway import CommodityGateway
+from repro.phy.chirp import ChirpConfig
+from repro.phy.frame import PhyFrame, PhyTransmitter
+from repro.pipeline import BatchPipeline, CaptureBatch
+from repro.sdr.iq import IQTrace
+from repro.sdr.noise import complex_awgn, noise_power_for_snr
+
+rng = np.random.default_rng(5)
+for sf, rate in ((7, 1e6), (9, 0.5e6)):
+    config = ChirpConfig(spreading_factor=sf, sample_rate_hz=rate)
+    captures = [synthesize_capture(config, rng, snr_db=20.0, fb_hz=-20e3) for _ in range(3)]
+    batch = CaptureBatch.from_traces([capture.trace for capture in captures])
+    result = BatchPipeline(config=config).run(batch)
+    assert np.all(result.ok) and np.all(np.abs(result.fb_hz + 20e3) < 120.0), result.fb_hz
+
+config = ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6)
+wave = PhyTransmitter(config, fb_hz=-20e3).modulate(PhyFrame(b"receive chain"), phase=0.4)
+samples = np.concatenate([np.zeros(1500, dtype=complex), wave])
+noise_power = noise_power_for_snr(1.0, 20.0)
+trace = IQTrace(samples + complex_awgn(len(samples), noise_power, rng), config.sample_rate_hz)
+gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
+forward = gateway.process_capture(trace, "gw-0", 20.0, noise_power=noise_power)
+assert forward.mac_bytes == b"receive chain", forward
+assert abs(forward.fb_hz + 20e3) < 120.0, forward.fb_hz
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    )
+    assert json.loads(run_fresh(code)) == []
 
 
 def test_loadgen_names_stay_reachable_from_service():

@@ -7,6 +7,8 @@ corresponding single-capture call exactly.  Plus edge cases: minimum
 length traces in a batch, short FB chirps, ragged inputs.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,11 @@ class TestCaptureBatch:
                 window[row], batch.samples[row, starts[row] : starts[row] + 32]
             )
 
+    def test_rate_must_be_finite_and_positive(self):
+        for rate in (0.0, -1e6, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                CaptureBatch(np.zeros((2, 8), dtype=complex), rate)
+
     def test_slice_each_bounds_checked(self, captures):
         batch = CaptureBatch.from_traces([c.trace for c in captures])
         with pytest.raises(ConfigurationError):
@@ -289,6 +296,21 @@ class TestBatchPipeline:
         batch = CaptureBatch.from_traces([c.trace for c in captures])
         with pytest.raises(ConfigurationError):
             engine.run(batch, node_ids=["n"] * len(batch))
+
+    def test_noise_powers_must_match_batch_length(self, fast_config, captures):
+        from repro.core.softlora import SoftLoRaGateway
+        from repro.lorawan.gateway import CommodityGateway
+
+        batch = CaptureBatch.from_traces([c.trace for c in captures])
+        engine = BatchPipeline(config=fast_config)
+        gateway = SoftLoRaGateway(config=fast_config, commodity=CommodityGateway())
+        for powers in (np.ones(len(batch) - 1), np.ones((len(batch), 1))):
+            shape = powers.shape
+            message = re.escape(f"noise powers of shape {shape} do not match {len(batch)} captures")
+            with pytest.raises(ConfigurationError, match=message):
+                engine.run(batch, noise_powers=powers)
+            with pytest.raises(ConfigurationError, match=message):
+                gateway.process_batch(batch, "gw-0", 10.0, noise_powers=powers)
 
     def test_replay_stage_flags_outlier(self, fast_config, rng):
         from repro.core.detector import FbDatabase, ReplayDetector

@@ -55,6 +55,10 @@ class TestIQTrace:
     def test_invalid_rate(self):
         with pytest.raises(ConfigurationError):
             IQTrace(np.zeros(4), 0.0)
+        # NaN would make every timestamp NaN and inf every timestamp 0.0.
+        for rate in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                IQTrace(np.zeros(4), rate)
 
 
 class TestNoise:
