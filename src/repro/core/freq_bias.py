@@ -55,6 +55,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core._scratch import Scratch
 from repro.errors import ConfigurationError, EstimationError
 from repro.phy.chirp import (
     ChirpConfig,
@@ -68,9 +69,10 @@ from repro.sdr.iq import IQTrace
 #: bracket below 1e-3 Hz in about 20 passes; Newton rows usually stop
 #: after two.
 _MAX_REFINE_PASSES = 64
-#: Rows per zoom-FFT call.  The transform's temporaries are several times
-#: the size of its input; 16-row chunks halve the coarse search's time on
-#: a 64-row batch against one call, at SF7 and SF9 alike.
+#: Rows per zoom-FFT call.  The transform runs in place in one
+#: ``(rows, nfft)`` buffer of the estimator's per-thread scratch, several
+#: times the size of its input; 16-row chunks halved the coarse search's
+#: time on a 64-row batch against one call, at SF7 and SF9 alike.
 _ZOOM_ROWS = 16
 
 
@@ -186,11 +188,26 @@ class _ZoomFft:
         fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
         return cls(awk2=awk2, fwk2=fwk2, wk2=wk2[:m])
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Transform every row of ``x``, shape ``(rows, n)`` → ``(rows, m)``."""
-        n, m = len(self.awk2), len(self.wk2)
-        y = np.fft.ifft(self.fwk2 * np.fft.fft(x * self.awk2, len(self.fwk2)))
-        return y[..., n - 1 : n + m - 1] * self.wk2
+    def __call__(self, x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Transform every row of ``x``, shape ``(rows, n)`` → ``(rows, m)``.
+
+        The transform runs in place in ``work``, a complex
+        ``(rows, nfft)`` buffer (allocated when not given), and the
+        result is a view into it.  The plan is shared between
+        estimators and threads, so it holds no buffer of its own.
+        """
+        n, m, nfft = len(self.awk2), len(self.wk2), len(self.fwk2)
+        if work is None:
+            work = np.empty((len(x), nfft), dtype=complex)
+        np.multiply(x, self.awk2, out=work[:, :n])
+        work[:, n:] = 0.0
+        np.fft.fft(work, out=work)
+        # fwk2 stays the first operand: complex multiplication is not
+        # bitwise commutative under numpy's fused multiply-add.
+        np.multiply(self.fwk2, work, out=work)
+        np.fft.ifft(work, out=work)
+        y = work[:, n - 1 : n + m - 1]
+        return np.multiply(y, self.wk2, out=y)
 
 
 @dataclass(frozen=True)
@@ -321,12 +338,26 @@ class LeastSquaresFbEstimator:
         self._centred_index = np.arange(n, dtype=float) - (n - 1) / 2.0
         lo, hi = search_range_hz
         self._plan = _cached_zoom_plan(config, (float(lo), float(hi)), zero_pad_factor)
+        self._scratch = Scratch()
 
     # -- shared objective ---------------------------------------------------
 
-    def _dechirped(self, samples: np.ndarray) -> np.ndarray:
-        """Remove the known sweep; broadcasts over a batch's last axis."""
-        return samples * self._template
+    def chirp_buffer(self, rows: int) -> np.ndarray:
+        """A per-thread ``(rows, samples_per_chirp)`` buffer to gather chirps into.
+
+        :meth:`estimate_batch` on the buffer's first ``k`` rows dechirps
+        them in place rather than into a copy, so it consumes them.  The
+        buffer is reused by this estimator's later calls on the thread.
+        """
+        return self._scratch.array("dechirped", (rows, self.config.samples_per_chirp), complex)
+
+    def _dechirped(self, stack: np.ndarray) -> np.ndarray:
+        """Remove the known sweep from every row, into scratch.
+
+        In place when ``stack`` is the head of :meth:`chirp_buffer`.
+        """
+        out = self._scratch.array("dechirped", stack.shape, complex)
+        return np.multiply(stack, self._template, out=out)
 
     def _correlation_batch(
         self, dechirped: np.ndarray, fb_hz: np.ndarray
@@ -350,7 +381,8 @@ class LeastSquaresFbEstimator:
         ``np.sum``, so a row's result does not depend on the batch size.
         """
         w = np.exp((-2j * np.pi / self.config.sample_rate_hz) * fb_hz)
-        tones = np.empty_like(dechirped)
+        # The coarse search is over, so its zoom buffer holds the tones.
+        tones = self._scratch.array("work", dechirped.shape, complex)
         tones[:, 0] = 1.0
         tones[:, 1:] = w[:, np.newaxis]
         np.cumprod(tones, axis=1, out=tones)
@@ -374,10 +406,11 @@ class LeastSquaresFbEstimator:
         plan = self._plan
         if plan.zoom is None:
             raise EstimationError(f"search range {self.search_range_hz} excludes every FFT bin")
-        magnitudes = np.empty((len(dechirped), len(plan.freqs)))
+        magnitudes = self._scratch.array("magnitudes", (len(dechirped), len(plan.freqs)))
         for first in range(0, len(dechirped), _ZOOM_ROWS):
-            chunk = slice(first, first + _ZOOM_ROWS)
-            np.abs(plan.zoom(dechirped[chunk]), out=magnitudes[chunk])
+            chunk = dechirped[first : first + _ZOOM_ROWS]
+            work = self._scratch.array("work", (len(chunk), len(plan.zoom.fwk2)), complex)
+            np.abs(plan.zoom(chunk, work), out=magnitudes[first : first + len(chunk)])
         rows = np.arange(len(magnitudes))
         last = magnitudes.shape[1] - 1
         peak = np.argmax(magnitudes, axis=1)
@@ -443,6 +476,14 @@ class LeastSquaresFbEstimator:
             np.maximum(coarse - bin_width, lo),
             np.minimum(coarse + bin_width, hi),
         )
+        # NaN or inf samples poison every correlation of their row; without
+        # this check they would yield a plausible FB at the search edge.
+        bad = np.flatnonzero(~np.isfinite(corr))
+        if len(bad):
+            raise EstimationError(
+                f"FB correlation is not finite for chirp rows {bad.tolist()}: "
+                "the samples hold NaN, inf or overflowing values"
+            )
         phases = np.mod(np.angle(corr), 2 * np.pi)
         return [
             FbEstimate(
@@ -462,6 +503,8 @@ class LeastSquaresFbEstimator:
 
     def _estimate_de(self, samples: np.ndarray, noise_power: float) -> FbEstimate:
         amplitude = estimate_amplitude(samples, noise_power)
+        if not amplitude < np.inf:
+            raise EstimationError("estimated template amplitude is not finite")
         if amplitude <= 0:
             raise EstimationError("estimated template amplitude is zero; SNR too low")
         i_obs, q_obs = samples.real, samples.imag

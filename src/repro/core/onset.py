@@ -26,19 +26,23 @@ detection threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
+from repro.core._scratch import Scratch
 from repro.errors import ConfigurationError, EstimationError
 from repro.phy.chirp import ChirpConfig, upchirp
 from repro.phy.spectrum import hilbert_envelope, spectrogram
 from repro.sdr.iq import IQTrace
 
-#: Rows per pass of the batched AIC kernel.  Its three cumulative-moment
-#: buffers are each the size of the whole chunk; with 8-row chunks a
-#: 64-capture batch takes a quarter to two fifths less time than in one
-#: pass over all rows.  Every row is computed independently either way.
+#: Rows per pass of the batched AIC kernel.  Its two cumulative-moment
+#: buffers are each the size of one chunk and live in the detector's
+#: per-thread scratch (the variances are built in the output); with 8-row
+#: chunks a 64-capture batch took a quarter to two fifths less time than
+#: in one pass over all rows.  Every row is computed independently either
+#: way.
 _AIC_ROWS = 8
 
 
@@ -129,14 +133,20 @@ class AicDetector:
             )
         self.min_segment = min_segment
         self.margin_fraction = margin_fraction
+        self._scratch = Scratch()
 
-    def aic_curve_batch(self, x: np.ndarray) -> np.ndarray:
+    def _guard(self, n: int) -> int:
+        """Split points blanked at each end of an ``n``-sample curve."""
+        return max(self.min_segment, int(n * self.margin_fraction))
+
+    def aic_curve_batch(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """AIC curves for an ``(n_traces, n_samples)`` stack, vectorized.
 
         All cumulative moments run along the sample axis, so each chunk
         of rows is scored with a fixed number of numpy passes -- the
         batched pipeline's hot path.  Row ``r`` of the result is bitwise
-        identical to ``aic_curve(x[r])``.
+        identical to ``aic_curve(x[r])``.  The curves are written into
+        ``out`` (a float array of the stack's shape) when it is given.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
@@ -146,73 +156,105 @@ class AicDetector:
             raise EstimationError(
                 f"trace too short for AIC ({n} < {2 * self.min_segment} samples)"
             )
-        curves = np.empty((n_traces, n))
+        if out is None:
+            out = np.empty((n_traces, n))
+        elif out.shape != x.shape:
+            raise ConfigurationError(f"out of shape {out.shape} does not match {x.shape}")
         for first in range(0, n_traces, _AIC_ROWS):
             rows = slice(first, first + _AIC_ROWS)
-            curves[rows] = self._aic_rows(x[rows])
-        return curves
+            self._aic_rows(x[rows], out[rows])
+        return out
 
-    def _aic_rows(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`aic_curve_batch` on a validated chunk of rows."""
+    def _aic_rows(self, x: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`aic_curve_batch` on a validated chunk of rows, into ``out``."""
         n_traces, n = x.shape
-        # The batch is memory-bound (tens of MB of cumulative moments for
-        # a fleet step), so every elementwise op below reuses a buffer;
-        # the arithmetic -- and therefore the result, bitwise -- matches
-        # the textbook expression
+        # Every elementwise op below writes into ``out`` or a scratch
+        # buffer reused across calls; the arithmetic -- and therefore the
+        # result, bitwise -- matches the textbook expression
         #   AIC(k) = k·ln σ²(x[:k]) + (N−k)·ln σ²(x[k:]).
-        cs = np.empty((n_traces, n + 1))
+        cs = self._scratch.array("cs", (n_traces, n + 1))
         cs[:, 0] = 0.0
         np.cumsum(x, axis=1, out=cs[:, 1:])
-        cs2 = np.empty((n_traces, n + 1))
+        cs2 = self._scratch.array("cs2", (n_traces, n + 1))
         cs2[:, 0] = 0.0
-        np.cumsum(np.multiply(x, x), axis=1, out=cs2[:, 1:])
-        k = np.arange(n + 1, dtype=float)[np.newaxis, :]
-        k_safe = np.maximum(k, 1)
-        tail_n = np.maximum(n - k, 1)
+        squares = np.multiply(x, x, out=cs2[:, 1:])
+        np.cumsum(squares, axis=1, out=squares)
+        # Only the admissible split points are scored; both segments
+        # there hold at least ``guard`` >= 2 samples.
+        guard = self._guard(n)
+        split = slice(guard, n - guard)
+        k, tail = _segment_lengths(n, guard)
         eps = 1e-30
         with np.errstate(invalid="ignore", divide="ignore"):
-            # var_left = (cs2 − cs²/k) / k, built in one scratch buffer.
-            var_left = np.multiply(cs, cs)
-            np.divide(var_left, k_safe, out=var_left)
-            np.subtract(cs2, var_left, out=var_left)
-            np.divide(var_left, k_safe, out=var_left)
+            # var_left = (cs2 − cs²/k) / k, in ``out``.
+            head = cs[:, split]
+            var_left = np.multiply(head, head, out=out[:, split])
+            np.divide(var_left, k, out=var_left)
+            np.subtract(cs2[:, split], var_left, out=var_left)
+            np.divide(var_left, k, out=var_left)
             # var_right likewise, from the tail sums (cs reused as scratch).
-            tail_sum = np.subtract(cs[:, -1:], cs, out=cs)
-            var_right = np.subtract(cs2[:, -1:], cs2, out=cs2)
+            # The totals are copied out first: numpy copies a whole operand
+            # whose memory range overlaps ``out`` unless both are one view.
+            tail_sum = np.subtract(cs[:, -1:].copy(), head, out=head)
+            var_right = np.subtract(cs2[:, -1:].copy(), cs2[:, split], out=cs2[:, split])
             np.multiply(tail_sum, tail_sum, out=tail_sum)
-            np.divide(tail_sum, tail_n, out=tail_sum)
+            np.divide(tail_sum, tail, out=tail_sum)
             np.subtract(var_right, tail_sum, out=var_right)
-            np.divide(var_right, tail_n, out=var_right)
+            np.divide(var_right, tail, out=var_right)
             # curves = k·ln(var_left) + (N−k)·ln(var_right).
             np.maximum(var_left, eps, out=var_left)
             np.log(var_left, out=var_left)
             np.multiply(var_left, k, out=var_left)
             np.maximum(var_right, eps, out=var_right)
             np.log(var_right, out=var_right)
-            np.multiply(var_right, n - k, out=var_right)
-            curves = np.add(var_left, var_right, out=var_left)
-        guard = max(self.min_segment, int(n * self.margin_fraction))
-        curves[:, :guard] = np.nan
-        curves[:, n - guard :] = np.nan
-        return curves[:, :n]
+            np.multiply(var_right, tail, out=var_right)
+            np.add(var_left, var_right, out=var_left)
+        out[:, :guard] = np.nan
+        out[:, n - guard :] = np.nan
 
     def aic_curve(self, x: np.ndarray) -> np.ndarray:
         """The AIC value at every admissible split point (else NaN)."""
         return self.aic_curve_batch(np.asarray(x, dtype=float)[np.newaxis, :])[0]
 
+    def pick(self, curves: np.ndarray, first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Onset index and AIC minimum per row of :meth:`aic_curve_batch` curves.
+
+        The argmin runs over the admissible split points only, so it
+        skips the NaN guards without a masked copy and gives the index
+        and minimum ``np.nanargmin`` would.  Every onset pick goes
+        through here.  A non-finite minimum means the row holds NaN, inf
+        or overflowing samples; it raises :class:`EstimationError`
+        naming the rows, numbered from ``first_row``.
+        """
+        n = curves.shape[1]
+        guard = self._guard(n)
+        interior = curves[:, guard : n - guard]
+        if interior.shape[1] == 0:
+            raise EstimationError(f"no admissible AIC split point in {n} samples")
+        # Row by row: numpy's argmin along an axis first copies a
+        # non-contiguous stack such as this slice.
+        offsets = np.fromiter(map(np.argmin, interior), dtype=np.intp, count=len(interior))
+        minima = interior[np.arange(len(interior)), offsets]
+        bad = np.flatnonzero(~np.isfinite(minima))
+        if len(bad):
+            raise EstimationError(
+                f"AIC curve is not finite for capture rows {(bad + first_row).tolist()}: "
+                "the samples hold NaN, inf or overflowing values"
+            )
+        return offsets + guard, minima
+
     def pick_batch(self, x: np.ndarray) -> np.ndarray:
         """Onset sample index per row of an ``(n_traces, n_samples)`` stack."""
-        return np.nanargmin(self.aic_curve_batch(x), axis=1)
+        return self.pick(self.aic_curve_batch(x))[0]
 
     def detect(self, trace: IQTrace, component: str = "i") -> OnsetResult:
         x = _component(trace, component)
-        curve = self.aic_curve(x)
-        index = int(np.nanargmin(curve))
+        (index,), (minimum,) = self.pick(self.aic_curve(x)[np.newaxis, :])
         return OnsetResult(
-            index=index,
-            time_s=trace.time_of_index(index),
+            index=int(index),
+            time_s=trace.time_of_index(int(index)),
             detector="aic",
-            diagnostics={"aic_min": float(curve[index])},
+            diagnostics={"aic_min": float(minimum)},
         )
 
     def detect_batch(self, batch, component: str = "i") -> list[OnsetResult]:
@@ -221,18 +263,29 @@ class AicDetector:
         The pick runs as one vectorized pass over the stacked components;
         only the result objects are materialized per capture.
         """
-        x = batch.component(component)
-        curves = self.aic_curve_batch(x)
-        indices = np.nanargmin(curves, axis=1)
+        indices, minima = self.pick(self.aic_curve_batch(batch.component(component)))
         return [
             OnsetResult(
                 index=int(index),
                 time_s=batch.time_of_index(row, int(index)),
                 detector="aic",
-                diagnostics={"aic_min": float(curves[row, index])},
+                diagnostics={"aic_min": float(minimum)},
             )
-            for row, index in enumerate(indices)
+            for row, (index, minimum) in enumerate(zip(indices, minima))
         ]
+
+
+@lru_cache(maxsize=8)
+def _segment_lengths(n: int, guard: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right segment lengths ``k`` and ``n − k``, ``guard <= k < n − guard``.
+
+    Row vectors shared by every AIC call on ``n``-sample traces.
+    """
+    k = np.arange(guard, n - guard, dtype=float)[np.newaxis, :]
+    lengths = (k, n - k)
+    for array in lengths:
+        array.setflags(write=False)
+    return lengths
 
 
 class FilteredAicDetector:

@@ -3,7 +3,8 @@
 ``repro.pipeline`` stacks N SDR captures into a :class:`CaptureBatch`
 and runs the whole SoftLoRa chain -- AIC onset, PHY timestamping, chirp
 slicing, frequency-bias estimation, FB-database lookup -- as vectorized
-numpy stages with no per-capture Python loop (:class:`BatchPipeline`).
+numpy stages over blocks of rows, in buffers reused across calls
+(:class:`BatchPipeline`).
 The single-capture APIs in :mod:`repro.core` delegate to the same batch
 entry points, so batched and per-capture results agree bitwise.
 """

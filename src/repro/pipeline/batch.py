@@ -117,14 +117,15 @@ class CaptureBatch:
         """Seconds between consecutive ADC samples."""
         return 1.0 / self.sample_rate_hz
 
-    def component(self, name: str) -> np.ndarray:
-        """The stacked I, Q, or magnitude components, shape ``(n, m)``."""
+    def component(self, name: str, rows: slice = slice(None)) -> np.ndarray:
+        """The stacked I, Q, or magnitude components of ``rows``, shape ``(n, m)``."""
+        samples = self.samples[rows]
         if name == "i":
-            return self.samples.real
+            return samples.real
         if name == "q":
-            return self.samples.imag
+            return samples.imag
         if name == "magnitude":
-            return np.abs(self.samples)
+            return np.abs(samples)
         raise ConfigurationError(f"component must be 'i', 'q' or 'magnitude', got {name!r}")
 
     def time_of_index(self, capture: int, index: int) -> float:

@@ -1,13 +1,19 @@
 """The batched SoftLoRa capture-processing engine.
 
-Runs the receive chain of the paper's Fig. 4 over ``n`` captures at once:
+Runs the receive chain of the paper's Fig. 4 over ``n`` captures at once.
+Stages 1, 3 and 4 stream the batch through blocks of rows, each block
+about 2**17 samples, so the chain's working set is set by the capture
+length and not by the batch size:
 
-1. **onset detection** -- the AIC picker scored over the whole stack with
-   cumulative moments along the sample axis (:meth:`AicDetector.pick_batch`);
+1. **onset detection** -- AIC curves of the block, scored with cumulative
+   moments along the sample axis (:meth:`AicDetector.aic_curve_batch`),
+   then one argmin per row over the admissible split points
+   (:meth:`AicDetector.pick`);
 2. **PHY timestamping** -- onset indices to absolute times in one
-   vectorized pass (the sync-free data timestamps anchor here);
-3. **chirp slicing** -- the FB-estimation chirp cut from every capture at
-   its own onset with a single fancy-indexing gather;
+   vectorized pass over the batch (the sync-free data timestamps anchor
+   here);
+3. **chirp slicing** -- the FB-estimation chirp of every row of the block
+   copied out at its own onset, into the estimator's chirp buffer;
 4. **frequency-bias estimation** -- batched dechirp (cached sweep-phase
    reference), a zoom FFT over the in-range bins of the zero-padded grid,
    and a safeguarded Newton refinement on ``|C(f)|²`` that converges row
@@ -18,8 +24,11 @@ Runs the receive chain of the paper's Fig. 4 over ``n`` captures at once:
    frame in arrival order, so verdicts depend on processing order exactly
    as they would at a live gateway.
 
-Stages 1-4 contain no per-capture Python loop; only result objects (and
-the order-dependent stage 5) are materialized per capture.
+The block's curves and chirps, and every kernel temporary, live in
+per-thread buffers that the pipeline, detector and estimator reuse
+across calls, so a warm call on the I or Q component allocates no large
+array.  Every row is computed on its own, so the result does not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -29,12 +38,19 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core._scratch import Scratch
 from repro.core.detector import DetectionResult, ReplayDetector
 from repro.core.freq_bias import FbEstimate, LeastSquaresFbEstimator
 from repro.core.onset import AicDetector, OnsetResult
 from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpConfig
 from repro.pipeline.batch import CaptureBatch
+
+#: Samples per streamed block: ``max(1, _BLOCK_SAMPLES // n_samples)``
+#: captures go through the onset and FB stages together.  An SF12 capture
+#: at 1 Msps is a block of its own; three-chirp SF9 captures at 0.5 Msps
+#: (9,216 samples) go 14 at a time.
+_BLOCK_SAMPLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,7 @@ class BatchPipeline:
     onset_detector: AicDetector = field(default_factory=AicDetector)
     fb_estimator: LeastSquaresFbEstimator | None = None
     fb_chirp_offset: int = 1
+    _scratch: Scratch = field(default_factory=Scratch, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Fill in the default estimator and validate the chirp offset."""
@@ -126,7 +143,9 @@ class BatchPipeline:
         ``noise_powers`` (scalar or per-capture) is only consulted by the
         reference ``"de"`` estimator.  ``node_ids`` or a non-scalar
         ``noise_powers`` that is not one entry per capture raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError`; a capture holding NaN
+        or infinite samples raises :class:`~repro.errors.EstimationError`
+        naming its row.
         """
         if node_ids is not None and len(node_ids) != len(batch):
             raise ConfigurationError(
@@ -147,28 +166,40 @@ class BatchPipeline:
                 phy_timestamps_s=np.zeros(0),
             )
 
-        # Stages 1-2: batched onset pick + vectorized PHY timestamps.
-        curves = self.onset_detector.aic_curve_batch(batch.component(component))
-        indices = np.nanargmin(curves, axis=1)
-        timestamps = batch.times_of_indices(indices)
-
-        # Stage 3: gather one FB chirp per capture at its own onset.
+        # Stages 1, 3 and 4, one block of rows at a time.
+        n_captures, n_samples = batch.samples.shape
         spc = self.config.samples_per_chirp
-        starts = indices + self.fb_chirp_offset * spc
-        fits = starts + spc <= batch.n_samples
-        estimates: list[FbEstimate | None] = [None] * len(batch)
-        if np.any(fits):
-            rows = np.nonzero(fits)[0]
-            chirps = batch.samples[
-                rows[:, np.newaxis], starts[fits][:, np.newaxis] + np.arange(spc)[np.newaxis, :]
-            ]
-            # Stage 4: batched dechirp + zoom FFT + per-row Newton refinement.
+        offset = self.fb_chirp_offset * spc
+        block_rows = min(n_captures, max(1, _BLOCK_SAMPLES // max(n_samples, 1)))
+        curves = self._scratch.array("curves", (block_rows, n_samples))
+        chirps = self.fb_estimator.chirp_buffer(block_rows)
+        if np.ndim(noise_powers) == 1:
+            noise_powers = np.asarray(noise_powers, dtype=float)
+        indices = np.empty(n_captures, dtype=int)
+        minima = np.empty(n_captures)
+        estimates: list[FbEstimate | None] = [None] * n_captures
+        for first in range(0, n_captures, block_rows):
+            block = slice(first, min(first + block_rows, n_captures))
+            x = batch.component(component, block)
+            block_curves = self.onset_detector.aic_curve_batch(x, out=curves[: len(x)])
+            indices[block], minima[block] = self.onset_detector.pick(block_curves, first)
+            starts = indices[block] + offset
+            rows = np.flatnonzero(starts + spc <= n_samples)
+            if not len(rows):
+                continue
+            for slot, row in enumerate(rows):
+                chirps[slot] = batch.samples[first + row, starts[row] : starts[row] + spc]
             powers = noise_powers
-            if powers is not None and np.ndim(powers) == 1:
-                powers = np.asarray(powers, dtype=float)[fits]
-            fitted = self.fb_estimator.estimate_batch(chirps, noise_powers=powers)
+            if np.ndim(powers) == 1:
+                powers = powers[first + rows]
+            fitted = self.fb_estimator.estimate_batch(chirps[: len(rows)], noise_powers=powers)
             for row, estimate in zip(rows, fitted):
-                estimates[row] = estimate
+                estimates[first + row] = estimate
+
+        # Stage 2: vectorized PHY timestamps.
+        timestamps = batch.times_of_indices(indices)
+        starts = indices + offset
+        fits = starts + spc <= n_samples
 
         # Stage 5 (optional, order-dependent): FB-database verdicts.
         outcomes = []
@@ -178,13 +209,13 @@ class BatchPipeline:
                 index=index,
                 time_s=float(timestamps[row]),
                 detector="aic",
-                diagnostics={"aic_min": float(curves[row, index])},
+                diagnostics={"aic_min": float(minima[row])},
             )
             error = None
             if not fits[row]:
                 # Word-for-word the EstimationError the single-capture
                 # estimator raises on the same short slice.
-                got = max(0, batch.n_samples - int(starts[row]))
+                got = max(0, n_samples - int(starts[row]))
                 error = (
                     f"need one full chirp ({spc} samples) for FB estimation, got {got}"
                 )
