@@ -22,7 +22,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[
-        "numpy>=1.22",
+        "numpy>=2.0",
         "scipy>=1.8",
     ],
     extras_require={

@@ -464,8 +464,14 @@ class LeastSquaresFbEstimator:
                 break
         return fb, corr
 
-    def _estimate_dechirp_batch(self, stack: np.ndarray) -> list[FbEstimate]:
-        """The dechirp reduction on an ``(n, spc)`` stack -- no row loop."""
+    def _estimate_dechirp_batch(
+        self, stack: np.ndarray, capture_rows: np.ndarray | None = None
+    ) -> list[FbEstimate]:
+        """The dechirp reduction on an ``(n, spc)`` stack -- no row loop.
+
+        Errors name a bad row by its entry of ``capture_rows`` (by its
+        position in ``stack`` when not given).
+        """
         dechirped = self._dechirped(stack)
         coarse, start = self._coarse_batch(dechirped)
         lo, hi = self.search_range_hz
@@ -480,8 +486,10 @@ class LeastSquaresFbEstimator:
         # this check they would yield a plausible FB at the search edge.
         bad = np.flatnonzero(~np.isfinite(corr))
         if len(bad):
+            if capture_rows is not None:
+                bad = np.asarray(capture_rows)[bad]
             raise EstimationError(
-                f"FB correlation is not finite for chirp rows {bad.tolist()}: "
+                f"FB correlation is not finite for capture rows {bad.tolist()}: "
                 "the samples hold NaN, inf or overflowing values"
             )
         phases = np.mod(np.angle(corr), 2 * np.pi)
@@ -555,6 +563,7 @@ class LeastSquaresFbEstimator:
         self,
         chirps: np.ndarray | list,
         noise_powers: np.ndarray | float | None = None,
+        capture_rows: np.ndarray | None = None,
     ) -> list[FbEstimate]:
         """Estimate δ for a stack of chirps, one per row.
 
@@ -562,7 +571,10 @@ class LeastSquaresFbEstimator:
         rows are truncated to one chirp) or a list of equal-rate chirp
         slices.  The dechirp method runs fully vectorized; the reference
         ``"de"`` solver, kept verbatim from the paper, has no batched
-        form and falls back to a per-row loop.
+        form and falls back to a per-row loop.  ``capture_rows`` gives,
+        per chirp, the row number that an :class:`EstimationError` about
+        a chirp holding NaN or infinite samples names (default: the
+        chirp's position).
         """
         stack = _chirp_stack(chirps, self.config)
         if self.method == "de":
@@ -573,4 +585,4 @@ class LeastSquaresFbEstimator:
             return [
                 self._estimate_de(row, float(power)) for row, power in zip(stack, powers)
             ]
-        return self._estimate_dechirp_batch(stack)
+        return self._estimate_dechirp_batch(stack, capture_rows)

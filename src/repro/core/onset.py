@@ -26,7 +26,6 @@ detection threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -183,7 +182,8 @@ class AicDetector:
         # there hold at least ``guard`` >= 2 samples.
         guard = self._guard(n)
         split = slice(guard, n - guard)
-        k, tail = _segment_lengths(n, guard)
+        k = np.arange(guard, n - guard, dtype=float)[np.newaxis, :]
+        tail = n - k
         eps = 1e-30
         with np.errstate(invalid="ignore", divide="ignore"):
             # var_left = (cs2 − cs²/k) / k, in ``out``.
@@ -273,19 +273,6 @@ class AicDetector:
             )
             for row, (index, minimum) in enumerate(zip(indices, minima))
         ]
-
-
-@lru_cache(maxsize=8)
-def _segment_lengths(n: int, guard: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right segment lengths ``k`` and ``n − k``, ``guard <= k < n − guard``.
-
-    Row vectors shared by every AIC call on ``n``-sample traces.
-    """
-    k = np.arange(guard, n - guard, dtype=float)[np.newaxis, :]
-    lengths = (k, n - k)
-    for array in lengths:
-        array.setflags(write=False)
-    return lengths
 
 
 class FilteredAicDetector:

@@ -177,6 +177,8 @@ class BatchPipeline:
             noise_powers = np.asarray(noise_powers, dtype=float)
         indices = np.empty(n_captures, dtype=int)
         minima = np.empty(n_captures)
+        # Whether each capture's FB chirp fits inside its window.
+        fits = np.empty(n_captures, dtype=bool)
         estimates: list[FbEstimate | None] = [None] * n_captures
         for first in range(0, n_captures, block_rows):
             block = slice(first, min(first + block_rows, n_captures))
@@ -184,7 +186,8 @@ class BatchPipeline:
             block_curves = self.onset_detector.aic_curve_batch(x, out=curves[: len(x)])
             indices[block], minima[block] = self.onset_detector.pick(block_curves, first)
             starts = indices[block] + offset
-            rows = np.flatnonzero(starts + spc <= n_samples)
+            fits[block] = starts + spc <= n_samples
+            rows = np.flatnonzero(fits[block])
             if not len(rows):
                 continue
             for slot, row in enumerate(rows):
@@ -192,14 +195,14 @@ class BatchPipeline:
             powers = noise_powers
             if np.ndim(powers) == 1:
                 powers = powers[first + rows]
-            fitted = self.fb_estimator.estimate_batch(chirps[: len(rows)], noise_powers=powers)
+            fitted = self.fb_estimator.estimate_batch(
+                chirps[: len(rows)], noise_powers=powers, capture_rows=first + rows
+            )
             for row, estimate in zip(rows, fitted):
                 estimates[first + row] = estimate
 
         # Stage 2: vectorized PHY timestamps.
         timestamps = batch.times_of_indices(indices)
-        starts = indices + offset
-        fits = starts + spc <= n_samples
 
         # Stage 5 (optional, order-dependent): FB-database verdicts.
         outcomes = []
@@ -215,7 +218,7 @@ class BatchPipeline:
             if not fits[row]:
                 # Word-for-word the EstimationError the single-capture
                 # estimator raises on the same short slice.
-                got = max(0, n_samples - int(starts[row]))
+                got = max(0, n_samples - index - offset)
                 error = (
                     f"need one full chirp ({spc} samples) for FB estimation, got {got}"
                 )

@@ -110,9 +110,9 @@ class TestStreamedEngine:
         calls = []
         estimate_batch = engine.fb_estimator.estimate_batch
 
-        def recording(chirps, noise_powers=None):
+        def recording(chirps, noise_powers=None, **kwargs):
             calls.append(noise_powers)
-            return estimate_batch(chirps, noise_powers=noise_powers)
+            return estimate_batch(chirps, noise_powers=noise_powers, **kwargs)
 
         engine.fb_estimator.estimate_batch = recording
         powers = np.arange(1.0, n + 1.0)
@@ -288,12 +288,30 @@ class TestNonFiniteSamples:
     def test_fb_estimate_refuses_a_nan_chirp(self, fast_config):
         estimator = LeastSquaresFbEstimator(fast_config)
         chirp = np.full(fast_config.samples_per_chirp, np.nan, dtype=complex)
-        with pytest.raises(EstimationError, match=r"chirp rows \[0\]"):
+        with pytest.raises(EstimationError, match=r"capture rows \[0\]"):
             estimator.estimate(chirp)
         stack = np.stack([upchirp(fast_config, fb_hz=-2e4)] * 3)
         stack[2, 7] = np.inf
-        with pytest.raises(EstimationError, match=r"chirp rows \[2\]"):
+        with pytest.raises(EstimationError, match=r"capture rows \[2\]"):
             estimator.estimate_batch(stack)
+        with pytest.raises(EstimationError, match=r"capture rows \[9\]"):
+            estimator.estimate_batch(stack, capture_rows=np.array([5, 7, 9]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_batch_names_the_capture_row_of_a_bad_fb_chirp(self, fast_config, rng, monkeypatch):
+        # A NaN in Q only passes the AIC pick on I; the FB stage catches
+        # it and must name the capture row, not its slot in the block's
+        # chirp stack.
+        import repro.pipeline.engine as engine
+
+        batch, _ = ScenarioSpec(fast_config, snr_db=20.0).synthesize_batch(rng, 5)
+        monkeypatch.setattr(engine, "_BLOCK_SAMPLES", 2 * batch.n_samples)
+        pipeline = BatchPipeline(config=fast_config)
+        spc = fast_config.samples_per_chirp
+        onset = pipeline.run(batch).onset_indices[3]
+        batch.samples[3, onset + spc + spc // 2] = complex(0.0, np.nan)
+        with pytest.raises(EstimationError, match=r"FB correlation .* capture rows \[3\]"):
+            pipeline.run(batch)
 
     def test_de_fb_estimate_refuses_a_nan_chirp(self, fast_config):
         estimator = LeastSquaresFbEstimator(fast_config, method="de")
