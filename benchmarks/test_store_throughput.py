@@ -1,16 +1,15 @@
 """Bench: durable FB store throughput and lookup latency at scale.
 
 Three measurements over one generated node population, all against the
-daemon's ``--store sqlite:PATH?cache=N`` stack (an
-:class:`~repro.server.store.cache.LruCachedStore` over a WAL-mode
+daemon's ``--store sqlite:PATH`` stack (a WAL-mode
 :class:`~repro.server.store.sqlite.SqliteFbStore`):
 
 * **load** -- bulk-record the whole population (full scale: 20k nodes
   x 50 estimates = 1M device records) in dedup-window-sized batches,
   reporting sustained records/s;
-* **lookup** -- per-call ``interval()`` latency on the *bare* SQLite
-  store (cold path, no LRU in front) across a node sample, reporting
-  p50/p99 microseconds with the full record population on disk;
+* **lookup** -- per-call ``interval()`` latency across a node sample,
+  reporting p50/p99 microseconds with the full record population on
+  disk;
 * **verdicts** -- the same check stream judged by a
   :class:`~repro.core.detector.ReplayDetector` over the in-memory
   :class:`~repro.core.detector.FbDatabase` and over the durable stack,
@@ -31,20 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.detector import FbDatabase, ReplayDetector
-from repro.server.store import LruCachedStore, SqliteFbStore
+from repro.server.store import SqliteFbStore
 
 FULL = os.environ.get("BENCH_RUNTIME_FULL") == "1"
 ARTIFACT = Path(__file__).resolve().parent / (
     "BENCH_store.json" if FULL else "BENCH_store_smoke.json"
 )
-#: (n_nodes, history_len, lookup_samples, n_checks, cache_nodes) per mode.
-SCALE = (20_000, 50, 4_000, 60_000, 4_096) if FULL else (2_000, 5, 500, 5_000, 512)
+#: (n_nodes, history_len, lookup_samples, n_checks) per mode.
+SCALE = (20_000, 50, 4_000, 60_000) if FULL else (2_000, 5, 500, 5_000)
 #: Records per load transaction -- the dedup-window analogue.
 BATCH_NODES = 500
 
 
 def test_store_throughput(tmp_path):
-    n_nodes, history_len, lookup_samples, n_checks, cache_nodes = SCALE
+    n_nodes, history_len, lookup_samples, n_checks = SCALE
     n_records = n_nodes * history_len
     rng = np.random.default_rng(7)
     node_ids = [f"{0x2600_0000 + i:08x}" for i in range(n_nodes)]
@@ -52,10 +51,7 @@ def test_store_throughput(tmp_path):
     centers = rng.uniform(-150e3, 150e3, n_nodes)
     jitter = rng.normal(0.0, 15.0, (n_nodes, history_len))
 
-    store = LruCachedStore(
-        SqliteFbStore(tmp_path / "bench.sqlite", history_len=history_len),
-        max_nodes=cache_nodes,
-    )
+    store = SqliteFbStore(tmp_path / "bench.sqlite", history_len=history_len)
 
     # -- load: 1M records in window-sized transactions ----------------------
     start = time.perf_counter()
@@ -69,14 +65,13 @@ def test_store_throughput(tmp_path):
     store.flush()
     assert store.node_count() == n_nodes
 
-    # -- lookup: per-call interval latency on the bare SQLite file ----------
-    bare = store.backing
+    # -- lookup: per-call interval latency on the SQLite file ---------------
     sample = rng.choice(n_nodes, size=lookup_samples, replace=True)
     latencies_us = np.empty(lookup_samples)
     for j, i in enumerate(sample):
         node = node_ids[i]
         t0 = time.perf_counter()
-        interval = bare.interval(node, 30.0)
+        interval = store.interval(node, 30.0)
         latencies_us[j] = (time.perf_counter() - t0) * 1e6
         assert interval is not None
     p50_us = float(np.percentile(latencies_us, 50))
@@ -106,13 +101,11 @@ def test_store_throughput(tmp_path):
     store_rate = n_checks / store_wall_s
     ratio = store_rate / memory_rate
 
-    cache = store.stats()
     report = {
         "scale": {
             "n_nodes": n_nodes,
             "history_len": history_len,
             "n_records": n_records,
-            "cache_nodes": cache_nodes,
         },
         "full_scale": FULL,
         "load": {
@@ -133,7 +126,6 @@ def test_store_throughput(tmp_path):
             # (machine-relative, so differing CI runners compare fairly).
             "ratio_vs_memory": ratio,
         },
-        "cache": cache.as_dict(),
         "bit_identical": bit_identical,
     }
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")

@@ -90,7 +90,6 @@ __all__ = [
     "LinearRegressionFbEstimator",
     "LinkADRAns",
     "LinkADRReq",
-    "LruCachedStore",
     "NetworkServer",
     "Oscillator",
     "PerfectClock",
@@ -136,7 +135,6 @@ _LAZY = {
     "NetworkServer": ("repro.server.network_server", "NetworkServer"),
     "ServerVerdict": ("repro.server.network_server", "ServerVerdict"),
     "SqliteFbStore": ("repro.server.store.sqlite", "SqliteFbStore"),
-    "LruCachedStore": ("repro.server.store.cache", "LruCachedStore"),
     "open_store": ("repro.server.store", "open_store"),
     "ScenarioSpec": ("repro.experiments.common", "ScenarioSpec"),
     "SweepExecutor": ("repro.experiments.common", "SweepExecutor"),

@@ -77,14 +77,13 @@ class FbStore(Protocol):
     """Anything that can hold per-node FB history for a detector.
 
     :class:`FbDatabase` is the in-process implementation; the backends
-    in :mod:`repro.server.store` persist it (a SQLite file and an LRU
-    write-through cache).
+    in :mod:`repro.server.store` persist it in a SQLite file.
 
     The protocol is ``runtime_checkable`` so a backend missing a method
     fails an ``isinstance`` conformance test instead of exploding later
     inside a worker; the full surface below is what the detector, the
-    network server's ``device_state``, provisioning and the LRU
-    hot-cache collectively require of every store.
+    network server's ``device_state`` and provisioning collectively
+    require of every store.
 
     The detector's per-frame traffic is one read and at most one write:
     ``interval`` returns the guarded bounds together with the sample

@@ -27,13 +27,11 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.errors import ConfigurationError
 
 #: Modules imported by every worker at pool creation, so the first task
-#: does not pay the numpy/scipy/repro import cost.  The repro modules
-#: load scipy only when their DSP first runs, so scipy is named here
-#: explicitly.
+#: does not pay the numpy/repro import cost.  scipy is not among them:
+#: the default receive chain (AIC onset, dechirp FB) runs on numpy alone,
+#: and the tasks that need scipy import it when they first run.
 _WARM_MODULES: tuple[str, ...] = (
     "numpy",
-    "scipy.signal",
-    "scipy.optimize",
     "repro.experiments.common",
     "repro.sim.runtime",
     "repro.pipeline.batch",

@@ -11,8 +11,7 @@ into one replay verdict per over-the-air transmission.
 :mod:`repro.server.store` adds durable drop-in FB stores behind the
 same :class:`~repro.core.detector.FbStore` protocol as the in-memory
 :class:`~repro.core.detector.FbDatabase`: WAL-mode SQLite
-(:class:`SqliteFbStore`) and a write-through LRU hot-cache
-(:class:`LruCachedStore`); build one from an operator spec string with
+(:class:`SqliteFbStore`); build one from an operator spec string with
 :func:`open_store`.
 """
 
@@ -28,25 +27,16 @@ from repro.server.fusion import (
     fuse_timestamp_s,
 )
 from repro.server.network_server import NetworkServer, ServerStatus, ServerVerdict
-from repro.server.store import (
-    CacheStats,
-    LruCachedStore,
-    SqliteFbStore,
-    open_store,
-    store_batch,
-    store_stats,
-)
+from repro.server.store import SqliteFbStore, open_store, store_batch, store_stats
 
 __all__ = [
     "AdrCommand",
     "AdrController",
-    "CacheStats",
     "DeduplicatedUplink",
     "FbMeasurementModel",
     "FusedFb",
     "FusionPolicy",
     "GatewayForward",
-    "LruCachedStore",
     "NetworkServer",
     "ServerStatus",
     "ServerVerdict",

@@ -66,8 +66,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument(
         "--store",
         default="memory",
-        help="FB-history store spec: memory (default) or sqlite:PATH; "
-        "add ?cache=N to sqlite for an LRU hot-cache (see docs/store.md)",
+        help="FB-history store spec: memory (default) or sqlite:PATH, "
+        "optionally with ?history=N (see docs/store.md)",
     )
     return parser.parse_args(argv)
 

@@ -250,10 +250,6 @@ class NetworkServerDaemon:
             "repro_service_store_nodes",
             "Devices with recorded FB history in the detector's store.",
         )
-        self._m_store_hit_rate = m.gauge(
-            "repro_service_store_cache_hit_rate",
-            "LRU hot-cache hit rate of the FB store (1 when uncached).",
-        )
         self._m_store_flush = m.gauge(
             "repro_service_store_flush_seconds",
             "Commit (flush) latency of the last store-wrapped batch.",
@@ -461,11 +457,8 @@ class NetworkServerDaemon:
             self._m_verdict_rate.set(self._m_verdicts.total() / elapsed)
 
     def _update_store_metrics(self) -> None:
-        """Refresh the FB-store gauges from a live store snapshot."""
-        stats = store_stats(self.server.detector.database)
-        self._m_store_nodes.set(stats["node_count"])
-        cache = stats.get("cache")
-        self._m_store_hit_rate.set(1.0 if cache is None else cache["hit_rate"])
+        """Refresh the FB-store node gauge from the live store."""
+        self._m_store_nodes.set(self.server.detector.database.node_count())
 
     def _publish_alert(self, verdict) -> None:
         alert = verdict.as_dict()

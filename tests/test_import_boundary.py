@@ -10,7 +10,7 @@ onset picker and dechirp FB estimator) runs on numpy alone too: its zoom
 FFT is built on :mod:`numpy.fft`.  scipy is imported at first use only
 by the DSP that needs it: the ``"de"`` reference FB estimator, the
 envelope, spectrogram and filtered-AIC onset detectors, and real-noise
-synthesis.
+synthesis.  A warmed sweep worker loads no scipy either.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -48,8 +48,9 @@ sys.meta_path.insert(0, _NoScipy())
 """
 
 
-#: Opens the cached durable store, records and reads back one node across
-#: a reopen, and checks that the removed sharded backend is refused.
+#: Opens the durable store, records and reads back one node across a
+#: reopen, and checks that the removed sharded backend and cache option
+#: are refused.
 OPEN_DURABLE_STORE = """
 import tempfile
 from pathlib import Path
@@ -58,19 +59,20 @@ from repro.errors import ConfigurationError
 from repro.server.store import open_store
 
 with tempfile.TemporaryDirectory() as tmp:
-    spec = f"sqlite:{Path(tmp) / 'fb.sqlite'}?cache=8"
+    spec = f"sqlite:{Path(tmp) / 'fb.sqlite'}"
     store = open_store(spec)
     store.record("26000000", -20e3, 1.0)
     store.close()
     store = open_store(spec)
     assert store.history("26000000") == [(1.0, -20e3)], store.history("26000000")
     store.close()
-try:
-    open_store("sharded-sqlite:x")
-except ConfigurationError:
-    pass
-else:
-    raise AssertionError("open_store accepted the sharded-sqlite backend")
+for removed in ("sharded-sqlite:x", "sqlite:x?cache=8"):
+    try:
+        open_store(removed)
+    except ConfigurationError:
+        pass
+    else:
+        raise AssertionError(f"open_store accepted {removed!r}")
 """
 
 
@@ -166,6 +168,16 @@ assert abs(forward.fb_hz + 20e3) < 120.0, forward.fb_hz
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     )
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_warm_sweep_worker_loads_no_scipy():
+    code = """
+import json, sys
+from repro.parallel.pool import _warm_worker
+_warm_worker()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
     assert json.loads(run_fresh(code)) == []
 
 

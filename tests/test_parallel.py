@@ -5,8 +5,6 @@ work-stealing order, and pool warmth change wall-clock only -- never a
 single result bit.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -83,15 +81,6 @@ class TestWorkerPool:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
-
-    def test_warm_modules_import_and_include_scipy(self):
-        # The repro modules load scipy only when their DSP first runs, so
-        # the warm list must name it or every worker's first task pays.
-        from repro.parallel.pool import _WARM_MODULES
-
-        for name in _WARM_MODULES:
-            importlib.import_module(name)
-        assert {"scipy.signal", "scipy.optimize"} <= set(_WARM_MODULES)
 
 
 class TestBitwiseDeterminism:

@@ -120,7 +120,7 @@ def test_service_smoke_store_restart(plan, tmp_path):
     """CI service-smoke: restart the daemon mid-load on a durable store.
 
     Half the plan flows into daemon one (``--store sqlite:`` semantics:
-    an LRU-cached :class:`SqliteFbStore`), the daemon stops, and a
+    a :class:`SqliteFbStore`), the daemon stops, and a
     brand-new daemon on the same file serves the rest.  From the
     outside: ``/devices/{addr}`` still knows the device's FB profile
     after the restart, ``/metrics`` still exports the store series, and
@@ -132,7 +132,7 @@ def test_service_smoke_store_restart(plan, tmp_path):
     from repro.server import NetworkServer
     from repro.server.store import open_store
 
-    spec = f"sqlite:{tmp_path / 'fb.sqlite'}?cache=64"
+    spec = f"sqlite:{tmp_path / 'fb.sqlite'}"
     half = len(plan.batches) // 2
     halves = [
         dataclasses.replace(plan, batches=plan.batches[:half]),
@@ -186,5 +186,4 @@ def test_service_smoke_store_restart(plan, tmp_path):
     ]["sample_count"] > 0
     assert "# TYPE repro_service_store_nodes gauge" in metrics
     assert f"repro_service_store_nodes {len(plan.registrations)}" in metrics
-    assert "repro_service_store_cache_hit_rate" in metrics
     assert "repro_service_store_batches_total" in metrics

@@ -15,13 +15,7 @@ import pytest
 from repro.core.detector import FbDatabase, FbStore, ReplayDetector
 from repro.errors import ConfigurationError
 from repro.server import NetworkServer
-from repro.server.store import (
-    LruCachedStore,
-    SqliteFbStore,
-    open_store,
-    store_batch,
-    store_stats,
-)
+from repro.server.store import SqliteFbStore, open_store, store_batch, store_stats
 from repro.service import build_plan
 
 
@@ -36,9 +30,6 @@ def store_builders(tmp_path):
     return {
         "memory": lambda: FbDatabase(),
         "sqlite": lambda: SqliteFbStore(tmp_path / "fb.sqlite"),
-        "lru-sqlite": lambda: LruCachedStore(
-            SqliteFbStore(tmp_path / "fb-lru.sqlite"), max_nodes=64
-        ),
     }
 
 
@@ -60,11 +51,6 @@ class TestProtocolConformance:
         store.record("node", 10.0, 1.0)
         stats = store_stats(store)
         assert stats == {"backend": "SqliteFbStore", "node_count": 1}
-        cached = LruCachedStore(store, max_nodes=4)
-        cached.interval("node", 5.0)
-        stats = store_stats(cached)
-        assert stats["backend"] == "LruCachedStore"
-        assert stats["cache"]["misses"] == 1
         store.close()
 
 
@@ -303,69 +289,16 @@ class TestStatementCounts:
         assert result.reason == "learning phase (0/3 samples)"
 
 
-class TestLruCachedStore:
-    def test_write_through_and_counters(self, tmp_path):
-        backing = SqliteFbStore(tmp_path / "s.sqlite")
-        cached = LruCachedStore(backing, max_nodes=2)
-        cached.record("a", 1.0, 1.0)
-        cached.record("a", 2.0, 2.0)
-        assert backing.estimates("a") == [1.0, 2.0]
-        assert cached.estimates("a") == [1.0, 2.0]
-        stats = cached.stats()
-        assert stats.misses == 1 and stats.hits >= 1
-        assert 0.0 < stats.hit_rate <= 1.0
-        backing.close()
-
-    def test_eviction_bounds_cached_nodes(self, tmp_path):
-        backing = SqliteFbStore(tmp_path / "s.sqlite")
-        cached = LruCachedStore(backing, max_nodes=2)
-        for node in ("a", "b", "c"):
-            cached.record(node, 1.0, 1.0)
-        stats = cached.stats()
-        assert stats.cached_nodes == 2
-        assert stats.evictions == 1
-        # Evicted node reloads from backing on next touch, not empty.
-        assert cached.estimates("a") == [1.0]
-        backing.close()
-
-    def test_cache_never_double_counts_fresh_writes(self, tmp_path):
-        backing = SqliteFbStore(tmp_path / "s.sqlite", history_len=4)
-        backing.record("n", 1.0, 1.0)
-        cached = LruCachedStore(backing, max_nodes=4)
-        cached.record("n", 2.0, 2.0)  # miss-load then append: no dupes
-        assert cached.estimates("n") == [1.0, 2.0]
-        assert backing.estimates("n") == [1.0, 2.0]
-        backing.close()
-
-    def test_forget_and_invalidate(self, tmp_path):
-        backing = SqliteFbStore(tmp_path / "s.sqlite")
-        cached = LruCachedStore(backing, max_nodes=4)
-        cached.record("n", 1.0, 1.0)
-        cached.forget("n")
-        assert cached.sample_count("n") == 0
-        cached.record("m", 2.0, 1.0)
-        cached.invalidate()
-        assert cached.stats().cached_nodes == 0
-        assert cached.estimates("m") == [2.0]
-        backing.close()
-
-    def test_wrapping_in_memory_store_composes(self):
-        cached = LruCachedStore(FbDatabase(), max_nodes=4)
-        with store_batch(cached):
-            cached.record("n", 1.0, 1.0)
-        assert cached.estimates("n") == [1.0]
-
-
 class TestOpenStore:
     def test_specs_build_expected_backends(self, tmp_path):
         assert isinstance(open_store("memory"), FbDatabase)
         sqlite_store = open_store(f"sqlite:{tmp_path / 'fb.sqlite'}")
         assert isinstance(sqlite_store, SqliteFbStore)
         sqlite_store.close()
-        cached = open_store(f"sqlite:{tmp_path / 'fb2.sqlite'}?cache=8&history=4")
-        assert isinstance(cached, LruCachedStore)
-        assert cached.backing.history_len == 4
-        cached.close()
+        deep = open_store(f"sqlite:{tmp_path / 'fb2.sqlite'}?history=4")
+        assert isinstance(deep, SqliteFbStore)
+        assert deep.history_len == 4
+        deep.close()
         with pytest.raises(ConfigurationError, match="unknown store backend 'sharded-sqlite'"):
             open_store(f"sharded-sqlite:{tmp_path / 'fb.d'}")
 
@@ -388,8 +321,14 @@ class TestOpenStore:
             open_store("memory?turbo=1")
         with pytest.raises(ConfigurationError, match="must be an integer"):
             open_store("memory?history=lots")
-        for spec in ("memory?cache=4", "memory?history=4&cache=0"):
-            with pytest.raises(ConfigurationError, match="store option 'cache'.*only applies"):
+        for spec in ("memory?cache=4", "memory?history=4&cache=0", "sqlite:fb.sqlite?cache=8"):
+            with pytest.raises(ConfigurationError, match="bad store option 'cache=.*history=N$"):
+                open_store(spec)
+        for spec in ("memory:/var/lib/fb.sqlite", "memory:fb.sqlite?history=4"):
+            with pytest.raises(ConfigurationError, match="path to the memory backend"):
+                open_store(spec)
+        for spec in ("sqlite:x?history=4&history=9", "memory?history=4&history=4"):
+            with pytest.raises(ConfigurationError, match="store option 'history' repeated"):
                 open_store(spec)
 
 
@@ -414,12 +353,11 @@ class TestGoldenVerdictParity:
             if callable(close):
                 close()
 
-    @pytest.mark.parametrize("graceful", [False, True], ids=["crashed", "closed"])
-    @pytest.mark.parametrize("query", ["", "?cache=8"], ids=["sqlite", "sqlite-cache8"])
-    def test_restart_is_bit_identical(self, plan, tmp_path, query, graceful):
+    @pytest.mark.parametrize("graceful", [False, True], ids=["sqlite-crashed", "sqlite-closed"])
+    def test_restart_is_bit_identical(self, plan, tmp_path, graceful):
         oracle = list(plan.oracle_verdicts)
         half = len(plan.batches) // 2
-        spec = f"sqlite:{tmp_path / 'crash.sqlite'}{query}"
+        spec = f"sqlite:{tmp_path / 'crash.sqlite'}"
 
         first = open_store(spec)
         before = _drive(dataclasses.replace(plan, batches=plan.batches[:half]), first)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import FbDatabase
-from repro.server.store import LruCachedStore, SqliteFbStore
+from repro.server.store import SqliteFbStore
 
 #: Small node pool and history depth so pruning and forgetting both fire.
 NODES = ["26000000", "26000001", "26000002"]
@@ -64,10 +64,6 @@ def build_backends(root: Path) -> dict:
     """Label -> store instance for every durable backend."""
     return {
         "sqlite": SqliteFbStore(root / "fb.sqlite", history_len=HISTORY_LEN),
-        "lru-sqlite": LruCachedStore(
-            SqliteFbStore(root / "fb-lru.sqlite", history_len=HISTORY_LEN),
-            max_nodes=2,  # smaller than the node pool, so eviction fires
-        ),
     }
 
 
@@ -184,7 +180,6 @@ def test_rolled_back_record_many_restores_every_backend(ops, node, history):
                 if op != "interval":
                     apply_write(op, op_node, value, extra, [reference, *backends.values()])
             for label, store in backends.items():
-                store.interval(node, 30.0)  # warm the LRU copy, if any
                 with pytest.raises(_WindowDied):
                     with store.batch():
                         store.record_many(node, history)
