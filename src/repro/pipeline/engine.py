@@ -26,9 +26,10 @@ length and not by the batch size:
 
 The block's curves and chirps, and every kernel temporary, live in
 per-thread buffers that the pipeline, detector and estimator reuse
-across calls, so a warm call on the I or Q component allocates no large
-array.  Every row is computed on its own, so the result does not depend
-on the block size.
+across calls, so a warm call allocates no large array, whichever
+component it reads: I and Q are views of the samples, and the
+magnitude is written into a buffer of the pipeline's.  Every row is
+computed on its own, so the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -182,7 +183,11 @@ class BatchPipeline:
         estimates: list[FbEstimate | None] = [None] * n_captures
         for first in range(0, n_captures, block_rows):
             block = slice(first, min(first + block_rows, n_captures))
-            x = batch.component(component, block)
+            if component == "magnitude":
+                samples = batch.samples[block]
+                x = np.abs(samples, out=self._scratch.array("magnitude", samples.shape))
+            else:
+                x = batch.component(component, block)
             block_curves = self.onset_detector.aic_curve_batch(x, out=curves[: len(x)])
             indices[block], minima[block] = self.onset_detector.pick(block_curves, first)
             starts = indices[block] + offset

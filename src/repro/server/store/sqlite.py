@@ -1,18 +1,23 @@
 """SQLite-backed durable FB store.
 
 One :class:`SqliteFbStore` holds every node's accepted-FB history in a
-single WAL-mode SQLite file: one ``fb_history`` table of ``(node_id,
-seq, time_s, fb_hz)`` rows, where ``seq`` is a per-node monotonic
-insertion counter and rows older than ``history_len`` per node are
-pruned on insert -- exactly the bounded-deque semantics of the
-in-memory :class:`repro.core.detector.FbDatabase`.
+single WAL-mode SQLite file, one row per node: the ``fb_profile`` table
+maps ``node_id`` to ``history``, a blob of packed little-endian float64
+``(time_s, fb_hz)`` pairs, oldest first.  Only the newest
+``history_len`` pairs (the blob's last ``16 * history_len`` bytes) are
+kept -- exactly the bounded-deque semantics of the in-memory
+:class:`repro.core.detector.FbDatabase`.  Reads keep the same newest
+pairs, so a file reopened with a smaller ``history_len`` reads as if it
+had been written with it.
 
 Durability contract:
 
-* SQLite stores ``REAL`` values as 8-byte IEEE-754 doubles, so every
-  Python float round-trips **bit-exactly** -- acceptance intervals (and
-  therefore replay verdicts) computed from a reloaded store are
-  bitwise identical to the live in-memory ones;
+* the blob holds each float's eight IEEE-754 bytes, so every Python
+  float round-trips **bit-exactly**, ``-0.0`` and subnormals included;
+  acceptance intervals are computed in Python over the same values in
+  the same order as the in-memory database, so intervals (and therefore
+  replay verdicts) from a reloaded store are bitwise identical to the
+  live in-memory ones;
 * WAL journal mode with ``synchronous=NORMAL`` means a committed
   transaction survives a process kill (the crash-recovery tests reopen
   the file *without* closing the writer to simulate exactly that);
@@ -23,36 +28,28 @@ Durability contract:
 
 Statements per call (plus ``BEGIN``/``COMMIT`` outside a batch):
 
-* ``interval`` -- one ``SELECT COUNT(*), MIN(fb_hz), MAX(fb_hz)``, so
-  the detector gets the bounds and the sample count from one read;
-* ``record`` -- one read of the node's next ``seq`` (``MAX(seq) + 1``)
-  and one ``INSERT``, plus one pruning ``DELETE`` only once
-  ``seq >= history_len``;
-* ``record_many`` -- the same read and one multi-row ``INSERT`` of the
-  whole history (only its newest ``history_len`` pairs, at most
-  ``_ROWS_PER_INSERT`` rows per statement), plus one ``DELETE`` only
-  when the node already had rows and the history overflows.  With
-  ``history_len <= _ROWS_PER_INSERT`` a profile bootstrap therefore
-  runs the same statements whatever its length.
+* ``interval``, ``sample_count``, ``history`` and ``estimates`` -- one
+  ``SELECT history``; the detector gets the bounds and the sample count
+  from that one read;
+* ``record`` and ``record_many`` -- the same ``SELECT`` and one
+  ``INSERT ... ON CONFLICT DO UPDATE`` of the merged, truncated blob,
+  whatever the number of pairs written.
 
-Numbering the row inside the ``INSERT`` (``INSERT ... SELECT MAX(seq)
-+ 1 ... RETURNING seq``) saves the read but costs more than it: SQLite
-builds an ephemeral table both for ``RETURNING`` and for an ``INSERT``
-that reads its own table.
+The tracked-node count is loaded once on open and then kept in memory
+(moved by a node's first write and by ``forget``, restored on rollback),
+so the daemon's per-flush ``node_count`` gauge never scans the table.
+The count assumes the store is the file's only writer.
 
-No per-node ``seq`` is kept in memory; the primary key makes each
-``MAX(seq)`` one index seek.  The tracked-node count is loaded once on
-open and then kept in memory (moved by a node's first written row and by
-``forget``, restored on rollback), so the daemon's per-flush
-``node_count`` gauge never scans the table.  The count assumes the
-store is the file's only writer.
+A file holding the earlier ``fb_history`` table (one row per estimate)
+is refused with :class:`~repro.errors.ConfigurationError`; it is not
+migrated.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import struct
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -60,29 +57,24 @@ from repro.core.detector import FbInterval
 from repro.errors import ConfigurationError
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS fb_history (
-    node_id TEXT    NOT NULL,
-    seq     INTEGER NOT NULL,
-    time_s  REAL    NOT NULL,
-    fb_hz   REAL    NOT NULL,
-    PRIMARY KEY (node_id, seq)
+CREATE TABLE IF NOT EXISTS fb_profile (
+    node_id TEXT PRIMARY KEY,
+    history BLOB NOT NULL
 ) WITHOUT ROWID
 """
 
-#: Most rows one INSERT binds (four parameters each), inside SQLite's
-#: smallest host-parameter limit of 999.
-_ROWS_PER_INSERT = 200
+_READ = "SELECT history FROM fb_profile WHERE node_id = ?"
 
-_NEXT_SEQ = "SELECT COALESCE(MAX(seq), -1) + 1 FROM fb_history WHERE node_id = ?"
+_WRITE = (
+    "INSERT INTO fb_profile (node_id, history) VALUES (?, ?) "
+    "ON CONFLICT(node_id) DO UPDATE SET history = excluded.history"
+)
 
-_PRUNE = "DELETE FROM fb_history WHERE node_id = ? AND seq <= ?"
+#: One packed ``(time_s, fb_hz)`` pair.
+_PAIR = struct.Struct("<2d")
 
-
-@lru_cache(maxsize=_ROWS_PER_INSERT)
-def _insert(rows: int) -> str:
-    """One INSERT of ``rows`` ``(node_id, seq, time_s, fb_hz)`` rows."""
-    values = ", ".join(["(?, ?, ?, ?)"] * rows)
-    return f"INSERT INTO fb_history (node_id, seq, time_s, fb_hz) VALUES {values}"
+#: The table of the earlier one-row-per-estimate layout.
+_OLD_TABLE = "fb_history"
 
 
 class SqliteFbStore:
@@ -102,43 +94,41 @@ class SqliteFbStore:
                 gives a process-private ephemeral store (no WAL).
             history_len: How many recent estimates shape each node's
                 acceptance interval.
+
+        Raises:
+            ConfigurationError: On ``history_len < 1``, or when the file
+                holds the earlier one-row-per-estimate layout.
         """
         if history_len < 1:
             raise ConfigurationError(f"history length must be >= 1, got {history_len}")
         self.history_len = history_len
+        self._max_bytes = _PAIR.size * history_len
         self.path = str(path)
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         # Autocommit connection: transactions are opened explicitly by
-        # _tx()/batch() so the commit boundary is always the one the
+        # batch() so the commit boundary is always the one the
         # durability contract names, never an implicit driver one.
         self._conn = sqlite3.connect(self.path, isolation_level=None)
+        old = self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?", (_OLD_TABLE,)
+        ).fetchone()
+        if old is not None:
+            self._conn.close()
+            self._conn = None
+            raise ConfigurationError(
+                f"FB store {self.path!r} holds the old {_OLD_TABLE} table (one row per "
+                "estimate); this version reads only fb_profile and does not migrate it"
+            )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(_SCHEMA)
         self._in_batch = False
         # Counted once here; record()/forget() keep it current after.
-        row = self._conn.execute("SELECT COUNT(DISTINCT node_id) FROM fb_history").fetchone()
-        self._node_count = int(row[0])
+        (count,) = self._conn.execute("SELECT COUNT(*) FROM fb_profile").fetchone()
+        self._node_count = int(count)
 
     # -- transactions -----------------------------------------------------------
-
-    @contextmanager
-    def _tx(self) -> Iterator[sqlite3.Connection]:
-        """One write transaction; a no-op inside an open :meth:`batch`."""
-        if self._in_batch:
-            yield self._conn
-            return
-        node_count = self._node_count
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield self._conn
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            self._node_count = node_count
-            raise
-        else:
-            self._conn.execute("COMMIT")
 
     @contextmanager
     def batch(self) -> Iterator["SqliteFbStore"]:
@@ -146,8 +136,9 @@ class SqliteFbStore:
 
         The daemon wraps each dedup window's ``process_step`` in a
         batch, so all the window's verdict-driven read-modify-writes
-        commit atomically.  Nested batches join the outer transaction.
-        An exception rolls the whole batch back.
+        commit atomically.  A write outside a batch runs in one of its
+        own.  Nested batches join the outer transaction.  An exception
+        rolls the whole batch back.
         """
         if self._in_batch:
             yield self
@@ -166,81 +157,66 @@ class SqliteFbStore:
         finally:
             self._in_batch = False
 
+    def _append(self, node_id: str, pairs: bytes) -> None:
+        """Append packed pairs to the node's history, keeping the newest."""
+        if not self._in_batch:
+            with self.batch():
+                self._append(node_id, pairs)
+            return
+        row = self._conn.execute(_READ, (node_id,)).fetchone()
+        if row is None:  # the node's first pairs (or first since forget)
+            self._node_count += 1
+        else:
+            pairs = row[0] + pairs
+        self._conn.execute(_WRITE, (node_id, pairs[-self._max_bytes :]))
+
+    def _floats(self, node_id: str) -> tuple[float, ...]:
+        """The node's kept ``time_s, fb_hz, ...`` floats, oldest pair first."""
+        row = self._conn.execute(_READ, (node_id,)).fetchone()
+        if row is None:
+            return ()
+        blob = row[0][-self._max_bytes :]
+        return struct.unpack(f"<{len(blob) // 8}d", blob)
+
     # -- FbStore interface ------------------------------------------------------
 
     def record(self, node_id: str, fb_hz: float, time_s: float = 0.0) -> None:
-        """Append one accepted FB estimate, pruning beyond ``history_len``."""
-        with self._tx() as conn:
-            (seq,) = conn.execute(_NEXT_SEQ, (node_id,)).fetchone()
-            conn.execute(_insert(1), (node_id, seq, float(time_s), float(fb_hz)))
-            if seq >= self.history_len:
-                conn.execute(_PRUNE, (node_id, seq - self.history_len))
-            elif seq == 0:  # the node's first row (or first since forget)
-                self._node_count += 1
+        """Append one accepted FB estimate, keeping the newest ``history_len``."""
+        self._append(node_id, _PAIR.pack(time_s, fb_hz))
 
     def record_many(self, node_id: str, history: Iterable[tuple[float, float]]) -> None:
-        """Append ``(time_s, fb_hz)`` pairs in order, as one ``record`` each.
-
-        Only the newest ``history_len`` pairs can survive pruning, so only
-        they are written, numbered as if every pair had been.
-        """
-        rows = [(float(time_s), float(fb_hz)) for time_s, fb_hz in history]
-        if not rows:
-            return
-        skip = max(0, len(rows) - self.history_len)
-        with self._tx() as conn:
-            (next_seq,) = conn.execute(_NEXT_SEQ, (node_id,)).fetchone()
-            seq = next_seq + skip
-            for start in range(skip, len(rows), _ROWS_PER_INSERT):
-                chunk = rows[start : start + _ROWS_PER_INSERT]
-                params: list = []
-                for time_s, fb_hz in chunk:
-                    params += (node_id, seq, time_s, fb_hz)
-                    seq += 1
-                conn.execute(_insert(len(chunk)), params)
-            last = seq - 1
-            if next_seq == 0:  # the node's first rows (or first since forget)
-                self._node_count += 1
-            elif last >= self.history_len:
-                conn.execute(_PRUNE, (node_id, last - self.history_len))
+        """Append ``(time_s, fb_hz)`` pairs in order, as one ``record`` each."""
+        floats = [value for time_s, fb_hz in history for value in (time_s, fb_hz)]
+        if floats:
+            self._append(node_id, struct.pack(f"<{len(floats)}d", *floats))
 
     def sample_count(self, node_id: str) -> int:
         """Recorded estimates for one node."""
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM fb_history WHERE node_id = ?", (node_id,)
-        ).fetchone()
-        return int(row[0])
+        return len(self._floats(node_id)) // 2
 
     def estimates(self, node_id: str) -> list[float]:
         """The node's recorded FB values, oldest first."""
-        rows = self._conn.execute(
-            "SELECT fb_hz FROM fb_history WHERE node_id = ? ORDER BY seq", (node_id,)
-        ).fetchall()
-        return [row[0] for row in rows]
+        return list(self._floats(node_id)[1::2])
 
     def history(self, node_id: str) -> list[tuple[float, float]]:
         """The node's recorded ``(time_s, fb_hz)`` pairs, oldest first."""
-        rows = self._conn.execute(
-            "SELECT time_s, fb_hz FROM fb_history WHERE node_id = ? ORDER BY seq",
-            (node_id,),
-        ).fetchall()
-        return [(row[0], row[1]) for row in rows]
+        floats = self._floats(node_id)
+        return list(zip(floats[0::2], floats[1::2]))
 
     def interval(self, node_id: str, guard_hz: float) -> FbInterval | None:
         """[min - guard, max + guard] and the sample count, from one read."""
-        count, low, high = self._conn.execute(
-            "SELECT COUNT(*), MIN(fb_hz), MAX(fb_hz) FROM fb_history WHERE node_id = ?",
-            (node_id,),
-        ).fetchone()
-        if count == 0:
+        values = self._floats(node_id)[1::2]
+        if not values:
             return None
-        return FbInterval(low_hz=low - guard_hz, high_hz=high + guard_hz, samples=count)
+        return FbInterval(
+            low_hz=min(values) - guard_hz,
+            high_hz=max(values) + guard_hz,
+            samples=len(values),
+        )
 
     def known_nodes(self) -> list[str]:
         """Every tracked node id, sorted."""
-        rows = self._conn.execute(
-            "SELECT DISTINCT node_id FROM fb_history ORDER BY node_id"
-        ).fetchall()
+        rows = self._conn.execute("SELECT node_id FROM fb_profile ORDER BY node_id").fetchall()
         return [row[0] for row in rows]
 
     def node_count(self) -> int:
@@ -249,10 +225,13 @@ class SqliteFbStore:
 
     def forget(self, node_id: str) -> None:
         """Drop one node's history."""
-        with self._tx() as conn:
-            deleted = conn.execute("DELETE FROM fb_history WHERE node_id = ?", (node_id,))
-            if deleted.rowcount > 0:
-                self._node_count -= 1
+        if not self._in_batch:
+            with self.batch():
+                self.forget(node_id)
+            return
+        deleted = self._conn.execute("DELETE FROM fb_profile WHERE node_id = ?", (node_id,))
+        if deleted.rowcount > 0:
+            self._node_count -= 1
 
     # -- durability / lifecycle -------------------------------------------------
 

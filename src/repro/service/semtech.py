@@ -34,6 +34,7 @@ from __future__ import annotations
 import base64
 import binascii
 import enum
+import functools
 import json
 import math
 import re
@@ -111,8 +112,13 @@ def encode_datr(spreading_factor: int, bandwidth_khz: int = 125) -> str:
     return f"SF{spreading_factor}BW{bandwidth_khz}"
 
 
+@functools.lru_cache(maxsize=64)
 def parse_datr(datr: str) -> int:
-    """Spreading factor out of a ``datr`` string; raises on malformed input."""
+    """Spreading factor out of a ``datr`` string; raises on malformed input.
+
+    A fleet sends a handful of distinct ``datr`` strings, so the parsed
+    values are memoized; a rejected string raises again every time.
+    """
     match = _DATR_RE.match(datr)
     if match is None:
         raise DecodeError(f"malformed datr {datr!r}")
@@ -153,10 +159,22 @@ def rxpk_from_forward(forward: GatewayForward) -> dict:
 
 
 def _require_number(rxpk: dict, key: str) -> float:
+    """``rxpk[key]`` as a finite float.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``, and an integer can
+    overflow a float; either is a :class:`DecodeError`, so the rxpk is
+    dropped and counted as malformed instead of reaching the detector.
+    """
     value = rxpk.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DecodeError(f"rxpk field {key!r} missing or non-numeric")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DecodeError(f"rxpk field {key!r} is not a finite number")
+    return number
 
 
 def forward_from_rxpk(gateway_id: str, rxpk: dict) -> GatewayForward:
@@ -164,7 +182,8 @@ def forward_from_rxpk(gateway_id: str, rxpk: dict) -> GatewayForward:
 
     ``atime`` falls back to the wrapped ``tmst`` microsecond counter and
     ``fbhz`` to 0.0 when a non-SoftLoRa forwarder omits the extensions;
-    a malformed ``data``/``datr`` field raises :class:`DecodeError`.
+    a malformed ``data``/``datr`` field or a non-finite number raises
+    :class:`DecodeError`.
     """
     if not isinstance(rxpk, dict):
         raise DecodeError("rxpk entry is not a JSON object")

@@ -11,6 +11,7 @@ Pins the two guarantees the daemon's golden verdict check rests on:
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,47 @@ def test_bad_datr_rejected(datr):
     """Out-of-range or non-LoRa datr strings raise DecodeError."""
     with pytest.raises(DecodeError):
         parse_datr(datr)
+
+
+def test_datr_parses_are_memoized_and_rejections_are_not():
+    """A repeated datr string is parsed once; a bad one raises every time."""
+    parse_datr.cache_clear()
+    assert [parse_datr("SF9BW125") for _ in range(3)] == [9, 9, 9]
+    assert parse_datr.cache_info().misses == 1
+    for _ in range(2):
+        with pytest.raises(DecodeError):
+            parse_datr("SF6BW125")
+    assert parse_datr.cache_info().currsize == 1
+
+
+def _rxpk(**fields) -> dict:
+    """A valid rxpk with ``fields`` replaced, as the daemon's ``json.loads`` sees it."""
+    forward = GatewayForward(
+        gateway_id="gw-0",
+        mac_bytes=b"\x40" + bytes(11),
+        arrival_time_s=1.25,
+        fb_hz=-3.5,
+        snr_db=7.0,
+    )
+    rxpk = dict(rxpk_from_forward(forward), **fields)
+    return json.loads(json.dumps({k: v for k, v in rxpk.items() if v is not None}))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["atime", "tmst", "fbhz", "lsnr"])
+def test_non_finite_numbers_rejected(key, literal):
+    """``json`` accepts NaN and ±Infinity; the rxpk decoder refuses them."""
+    # tmst is read only when the atime extension is absent.
+    rxpk = _rxpk(**{key: float(literal)}, **({"atime": None} if key == "tmst" else {}))
+    assert not math.isfinite(rxpk[key])
+    with pytest.raises(DecodeError, match=key):
+        forward_from_rxpk("gw-0", rxpk)
+
+
+def test_overflowing_integer_rejected():
+    """An integer beyond float range is malformed, not an OverflowError."""
+    with pytest.raises(DecodeError, match="tmst"):
+        forward_from_rxpk("gw-0", _rxpk(atime=None, tmst=10**400))
 
 
 @pytest.mark.parametrize("gateway_id", ["", "nine-chars", "x\x00"])

@@ -15,11 +15,13 @@ import time
 
 import pytest
 
+from repro.core.detector import FbDatabase, ReplayDetector
 from repro.lorawan.downlink import parse_downlink
 from repro.lorawan.mac import LinkADRReq, parse_mac_commands
 from repro.lorawan.security import SessionKeys
 from repro.server import AdrController, NetworkServer
 from repro.server.forwarding import GatewayForward
+from repro.server.store import SqliteFbStore
 from repro.service import (
     NetworkServerDaemon,
     ServiceConfig,
@@ -512,6 +514,51 @@ class TestBackpressure:
         assert verdicts > 0
         (record,) = [r for r in caplog.records if r.name == "repro.service"]
         assert "injected resolution failure" in record.exc_text
+
+
+class TestNonFiniteEvidence:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_nan_fb_drops_its_rxpk_and_keeps_the_window(self, plan, tmp_path, backend):
+        """An rxpk with ``fbhz: NaN`` is malformed; its siblings get their verdicts.
+
+        Every device has keys but no FB profile, so each is in its
+        learning phase: a NaN that got through would be recorded as an
+        FB sample (and on SQLite fail the window's write).
+        """
+        forwards = [f for batch in plan.batches[:4] for f in batch if f.gateway_id == "gw-0"]
+        victim, others = forwards[0], forwards[1:]
+
+        def keys_only(store):
+            server = NetworkServer(detector=ReplayDetector(database=store))
+            for dev_addr, keys in plan.registrations:
+                server.register_device(dev_addr, keys)
+            return server
+
+        expected = [v.as_dict() for v in keys_only(FbDatabase()).process_step(others)]
+
+        async def run():
+            store = FbDatabase() if backend == "memory" else SqliteFbStore(tmp_path / "fb.sqlite")
+            server = keys_only(store)
+            daemon = NetworkServerDaemon(server=server, config=loopback_config(linger_s=0.02))
+            await daemon.start()
+            rxpks = (
+                dict(rxpk_from_forward(victim), fbhz=float("nan")),
+                *(rxpk_from_forward(f) for f in others),
+            )
+            message = PushData(token=1, gateway_eui=eui_from_gateway_id("gw-0"), rxpks=rxpks)
+            daemon.handle_datagram(encode_datagram(message), ("127.0.0.1", 40000))
+            await daemon.drain(timeout_s=5.0)
+            malformed = daemon.metrics.get("repro_service_malformed_datagrams_total").total()
+            errors = daemon.metrics.get("repro_service_flush_errors_total").total()
+            await daemon.stop()
+            if backend == "sqlite":
+                store.close()
+            return [v.as_dict() for v in server.verdicts], malformed, errors
+
+        verdicts, malformed, errors = asyncio.run(run())
+        assert (malformed, errors) == (1, 0)
+        assert len(expected) == len(others) == 3
+        assert verdicts == expected
 
 
 class TestAdrDownlink:

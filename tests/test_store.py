@@ -248,7 +248,6 @@ class TestStatementCounts:
                 assert _statements(store, lambda: store.record("n", float(i), 0.0)) == [
                     "SELECT",
                     "INSERT",
-                    "DELETE",
                 ]
         assert store.estimates("n") == [3.0, 4.0, 5.0, 6.0]
         store.close()
@@ -267,8 +266,8 @@ class TestStatementCounts:
             assert store.estimates("n") == (prior + profile)[-50:]
             assert store.node_count() == 1
             store.close()
-        # Fresh node: one read and one INSERT; a full one adds one prune.
-        want = ["SELECT", "INSERT"] if fresh else ["SELECT", "INSERT", "DELETE"]
+        # Fresh or full, one read and one INSERT: the history is one row.
+        want = ["SELECT", "INSERT"]
         assert counts == {1: want, 5: want, 60: want}
 
     def test_check_makes_at_most_two_store_calls(self):

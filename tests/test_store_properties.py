@@ -10,10 +10,17 @@ one call can overflow a history.  A second property drives
 through reopens of its file: the in-memory node count must track the
 reference throughout.  A third rolls back a ``batch()`` holding a
 ``record_many`` on every backend: histories and node counts must
-return to their committed state.
+return to their committed state.  A fourth closes and reopens a
+:class:`SqliteFbStore`, at the same or another history depth, and
+compares every float of every history with :class:`FbDatabase`'s
+through ``float.hex``, so ``-0.0``, subnormals and the ends of the
+double range must keep their bits.  A file of the earlier
+one-row-per-estimate layout is refused.
 """
 
 import copy
+import re
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -22,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import FbDatabase
+from repro.errors import ConfigurationError
 from repro.server.store import SqliteFbStore
 
 #: Small node pool and history depth so pruning and forgetting both fire.
@@ -188,3 +196,82 @@ def test_rolled_back_record_many_restores_every_backend(ops, node, history):
         finally:
             for store in backends.values():
                 store.close()
+
+
+#: Floats a lossy store changes: signed zeros, subnormals, range ends.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308]
+
+exact = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+exact_histories = st.lists(st.tuples(exact, exact), min_size=1, max_size=2 * HISTORY_LEN)
+
+
+def hexed(history: list[tuple[float, float]]) -> list[tuple[str, str]]:
+    return [(time_s.hex(), fb_hz.hex()) for time_s, fb_hz in history]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    writes=st.lists(st.tuples(st.sampled_from(NODES), exact_histories), min_size=1, max_size=6),
+    reopen_len=st.sampled_from([1, HISTORY_LEN - 1, HISTORY_LEN, 2 * HISTORY_LEN]),
+    later=st.lists(st.tuples(exact, exact), max_size=2 * HISTORY_LEN),
+)
+def test_sqlite_reopen_keeps_every_float_bit_exact(writes, reopen_len, later):
+    """After close and reopen the file reads like an FbDatabase, bit for bit.
+
+    Reopened at another ``history_len`` it reads like an ``FbDatabase``
+    of that depth given the same pairs: a smaller depth keeps the newest
+    pairs, a larger one keeps them all and takes the ``later`` records.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fb.sqlite"
+        store = SqliteFbStore(path, history_len=HISTORY_LEN)
+        reference = FbDatabase(history_len=HISTORY_LEN)
+        for node, history in writes:
+            store.record_many(node, history)
+            reference.record_many(node, history)
+        store.close()
+        reopened = FbDatabase(history_len=reopen_len)
+        for node in reference.known_nodes():
+            reopened.record_many(node, reference.history(node))
+        store = SqliteFbStore(path, history_len=reopen_len)
+        try:
+            for time_s, fb_hz in later:
+                store.record(NODES[0], fb_hz, time_s)
+                reopened.record(NODES[0], fb_hz, time_s)
+            assert store.known_nodes() == reopened.known_nodes()
+            assert store.node_count() == reopened.node_count()
+            for node in NODES:
+                assert hexed(store.history(node)) == hexed(reopened.history(node)), node
+                want, got = reopened.interval(node, 30.0), store.interval(node, 30.0)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.low_hz.hex(), got.high_hz.hex(), got.samples) == (
+                        want.low_hz.hex(),
+                        want.high_hz.hex(),
+                        want.samples,
+                    )
+        finally:
+            store.close()
+
+
+def test_sqlite_refuses_the_old_one_row_per_estimate_layout(tmp_path):
+    path = tmp_path / "old.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE fb_history (node_id TEXT NOT NULL, seq INTEGER NOT NULL, "
+        "time_s REAL NOT NULL, fb_hz REAL NOT NULL, PRIMARY KEY (node_id, seq)) WITHOUT ROWID"
+    )
+    conn.execute("INSERT INTO fb_history VALUES ('26000000', 0, 1.0, -20000.0)")
+    conn.commit()
+    conn.close()
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        SqliteFbStore(path, history_len=HISTORY_LEN)
+    # Refused, not migrated: the file still holds only the old table.
+    conn = sqlite3.connect(path)
+    tables = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall()
+    conn.close()
+    assert tables == [("fb_history",)]
