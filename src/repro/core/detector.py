@@ -109,8 +109,6 @@ class FbStore(Protocol):
 
     def node_count(self) -> int: ...
 
-    def forget(self, node_id: str) -> None: ...
-
 
 class FbDatabase:
     """Per-node history of accepted FB estimates.
@@ -165,9 +163,6 @@ class FbDatabase:
             samples=len(values),
         )
 
-    def forget(self, node_id: str) -> None:
-        self._history.pop(node_id, None)
-
 
 @dataclass
 class ReplayDetector:
@@ -195,7 +190,6 @@ class ReplayDetector:
     guard_hz: float = 3.0 * FB_ESTIMATION_RESOLUTION_HZ
     min_history: int = 3
     learn_on_accept: bool = True
-    checks: list[DetectionResult] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.guard_hz <= 0:
@@ -238,7 +232,6 @@ class ReplayDetector:
                 interval=interval,
                 deviation_hz=float(deviation),
             )
-        self.checks.append(result)
         return result
 
     def bootstrap(self, node_id: str, fb_estimates: list[float]) -> None:

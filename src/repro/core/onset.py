@@ -243,10 +243,6 @@ class AicDetector:
             )
         return offsets + guard, minima
 
-    def pick_batch(self, x: np.ndarray) -> np.ndarray:
-        """Onset sample index per row of an ``(n_traces, n_samples)`` stack."""
-        return self.pick(self.aic_curve_batch(x))[0]
-
     def detect(self, trace: IQTrace, component: str = "i") -> OnsetResult:
         x = _component(trace, component)
         (index,), (minimum,) = self.pick(self.aic_curve(x)[np.newaxis, :])
@@ -256,23 +252,6 @@ class AicDetector:
             detector="aic",
             diagnostics={"aic_min": float(minimum)},
         )
-
-    def detect_batch(self, batch, component: str = "i") -> list[OnsetResult]:
-        """Detect every onset of a :class:`repro.pipeline.CaptureBatch`.
-
-        The pick runs as one vectorized pass over the stacked components;
-        only the result objects are materialized per capture.
-        """
-        indices, minima = self.pick(self.aic_curve_batch(batch.component(component)))
-        return [
-            OnsetResult(
-                index=int(index),
-                time_s=batch.time_of_index(row, int(index)),
-                detector="aic",
-                diagnostics={"aic_min": float(minimum)},
-            )
-            for row, (index, minimum) in enumerate(zip(indices, minima))
-        ]
 
 
 class FilteredAicDetector:

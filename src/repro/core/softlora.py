@@ -9,14 +9,9 @@ It checks MIC and frame counter once per uplink, checks the FB against
 the claimed source's history, flags replays (which are never used for
 data timestamping) and keeps flagged FBs out of the history.
 
-Two entry points:
-
-* :meth:`SoftLoRaGateway.process_capture` -- one capture; every number
-  is produced by actual signal processing on I/Q samples;
-* :meth:`SoftLoRaGateway.process_batch` -- the same chain over a
-  :class:`repro.pipeline.CaptureBatch`: onset detection, PHY
-  timestamping, chirp slicing and FB estimation run as vectorized stages
-  over the whole batch; demodulation then runs per capture.
+:meth:`SoftLoRaGateway.process_capture` runs the chain on one capture;
+every number is produced by actual signal processing on I/Q samples.
+Stacks of captures go through :class:`repro.pipeline.BatchPipeline`.
 
 The paired commodity chip (:attr:`SoftLoRaGateway.commodity`) holds the
 session keys and counters: a :class:`repro.sim.network.LoRaWanWorld`
@@ -26,7 +21,7 @@ makes it the MAC back end of its default network server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,7 +34,6 @@ from repro.phy.frame import PhyReceiver
 from repro.sdr.iq import IQTrace
 
 if TYPE_CHECKING:
-    from repro.pipeline.batch import CaptureBatch
     from repro.server.forwarding import GatewayForward
 
 
@@ -82,45 +76,6 @@ class SoftLoRaGateway:
         except ReproError:
             return None
         return self._demodulate(trace.samples, onset.index, onset.time_s, fb_hz, gateway_id, snr_db)
-
-    def process_batch(
-        self,
-        batch: "CaptureBatch",
-        gateway_id: str,
-        snr_db: float,
-        noise_powers: Any = None,
-        onset_component: str = "i",
-    ) -> "list[GatewayForward | None]":
-        """Run the gateway chain over a whole :class:`CaptureBatch`.
-
-        The DSP stages (onset, PHY timestamping, chirp slicing, FB
-        estimation) run vectorized over the stack via
-        :class:`repro.pipeline.BatchPipeline`; demodulation then runs
-        capture by capture.  Returns one entry per capture, as
-        :meth:`process_capture` would.  ``noise_powers`` is a scalar or a
-        per-capture sequence.
-        """
-        from repro.pipeline.engine import BatchPipeline
-
-        engine = BatchPipeline(
-            config=self.config,
-            onset_detector=self.onset_detector,
-            fb_estimator=self.fb_estimator,
-        )
-        staged = engine.run(batch, component=onset_component, noise_powers=noise_powers)
-        return [
-            None
-            if outcome.fb_estimate is None
-            else self._demodulate(
-                batch.samples[row],
-                outcome.onset.index,
-                outcome.phy_timestamp_s,
-                outcome.fb_estimate.fb_hz,
-                gateway_id,
-                snr_db,
-            )
-            for row, outcome in enumerate(staged.outcomes)
-        ]
 
     def _demodulate(
         self,

@@ -16,9 +16,6 @@ frame delay attack violates and the FB detector restores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 from repro.constants import ELAPSED_TIME_BITS, ELAPSED_TIME_RESOLUTION_S
 from repro.errors import ConfigurationError
@@ -137,62 +134,6 @@ class SyncFreeTimestamper:
                 elapsed_ticks=ticks,
             )
             for value, ticks in zip(values, elapsed_ticks)
-        ]
-
-    def reconstruct_arrays(
-        self, arrival_times_s: np.ndarray, elapsed_ticks: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized reconstruction: ``(n_frames, k)`` ticks to global times.
-
-        ``arrival_times_s`` has one PHY timestamp per frame; every frame
-        carries ``k`` elapsed fields.  The arithmetic is the same
-        ``arrival − tx_latency − ticks·resolution`` as :meth:`reconstruct`
-        (bitwise identical per element), evaluated in one numpy pass --
-        the form the batched pipeline and fleet analytics use.
-        """
-        arrival = np.asarray(arrival_times_s, dtype=float)
-        ticks = np.asarray(elapsed_ticks)
-        if ticks.ndim != 2:
-            raise ConfigurationError(
-                f"elapsed ticks must be 2-D (n_frames, fields), got shape {ticks.shape}"
-            )
-        if arrival.shape != (len(ticks),):
-            raise ConfigurationError(
-                f"need one arrival time per frame ({len(ticks)}), got shape {arrival.shape}"
-            )
-        if np.any(ticks < 0) or np.any(ticks > self.codec.max_ticks):
-            raise ConfigurationError(
-                f"elapsed field values out of range [0, {self.codec.max_ticks}]"
-            )
-        emission = arrival - self.tx_latency_s
-        return emission[:, np.newaxis] - ticks * self.codec.resolution_s
-
-    def reconstruct_batch(
-        self,
-        arrival_times_s: Sequence[float],
-        elapsed_ticks: Sequence[list[int]],
-        values: Sequence[list[float]] | None = None,
-    ) -> list[list[TimestampedReading]]:
-        """Recover timestamps for many frames (ragged reading counts).
-
-        Frame ``r`` pairs ``arrival_times_s[r]`` with ``elapsed_ticks[r]``;
-        each frame's readings come back exactly as :meth:`reconstruct`
-        would produce them.
-        """
-        if len(arrival_times_s) != len(elapsed_ticks):
-            raise ConfigurationError(
-                f"{len(arrival_times_s)} arrival times do not match "
-                f"{len(elapsed_ticks)} tick lists"
-            )
-        if values is not None and len(values) != len(elapsed_ticks):
-            raise ConfigurationError(
-                f"{len(values)} value lists do not match {len(elapsed_ticks)} tick lists"
-            )
-        return [
-            self.reconstruct(
-                arrival, ticks, None if values is None else values[frame]
-            )
-            for frame, (arrival, ticks) in enumerate(zip(arrival_times_s, elapsed_ticks))
         ]
 
 

@@ -32,10 +32,6 @@ class MicError(DecodeError):
     """LoRaWAN message integrity code verification failed."""
 
 
-class FrameCounterError(DecodeError):
-    """Replayed or out-of-window LoRaWAN frame counter."""
-
-
 class FrameSizeError(ConfigurationError):
     """A frame would exceed the data rate's regional MAC-payload cap.
 

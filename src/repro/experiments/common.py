@@ -452,8 +452,3 @@ def run_sweep(
     parallelism construct the executor directly.
     """
     return SweepExecutor(n_workers=1).run(points, measure, rng=rng, rng_factory=rng_factory)
-
-
-def sweep_means(result: SweepResult) -> dict[Any, float]:
-    """Per-key means for sweeps whose measurements are scalars."""
-    return {key: float(np.mean(result.trials(key))) for key in result.keys()}

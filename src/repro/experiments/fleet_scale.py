@@ -77,13 +77,6 @@ class FleetScaleCell:
     detection_latency_s: float
     wall_s: float
 
-    @property
-    def fusion_gain(self) -> float:
-        """Best-single MAE over fused MAE (>1 means fusion wins)."""
-        if self.fused_fb_mae_hz == 0:
-            return float("inf")
-        return self.best_single_fb_mae_hz / self.fused_fb_mae_hz
-
 
 @dataclass(frozen=True)
 class FleetScaleParams:

@@ -128,10 +128,6 @@ class CaptureBatch:
             return np.abs(samples)
         raise ConfigurationError(f"component must be 'i', 'q' or 'magnitude', got {name!r}")
 
-    def time_of_index(self, capture: int, index: int) -> float:
-        """Absolute time of sample ``index`` of capture ``capture``."""
-        return float(self.start_times_s[capture]) + index / self.sample_rate_hz
-
     def times_of_indices(self, indices: np.ndarray) -> np.ndarray:
         """Absolute times of one sample index per capture, vectorized."""
         indices = np.asarray(indices)
@@ -149,23 +145,3 @@ class CaptureBatch:
             start_time_s=float(self.start_times_s[capture]),
             metadata=dict(self.metadata[capture]),
         )
-
-    def slice_each(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """Per-capture window gather: row ``r`` is ``samples[r, starts[r]:starts[r]+length]``.
-
-        One fancy-indexing pass replaces ``n`` Python-level slices; the
-        engine uses it to cut the FB-estimation chirp out of every capture
-        at its own detected onset.  Rows whose window would run past the
-        capture end must be masked out by the caller beforehand.
-        """
-        starts = np.asarray(starts, dtype=int)
-        if starts.shape != (len(self),):
-            raise ConfigurationError(
-                f"need one start per capture ({len(self)}), got shape {starts.shape}"
-            )
-        if length < 0:
-            raise ConfigurationError(f"window length must be >= 0, got {length}")
-        if np.any(starts < 0) or np.any(starts + length > self.n_samples):
-            raise ConfigurationError("slice window runs outside the capture for some rows")
-        rows = np.arange(len(self))[:, np.newaxis]
-        return self.samples[rows, starts[:, np.newaxis] + np.arange(length)[np.newaxis, :]]

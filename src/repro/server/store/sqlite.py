@@ -36,7 +36,7 @@ Statements per call (plus ``BEGIN``/``COMMIT`` outside a batch):
   whatever the number of pairs written.
 
 The tracked-node count is loaded once on open and then kept in memory
-(moved by a node's first write and by ``forget``, restored on rollback),
+(moved by a node's first write, restored on rollback),
 so the daemon's per-flush ``node_count`` gauge never scans the table.
 The count assumes the store is the file's only writer.
 
@@ -124,7 +124,7 @@ class SqliteFbStore:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(_SCHEMA)
         self._in_batch = False
-        # Counted once here; record()/forget() keep it current after.
+        # Counted once here; record() keeps it current after.
         (count,) = self._conn.execute("SELECT COUNT(*) FROM fb_profile").fetchone()
         self._node_count = int(count)
 
@@ -164,7 +164,7 @@ class SqliteFbStore:
                 self._append(node_id, pairs)
             return
         row = self._conn.execute(_READ, (node_id,)).fetchone()
-        if row is None:  # the node's first pairs (or first since forget)
+        if row is None:  # the node's first pairs
             self._node_count += 1
         else:
             pairs = row[0] + pairs
@@ -222,16 +222,6 @@ class SqliteFbStore:
     def node_count(self) -> int:
         """Total tracked nodes, from the in-memory count (no table scan)."""
         return self._node_count
-
-    def forget(self, node_id: str) -> None:
-        """Drop one node's history."""
-        if not self._in_batch:
-            with self.batch():
-                self.forget(node_id)
-            return
-        deleted = self._conn.execute("DELETE FROM fb_profile WHERE node_id = ?", (node_id,))
-        if deleted.rowcount > 0:
-            self._node_count -= 1
 
     # -- durability / lifecycle -------------------------------------------------
 

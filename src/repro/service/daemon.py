@@ -346,7 +346,8 @@ class NetworkServerDaemon:
             session.last_seen_s = self._now()
         elif isinstance(message, TxAck):
             self._m_datagrams.inc(labels={"type": PacketType.TX_ACK.name})
-            self._m_adr_inflight.inc(-1.0)
+            # A duplicate or unsolicited ack settles no command in flight.
+            self._m_adr_inflight.set(max(0.0, self._m_adr_inflight.get() - 1.0))
         else:
             # PUSH_ACK / PULL_ACK / PULL_RESP are server-to-gateway
             # messages; arriving here they are protocol misuse.

@@ -316,8 +316,22 @@ def _check_token(token: int) -> int:
     return token
 
 
+def _json_body(message: Datagram, body: dict) -> bytes:
+    """``body`` as RFC 8259 JSON; a non-finite float is refused, not sent as ``NaN``."""
+    try:
+        return json.dumps(body, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot encode {type(message).__name__}: {exc}") from None
+
+
 def encode_datagram(message: Datagram) -> bytes:
-    """Serialize one protocol message to its UDP wire form."""
+    """Serialize one protocol message to its UDP wire form.
+
+    A non-finite float anywhere in the JSON body (a forward's ``fb_hz``,
+    ``snr_db`` or ``arrival_time_s``) raises :class:`ConfigurationError`
+    naming the message type: the daemon's decoder would count such a
+    datagram as malformed.
+    """
     head = bytes([PROTOCOL_VERSION]) + _check_token(message.token).to_bytes(2, "big")
     if isinstance(message, PushData):
         body: dict = {}
@@ -329,7 +343,7 @@ def encode_datagram(message: Datagram) -> bytes:
             head
             + bytes([PacketType.PUSH_DATA])
             + message.gateway_eui
-            + json.dumps(body, separators=(",", ":")).encode("utf-8")
+            + _json_body(message, body)
         )
     if isinstance(message, PushAck):
         return head + bytes([PacketType.PUSH_ACK])
@@ -338,18 +352,14 @@ def encode_datagram(message: Datagram) -> bytes:
     if isinstance(message, PullAck):
         return head + bytes([PacketType.PULL_ACK])
     if isinstance(message, PullResp):
-        return (
-            head
-            + bytes([PacketType.PULL_RESP])
-            + json.dumps({"txpk": message.txpk}, separators=(",", ":")).encode("utf-8")
-        )
+        return head + bytes([PacketType.PULL_RESP]) + _json_body(message, {"txpk": message.txpk})
     if isinstance(message, TxAck):
         body = {} if message.error == "NONE" else {"txpk_ack": {"error": message.error}}
         return (
             head
             + bytes([PacketType.TX_ACK])
             + message.gateway_eui
-            + json.dumps(body, separators=(",", ":")).encode("utf-8")
+            + _json_body(message, body)
         )
     raise ConfigurationError(f"cannot encode {type(message).__name__}")
 

@@ -19,10 +19,9 @@ from repro.sim.scenarios import (
     build_fleet_spec,
     build_pinned_link_world,
 )
-from repro.sim.traffic import AlohaChannel, PeriodicTrafficModel
+from repro.sim.traffic import PeriodicTrafficModel
 
 __all__ = [
-    "AlohaChannel",
     "BuildingScenario",
     "CampusScenario",
     "CollisionChannel",

@@ -267,11 +267,11 @@ class CollisionChannel:
 
         Resolves the window through :func:`window_survival` and turns
         its survival matrix into per-frame site sets.
-        ``tests/test_collision_vectorized.py`` pins it against an
-        object-per-frame :class:`AlohaChannel` loop; the two agree
-        except where a received-power comparison lands within ~1 ulp of
-        the capture threshold (``np.log10`` vs ``math.log10`` in the
-        path-loss evaluation).
+        ``tests/test_collision_vectorized.py`` pins it against a
+        per-site :func:`repro.radio.channel.resolve_collisions` loop; the
+        two agree except where a received-power comparison lands within
+        ~1 ulp of the capture threshold (``np.log10`` vs ``math.log10`` in
+        the path-loss evaluation).
         """
         sites, site_xyz = world.site_columns()
         mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}

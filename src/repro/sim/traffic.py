@@ -1,10 +1,11 @@
-"""Uplink traffic generation and ALOHA collision accounting.
+"""Uplink traffic generation and the pure-ALOHA load model.
 
 Class A LoRaWAN is pure ALOHA: devices transmit whenever they have data,
 with no carrier sensing.  For fleet simulations this module generates
-periodic-with-jitter reporting schedules and resolves which uplinks
-survive co-SF collisions at the gateway (capture effect), so detection
-experiments can run under realistic channel contention.
+periodic-with-jitter reporting schedules; which uplinks survive co-SF
+collisions at the gateway (capture effect) is resolved by
+:class:`repro.sim.runtime.CollisionChannel`, so detection experiments
+can run under realistic channel contention.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.radio.channel import (
-    InterSfCaptureMatrix,
-    ReceptionOutcome,
-    Transmission,
-    resolve_collisions,
-)
 
 
 @dataclass(frozen=True)
@@ -100,41 +95,6 @@ class PeriodicTrafficModel:
         indices = np.repeat(np.arange(n_devices, dtype=np.int64), counts)
         order = np.argsort(times, kind="stable")
         return times[order], indices[order]
-
-
-@dataclass
-class AlohaChannel:
-    """Collision accounting over a window of frame-level transmissions.
-
-    With a ``capture_matrix`` the channel models imperfect SF
-    orthogonality (cross-SF rivals can destroy a frame when strong
-    enough); without one, only co-SF overlaps contend -- the classic
-    single-SF model.
-    """
-
-    capture_threshold_db: float = 6.0
-    capture_matrix: InterSfCaptureMatrix | None = None
-    transmissions: list[Transmission] = field(default_factory=list)
-
-    def offer(self, transmission: Transmission) -> None:
-        self.transmissions.append(transmission)
-
-    def resolve(self) -> list[ReceptionOutcome]:
-        """Resolve all offered transmissions with the capture model."""
-        return resolve_collisions(
-            self.transmissions,
-            capture_threshold_db=self.capture_threshold_db,
-            capture_matrix=self.capture_matrix,
-        )
-
-    def delivery_ratio(self) -> float:
-        outcomes = self.resolve()
-        if not outcomes:
-            return float("nan")
-        return sum(1 for o in outcomes if o.delivered) / len(outcomes)
-
-    def collision_count(self) -> int:
-        return sum(1 for o in self.resolve() if not o.delivered)
 
 
 def offered_load_erlangs(

@@ -1,4 +1,4 @@
-"""Property test: vectorized collision sweep == per-site AlohaChannel loop.
+"""Property test: vectorized collision sweep == per-site resolve_collisions loop.
 
 :meth:`CollisionChannel.surviving_sites` resolves a window's contention
 as one sorted-interval sweep plus a broadcast capture-matrix pass;
@@ -20,10 +20,9 @@ from repro.lorawan.device import UplinkTransmission
 from repro.phy.airtime import airtime_s
 from repro.radio.geometry import Position
 from repro.radio.pathloss import FixedPathLoss, LogDistancePathLoss
-from repro.radio.channel import LinkBudget, Transmission, propagation_delay_s
+from repro.radio.channel import LinkBudget, Transmission, propagation_delay_s, resolve_collisions
 from repro.sim.network import GatewaySite, StagedTransmission
 from repro.sim.runtime import CollisionChannel
-from repro.sim.traffic import AlohaChannel
 
 
 def _overlap_clusters(staged: list[StagedTransmission]) -> list[list[int]]:
@@ -47,7 +46,7 @@ def surviving_sites_reference(
     """The original per-cluster, per-site loop (property-test oracle).
 
     Semantically identical to :meth:`CollisionChannel.surviving_sites`
-    but built on scalar :class:`AlohaChannel` resolution.
+    but built on scalar :func:`resolve_collisions` resolution.
     """
     sites = world.sites
     mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}
@@ -55,14 +54,11 @@ def surviving_sites_reference(
         if len(cluster) < 2:
             continue
         for site_index, site in enumerate(sites):
-            aloha = AlohaChannel(
-                capture_threshold_db=channel.capture_threshold_db,
-                capture_matrix=channel.capture_matrix,
-            )
+            offered = []
             for index in cluster:
                 device = world.devices[staged[index].device_name]
                 tx = staged[index].transmission
-                aloha.offer(
+                offered.append(
                     Transmission(
                         sender=f"{index}:{staged[index].device_name}",
                         start_time_s=tx.emission_time_s
@@ -74,7 +70,12 @@ def surviving_sites_reference(
                         spreading_factor=tx.spreading_factor,
                     )
                 )
-            for index, outcome in zip(cluster, aloha.resolve()):
+            outcomes = resolve_collisions(
+                offered,
+                capture_threshold_db=channel.capture_threshold_db,
+                capture_matrix=channel.capture_matrix,
+            )
+            for index, outcome in zip(cluster, outcomes):
                 if not outcome.delivered:
                     mask[index].discard(site_index)
     return mask

@@ -42,12 +42,6 @@ class TestFbDatabase:
         interval = db.interval("node", guard_hz=0.0)
         assert interval.low_hz == -19980.0
 
-    def test_forget(self):
-        db = FbDatabase()
-        db.record("node", 1.0)
-        db.forget("node")
-        assert db.sample_count("node") == 0
-
     def test_known_nodes_sorted(self):
         db = FbDatabase()
         db.record("b", 1.0)
@@ -140,10 +134,11 @@ class TestReplayDetector:
 
     def test_checks_are_recorded(self):
         detector = self.trained_detector()
-        detector.check("node", -20000.0)
-        detector.check("node", -25000.0)
-        assert len(detector.checks) == 2
-        assert [c.is_replay for c in detector.checks] == [False, True]
+        results = [detector.check("node", fb) for fb in (-20000.0, -25000.0)]
+        assert [(c.node_id, c.fb_hz, c.is_replay) for c in results] == [
+            ("node", -20000.0, False),
+            ("node", -25000.0, True),
+        ]
 
     def test_deviation_reported(self):
         detector = self.trained_detector(guard=360.0, spread=0.0)

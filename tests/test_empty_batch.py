@@ -61,10 +61,6 @@ class TestEmptyPipelineRun:
         assert result.fb_hz.shape == (0,)
         assert result.ok.shape == (0,)
 
-    def test_gateway_process_batch_empty(self, config):
-        gateway = SoftLoRaGateway(config=config, commodity=CommodityGateway())
-        assert gateway.process_batch(CaptureBatch.empty(config.sample_rate_hz), "gw-0", 0.0) == []
-
     def test_estimator_empty_list(self, config):
         # An empty list maps to no estimates, as an empty (0, spc) array does.
         estimator = LeastSquaresFbEstimator(config)

@@ -1,10 +1,10 @@
 """Regression tests for the batched capture-processing engine.
 
 The contract under test: a batch of one is *bitwise identical* to the
-single-capture APIs (`AicDetector`, `LeastSquaresFbEstimator`,
-`SyncFreeTimestamper`), and every row of a larger batch matches the
-corresponding single-capture call exactly.  Plus edge cases: minimum
-length traces in a batch, short FB chirps, ragged inputs.
+single-capture APIs (`AicDetector`, `LeastSquaresFbEstimator`), and
+every row of a larger batch matches the corresponding single-capture
+call exactly.  Plus edge cases: minimum length traces in a batch, short
+FB chirps, ragged inputs.
 """
 
 import re
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.freq_bias import LeastSquaresFbEstimator
 from repro.core.onset import AicDetector
-from repro.core.timestamping import SyncFreeTimestamper
 from repro.errors import ConfigurationError, EstimationError
 from repro.experiments.common import ScenarioSpec, synthesize_capture
 from repro.phy.chirp import (
@@ -72,19 +71,21 @@ class TestAicBatch:
         np.testing.assert_array_equal(single_curve, batch_curve)
 
         batch = CaptureBatch.from_traces([trace])
-        (onset,) = detector.detect_batch(batch)
+        (index,), (minimum,) = detector.pick(detector.aic_curve_batch(batch.component("i")))
         reference = detector.detect(trace)
-        assert onset.index == reference.index
-        assert onset.time_s == reference.time_s
-        assert onset.diagnostics == reference.diagnostics
+        assert index == reference.index
+        assert batch.times_of_indices(np.array([index]))[0] == reference.time_s
+        assert {"aic_min": float(minimum)} == reference.diagnostics
 
     def test_every_batch_row_matches_single(self, captures):
         detector = AicDetector()
         batch = CaptureBatch.from_traces([c.trace for c in captures])
-        for result, capture in zip(detector.detect_batch(batch), captures):
+        indices, _ = detector.pick(detector.aic_curve_batch(batch.component("i")))
+        times = batch.times_of_indices(indices)
+        for index, time_s, capture in zip(indices, times, captures):
             reference = detector.detect(capture.trace)
-            assert result.index == reference.index
-            assert result.time_s == reference.time_s
+            assert index == reference.index
+            assert time_s == reference.time_s
 
     def test_rows_of_a_multi_chunk_batch_match_single(self, rng):
         # 19 rows span several kernel chunks, the last one partial.
@@ -110,7 +111,7 @@ class TestAicBatch:
             ],
             axis=1,
         )
-        indices = detector.pick_batch(stack)
+        indices, _ = detector.pick(detector.aic_curve_batch(stack))
         assert list(indices) == [detector.min_segment] * 4
         for row in range(len(stack)):
             trace = IQTrace(stack[row] + 0j, 1e6)
@@ -191,33 +192,6 @@ class TestFbBatch:
         assert batched.fb_hz == pytest.approx(-7.5e3, abs=5.0)
 
 
-class TestTimestamperBatch:
-    def test_batch_of_one_is_bitwise_identical(self):
-        stamper = SyncFreeTimestamper(tx_latency_s=3e-3)
-        single = stamper.reconstruct(100.0, [5, 250, 4000], [1.0, 2.0, 3.0])
-        (batched,) = stamper.reconstruct_batch([100.0], [[5, 250, 4000]], [[1.0, 2.0, 3.0]])
-        assert batched == single
-
-    def test_arrays_match_scalar_reconstruction(self):
-        stamper = SyncFreeTimestamper(tx_latency_s=3e-3)
-        arrivals = np.array([10.0, 55.5, 100.25])
-        ticks = np.array([[0, 100], [20, 3000], [7, 1]])
-        times = stamper.reconstruct_arrays(arrivals, ticks)
-        for frame in range(3):
-            readings = stamper.reconstruct(float(arrivals[frame]), list(ticks[frame]))
-            for k, reading in enumerate(readings):
-                assert times[frame, k] == reading.global_time_s
-
-    def test_shape_and_range_validation(self):
-        stamper = SyncFreeTimestamper()
-        with pytest.raises(ConfigurationError):
-            stamper.reconstruct_arrays(np.array([1.0]), np.array([1, 2]))
-        with pytest.raises(ConfigurationError):
-            stamper.reconstruct_arrays(np.array([1.0]), np.array([[-1]]))
-        with pytest.raises(ConfigurationError):
-            stamper.reconstruct_batch([1.0, 2.0], [[1]])
-
-
 class TestCaptureBatch:
     def test_from_traces_requires_uniform_shape(self, fast_config, rng):
         a = IQTrace(complex_awgn(100, 1.0, rng), 1e6)
@@ -235,24 +209,10 @@ class TestCaptureBatch:
             assert trace.start_time_s == capture.trace.start_time_s
             np.testing.assert_array_equal(trace.samples, capture.trace.samples)
 
-    def test_slice_each_matches_python_slices(self, captures):
-        batch = CaptureBatch.from_traces([c.trace for c in captures])
-        starts = np.arange(len(batch)) * 3
-        window = batch.slice_each(starts, 32)
-        for row in range(len(batch)):
-            np.testing.assert_array_equal(
-                window[row], batch.samples[row, starts[row] : starts[row] + 32]
-            )
-
     def test_rate_must_be_finite_and_positive(self):
         for rate in (0.0, -1e6, np.nan, np.inf):
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 CaptureBatch(np.zeros((2, 8), dtype=complex), rate)
-
-    def test_slice_each_bounds_checked(self, captures):
-        batch = CaptureBatch.from_traces([c.trace for c in captures])
-        with pytest.raises(ConfigurationError):
-            batch.slice_each(np.full(len(batch), batch.n_samples - 1), 2)
 
 
 class TestBatchPipeline:
@@ -298,19 +258,13 @@ class TestBatchPipeline:
             engine.run(batch, node_ids=["n"] * len(batch))
 
     def test_noise_powers_must_match_batch_length(self, fast_config, captures):
-        from repro.core.softlora import SoftLoRaGateway
-        from repro.lorawan.gateway import CommodityGateway
-
         batch = CaptureBatch.from_traces([c.trace for c in captures])
         engine = BatchPipeline(config=fast_config)
-        gateway = SoftLoRaGateway(config=fast_config, commodity=CommodityGateway())
         for powers in (np.ones(len(batch) - 1), np.ones((len(batch), 1))):
             shape = powers.shape
             message = re.escape(f"noise powers of shape {shape} do not match {len(batch)} captures")
             with pytest.raises(ConfigurationError, match=message):
                 engine.run(batch, noise_powers=powers)
-            with pytest.raises(ConfigurationError, match=message):
-                gateway.process_batch(batch, "gw-0", 10.0, noise_powers=powers)
 
     def test_replay_stage_flags_outlier(self, fast_config, rng):
         from repro.core.detector import FbDatabase, ReplayDetector

@@ -8,9 +8,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.rtt_baseline import run_rtt_baseline
 from repro.lorawan.downlink import RX1_DELAY_S
 from repro.phy.airtime import airtime_s
-from repro.radio.channel import Transmission
+from repro.radio.channel import Transmission, resolve_collisions
 from repro.sim.traffic import (
-    AlohaChannel,
     PeriodicTrafficModel,
     offered_load_erlangs,
     pure_aloha_success_probability,
@@ -137,23 +136,19 @@ class TestAlohaChannel:
         )
 
     def test_sparse_traffic_all_delivered(self):
-        channel = AlohaChannel()
-        for i in range(5):
-            channel.offer(self._tx(f"d{i}", i * 1.0))
-        assert channel.delivery_ratio() == 1.0
+        outcomes = resolve_collisions([self._tx(f"d{i}", i * 1.0) for i in range(5)])
+        assert all(o.delivered for o in outcomes)
 
     def test_equal_power_overlap_collides(self):
-        channel = AlohaChannel()
-        channel.offer(self._tx("a", 0.0))
-        channel.offer(self._tx("b", 0.03))
-        assert channel.collision_count() == 2
+        outcomes = resolve_collisions([self._tx("a", 0.0), self._tx("b", 0.03)])
+        assert sum(not o.delivered for o in outcomes) == 2
 
     def test_capture_saves_the_stronger(self):
-        channel = AlohaChannel()
-        channel.offer(self._tx("strong", 0.0, power=-70.0))
-        channel.offer(self._tx("weak", 0.03, power=-90.0))
-        outcomes = {o.transmission.sender: o.delivered for o in channel.resolve()}
-        assert outcomes["strong"] and not outcomes["weak"]
+        outcomes = resolve_collisions(
+            [self._tx("strong", 0.0, power=-70.0), self._tx("weak", 0.03, power=-90.0)]
+        )
+        delivered = {o.transmission.sender: o.delivered for o in outcomes}
+        assert delivered["strong"] and not delivered["weak"]
 
     def test_load_and_throughput_formulas(self):
         load = offered_load_erlangs(100, 60.0, 0.06)
@@ -170,12 +165,12 @@ class TestAlohaChannel:
         airtime = 0.3
         names = [f"d{i}" for i in range(20)]
         uplinks = model.schedule(names, duration_s=300.0)
-        channel = AlohaChannel()
-        for uplink in uplinks:
-            channel.offer(self._tx(uplink.device_name, uplink.request_time_s, duration=airtime))
+        outcomes = resolve_collisions(
+            [self._tx(u.device_name, u.request_time_s, duration=airtime) for u in uplinks]
+        )
         load = offered_load_erlangs(20, 10.0, airtime)
         predicted = pure_aloha_success_probability(load)
-        measured = channel.delivery_ratio()
+        measured = sum(o.delivered for o in outcomes) / len(outcomes)
         assert abs(measured - predicted) < 0.25
 
 

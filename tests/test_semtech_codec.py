@@ -10,6 +10,7 @@ Pins the two guarantees the daemon's golden verdict check rests on:
   handler survives them without crashing, only counting.
 """
 
+import dataclasses
 import json
 import math
 
@@ -152,6 +153,25 @@ def test_non_finite_numbers_rejected(key, literal):
     assert not math.isfinite(rxpk[key])
     with pytest.raises(DecodeError, match=key):
         forward_from_rxpk("gw-0", rxpk)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["fb_hz", "snr_db", "arrival_time_s"])
+def test_non_finite_forward_is_not_encoded(field, value):
+    """The encoder refuses what the decoder would count as malformed."""
+    forward = GatewayForward(
+        gateway_id="gw-0",
+        mac_bytes=b"\x40" + bytes(11),
+        arrival_time_s=1.25,
+        fb_hz=-3.5,
+        snr_db=7.0,
+    )
+    forward = dataclasses.replace(forward, **{field: value})
+    message = PushData(
+        token=1, gateway_eui=eui_from_gateway_id("gw-0"), rxpks=(rxpk_from_forward(forward),)
+    )
+    with pytest.raises(ConfigurationError, match="PushData"):
+        encode_datagram(message)
 
 
 def test_overflowing_integer_rejected():

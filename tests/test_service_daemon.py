@@ -30,6 +30,8 @@ from repro.service import (
     replay,
 )
 from repro.service.semtech import (
+    PROTOCOL_VERSION,
+    PacketType,
     PullData,
     PullResp,
     PushData,
@@ -545,8 +547,14 @@ class TestNonFiniteEvidence:
                 dict(rxpk_from_forward(victim), fbhz=float("nan")),
                 *(rxpk_from_forward(f) for f in others),
             )
-            message = PushData(token=1, gateway_eui=eui_from_gateway_id("gw-0"), rxpks=rxpks)
-            daemon.handle_datagram(encode_datagram(message), ("127.0.0.1", 40000))
+            # encode_datagram refuses a NaN, so write the bytes a
+            # non-conforming forwarder would send.
+            datagram = (
+                bytes([PROTOCOL_VERSION, 0, 1, PacketType.PUSH_DATA])
+                + eui_from_gateway_id("gw-0")
+                + json.dumps({"rxpk": list(rxpks)}).encode()
+            )
+            daemon.handle_datagram(datagram, ("127.0.0.1", 40000))
             await daemon.drain(timeout_s=5.0)
             malformed = daemon.metrics.get("repro_service_malformed_datagrams_total").total()
             errors = daemon.metrics.get("repro_service_flush_errors_total").total()
@@ -661,6 +669,16 @@ class TestAdrDownlink:
         undeliverable, pending = asyncio.run(run())
         assert undeliverable == 1
         assert pending == []
+
+    def test_unsolicited_tx_acks_leave_the_in_flight_gauge_at_zero(self):
+        """A TX_ACK that settles no dispatched command moves no gauge below 0."""
+        daemon = NetworkServerDaemon(server=new_server(), config=loopback_config())
+        ack = encode_datagram(TxAck(token=3, gateway_eui=eui_from_gateway_id("gw-0")))
+        for _ in range(2):
+            daemon.handle_datagram(ack, ("127.0.0.1", 40000))
+        assert daemon.metrics.get("repro_service_adr_commands_in_flight").get() == 0.0
+        datagrams = daemon.metrics.get("repro_service_datagrams_total")
+        assert datagrams.get({"type": "TX_ACK"}) == 2.0
 
 
 class TestProvisioningCli:

@@ -129,13 +129,7 @@ class TestSqliteStore:
         assert store.estimates("n") == [1.0]
         store.close()
 
-    def test_forget_and_validation(self, tmp_path):
-        store = SqliteFbStore(tmp_path / "s.sqlite")
-        store.record("n", 1.0, 1.0)
-        store.forget("n")
-        assert store.node_count() == 0
-        assert store.sample_count("n") == 0
-        store.close()
+    def test_history_len_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigurationError):
             SqliteFbStore(tmp_path / "bad.sqlite", history_len=0)
 
@@ -152,27 +146,13 @@ class TestSqliteNodeCount:
             with store.batch():
                 store.record("new-a", 6.0, 2.0)
                 store.record("new-b", 7.0, 2.0)
-                store.forget("keep")
-                assert store.node_count() == 2
+                assert store.node_count() == 3
                 raise RuntimeError("window died")
         assert store.node_count() == ref.node_count() == 1
         with store.batch():
             store.record("new-a", 6.0, 2.0)
         ref.record("new-a", 6.0, 2.0)
         assert store.node_count() == ref.node_count() == 2
-        store.close()
-
-    def test_forget_of_unknown_node_leaves_the_count(self, tmp_path):
-        ref = FbDatabase()
-        store = SqliteFbStore(tmp_path / "s.sqlite")
-        for db in (ref, store):
-            db.record("n", 1.0, 1.0)
-            db.forget("never-seen")
-        assert store.node_count() == ref.node_count() == 1
-        for db in (ref, store):
-            db.forget("n")
-            db.forget("n")
-        assert store.node_count() == ref.node_count() == 0
         store.close()
 
     def test_count_is_reloaded_on_reopen(self, tmp_path):
@@ -184,14 +164,15 @@ class TestSqliteNodeCount:
                 db.record(f"n{i}", float(i), 1.0)
                 db.record(f"n{i}", float(i) + 0.5, 2.0)
                 db.record(f"n{i}", float(i) + 0.75, 3.0)  # prunes the oldest row
-        for db in (ref, store):
-            db.forget("n3")
         store.close()
         reopened = SqliteFbStore(path, history_len=2)
-        assert reopened.node_count() == ref.node_count() == 4
+        assert reopened.node_count() == ref.node_count() == 5
         reopened.record("n3", 9.0, 4.0)
         ref.record("n3", 9.0, 4.0)
         assert reopened.node_count() == ref.node_count() == 5
+        reopened.record("n5", 9.0, 4.0)
+        ref.record("n5", 9.0, 4.0)
+        assert reopened.node_count() == ref.node_count() == 6
         reopened.close()
 
 

@@ -1,7 +1,7 @@
 """Property tests: every FB store is state-equivalent to FbDatabase.
 
-Hypothesis drives random ``record`` / ``record_many`` / ``interval`` /
-``forget`` sequences against each backend and the in-memory reference
+Hypothesis drives random ``record`` / ``record_many`` / ``interval``
+sequences against each backend and the in-memory reference
 in lockstep; after every operation the observable state -- known nodes,
 per-node histories, sample counts, guarded intervals -- must match
 exactly.  A ``record_many`` carries up to twice the history depth, so
@@ -32,7 +32,7 @@ from repro.core.detector import FbDatabase
 from repro.errors import ConfigurationError
 from repro.server.store import SqliteFbStore
 
-#: Small node pool and history depth so pruning and forgetting both fire.
+#: Small node pool and history depth so pruning fires.
 NODES = ["26000000", "26000001", "26000002"]
 HISTORY_LEN = 4
 
@@ -45,7 +45,7 @@ histories = st.lists(st.tuples(finite, finite), max_size=2 * HISTORY_LEN)
 operations = st.lists(
     st.one_of(
         st.tuples(
-            st.sampled_from(["record", "interval", "forget"]),
+            st.sampled_from(["record", "interval"]),
             st.sampled_from(NODES),
             finite,
             finite,
@@ -58,14 +58,12 @@ operations = st.lists(
 
 
 def apply_write(op: str, node: str, value, extra: float, stores) -> None:
-    """Apply one ``record`` / ``record_many`` / ``forget`` to every store."""
+    """Apply one ``record`` / ``record_many`` to every store."""
     for store in stores:
         if op == "record":
             store.record(node, value, extra)
-        elif op == "record_many":
-            store.record_many(node, value)
         else:
-            store.forget(node)
+            store.record_many(node, value)
 
 
 def build_backends(root: Path) -> dict:
@@ -128,12 +126,7 @@ class _WindowDied(Exception):
 sqlite_script = st.lists(
     st.tuples(
         st.lists(
-            st.tuples(
-                st.sampled_from(["record", "forget"]),
-                st.sampled_from(NODES),
-                finite,
-                finite,
-            ),
+            st.tuples(st.sampled_from(NODES), finite, finite),
             max_size=8,
         ),
         st.booleans(),
@@ -156,13 +149,9 @@ def test_sqlite_node_count_tracks_reference_through_rollback_and_reopen(script):
                 committed = copy.deepcopy(reference)
                 try:
                     with store.batch():
-                        for op, node, fb_hz, time_s in ops:
-                            if op == "record":
-                                reference.record(node, fb_hz, time_s)
-                                store.record(node, fb_hz, time_s)
-                            else:
-                                reference.forget(node)
-                                store.forget(node)
+                        for node, fb_hz, time_s in ops:
+                            reference.record(node, fb_hz, time_s)
+                            store.record(node, fb_hz, time_s)
                             assert store.node_count() == reference.node_count()
                         if raises:
                             raise _WindowDied

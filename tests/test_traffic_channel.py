@@ -1,4 +1,4 @@
-"""Direct unit/property tests for the traffic model and ALOHA channel.
+"""Direct unit/property tests for the traffic model and ALOHA collisions.
 
 Both were previously exercised only through higher layers; the
 event-driven runtime now leans on their exact semantics -- jitter
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.radio.channel import Transmission, resolve_collisions
-from repro.sim.traffic import AlohaChannel, PeriodicTrafficModel
+from repro.sim.traffic import PeriodicTrafficModel
 
 
 def _tx(name, start, power=-80.0, airtime=0.06, sf=7):
@@ -105,31 +105,31 @@ class TestOverlapDetection:
             assert fate == fates["baseline"]
 
 
+def _fates(transmissions):
+    outcomes = resolve_collisions(transmissions, capture_threshold_db=6.0)
+    return {o.transmission.sender: o.delivered for o in outcomes}
+
+
 class TestAlohaChannelCapture:
     def test_capture_at_exact_threshold_survives(self):
-        channel = AlohaChannel(capture_threshold_db=6.0)
-        channel.offer(_tx("strong", 0.0, power=-74.0))
-        channel.offer(_tx("weak", 0.01, power=-80.0))
-        outcomes = {o.transmission.sender: o.delivered for o in channel.resolve()}
+        outcomes = _fates([_tx("strong", 0.0, power=-74.0), _tx("weak", 0.01, power=-80.0)])
         assert outcomes == {"strong": True, "weak": False}
 
     def test_just_below_threshold_loses_both(self):
-        channel = AlohaChannel(capture_threshold_db=6.0)
-        channel.offer(_tx("a", 0.0, power=-74.1))
-        channel.offer(_tx("b", 0.01, power=-80.0))
-        assert channel.collision_count() == 2
+        outcomes = _fates([_tx("a", 0.0, power=-74.1), _tx("b", 0.01, power=-80.0)])
+        assert list(outcomes.values()).count(False) == 2
 
     def test_cross_sf_frames_are_quasi_orthogonal(self):
-        channel = AlohaChannel()
-        channel.offer(_tx("sf7", 0.0, sf=7))
-        channel.offer(_tx("sf8", 0.01, sf=8))
-        assert channel.delivery_ratio() == 1.0
+        outcomes = _fates([_tx("sf7", 0.0, sf=7), _tx("sf8", 0.01, sf=8)])
+        assert all(outcomes.values())
 
     def test_three_way_pileup_needs_margin_over_every_rival(self):
-        channel = AlohaChannel(capture_threshold_db=6.0)
-        channel.offer(_tx("top", 0.0, power=-70.0))
-        channel.offer(_tx("mid", 0.01, power=-75.0))
-        channel.offer(_tx("low", 0.02, power=-90.0))
-        outcomes = {o.transmission.sender: o.delivered for o in channel.resolve()}
+        outcomes = _fates(
+            [
+                _tx("top", 0.0, power=-70.0),
+                _tx("mid", 0.01, power=-75.0),
+                _tx("low", 0.02, power=-90.0),
+            ]
+        )
         # top clears mid by only 5 dB: nobody survives the pileup.
         assert outcomes == {"top": False, "mid": False, "low": False}
