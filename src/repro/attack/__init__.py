@@ -6,11 +6,12 @@ gateway jams the reception *stealthily* (inside the timing window where
 the RN2483 silently drops the frame), then replays the recorded waveform
 after an attacker-chosen delay τ.  Cryptography is untouched; the replay
 chain's oscillators add the extra frequency bias SoftLoRa detects.
+The attacker is given its victim; picking one out of a fleet by its
+frequency trait (Sec. 4.2.1) is not modelled.
 """
 
 from repro.attack.delay_attack import AttackOutcome, FrameDelayAttack, ReplayedFrame
 from repro.attack.eavesdropper import Eavesdropper
-from repro.attack.fingerprint import DeviceFingerprinter, DeviceObservation
 from repro.attack.jammer import (
     JammingOutcome,
     JammingWindowModel,
@@ -22,8 +23,6 @@ from repro.attack.replayer import Replayer
 
 __all__ = [
     "AttackOutcome",
-    "DeviceFingerprinter",
-    "DeviceObservation",
     "Eavesdropper",
     "FrameDelayAttack",
     "JammingOutcome",

@@ -140,8 +140,6 @@ class StealthyJammer:
     model: JammingWindowModel = field(default_factory=JammingWindowModel)
     aim: float = 0.5
     guard_s: float = 1e-3
-    tx_power_dbm: float = 14.0
-    use_measured_windows: bool = True
     rng: np.random.Generator | None = None
 
     def __post_init__(self) -> None:
@@ -149,9 +147,7 @@ class StealthyJammer:
             raise ConfigurationError(f"aim must be in [0, 1], got {self.aim}")
 
     def windows_for(self, spreading_factor: int, payload_len: int) -> JammingWindows:
-        if self.use_measured_windows:
-            return self.model.measured_or_modelled(spreading_factor, payload_len)
-        return self.model.windows(spreading_factor, payload_len)
+        return self.model.measured_or_modelled(spreading_factor, payload_len)
 
     def choose_onset_offset_s(self, spreading_factor: int, payload_len: int) -> float:
         """Jamming onset (relative to frame start) inside [w1, w2]."""

@@ -255,13 +255,14 @@ class AicDetector:
 
 
 class FilteredAicDetector:
-    """The production onset pipeline: channel filter, then AIC pick.
+    """Channel filter, then AIC pick, on one capture.
 
     Band-limits the capture to the LoRa channel (the digital counterpart
     of the receiver's low-pass selection stage; ~12.8 dB of in-band SNR
-    at 2.4 Msps) and runs the AIC picker on the filtered magnitude.
-    Used by the low-SNR experiments (Figs. 10 and 15); at bench SNRs it
-    performs like the plain AIC.
+    at 2.4 Msps) and runs the AIC picker on the filtered magnitude.  At
+    bench SNRs it performs like the plain AIC.  The low-SNR experiments
+    (Figs. 10 and 15) do not use this class: they call
+    :func:`repro.sdr.filters.bandlimit_trace` themselves and then pick.
     """
 
     def __init__(

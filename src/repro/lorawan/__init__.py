@@ -4,6 +4,8 @@ Implements what the attack narrative needs end-to-end: frames carry real
 AES-CMAC MICs and encrypted payloads, the gateway verifies both, frame
 counters advance -- and a replayed waveform still passes every check,
 because the frame delay attack operates strictly below the MAC layer.
+Devices are activated by personalization (ABP): session keys are set at
+provisioning, so there is no over-the-air join.
 """
 
 from repro.lorawan.device import EndDevice, UplinkTransmission
@@ -15,7 +17,6 @@ from repro.lorawan.downlink import (
 )
 from repro.lorawan.duty_cycle import DutyCycleLimiter
 from repro.lorawan.gateway import CommodityGateway, GatewayReception
-from repro.lorawan.join import JoinAccept, JoinRequest, JoinServer, device_join
 from repro.lorawan.mac import (
     LinkADRAns,
     LinkADRReq,
@@ -29,7 +30,6 @@ from repro.lorawan.regional import EU868, DataRate
 from repro.lorawan.security import (
     SessionKeys,
     compute_uplink_mic,
-    decrypt_frm_payload,
     encrypt_frm_payload,
 )
 
@@ -41,9 +41,6 @@ __all__ = [
     "EU868",
     "EndDevice",
     "GatewayReception",
-    "JoinAccept",
-    "JoinRequest",
-    "JoinServer",
     "LinkADRAns",
     "LinkADRReq",
     "MacCommandCid",
@@ -54,8 +51,6 @@ __all__ = [
     "build_downlink",
     "class_a_windows",
     "compute_uplink_mic",
-    "decrypt_frm_payload",
-    "device_join",
     "encrypt_frm_payload",
     "parse_downlink",
     "parse_mac_commands",

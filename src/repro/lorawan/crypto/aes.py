@@ -12,10 +12,10 @@ The network server runs AES-CMAC on every uplink copy, so encryption is
 the classic T-table construction: the state is four 32-bit column words,
 each middle round is 16 lookups into four 256-entry tables built from
 the S-box at import, and the final round uses the S-box directly.  Each
-key's expanded schedule is cached (a fixed-size LRU shared by encrypt
-and decrypt), so a device's session key is expanded once, not per
-block.  Decryption, used only by join-accept, keeps the byte-wise
-inverse rounds.
+key's expanded schedule is kept in a fixed-size LRU, so a device's
+session key is expanded once, not per block.  Only the forward cipher
+exists: the CMAC and the payload keystream of ABP-provisioned frames,
+uplink and downlink, both encrypt blocks, so nothing needs the inverse.
 
 This is a teaching/simulation implementation: correct (checked against
 FIPS-197 vectors and a byte-wise reference in the tests) but not
@@ -47,13 +47,6 @@ _SBOX = bytes.fromhex(
     "e1f8981169d98e949b1e87e9ce5528df"
     "8ca1890dbfe6426841992d0fb054bb16"
 )
-
-_INV_SBOX = bytes(256)
-_inv = bytearray(256)
-for i, v in enumerate(_SBOX):
-    _inv[v] = i
-_INV_SBOX = bytes(_inv)
-del _inv
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -102,15 +95,6 @@ def _key_schedule(key: bytes) -> tuple[int, ...]:
     return tuple(words)
 
 
-def _round_keys(key: bytes) -> list[bytes]:
-    """The 11 round keys of 16 bytes each, for the byte-wise decrypt."""
-    words = _key_schedule(bytes(key))
-    return [
-        b"".join(word.to_bytes(4, "big") for word in words[4 * r : 4 * r + 4])
-        for r in range(11)
-    ]
-
-
 def _t_table(column: tuple[int, int, int, int]) -> tuple[int, ...]:
     """SubBytes and one MixColumns column, fused: byte -> 32-bit word.
 
@@ -128,35 +112,6 @@ _TE0 = _t_table((2, 1, 1, 3))
 _TE1 = _t_table((3, 2, 1, 1))
 _TE2 = _t_table((1, 3, 2, 1))
 _TE3 = _t_table((1, 1, 3, 2))
-
-
-def _add_round_key(state: bytearray, round_key: bytes) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
-
-
-def _sub_bytes(state: bytearray, box: bytes) -> None:
-    for i in range(16):
-        state[i] = box[state[i]]
-
-
-def _inv_shift_rows(state: bytearray) -> None:
-    # State is column-major: byte (row r, col c) sits at index 4c + r.
-    for r in range(1, 4):
-        row = [state[4 * c + r] for c in range(4)]
-        row = row[-r:] + row[:-r]
-        for c in range(4):
-            state[4 * c + r] = row[c]
-
-
-def _inv_mix_columns(state: bytearray) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        a, b, d, e = col[0], col[1], col[2], col[3]
-        state[4 * c + 0] = _gmul(a, 14) ^ _gmul(b, 11) ^ _gmul(d, 13) ^ _gmul(e, 9)
-        state[4 * c + 1] = _gmul(a, 9) ^ _gmul(b, 14) ^ _gmul(d, 11) ^ _gmul(e, 13)
-        state[4 * c + 2] = _gmul(a, 13) ^ _gmul(b, 9) ^ _gmul(d, 14) ^ _gmul(e, 11)
-        state[4 * c + 3] = _gmul(a, 11) ^ _gmul(b, 13) ^ _gmul(d, 9) ^ _gmul(e, 14)
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -197,21 +152,3 @@ def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     # fmt: on
     last_key = (rk[40] << 96) | (rk[41] << 64) | (rk[42] << 32) | rk[43]
     return (int.from_bytes(last, "big") ^ last_key).to_bytes(16, "big")
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt one 16-byte block with AES-128."""
-    if len(block) != 16:
-        raise ConfigurationError(f"AES block must be 16 bytes, got {len(block)}")
-    round_keys = _round_keys(key)
-    state = bytearray(block)
-    _add_round_key(state, round_keys[10])
-    for round_index in range(9, 0, -1):
-        _inv_shift_rows(state)
-        _sub_bytes(state, _INV_SBOX)
-        _add_round_key(state, round_keys[round_index])
-        _inv_mix_columns(state)
-    _inv_shift_rows(state)
-    _sub_bytes(state, _INV_SBOX)
-    _add_round_key(state, round_keys[0])
-    return bytes(state)

@@ -19,7 +19,6 @@ from repro.lorawan.mac import MacFrame, MType
 from repro.lorawan.security import (
     DOWNLINK_DIRECTION,
     SessionKeys,
-    decrypt_frm_payload,
     encrypt_frm_payload,
 )
 
@@ -97,7 +96,7 @@ def parse_downlink(raw: bytes, keys: SessionKeys) -> MacFrame:
             f"downlink MIC mismatch for {dev_addr:#010x}: "
             f"expected {expected.hex()}, got {mic.hex()}"
         )
-    plaintext = decrypt_frm_payload(
+    plaintext = encrypt_frm_payload(
         keys.app_skey, dev_addr, fcnt, DOWNLINK_DIRECTION, frm_payload
     )
     return MacFrame(

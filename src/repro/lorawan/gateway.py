@@ -123,7 +123,3 @@ class CommodityGateway:
         except DecodeError:
             return []  # not a sensor payload; nothing to timestamp
         return self._timestamper().reconstruct(arrival_s, ticks, values)
-
-    def reset_counter(self, dev_addr: int) -> None:
-        """Forget counter state (e.g., after a device rejoin)."""
-        self._counter._last.pop(dev_addr, None)

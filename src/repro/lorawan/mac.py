@@ -19,7 +19,6 @@ from repro.lorawan.security import (
     SessionKeys,
     UPLINK_DIRECTION,
     compute_uplink_mic,
-    decrypt_frm_payload,
     encrypt_frm_payload,
     verify_uplink_mic,
 )
@@ -251,7 +250,7 @@ def verify_and_decrypt(raw: bytes, keys: SessionKeys) -> MacFrame:
     frame = parse_mac_frame(raw)
     msg, mic = raw[:-4], raw[-4:]
     verify_uplink_mic(keys.nwk_skey, frame.dev_addr, frame.fcnt, msg, mic)
-    plaintext = decrypt_frm_payload(
+    plaintext = encrypt_frm_payload(
         keys.app_skey, frame.dev_addr, frame.fcnt, UPLINK_DIRECTION, frame.frm_payload
     )
     return MacFrame(

@@ -65,13 +65,6 @@ def encrypt_frm_payload(
     return bytes(out)
 
 
-def decrypt_frm_payload(
-    key: bytes, dev_addr: int, fcnt: int, direction: int, payload: bytes
-) -> bytes:
-    """Alias of :func:`encrypt_frm_payload` (XOR stream cipher)."""
-    return encrypt_frm_payload(key, dev_addr, fcnt, direction, payload)
-
-
 def compute_uplink_mic(nwk_skey: bytes, dev_addr: int, fcnt: int, msg: bytes) -> bytes:
     """Four-byte MIC over an uplink message (MHDR | FHDR | FPort | FRM)."""
     b0 = bytes(

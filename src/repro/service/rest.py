@@ -28,7 +28,8 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.daemon import NetworkServerDaemon
 
-_MAX_REQUEST_LINE = 8192
+#: Longest request or header line served, in bytes; longer gets a 431.
+_MAX_LINE = 8192
 
 
 class _HttpError(Exception):
@@ -40,6 +41,17 @@ class _HttpError(Exception):
         self.status = status
         self.reason = reason
         self.detail = detail
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; a 431 if it is longer than ``_MAX_LINE``."""
+    try:
+        line = await reader.readline()
+        if len(line) <= _MAX_LINE:
+            return line
+    except ValueError:
+        pass  # past the reader's own 64 KiB buffer limit
+    raise _HttpError(431, "Request Header Fields Too Large", f"{what} too long")
 
 
 class ControlPlane:
@@ -93,18 +105,13 @@ class ControlPlane:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> tuple[str, str]:
-        try:
-            request_line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            raise _HttpError(431, "Request Header Fields Too Large", "request line too long")
-        if len(request_line) > _MAX_REQUEST_LINE:
-            raise _HttpError(431, "Request Header Fields Too Large", "request line too long")
+        request_line = await _read_line(reader, "request line")
         parts = request_line.decode("latin-1", "replace").split()
         if len(parts) != 3:
             raise _HttpError(400, "Bad Request", "malformed request line")
         # Drain headers; the control plane is GET-only and ignores them.
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
         return parts[0].upper(), parts[1]

@@ -10,7 +10,10 @@ onset picker and dechirp FB estimator) runs on numpy alone too: its zoom
 FFT is built on :mod:`numpy.fft`.  scipy is imported at first use only
 by the DSP that needs it: the ``"de"`` reference FB estimator, the
 envelope, spectrogram and filtered-AIC onset detectors, and real-noise
-synthesis.  A warmed sweep worker loads no scipy either.
+synthesis.  A warmed sweep worker loads no scipy either.  The link
+layer the daemon loads has no over-the-air join and its AES no decryption:
+devices are provisioned by ABP, and CMAC and the payload keystream only
+encrypt.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -100,6 +103,19 @@ NetworkServer()
 print(json.dumps(sorted(m for m in {DAEMON_FREE_OF!r} if m in sys.modules)))
 """
     assert json.loads(run_fresh(code)) == []
+
+
+def test_daemon_loads_no_join_fingerprinter_or_aes_decryption():
+    code = """
+import json, sys
+import repro.service.daemon
+from repro.server import NetworkServer
+NetworkServer()
+import repro.lorawan.crypto as crypto
+loaded = [m for m in ("repro.lorawan.join", "repro.attack.fingerprint") if m in sys.modules]
+print(json.dumps([loaded, hasattr(crypto, "aes128_decrypt_block")]))
+"""
+    assert json.loads(run_fresh(code)) == [[], False]
 
 
 def test_daemon_resolves_verdicts_without_scipy():

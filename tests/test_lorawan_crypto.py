@@ -4,64 +4,18 @@ import random
 
 import pytest
 
+from aes_reference import reference_encrypt_block
 from repro.errors import ConfigurationError, MicError
-from repro.lorawan.crypto.aes import (
-    _RCON,
-    _SBOX,
-    _gmul,
-    aes128_decrypt_block,
-    aes128_encrypt_block,
-)
+from repro.lorawan.crypto.aes import aes128_encrypt_block
 from repro.lorawan.crypto.cmac import aes_cmac
 from repro.lorawan.security import (
     SessionKeys,
     compute_uplink_mic,
-    decrypt_frm_payload,
     encrypt_frm_payload,
     verify_uplink_mic,
 )
 
 FIPS_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-
-
-def reference_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Byte-wise AES-128 straight from FIPS-197: the oracle for the T-table path."""
-    words = [bytes(key[i : i + 4]) for i in range(0, 16, 4)]
-    for round_index in range(10):
-        prev = words[-1]
-        substituted = bytes(_SBOX[b] for b in prev[1:] + prev[:1])
-        mixed = bytes([substituted[0] ^ _RCON[round_index]]) + substituted[1:]
-        words.append(bytes(a ^ b for a, b in zip(words[-4], mixed)))
-        for _ in range(3):
-            words.append(bytes(a ^ b for a, b in zip(words[-4], words[-1])))
-    round_keys = [b"".join(words[4 * r : 4 * r + 4]) for r in range(11)]
-
-    # State is column-major: byte (row r, col c) sits at index 4c + r.
-    def add_round_key(state, round_key):
-        return bytearray(a ^ b for a, b in zip(state, round_key))
-
-    def sub_bytes(state):
-        return bytearray(_SBOX[b] for b in state)
-
-    def shift_rows(state):
-        return bytearray(state[4 * ((c + r) % 4) + r] for c in range(4) for r in range(4))
-
-    def mix_columns(state):
-        out = bytearray(16)
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            out[4 * c + 0] = _gmul(a0, 2) ^ _gmul(a1, 3) ^ a2 ^ a3
-            out[4 * c + 1] = a0 ^ _gmul(a1, 2) ^ _gmul(a2, 3) ^ a3
-            out[4 * c + 2] = a0 ^ a1 ^ _gmul(a2, 2) ^ _gmul(a3, 3)
-            out[4 * c + 3] = _gmul(a0, 3) ^ a1 ^ a2 ^ _gmul(a3, 2)
-        return out
-
-    state = add_round_key(bytearray(block), round_keys[0])
-    for round_index in range(1, 10):
-        state = mix_columns(shift_rows(sub_bytes(state)))
-        state = add_round_key(state, round_keys[round_index])
-    state = add_round_key(shift_rows(sub_bytes(state)), round_keys[10])
-    return bytes(state)
 
 
 def random_pairs(n: int, seed: int) -> list[tuple[bytes, bytes]]:
@@ -81,29 +35,19 @@ class TestAes128:
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         assert aes128_encrypt_block(key, plaintext) == expected
 
-    def test_decrypt_inverts_encrypt(self):
-        block = bytes(range(16))
-        assert aes128_decrypt_block(FIPS_KEY, aes128_encrypt_block(FIPS_KEY, block)) == block
-
     def test_bad_key_length(self):
         with pytest.raises(ConfigurationError):
             aes128_encrypt_block(b"short", bytes(16))
-        with pytest.raises(ConfigurationError):
-            aes128_decrypt_block(bytes(17), bytes(16))
 
     def test_bad_block_length(self):
         with pytest.raises(ConfigurationError):
             aes128_encrypt_block(FIPS_KEY, b"tiny")
-        with pytest.raises(ConfigurationError):
-            aes128_decrypt_block(FIPS_KEY, b"tiny")
 
     def test_lengths_still_checked_once_the_key_is_cached(self):
         aes128_encrypt_block(FIPS_KEY, bytes(16))  # caches FIPS_KEY's schedule
         for bad_block in (b"", bytes(15), bytes(17)):
             with pytest.raises(ConfigurationError):
                 aes128_encrypt_block(FIPS_KEY, bad_block)
-            with pytest.raises(ConfigurationError):
-                aes128_decrypt_block(FIPS_KEY, bad_block)
         for bad_key in (FIPS_KEY[:15], FIPS_KEY + b"\x00"):
             for _ in range(2):  # a failed expansion is never cached
                 with pytest.raises(ConfigurationError):
@@ -113,7 +57,6 @@ class TestAes128:
         plaintext = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
         expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
         assert aes128_encrypt_block(bytearray(FIPS_KEY), bytearray(plaintext)) == expected
-        assert aes128_decrypt_block(bytearray(FIPS_KEY), expected) == plaintext
 
     def test_table_path_matches_bytewise_reference(self):
         for key, block in random_pairs(1000, seed=2019):
@@ -124,10 +67,6 @@ class TestAes128:
         plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
         expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
         assert reference_encrypt_block(key, plaintext) == expected
-
-    def test_decrypt_inverts_encrypt_on_random_pairs(self):
-        for key, block in random_pairs(50, seed=7):
-            assert aes128_decrypt_block(key, aes128_encrypt_block(key, block)) == block
 
     def test_different_keys_different_output(self):
         block = bytes(16)
@@ -177,8 +116,6 @@ class TestAgainstCryptography:
         for key, block in random_pairs(200, seed=11):
             encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
             assert aes128_encrypt_block(key, block) == encryptor.update(block)
-            decryptor = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
-            assert aes128_decrypt_block(key, block) == decryptor.update(block)
 
     def test_cmac(self):
         pytest.importorskip("cryptography")
@@ -217,7 +154,7 @@ class TestFrameSecurity:
         payload = b"sensor readings live here, 30B!"
         encrypted = encrypt_frm_payload(keys.app_skey, 0xAABBCCDD, 5, 0, payload)
         assert encrypted != payload
-        decrypted = decrypt_frm_payload(keys.app_skey, 0xAABBCCDD, 5, 0, encrypted)
+        decrypted = encrypt_frm_payload(keys.app_skey, 0xAABBCCDD, 5, 0, encrypted)
         assert decrypted == payload
 
     def test_encryption_depends_on_counter(self):

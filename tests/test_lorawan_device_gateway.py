@@ -235,16 +235,6 @@ class TestCommodityGateway:
         delayed = gateway.receive_frame(tx.mac_bytes, tx.emission_time_s + 60.0)
         assert delayed.status is ReceiveStatus.OK
 
-    def test_counter_reset_support(self):
-        device = make_device()
-        gateway = make_gateway(device)
-        device.take_reading(1.0, 0.0)
-        tx = device.transmit(1.0)
-        gateway.receive_frame(tx.mac_bytes, tx.emission_time_s)
-        gateway.reset_counter(DEV)
-        again = gateway.receive_frame(tx.mac_bytes, tx.emission_time_s + 1.0)
-        assert again.status is ReceiveStatus.OK
-
     def test_gps_clock_used_for_arrival(self):
         device = make_device()
         gateway = CommodityGateway(clock=PerfectClock())
