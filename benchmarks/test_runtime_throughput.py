@@ -25,13 +25,13 @@ Three measurements land in ``benchmarks/BENCH_runtime.json``:
   either workload.
 * **parallel sweep speedup** -- four independent replicates of one
   fleet_scale cell run through :class:`SweepExecutor` serially, then
-  twice on the process pool (cold spawn, then the same warm persistent
-  pool).  All three runs must produce identical measurements before
-  any wall-clock number counts; the recorded section carries
-  ``n_cpus`` and cold-vs-warm pool timings alongside the gated
-  ``speedup`` (serial over warm-pool).  On a runner with >= 4 cores the
-  warm speedup must reach 2x -- on smaller runners the gate is
-  *skipped* (recording ``n_cpus``), not silently passed.
+  once in parallel (each parallel run spawns its own pool, so its time
+  includes the spawn).  Both runs must produce identical measurements
+  before any wall-clock number counts; the recorded section carries
+  ``n_cpus`` alongside the gated ``speedup`` (serial over parallel).
+  On a runner with >= 4 cores the speedup must reach 2x -- on smaller
+  runners the gate is *skipped* (recording ``n_cpus``), not silently
+  passed.
 
 The default sizes are smoke sizes (written to the gitignored
 ``BENCH_runtime_smoke.json``) so tier-1 stays fast; CI's bench job sets
@@ -50,7 +50,6 @@ import pytest
 
 from repro.core.softlora import SoftLoRaGateway
 from repro.experiments.fleet_scale import run_fleet_scale
-from repro.parallel import shutdown_default_pools
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
@@ -269,21 +268,15 @@ def test_parallel_sweep_speedup():
     # (where the speedup gate does not apply).
     n_workers = max(2, n_cpus)
     serial_s, serial = _run_replicated_sweep(n_workers=1)
-    # Cold first: tear down any warm default pool so the recorded
-    # cold_pool_s honestly includes the spawn + warm-import cost, then
-    # run again on the surviving pool for the warm number.
-    shutdown_default_pools()
-    cold_s, cold = _run_replicated_sweep(n_workers=n_workers)
-    warm_s, warm = _run_replicated_sweep(n_workers=n_workers)
+    parallel_s, parallel = _run_replicated_sweep(n_workers=n_workers)
 
-    # Correctness first: neither worker count nor pool warmth may
-    # change a single measurement before the wall-clock means anything.
-    for variant in (cold, warm):
-        for cell_a, cell_b in zip(serial.cells, variant.cells):
-            for field_name in _COMPARED_FIELDS:
-                assert getattr(cell_a, field_name) == getattr(cell_b, field_name), field_name
+    # Correctness first: the worker count may not change a single
+    # measurement before the wall-clock means anything.
+    for cell_a, cell_b in zip(serial.cells, parallel.cells):
+        for field_name in _COMPARED_FIELDS:
+            assert getattr(cell_a, field_name) == getattr(cell_b, field_name), field_name
 
-    speedup = serial_s / warm_s
+    speedup = serial_s / parallel_s
     _merge_artifact(
         "parallel_sweep",
         {
@@ -293,9 +286,7 @@ def test_parallel_sweep_speedup():
             "n_cpus": n_cpus,
             "n_workers": n_workers,
             "serial_s": serial_s,
-            "cold_pool_s": cold_s,
-            "warm_pool_s": warm_s,
-            "parallel_s": warm_s,
+            "parallel_s": parallel_s,
             "speedup": speedup,
         },
     )
@@ -303,8 +294,8 @@ def test_parallel_sweep_speedup():
     print()
     print(
         f"parallel sweep ({SWEEP_CELL[0]}x{SWEEP_CELL[1]} cell x{N_REPLICATES}): "
-        f"serial {serial_s:.1f}s, {n_workers} workers cold {cold_s:.1f}s / "
-        f"warm {warm_s:.1f}s, speedup {speedup:.2f}x on {n_cpus} cpus -> {ARTIFACT.name}"
+        f"serial {serial_s:.1f}s, {n_workers} workers {parallel_s:.1f}s, "
+        f"speedup {speedup:.2f}x on {n_cpus} cpus -> {ARTIFACT.name}"
     )
 
     if n_cpus < 4:

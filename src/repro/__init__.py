@@ -108,7 +108,6 @@ __all__ = [
     "SweepExecutor",
     "SweepPoint",
     "SyncFreeTimestamper",
-    "WorkerPool",
     "airtime_s",
     "hz_to_ppm",
     "open_store",
@@ -141,7 +140,6 @@ _LAZY = {
     "SweepPoint": ("repro.experiments.common", "SweepPoint"),
     "run_sweep": ("repro.experiments.common", "run_sweep"),
     "ColumnarRuntime": ("repro.sim.columnar", "ColumnarRuntime"),
-    "WorkerPool": ("repro.parallel", "WorkerPool"),
 }
 
 

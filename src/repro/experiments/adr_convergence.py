@@ -375,9 +375,10 @@ def run_adr_convergence(
     Each cell builds two bit-identical fleets -- one pinned at the
     initial mix (baseline), one under the closed ADR loop -- runs both
     to steady state, and attacks both, so every row is a before/after
-    pair.  ``n_workers > 1`` fans cells out across a persistent
-    process pool with identical results; ``replicates > 1`` salts the
-    keys for independent copies (benchmark workloads).
+    pair.  ``n_workers > 1`` fans cells out, one task each, across a
+    process pool opened for this call, with identical results;
+    ``replicates > 1`` salts the keys for independent copies (benchmark
+    workloads).
     """
     params = AdrConvergenceParams(
         baseline_rounds=baseline_rounds,

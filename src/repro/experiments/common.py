@@ -14,38 +14,35 @@ pipeline instead:
   there, and a trial count;
 * :class:`SweepExecutor` -- the engine that walks every point/trial,
   synthesizes the declared captures, and hands them to the driver's
-  ``measure`` callback -- serially, or fanned out over a persistent
-  :class:`repro.parallel.WorkerPool` (``n_workers > 1``) in
-  cost-balanced chunks;
+  ``measure`` callback -- serially, or fanned out over a ``spawn``
+  process pool (``n_workers > 1``), one task per point;
 * :func:`run_sweep` -- the classic serial entry, now a thin wrapper
   around ``SweepExecutor(n_workers=1)``.
 
 The serial runner preserves the classic drivers' rng call order (per
 trial: FB draw, then phase draw, then onset fraction, then noise), so
 ported drivers regenerate the exact numbers their hand-rolled loops
-produced.  Parallel runs ride the :mod:`repro.parallel` layer: they
-dispatch to a warm ``spawn`` process pool that survives across
-``run()`` calls and steals work chunk by chunk (``imap_unordered``)
-before reordering results into declaration order.  Everything that
-crosses the process boundary -- points, specs, the ``measure``
-callable, per-point generators -- must pickle: module-level functions
-(or :func:`functools.partial` over them) instead of closures, and
-:class:`UniformFbLaw` instead of a lambda for the stock FB draw.
+produced.  A parallel run opens its own ``spawn`` process pool, sends
+one task per point (``imap_unordered``), reorders the results into
+declaration order and closes the pool before ``run()`` returns.
+Everything that crosses the process boundary -- points, specs, the
+``measure`` callable, per-point generators -- must pickle: module-level
+functions (or :func:`functools.partial` over them) instead of closures,
+and :class:`UniformFbLaw` instead of a lambda for the stock FB draw.
 Per-point seeds derive deterministically through
 :class:`repro.sim.rng.RngStreams`, so results are *bitwise* identical
-at any worker count or chunking.
+at any worker count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.parallel import pool as parallel_pool
-from repro.parallel import schedule as parallel_schedule
 from repro.phy.chirp import ChirpConfig, preamble_at_times
 from repro.sdr.iq import IQTrace
 from repro.sdr.noise import RealNoiseModel, complex_awgn, noise_power_for_snr
@@ -212,33 +209,12 @@ class SweepPoint:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TransportStats:
-    """How one parallel run dispatched its chunks to the workers.
-
-    Attributes:
-        n_workers: Worker count the run dispatched to.
-        n_chunks: Work-stealing chunks the grid was cut into.
-        pool_reused: Whether the dispatch found the pool already warm
-            (no spawn/import cost paid inside this run).
-    """
-
-    n_workers: int
-    n_chunks: int
-    pool_reused: bool
-
-
 @dataclass
 class SweepResult:
-    """Measurements grouped by sweep key, in point order.
-
-    ``transport`` carries the parallel run's dispatch accounting
-    (``None`` on serial runs).
-    """
+    """Measurements grouped by sweep key, in point order."""
 
     points: list[SweepPoint]
     measurements: dict[Any, list[Any]]
-    transport: TransportStats | None = None
 
     def keys(self) -> list[Any]:
         return [point.key for point in self.points]
@@ -261,7 +237,7 @@ def _run_point(
     """Run every trial of one (already validated) sweep point.
 
     The per-point generator rides along with its state, keeping any
-    worker count or chunking bit-identical to the serial walk.
+    worker count bit-identical to the serial walk.
     """
     trials = []
     for trial in range(point.n_trials):
@@ -275,41 +251,20 @@ def _run_point(
     return trials
 
 
-def _execute_chunk(
-    task: tuple[Callable, list[tuple[SweepPoint, np.random.Generator | None]]],
-) -> list[tuple[Any, list[Any]]]:
-    """Run one chunk of sweep points (the pool's unit of dispatch).
+def _run_point_task(
+    task: tuple[Callable, SweepPoint, np.random.Generator | None],
+) -> tuple[Any, list[Any]]:
+    """Run one sweep point in a pool worker, keyed for reordering.
 
-    Module-level so the spawn pool can pickle it; walks the chunk's
-    points in declaration order.
+    Module-level so the spawn pool can pickle it.
     """
-    measure, items = task
-    return [(point.key, _run_point(point, measure, rng)) for point, rng in items]
-
-
-def _point_cost(point: SweepPoint) -> float:
-    """Relative cost estimate of one sweep point for chunk planning.
-
-    The estimate is trials x synthesized samples (specs) or just trials
-    (spec-less points).  Costs shape chunk boundaries only -- they can
-    be arbitrarily wrong without affecting results.
-    """
-
-    def spec_samples(spec: ScenarioSpec) -> float:
-        return (spec.pad_chirps + spec.n_chirps + 1) * spec.config.samples_per_chirp
-
-    if isinstance(point.spec, ScenarioSpec):
-        weight = spec_samples(point.spec)
-    elif point.spec is not None:
-        weight = sum(spec_samples(spec) for spec in point.spec.values())
-    else:
-        weight = 1.0
-    return max(1, point.n_trials) * weight
+    measure, point, point_rng = task
+    return point.key, _run_point(point, measure, point_rng)
 
 
 @dataclass(frozen=True)
 class SweepExecutor:
-    """Walks sweep points serially or across a persistent worker pool.
+    """Walks sweep points serially or across a pool of spawned workers.
 
     RNG policy (at most one of the three):
 
@@ -323,29 +278,20 @@ class SweepExecutor:
       grid can grow (or be re-partitioned across workers) without
       perturbing existing points.
 
-    Parallel runs (``n_workers > 1``) dispatch to a
-    :class:`repro.parallel.WorkerPool` of spawned processes that
-    *persists across run() calls*: pass one explicitly (``pool=``, e.g.
-    from a ``with WorkerPool(4) as pool:`` block), or let the executor
-    resolve the module-level default pool for its worker count --
-    either way the spawn/import cost is paid once, not per sweep.
-
-    The grid is cut into contiguous chunks sized by a per-point cost
-    estimate (about four chunks per worker) and dispatched
-    work-stealing via ``imap_unordered``; completed chunks re-associate
-    by point key, so the result order is declaration order no matter
-    which worker finished first.  Worker count, chunking, and stealing
-    order never change results -- only wall-clock.
+    A parallel run (``n_workers > 1``) opens a ``spawn`` pool of
+    ``n_workers`` processes for that run alone and sends it one task per
+    point in declaration order (``imap_unordered``).  Results re-key by
+    point, so they come back in declaration order whichever worker
+    finished first, and the pool is closed before ``run()`` returns or
+    raises.  Worker count and completion order never change results --
+    only wall-clock.
 
     Attributes:
         n_workers: Worker count; ``1`` walks the grid serially in this
             process (the only mode that accepts a shared ``rng``).
-        pool: Explicit pool to dispatch to; ``None`` resolves
-            :func:`repro.parallel.default_pool` for ``n_workers``.
     """
 
     n_workers: int = 1
-    pool: parallel_pool.WorkerPool | None = None
 
     def run(
         self,
@@ -420,21 +366,16 @@ class SweepExecutor:
         tasks: list[tuple[SweepPoint, np.random.Generator | None]],
         measure: Callable,
     ) -> SweepResult:
-        """Fan the validated grid out over the (persistent) worker pool."""
-        chunks = parallel_schedule.plan_chunks(
-            [_point_cost(point) for point, _ in tasks], self.n_workers
-        )
-        pool = self.pool if self.pool is not None else parallel_pool.default_pool(self.n_workers)
-        pool_reused = pool.is_warm
-        chunk_tasks = [(measure, [tasks[i] for i in chunk]) for chunk in chunks]
-        collected: dict[Any, list[Any]] = {}
-        for pairs in pool.imap_unordered(_execute_chunk, chunk_tasks):
-            collected.update(pairs)
-        transport = TransportStats(
-            n_workers=self.n_workers, n_chunks=len(chunks), pool_reused=pool_reused
-        )
+        """Fan the validated grid out over a pool opened for this run."""
+        point_tasks = [(measure, point, point_rng) for point, point_rng in tasks]
+        # Spawned, never forked: a fresh interpreter inherits no parent
+        # state (rng, caches, threads) on any platform.  Leaving the block
+        # terminates the workers, which are idle once every result is in;
+        # a graceful close would wait about 0.25 s for their shutdown.
+        with multiprocessing.get_context("spawn").Pool(self.n_workers) as pool:
+            collected = dict(pool.imap_unordered(_run_point_task, point_tasks))
         measurements = {point.key: collected[point.key] for point in points}
-        return SweepResult(points=points, measurements=measurements, transport=transport)
+        return SweepResult(points=points, measurements=measurements)
 
 
 def run_sweep(

@@ -361,10 +361,10 @@ def run_fleet_scale(
     Each cell is an independent world (fresh devices, layout, server,
     traffic schedule) derived from per-cell rng streams, so cells are
     comparable, the grid can grow without perturbing existing cells, and
-    ``n_workers > 1`` fans whole cells out across a persistent process
-    pool with identical results.  ``replicates > 1`` appends a salt to
-    every key, yielding independent copies of each cell (benchmark
-    workloads).
+    ``n_workers > 1`` fans whole cells out, one task each, across a
+    process pool opened for this call, with identical results.
+    ``replicates > 1`` appends a salt to every key, yielding independent
+    copies of each cell (benchmark workloads).
     ``mode`` is the :class:`~repro.sim.columnar.ColumnarRuntime` mode
     each cell runs in.  ``"events"`` delivers every frame to the server
     and measures every column.  ``"counters"`` runs the same cells as

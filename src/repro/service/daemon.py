@@ -451,11 +451,6 @@ class NetworkServerDaemon:
             self._m_verdicts.inc(labels={"status": verdict.status.value})
             if verdict.status is ServerStatus.REPLAY_DETECTED:
                 self._publish_alert(verdict)
-        self._m_dedup.set(self.server.dedup_rate)
-        elapsed = self.uptime_s
-        if elapsed > 0:
-            self._m_uplink_rate.set(self._m_uplinks.total() / elapsed)
-            self._m_verdict_rate.set(self._m_verdicts.total() / elapsed)
 
     def _update_store_metrics(self) -> None:
         """Refresh the FB-store node gauge from the live store."""
@@ -505,6 +500,15 @@ class NetworkServerDaemon:
             self._m_adr_inflight.inc()
 
     # -- control-plane queries ------------------------------------------------------
+
+    def render_metrics(self) -> str:
+        """The ``/metrics`` body, with the dedup and rate gauges computed now."""
+        self._m_dedup.set(self.server.dedup_rate)
+        elapsed = self.uptime_s
+        if elapsed > 0:
+            self._m_uplink_rate.set(self._m_uplinks.total() / elapsed)
+            self._m_verdict_rate.set(self._m_verdicts.total() / elapsed)
+        return self.metrics.render()
 
     def health(self) -> dict:
         """The ``/healthz`` body: liveness plus ingest/session/store summary."""

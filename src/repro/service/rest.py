@@ -31,6 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Longest request or header line served, in bytes; longer gets a 431.
 _MAX_LINE = 8192
 
+#: Most bytes of request line plus headers served; more gets a 431.
+_MAX_HEAD = 32 * 1024
+
+#: Seconds a client has to send its whole request head; slower gets a 408.
+_HEAD_TIMEOUT_S = 10.0
+
 
 class _HttpError(Exception):
     """An error that maps directly onto an HTTP error response."""
@@ -52,6 +58,24 @@ async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
     except ValueError:
         pass  # past the reader's own 64 KiB buffer limit
     raise _HttpError(431, "Request Header Fields Too Large", f"{what} too long")
+
+
+async def _read_head(reader: asyncio.StreamReader) -> tuple[str, str]:
+    """The request's method and target; a 431 past ``_MAX_HEAD`` bytes."""
+    request_line = await _read_line(reader, "request line")
+    parts = request_line.decode("latin-1", "replace").split()
+    if len(parts) != 3:
+        raise _HttpError(400, "Bad Request", "malformed request line")
+    # Drain headers; the control plane is GET-only and ignores them.
+    size = len(request_line)
+    while True:
+        line = await _read_line(reader, "header line")
+        size += len(line)
+        if size > _MAX_HEAD:
+            raise _HttpError(431, "Request Header Fields Too Large", "request head too long")
+        if line in (b"\r\n", b"\n", b""):
+            break
+    return parts[0].upper(), parts[1]
 
 
 class ControlPlane:
@@ -105,16 +129,11 @@ class ControlPlane:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> tuple[str, str]:
-        request_line = await _read_line(reader, "request line")
-        parts = request_line.decode("latin-1", "replace").split()
-        if len(parts) != 3:
-            raise _HttpError(400, "Bad Request", "malformed request line")
-        # Drain headers; the control plane is GET-only and ignores them.
-        while True:
-            line = await _read_line(reader, "header line")
-            if line in (b"\r\n", b"\n", b""):
-                break
-        return parts[0].upper(), parts[1]
+        # asyncio.wait_for, not asyncio.timeout: the latter needs 3.11.
+        try:
+            return await asyncio.wait_for(_read_head(reader), _HEAD_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            raise _HttpError(408, "Request Timeout", "request head not received in time") from None
 
     async def _route(self, method: str, target: str, writer: asyncio.StreamWriter) -> None:
         if method != "GET":
@@ -124,7 +143,7 @@ class ControlPlane:
         if path == "/healthz":
             self._write_json(writer, 200, "OK", self.daemon.health())
         elif path == "/metrics":
-            body = self.daemon.metrics.render().encode()
+            body = self.daemon.render_metrics().encode()
             self._write_raw(writer, 200, "OK", "text/plain; version=0.0.4", body)
         elif path == "/verdicts":
             self._write_json(writer, 200, "OK", self._verdicts(parse_qs(url.query)))

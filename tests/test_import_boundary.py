@@ -187,16 +187,6 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert json.loads(run_fresh(code)) == []
 
 
-def test_warm_sweep_worker_loads_no_scipy():
-    code = """
-import json, sys
-from repro.parallel.pool import _warm_worker
-_warm_worker()
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-"""
-    assert json.loads(run_fresh(code)) == []
-
-
 def test_loadgen_names_stay_reachable_from_service():
     code = """
 import sys

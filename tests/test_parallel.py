@@ -1,16 +1,18 @@
-"""Tests for the repro.parallel layer: pools and scheduling.
+"""Tests for parallel sweeps: one spawn pool per run, one task per point.
 
-The load-bearing guarantee is pinned here: worker count, chunk plan,
-work-stealing order, and pool warmth change wall-clock only -- never a
-single result bit.
+The load-bearing guarantee is pinned here: worker count and completion
+order change wall-clock only -- never a single result bit -- and a run
+leaves no worker process behind, whether it returns or raises.
 """
+
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments.common import SweepExecutor, SweepPoint
-from repro.parallel import WorkerPool, default_pool, intra_thread_count, plan_chunks
+from repro.parallel import intra_thread_count
 from repro.sim.rng import RngStreams
 
 
@@ -19,43 +21,27 @@ def measure_key_noise(point, trial, captures, rng):
     return float(point.key) * 100.0 + float(rng.standard_normal())
 
 
+def measure_or_fail(point, trial, captures, rng):
+    """Measure that raises at one key, to check the error path."""
+    if point.key == 3:
+        raise ValueError(f"measure failed at point {point.key}")
+    return float(point.key)
+
+
+def measure_importing_scipy(point, trial, captures, rng):
+    """Measure that leaves scipy loaded in the worker that ran it."""
+    import scipy.signal  # noqa: F401
+
+    return float(point.key)
+
+
+def measure_scipy_modules(point, trial, captures, rng):
+    """Measure that reports the scipy modules its worker holds."""
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
 def _points(n=6, n_trials=3):
     return [SweepPoint(key=k, n_trials=n_trials) for k in range(n)]
-
-
-@pytest.fixture(scope="module")
-def warm_pool():
-    """One warm two-worker pool: the module pays the spawn cost once.
-
-    It is the default pool for two workers, so executors that resolve
-    the default share it too.
-    """
-    return default_pool(2).warm()
-
-
-class TestPlanChunks:
-    def test_partitions_every_index_in_order(self):
-        chunks = plan_chunks([1.0] * 10, n_workers=3)
-        flat = [i for chunk in chunks for i in chunk]
-        assert flat == list(range(10))
-
-    def test_balances_by_cost(self):
-        # One expensive point early closes its chunk immediately.
-        chunks = plan_chunks([1, 1, 5, 1, 1, 1, 1, 1], n_workers=2, chunks_per_worker=2)
-        assert chunks[0][-1] == 2 or len(chunks[0]) <= 3
-
-    def test_zero_cost_falls_back_to_even_chunks(self):
-        chunks = plan_chunks([0.0] * 6, n_workers=2, chunks_per_worker=3)
-        assert [i for chunk in chunks for i in chunk] == list(range(6))
-
-    def test_empty_grid(self):
-        assert plan_chunks([], n_workers=2) == []
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_chunks([1.0], n_workers=0)
-        with pytest.raises(ConfigurationError):
-            plan_chunks([1.0], n_workers=1, chunks_per_worker=0)
 
 
 class TestIntraThreadCount:
@@ -66,49 +52,26 @@ class TestIntraThreadCount:
             assert intra_thread_count() == 1
 
 
-class TestWorkerPool:
-    def test_default_pool_is_shared_per_signature(self):
-        # Lookup alone starts no workers, so nothing needs tearing down.
-        assert default_pool(4) is default_pool(4)
-        assert default_pool(4) is not default_pool(5)
-
-    def test_context_manager_lifecycle(self):
-        with WorkerPool(1) as pool:
-            assert pool.is_warm
-            assert sorted(pool.imap_unordered(abs, [-1, -2])) == [1, 2]
-        assert not pool.is_warm
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(0)
-
-
 class TestBitwiseDeterminism:
-    """The tentpole invariant, across every execution knob."""
+    """The tentpole invariant, across worker counts and rng policies."""
 
-    def test_process_pool_matches_serial_at_any_worker_count(self, warm_pool):
+    def test_process_pool_matches_serial_at_any_worker_count(self):
         points = _points(n=20)
         serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
-        # Two and three planned workers cut different chunk plans (7
-        # chunks of 3 points vs 10 of 2); the shared pool runs both.
-        n_chunks = set()
         for n_workers in (2, 3):
-            spawned = SweepExecutor(n_workers=n_workers, pool=warm_pool).run(
+            spawned = SweepExecutor(n_workers=n_workers).run(
                 points, measure_key_noise, point_seed=11
             )
             assert spawned.measurements == serial.measurements
-            n_chunks.add(spawned.transport.n_chunks)
-        assert len(n_chunks) == 2
+            assert spawned.keys() == serial.keys()
 
-    def test_rng_factory_policy_matches_serial(self, warm_pool):
+    def test_rng_factory_policy_matches_serial(self):
         def factory(point):
             return RngStreams(23).fresh(f"node:{point.key}")
 
         points = _points()
         serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, rng_factory=factory)
-        spawned = SweepExecutor(n_workers=3, pool=warm_pool).run(
-            points, measure_key_noise, rng_factory=factory
-        )
+        spawned = SweepExecutor(n_workers=3).run(points, measure_key_noise, rng_factory=factory)
         assert spawned.measurements == serial.measurements
 
     def test_shared_rng_policy_is_repeatable_serially(self):
@@ -121,32 +84,28 @@ class TestBitwiseDeterminism:
         ]
         assert runs[0].measurements == runs[1].measurements
 
-    def test_cost_skewed_points_shape_chunks_not_results(self, warm_pool):
-        # Trial counts drive the cost estimate: heavy points close
-        # their chunks early, light ones share a chunk.
+    def test_cost_skewed_points_shape_chunks_not_results(self):
+        # Heavy and light points alternate, so workers finish out of
+        # declaration order; the results still come back in it.
         points = [SweepPoint(key=k, n_trials=1 + (k % 2) * 9) for k in range(8)]
         serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
-        spawned = SweepExecutor(n_workers=2, pool=warm_pool).run(
-            points, measure_key_noise, point_seed=11
-        )
+        spawned = SweepExecutor(n_workers=2).run(points, measure_key_noise, point_seed=11)
         assert spawned.measurements == serial.measurements
+        assert list(spawned.measurements) == list(range(8))
 
-    def test_transport_stats_recorded(self, warm_pool):
-        points = _points()
-        spawned = SweepExecutor(n_workers=2, pool=warm_pool).run(
-            points, measure_key_noise, point_seed=11
-        )
-        assert spawned.transport is not None
-        assert spawned.transport.n_workers == 2
-        assert spawned.transport.n_chunks >= 2
-        assert spawned.transport.pool_reused
-        serial = SweepExecutor(n_workers=1).run(points, measure_key_noise, point_seed=11)
-        assert serial.transport is None
 
-    def test_default_pool_reused_across_runs(self, warm_pool):
-        points = _points(n=4, n_trials=2)
-        executor = SweepExecutor(n_workers=2)
-        first = executor.run(points, measure_key_noise, point_seed=7)
-        second = executor.run(points, measure_key_noise, point_seed=7)
-        assert second.transport.pool_reused
-        assert first.measurements == second.measurements
+class TestPoolLifecycle:
+    def test_no_worker_outlives_a_run_that_returns_or_raises(self):
+        SweepExecutor(n_workers=2).run(_points(n=4), measure_key_noise, point_seed=7)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="failed at point 3"):
+            SweepExecutor(n_workers=2).run(_points(n=6, n_trials=1), measure_or_fail)
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_worker_holds_no_scipy(self):
+        # The default receive chain and the sweep machinery run on numpy
+        # alone.  Each run spawns fresh workers, so a module an earlier
+        # run's measure imported is gone from the next run's workers.
+        SweepExecutor(n_workers=2).run(_points(n=8, n_trials=1), measure_importing_scipy)
+        result = SweepExecutor(n_workers=2).run(_points(n=8, n_trials=1), measure_scipy_modules)
+        assert result.flat() == [[]] * 8

@@ -29,6 +29,7 @@ from repro.service import (
     new_server,
     replay,
 )
+from repro.service import rest
 from repro.service.semtech import (
     PROTOCOL_VERSION,
     PacketType,
@@ -378,6 +379,7 @@ class TestControlPlane:
             out["page"] = await http_get(port, "/verdicts?offset=1&limit=2")
             out["metrics"] = await http_get(port, "/metrics")
             out["state"] = daemon.server.device_state(0x26000000)
+            out["dedup_rate"] = daemon.server.dedup_rate
             await daemon.stop()
             return out
 
@@ -411,7 +413,12 @@ class TestControlPlane:
         for name, count in by_status.items():
             assert f'repro_service_verdicts_total{{status="{name}"}} {count}' in text
         assert "# TYPE repro_service_queue_depth gauge" in text
-        assert "repro_service_uplinks_per_s" in text
+        # The dedup and rate gauges are computed when /metrics is read.
+        gauges = dict(line.split(" ", 1) for line in text.splitlines() if not line.startswith("#"))
+        assert out["dedup_rate"] > 1.0
+        assert float(gauges["repro_service_dedup_copies_per_uplink"]) == out["dedup_rate"]
+        assert float(gauges["repro_service_uplinks_per_s"]) > 0
+        assert float(gauges["repro_service_verdicts_per_s"]) > 0
 
     def test_verdict_paging_is_capped_by_config(self, plan):
         async def run():
@@ -431,6 +438,12 @@ class TestControlPlane:
     def test_error_paths(self, plan):
         cases = [
             (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70_000, 431, "header line too long"),
+            # Each header line fits the line cap; together they pass the head budget.
+            (
+                b"GET /healthz HTTP/1.1" + (b"\r\nX: " + b"a" * 8_000) * 5,
+                431,
+                "request head too long",
+            ),
             (b"POST /healthz HTTP/1.1", 405, "POST not supported"),
             (b"GET /nothere HTTP/1.1", 404, "no route for /nothere"),
             (b"GET /devices/deadbeef HTTP/1.1", 404, "device deadbeef not registered"),
@@ -447,6 +460,24 @@ class TestControlPlane:
 
         for (head, status, detail), (got, body) in zip(cases, asyncio.run(run())):
             assert (got, json.loads(body)) == (status, {"error": detail}), head[:40]
+
+    def test_slow_request_head_gets_408(self, plan, monkeypatch):
+        monkeypatch.setattr(rest, "_HEAD_TIMEOUT_S", 0.2)
+
+        async def run():
+            daemon = await make_daemon(plan)
+            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.http_port)
+            # The request line arrives; the blank line that ends the head never does.
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), 5.0)
+            writer.close()
+            await daemon.stop()
+            return raw
+
+        head, _, body = asyncio.run(run()).partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert json.loads(body) == {"error": "request head not received in time"}
 
 
 class TestBackpressure:
