@@ -99,17 +99,17 @@ def test_pipeline_throughput():
 
     # Correctness first: the batched engine must reproduce the
     # per-capture chain bitwise before its speed means anything.
-    for (time_s, fb_hz), outcome in zip(loop_results, batch_results.outcomes):
-        assert outcome.phy_timestamp_s == time_s
-        assert outcome.fb_estimate.fb_hz == fb_hz
+    loop_times_s, loop_fbs_hz = (np.array(column) for column in zip(*loop_results))
+    np.testing.assert_array_equal(batch_results.phy_timestamps_s, loop_times_s)
+    np.testing.assert_array_equal(batch_results.fb_hz, loop_fbs_hz)
 
     # The FB stage alone, on the chirps both paths sliced.
     onsets = batch_results.onset_indices
     chirps = np.stack([c.trace.samples[i + spc : i + 2 * spc] for c, i in zip(captures, onsets)])
-    fb_loop_s, fb_loop = _best_of(lambda: [estimator.estimate(c) for c in chirps])
+    fb_loop_s, fb_loop = _best_of(lambda: [estimator.estimate(c).fb_hz for c in chirps])
     fb_batch_s, fb_batch = _best_of(lambda: estimator.estimate_batch(chirps))
-    assert [e.fb_hz for e in fb_batch] == [e.fb_hz for e in fb_loop]
-    assert [e.fb_hz for e in fb_loop] == [fb_hz for _, fb_hz in loop_results]
+    np.testing.assert_array_equal(fb_batch, fb_loop)
+    np.testing.assert_array_equal(fb_loop, loop_fbs_hz)
 
     loop_cps = N_CAPTURES / loop_s
     batch_cps = N_CAPTURES / batch_s

@@ -466,11 +466,12 @@ class LeastSquaresFbEstimator:
 
     def _estimate_dechirp_batch(
         self, stack: np.ndarray, capture_rows: np.ndarray | None = None
-    ) -> list[FbEstimate]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dechirp reduction on an ``(n, spc)`` stack -- no row loop.
 
-        Errors name a bad row by its entry of ``capture_rows`` (by its
-        position in ``stack`` when not given).
+        Returns ``(fb_hz, coarse_fb_hz, correlation)``, each of shape
+        ``(n,)``.  Errors name a bad row by its entry of ``capture_rows``
+        (by its position in ``stack`` when not given).
         """
         dechirped = self._dechirped(stack)
         coarse, start = self._coarse_batch(dechirped)
@@ -492,20 +493,7 @@ class LeastSquaresFbEstimator:
                 f"FB correlation is not finite for capture rows {bad.tolist()}: "
                 "the samples hold NaN, inf or overflowing values"
             )
-        phases = np.mod(np.angle(corr), 2 * np.pi)
-        return [
-            FbEstimate(
-                fb_hz=float(fb[row]),
-                phase=float(phases[row]),
-                method="least_squares/dechirp",
-                diagnostics={
-                    "coarse_fb_hz": float(coarse[row]),
-                    "correlation_magnitude": float(np.abs(corr[row])),
-                    "fft_bin_width_hz": bin_width,
-                },
-            )
-            for row in range(len(stack))
-        ]
+        return fb, coarse, corr
 
     # -- the paper's differential evolution ---------------------------------
 
@@ -557,19 +545,30 @@ class LeastSquaresFbEstimator:
         samples = _chirp_samples(iq, self.config)
         if self.method == "de":
             return self._estimate_de(samples, noise_power)
-        return self._estimate_dechirp_batch(samples[np.newaxis, :])[0]
+        fb, coarse, corr = self._estimate_dechirp_batch(samples[np.newaxis, :])
+        return FbEstimate(
+            fb_hz=float(fb[0]),
+            phase=float(np.mod(np.angle(corr), 2 * np.pi)[0]),
+            method="least_squares/dechirp",
+            diagnostics={
+                "coarse_fb_hz": float(coarse[0]),
+                "correlation_magnitude": float(np.abs(corr[0])),
+                "fft_bin_width_hz": self._plan.bin_width_hz,
+            },
+        )
 
     def estimate_batch(
         self,
         chirps: np.ndarray | list,
         noise_powers: np.ndarray | float | None = None,
         capture_rows: np.ndarray | None = None,
-    ) -> list[FbEstimate]:
-        """Estimate δ for a stack of chirps, one per row.
+    ) -> np.ndarray:
+        """Estimate δ for a stack of chirps, one per row; an ``(n,)`` float array.
 
         ``chirps`` is an ``(n, samples_per_chirp)`` complex array (longer
         rows are truncated to one chirp) or a list of equal-rate chirp
-        slices.  The dechirp method runs fully vectorized; the reference
+        slices.  Row ``r`` equals ``estimate(chirps[r]).fb_hz`` bitwise.
+        The dechirp method runs fully vectorized; the reference
         ``"de"`` solver, kept verbatim from the paper, has no batched
         form and falls back to a per-row loop.  ``capture_rows`` gives,
         per chirp, the row number that an :class:`EstimationError` about
@@ -582,7 +581,8 @@ class LeastSquaresFbEstimator:
                 np.asarray(0.0 if noise_powers is None else noise_powers, dtype=float),
                 (len(stack),),
             )
-            return [
-                self._estimate_de(row, float(power)) for row, power in zip(stack, powers)
-            ]
-        return self._estimate_dechirp_batch(stack, capture_rows)
+            return np.array(
+                [self._estimate_de(row, float(power)).fb_hz for row, power in zip(stack, powers)],
+                dtype=float,
+            )
+        return self._estimate_dechirp_batch(stack, capture_rows)[0]

@@ -254,43 +254,6 @@ class AicDetector:
         )
 
 
-class FilteredAicDetector:
-    """Channel filter, then AIC pick, on one capture.
-
-    Band-limits the capture to the LoRa channel (the digital counterpart
-    of the receiver's low-pass selection stage; ~12.8 dB of in-band SNR
-    at 2.4 Msps) and runs the AIC picker on the filtered magnitude.  At
-    bench SNRs it performs like the plain AIC.  The low-SNR experiments
-    (Figs. 10 and 15) do not use this class: they call
-    :func:`repro.sdr.filters.bandlimit_trace` themselves and then pick.
-    """
-
-    def __init__(
-        self,
-        cutoff_hz: float | None = None,
-        aic: AicDetector | None = None,
-    ):
-        # Import here: sdr.filters depends on sdr.iq only, but keeping
-        # core.onset import-light avoids dragging scipy.signal.butter in
-        # for users who never touch this detector.
-        from repro.sdr.filters import DEFAULT_CHANNEL_CUTOFF_HZ
-
-        self.cutoff_hz = DEFAULT_CHANNEL_CUTOFF_HZ if cutoff_hz is None else cutoff_hz
-        self.aic = aic or AicDetector()
-
-    def detect(self, trace: IQTrace, component: str = "magnitude") -> OnsetResult:
-        from repro.sdr.filters import bandlimit_trace
-
-        filtered = bandlimit_trace(trace, self.cutoff_hz)
-        onset = self.aic.detect(filtered, component=component)
-        return OnsetResult(
-            index=onset.index,
-            time_s=onset.time_s,
-            detector="filtered_aic",
-            diagnostics={**onset.diagnostics, "cutoff_hz": self.cutoff_hz},
-        )
-
-
 class MatchedFilterDetector:
     """Real-template matched filter -- the approach the paper rejects.
 

@@ -11,7 +11,10 @@ data timestamping) and keeps flagged FBs out of the history.
 
 :meth:`SoftLoRaGateway.process_capture` runs the chain on one capture;
 every number is produced by actual signal processing on I/Q samples.
-Stacks of captures go through :class:`repro.pipeline.BatchPipeline`.
+Stacks of captures go through :class:`repro.pipeline.BatchPipeline`,
+which returns the onsets, timestamps and FBs as arrays and demodulates
+nothing.  ``examples/quickstart.py`` takes one capture from
+:meth:`SoftLoRaGateway.process_capture` to the server's verdict.
 
 The paired commodity chip (:attr:`SoftLoRaGateway.commodity`) holds the
 session keys and counters: a :class:`repro.sim.network.LoRaWanWorld`

@@ -22,9 +22,9 @@ pipeline instead:
 The serial runner preserves the classic drivers' rng call order (per
 trial: FB draw, then phase draw, then onset fraction, then noise), so
 ported drivers regenerate the exact numbers their hand-rolled loops
-produced.  A parallel run opens its own ``spawn`` process pool, sends
-one task per point (``imap_unordered``), reorders the results into
-declaration order and closes the pool before ``run()`` returns.
+produced.  A parallel run opens its own ``spawn`` process pool, maps
+one task per point over it in declaration order and shuts the pool
+down before ``run()`` returns or raises.
 Everything that crosses the process boundary -- points, specs, the
 ``measure`` callable, per-point generators -- must pickle: module-level
 functions (or :func:`functools.partial` over them) instead of closures,
@@ -37,6 +37,7 @@ at any worker count.
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -237,7 +238,8 @@ def _run_point(
     """Run every trial of one (already validated) sweep point.
 
     The per-point generator rides along with its state, keeping any
-    worker count bit-identical to the serial walk.
+    worker count bit-identical to the serial walk.  Module-level so the
+    spawn pool can pickle it.
     """
     trials = []
     for trial in range(point.n_trials):
@@ -249,17 +251,6 @@ def _run_point(
             captures = {name: spec.synthesize(point_rng) for name, spec in point.spec.items()}
         trials.append(measure(point, trial, captures, point_rng))
     return trials
-
-
-def _run_point_task(
-    task: tuple[Callable, SweepPoint, np.random.Generator | None],
-) -> tuple[Any, list[Any]]:
-    """Run one sweep point in a pool worker, keyed for reordering.
-
-    Module-level so the spawn pool can pickle it.
-    """
-    measure, point, point_rng = task
-    return point.key, _run_point(point, measure, point_rng)
 
 
 @dataclass(frozen=True)
@@ -278,13 +269,14 @@ class SweepExecutor:
       grid can grow (or be re-partitioned across workers) without
       perturbing existing points.
 
-    A parallel run (``n_workers > 1``) opens a ``spawn`` pool of
-    ``n_workers`` processes for that run alone and sends it one task per
-    point in declaration order (``imap_unordered``).  Results re-key by
-    point, so they come back in declaration order whichever worker
-    finished first, and the pool is closed before ``run()`` returns or
-    raises.  Worker count and completion order never change results --
-    only wall-clock.
+    A parallel run (``n_workers > 1``) opens a ``spawn`` process pool of
+    ``n_workers`` workers for that run alone and maps one task per point
+    over it, collecting the results in declaration order whichever
+    worker finished first.  The pool is shut down before ``run()``
+    returns or raises: a ``measure`` that raises cancels the points not
+    yet started, and a worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  Worker count
+    and completion order never change results -- only wall-clock.
 
     Attributes:
         n_workers: Worker count; ``1`` walks the grid serially in this
@@ -367,14 +359,20 @@ class SweepExecutor:
         measure: Callable,
     ) -> SweepResult:
         """Fan the validated grid out over a pool opened for this run."""
-        point_tasks = [(measure, point, point_rng) for point, point_rng in tasks]
+        point_rngs = [point_rng for _, point_rng in tasks]
         # Spawned, never forked: a fresh interpreter inherits no parent
-        # state (rng, caches, threads) on any platform.  Leaving the block
-        # terminates the workers, which are idle once every result is in;
-        # a graceful close would wait about 0.25 s for their shutdown.
-        with multiprocessing.get_context("spawn").Pool(self.n_workers) as pool:
-            collected = dict(pool.imap_unordered(_run_point_task, point_tasks))
-        measurements = {point.key: collected[point.key] for point in points}
+        # state (rng, caches, threads) on any platform.
+        executor = ProcessPoolExecutor(
+            self.n_workers, mp_context=multiprocessing.get_context("spawn")
+        )
+        try:
+            trials = list(executor.map(_run_point, points, [measure] * len(points), point_rngs))
+        finally:
+            # On an error, drop the points no worker has started rather
+            # than run the rest of the grid; either way every worker is
+            # joined before this returns.
+            executor.shutdown(cancel_futures=True)
+        measurements = {point.key: point_trials for point, point_trials in zip(points, trials)}
         return SweepResult(points=points, measurements=measurements)
 
 

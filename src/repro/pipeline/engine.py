@@ -18,11 +18,11 @@ length and not by the batch size:
    reference), a zoom FFT over the in-range bins of the zero-padded grid,
    and a safeguarded Newton refinement on ``|C(f)|²`` that converges row
    by row, usually in two passes
-   (:meth:`LeastSquaresFbEstimator.estimate_batch`);
-5. **FB-database lookup** -- optional replay verdicts per capture.  This
-   stage is *sequential by design*: the database learns from each accepted
-   frame in arrival order, so verdicts depend on processing order exactly
-   as they would at a live gateway.
+   (:meth:`LeastSquaresFbEstimator.estimate_batch`).
+
+The result is three per-capture arrays -- onset index, PHY timestamp and
+FB -- and no verdict: replay verdicts belong to
+:class:`repro.server.NetworkServer`.
 
 The block's curves and chirps, and every kernel temporary, live in
 per-thread buffers that the pipeline, detector and estimator reuse
@@ -35,14 +35,12 @@ computed on its own, so the result does not depend on the block size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.core._scratch import Scratch
-from repro.core.detector import DetectionResult, ReplayDetector
-from repro.core.freq_bias import FbEstimate, LeastSquaresFbEstimator
-from repro.core.onset import AicDetector, OnsetResult
+from repro.core.freq_bias import LeastSquaresFbEstimator
+from repro.core.onset import AicDetector
 from repro.errors import ConfigurationError
 from repro.phy.chirp import ChirpConfig
 from repro.pipeline.batch import CaptureBatch
@@ -54,45 +52,24 @@ from repro.pipeline.batch import CaptureBatch
 _BLOCK_SAMPLES = 2**17
 
 
-@dataclass(frozen=True)
-class CaptureOutcome:
-    """Everything the engine derives from one capture of a batch."""
-
-    onset: OnsetResult
-    phy_timestamp_s: float
-    fb_estimate: FbEstimate | None = None
-    replay_check: DetectionResult | None = None
-    error: str | None = None
-
-    @property
-    def fb_hz(self) -> float | None:
-        """The capture's FB estimate, or ``None`` when estimation failed."""
-        return None if self.fb_estimate is None else self.fb_estimate.fb_hz
-
-
 @dataclass
 class BatchResult:
-    """Stage outputs for a whole batch, arrays plus per-capture outcomes."""
+    """The chain's outputs for a batch, one array entry per capture.
 
-    outcomes: list[CaptureOutcome]
+    Attributes:
+        onset_indices: AIC onset sample of each capture.
+        phy_timestamps_s: Absolute time of each onset, the PHY timestamp.
+        fb_hz: Estimated FB of each capture; NaN where the FB chirp runs
+            past the capture window.
+    """
+
     onset_indices: np.ndarray
     phy_timestamps_s: np.ndarray
+    fb_hz: np.ndarray
 
     def __len__(self) -> int:
-        """Number of per-capture outcomes."""
-        return len(self.outcomes)
-
-    @property
-    def fb_hz(self) -> np.ndarray:
-        """Estimated FB per capture (NaN where estimation was skipped)."""
-        return np.array(
-            [np.nan if o.fb_estimate is None else o.fb_estimate.fb_hz for o in self.outcomes]
-        )
-
-    @property
-    def ok(self) -> np.ndarray:
-        """Boolean mask of captures that cleared every stage."""
-        return np.array([o.error is None for o in self.outcomes])
+        """Number of captures."""
+        return len(self.onset_indices)
 
 
 @dataclass
@@ -130,30 +107,19 @@ class BatchPipeline:
         self,
         batch: CaptureBatch,
         component: str = "i",
-        node_ids: Sequence[str] | None = None,
-        replay_detector: ReplayDetector | None = None,
         noise_powers: np.ndarray | float | None = None,
     ) -> BatchResult:
         """Process every capture of ``batch`` through the vectorized chain.
 
-        ``node_ids`` + ``replay_detector`` enable the FB-database stage:
-        capture ``r`` is checked (and, if accepted, learned) as node
-        ``node_ids[r]``.  Captures whose FB chirp would run past the
-        capture window skip estimation and carry an ``error`` instead --
-        the batch analogue of the single-capture ``EstimationError`` path.
-        ``noise_powers`` (scalar or per-capture) is only consulted by the
-        reference ``"de"`` estimator.  ``node_ids`` or a non-scalar
-        ``noise_powers`` that is not one entry per capture raises
-        :class:`~repro.errors.ConfigurationError`; a capture holding NaN
+        Captures whose FB chirp would run past the capture window skip
+        estimation: their ``fb_hz`` is NaN, their onset and timestamp
+        stand.  ``noise_powers`` (scalar or per-capture) is only consulted
+        by the reference ``"de"`` estimator; a non-scalar one that is not
+        one entry per capture raises
+        :class:`~repro.errors.ConfigurationError`.  A capture holding NaN
         or infinite samples raises :class:`~repro.errors.EstimationError`
         naming its row.
         """
-        if node_ids is not None and len(node_ids) != len(batch):
-            raise ConfigurationError(
-                f"{len(node_ids)} node ids do not match {len(batch)} captures"
-            )
-        if node_ids is not None and replay_detector is None:
-            raise ConfigurationError("node_ids given but no replay_detector to check them")
         if np.ndim(noise_powers) > 0 and np.shape(noise_powers) != (len(batch),):
             raise ConfigurationError(
                 f"noise powers of shape {np.shape(noise_powers)} do not match "
@@ -162,9 +128,9 @@ class BatchPipeline:
         if len(batch) == 0:
             # An empty fleet step is a no-op, not a numpy shape error.
             return BatchResult(
-                outcomes=[],
                 onset_indices=np.zeros(0, dtype=int),
                 phy_timestamps_s=np.zeros(0),
+                fb_hz=np.zeros(0),
             )
 
         # Stages 1, 3 and 4, one block of rows at a time.
@@ -177,10 +143,7 @@ class BatchPipeline:
         if np.ndim(noise_powers) == 1:
             noise_powers = np.asarray(noise_powers, dtype=float)
         indices = np.empty(n_captures, dtype=int)
-        minima = np.empty(n_captures)
-        # Whether each capture's FB chirp fits inside its window.
-        fits = np.empty(n_captures, dtype=bool)
-        estimates: list[FbEstimate | None] = [None] * n_captures
+        fb_hz = np.full(n_captures, np.nan)
         for first in range(0, n_captures, block_rows):
             block = slice(first, min(first + block_rows, n_captures))
             if component == "magnitude":
@@ -189,10 +152,10 @@ class BatchPipeline:
             else:
                 x = batch.component(component, block)
             block_curves = self.onset_detector.aic_curve_batch(x, out=curves[: len(x)])
-            indices[block], minima[block] = self.onset_detector.pick(block_curves, first)
+            indices[block] = self.onset_detector.pick(block_curves, first)[0]
             starts = indices[block] + offset
-            fits[block] = starts + spc <= n_samples
-            rows = np.flatnonzero(fits[block])
+            # The rows whose FB chirp fits inside the capture window.
+            rows = np.flatnonzero(starts + spc <= n_samples)
             if not len(rows):
                 continue
             for slot, row in enumerate(rows):
@@ -200,47 +163,10 @@ class BatchPipeline:
             powers = noise_powers
             if np.ndim(powers) == 1:
                 powers = powers[first + rows]
-            fitted = self.fb_estimator.estimate_batch(
+            fb_hz[first + rows] = self.fb_estimator.estimate_batch(
                 chirps[: len(rows)], noise_powers=powers, capture_rows=first + rows
             )
-            for row, estimate in zip(rows, fitted):
-                estimates[first + row] = estimate
 
         # Stage 2: vectorized PHY timestamps.
         timestamps = batch.times_of_indices(indices)
-
-        # Stage 5 (optional, order-dependent): FB-database verdicts.
-        outcomes = []
-        for row in range(len(batch)):
-            index = int(indices[row])
-            onset = OnsetResult(
-                index=index,
-                time_s=float(timestamps[row]),
-                detector="aic",
-                diagnostics={"aic_min": float(minima[row])},
-            )
-            error = None
-            if not fits[row]:
-                # Word-for-word the EstimationError the single-capture
-                # estimator raises on the same short slice.
-                got = max(0, n_samples - index - offset)
-                error = (
-                    f"need one full chirp ({spc} samples) for FB estimation, got {got}"
-                )
-            check = None
-            if node_ids is not None and estimates[row] is not None:
-                check = replay_detector.check(
-                    node_ids[row], estimates[row].fb_hz, time_s=float(timestamps[row])
-                )
-            outcomes.append(
-                CaptureOutcome(
-                    onset=onset,
-                    phy_timestamp_s=float(timestamps[row]),
-                    fb_estimate=estimates[row],
-                    replay_check=check,
-                    error=error,
-                )
-            )
-        return BatchResult(
-            outcomes=outcomes, onset_indices=indices, phy_timestamps_s=timestamps
-        )
+        return BatchResult(onset_indices=indices, phy_timestamps_s=timestamps, fb_hz=fb_hz)

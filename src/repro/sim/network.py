@@ -115,7 +115,7 @@ class LoRaWanWorld:
         link: The primary gateway's link budget.
         devices: Every device, by name.
         fb_model: Calibrated FB-estimation noise of the frame-level path.
-        rng: Draws the FB-estimation noise and the waveform path's AWGN.
+        rng: Draws the FB-estimation noise.
         now_s: The world clock in simulated seconds.  Each runtime
             phase starts here and leaves it at the phase end; callers
             may move it forward between phases.
@@ -447,95 +447,6 @@ class LoRaWanWorld:
             self.events.append(event)
             ordered.append(event)
         return ordered
-
-    # -- waveform-level path ------------------------------------------------------
-
-    def uplink_with_capture(
-        self,
-        device_name: str,
-        request_time_s: float,
-        pad_samples: int = 1200,
-        tail_samples: int = 1024,
-    ) -> WorldEvent:
-        """One uplink through the *full DSP pipeline* at the primary gateway.
-
-        Unlike :meth:`uplink`, this synthesizes the actual baseband
-        waveform at the link-budget SNR, runs
-        :meth:`SoftLoRaGateway.process_capture` -- onset detection, FB
-        estimation, demodulation -- and hands the forward to the network
-        server for the MIC, counter and replay checks.  Slower, but
-        nothing is abstracted.  A capture the SDR chain cannot decode
-        yields a delivered event without a verdict.
-
-        Raises:
-            ConfigurationError: When the device is an armed attack
-                target: this path models no jammer or replayer, so
-                delivering the capture untouched would misreport the
-                attack.  Use :meth:`uplink` for attacked devices.
-        """
-        from repro.sdr.iq import IQTrace
-        from repro.sdr.noise import complex_awgn, noise_power_for_snr
-
-        if self.attack is not None and device_name in self.attack_targets:
-            raise ConfigurationError(
-                f"device {device_name!r} is an armed attack target; the waveform "
-                "path models no jammer or replayer"
-            )
-        device = self.devices[device_name]
-        tx = device.transmit(request_time_s)
-        snr = self.link.snr_db(device.tx_power_dbm, device.position, self.gateway_position)
-        floor = SX1276_DEMOD_SNR_FLOOR_DB[device.spreading_factor]
-        arrival = tx.emission_time_s + propagation_delay_s(device.position, self.gateway_position)
-        if snr < floor:
-            event = WorldEvent(
-                kind=EventKind.LOST_LOW_SNR,
-                time_s=arrival,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-            )
-            self.events.append(event)
-            return event
-        config = self.gateway.config
-        waveform = device.modulate(tx, config)
-        noise_power = noise_power_for_snr(1.0, snr)
-        padded = np.concatenate(
-            [
-                np.zeros(pad_samples, dtype=complex),
-                waveform,
-                np.zeros(tail_samples, dtype=complex),
-            ]
-        )
-        noisy = padded + complex_awgn(len(padded), noise_power, self.rng)
-        capture = IQTrace(
-            noisy,
-            config.sample_rate_hz,
-            start_time_s=arrival - pad_samples / config.sample_rate_hz,
-        )
-        forward = self.gateway.process_capture(
-            capture, self.primary_gateway_id, snr, noise_power=noise_power
-        )
-        if forward is None:
-            event = WorldEvent(
-                kind=EventKind.DELIVERED,
-                time_s=arrival,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-                detail="the SDR front end could not decode the capture",
-            )
-        else:
-            (verdict,) = self.server.process_step([forward])
-            event = WorldEvent(
-                kind=EventKind.DELIVERED,
-                time_s=forward.arrival_time_s,
-                device_name=device_name,
-                snr_db=snr,
-                transmission=tx,
-                metadata={"verdict": verdict, "gateway_ids": (forward.gateway_id,)},
-            )
-        self.events.append(event)
-        return event
 
     # -- queries ----------------------------------------------------------------
 

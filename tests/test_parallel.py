@@ -6,7 +6,11 @@ leaves no worker process behind, whether it returns or raises.
 """
 
 import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,33 @@ import pytest
 from repro.experiments.common import SweepExecutor, SweepPoint
 from repro.parallel import intra_thread_count
 from repro.sim.rng import RngStreams
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A sweep whose worker dies at point 2.  Spawned workers re-import the
+#: main module by path, so it runs from a file.
+DYING_WORKER_SCRIPT = """
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
+from repro.experiments.common import SweepExecutor, SweepPoint
+
+
+def measure(point, trial, captures, rng):
+    if point.key == 2:
+        os._exit(3)
+    return float(point.key)
+
+
+if __name__ == "__main__":
+    try:
+        SweepExecutor(n_workers=2).run([SweepPoint(key=k) for k in range(6)], measure)
+    except BrokenProcessPool:
+        print("raised", len(multiprocessing.active_children()))
+    else:
+        print("returned")
+"""
 
 
 def measure_key_noise(point, trial, captures, rng):
@@ -109,3 +140,18 @@ class TestPoolLifecycle:
         SweepExecutor(n_workers=2).run(_points(n=8, n_trials=1), measure_importing_scipy)
         result = SweepExecutor(n_workers=2).run(_points(n=8, n_trials=1), measure_scipy_modules)
         assert result.flat() == [[]] * 8
+
+    def test_a_dying_worker_raises_instead_of_hanging(self, tmp_path):
+        # A pool that respawns the dead worker waits forever for its lost
+        # task; the sweep must raise within seconds and leave no child.
+        script = tmp_path / "dying_worker.py"
+        script.write_text(textwrap.dedent(DYING_WORKER_SCRIPT))
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised", "0"], result.stdout

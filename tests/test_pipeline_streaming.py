@@ -70,23 +70,19 @@ def _assert_matches_single_capture_apis(config, batch, result):
     detector = AicDetector()
     estimator = LeastSquaresFbEstimator(config)
     spc = config.samples_per_chirp
-    for row, outcome in enumerate(result.outcomes):
+    assert len(result) == len(batch)
+    for row in range(len(batch)):
         trace = batch.trace(row)
         onset = detector.detect(trace)
-        assert outcome.onset.index == onset.index == result.onset_indices[row]
-        assert outcome.phy_timestamp_s == onset.time_s == result.phy_timestamps_s[row]
-        assert outcome.onset.diagnostics == onset.diagnostics
+        assert result.onset_indices[row] == onset.index
+        assert result.phy_timestamps_s[row] == onset.time_s
         chirp = trace.samples[onset.index + spc : onset.index + 2 * spc]
         try:
             reference = estimator.estimate(chirp)
-        except EstimationError as error:
-            assert outcome.fb_estimate is None
-            assert outcome.error == str(error)
+        except EstimationError:
+            assert np.isnan(result.fb_hz[row])
             continue
-        assert outcome.error is None
-        assert outcome.fb_estimate.fb_hz == reference.fb_hz
-        assert outcome.fb_estimate.phase == reference.phase
-        assert outcome.fb_estimate.diagnostics == reference.diagnostics
+        assert result.fb_hz[row] == reference.fb_hz
 
 
 class TestStreamedEngine:
@@ -119,11 +115,12 @@ class TestStreamedEngine:
         powers = np.arange(1.0, n + 1.0)
         result = engine.run(batch, noise_powers=powers)
         _assert_matches_single_capture_apis(config, batch, result)
-        assert list(np.flatnonzero(~result.ok)) == ([] if late is None else [late])
+        missing = np.isnan(result.fb_hz)
+        assert list(np.flatnonzero(missing)) == ([] if late is None else [late])
         # Each block hands the estimator the noise powers of its own
         # fitting rows, in order.
         assert len(calls) == -(-n // block)
-        np.testing.assert_array_equal(np.concatenate(calls), powers[result.ok])
+        np.testing.assert_array_equal(np.concatenate(calls), powers[~missing])
 
     def test_a_second_call_reuses_every_buffer(self, pool):
         config, batch, _ = pool
@@ -172,10 +169,8 @@ class TestStreamedEngine:
             for turn, result in enumerate(runs):
                 expected = serial[(which + turn) % 2]
                 np.testing.assert_array_equal(result.onset_indices, expected.onset_indices)
+                np.testing.assert_array_equal(result.phy_timestamps_s, expected.phy_timestamps_s)
                 np.testing.assert_array_equal(result.fb_hz, expected.fb_hz)
-                assert [o.onset.diagnostics for o in result.outcomes] == [
-                    o.onset.diagnostics for o in expected.outcomes
-                ]
 
     @pytest.mark.parametrize(
         "clone",
@@ -331,7 +326,7 @@ def test_estimate_batch_dechirps_its_chirp_buffer_in_place(fast_config, rng):
     expected = estimator.estimate_batch(chirps)
     buffer = estimator.chirp_buffer(4)
     buffer[:3] = chirps
-    assert estimator.estimate_batch(buffer[:3]) == expected
+    np.testing.assert_array_equal(estimator.estimate_batch(buffer[:3]), expected)
     assert not np.array_equal(buffer[:3], chirps)
 
 
@@ -353,7 +348,7 @@ def test_a_warm_magnitude_call_allocates_no_large_array():
     assert peak < 500_000, peak
     np.testing.assert_array_equal(first.fb_hz, second.fb_hz)
     detector = AicDetector()
-    for row, outcome in enumerate(second.outcomes):
+    for row in range(len(batch)):
         onset = detector.detect(batch.trace(row), component="magnitude")
-        assert outcome.onset.index == onset.index
-        assert outcome.onset.diagnostics == onset.diagnostics
+        assert second.onset_indices[row] == onset.index
+        assert second.phy_timestamps_s[row] == onset.time_s
