@@ -20,13 +20,18 @@ size x initial SF mix (x gateway count) through the closed loop of
   converged heterogeneous fleet (*after*), so the loop's effect on the
   paper's defense is explicit.
 
-Cells are independent worlds derived from per-cell rng streams (the
-``fleet_scale`` pattern), so the grid fans out over
-:class:`~repro.experiments.common.SweepExecutor` workers unchanged.
+Cells run on the fleet-scale sweep's cell harness
+(:mod:`repro.experiments.fleet_scale`): each is an independent
+:func:`~repro.sim.scenarios.build_cell_world` world seeded by
+:func:`~repro.experiments.fleet_scale.cell_seed`, attacked by
+:func:`~repro.experiments.fleet_scale.attack_phase` and dispatched by
+:func:`~repro.experiments.fleet_scale.sweep_cells`, so the grid fans out
+over :class:`~repro.experiments.common.SweepExecutor` workers unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -34,22 +39,13 @@ from functools import partial
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.attack.delay_attack import FrameDelayAttack
-from repro.attack.jammer import StealthyJammer
-from repro.attack.replayer import Replayer
-from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
-from repro.experiments.common import SweepExecutor, SweepPoint
-from repro.lorawan.gateway import CommodityGateway
-from repro.phy.chirp import ChirpConfig
-from repro.radio.channel import LinkBudget
-from repro.radio.geometry import Position
-from repro.radio.pathloss import LogDistancePathLoss
+from repro.experiments.fleet_scale import attack_phase, cell_seed, sweep_cells
 from repro.server import AdrController, NetworkServer
 from repro.sim.columnar import ColumnarRuntime
-from repro.sim.network import EventKind, LoRaWanWorld
+from repro.sim.network import LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.scenarios import build_fleet
+from repro.sim.scenarios import build_cell_world
 from repro.sim.traffic import PeriodicTrafficModel
 
 #: Initial spreading-factor mixes a cell can start from.
@@ -182,127 +178,52 @@ def _initial_sfs(mix: str, n_devices: int, rng: np.random.Generator) -> list[int
     raise ConfigurationError(f"unknown SF mix {mix!r}; pick one of {SF_MIXES}")
 
 
-def _build_world(
-    n_gateways: int,
-    n_devices: int,
-    sf_mix: str,
-    streams: RngStreams,
-    params: AdrConvergenceParams,
-    adr: AdrController | None,
-) -> LoRaWanWorld:
-    """One cell world: scattered fleet, gateway ring, optional ADR server.
-
-    The baseline and ADR worlds of a cell are built from *identical*
-    stream derivations (device FBs, positions, initial SFs, traffic
-    seeds), so their measurements differ only by the control loop.
-    """
-    devices = build_fleet(n_devices=n_devices, streams=streams)
-    layout = streams.stream("layout")
-    for device in devices:
-        radius = params.area_radius_m * float(np.sqrt(layout.uniform(0.0, 1.0)))
-        angle = float(layout.uniform(0.0, 2 * np.pi))
-        device.position = Position(
-            x=radius * float(np.cos(angle)), y=radius * float(np.sin(angle)), z=1.0
-        )
-    for device, sf in zip(devices, _initial_sfs(sf_mix, n_devices, streams.stream("sfmix"))):
-        device.spreading_factor = sf
-    world = LoRaWanWorld(
-        gateway=SoftLoRaGateway(
-            config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
-            commodity=CommodityGateway(),
-        ),
-        gateway_position=Position(params.gateway_ring_m, 0.0, 15.0),
-        link=LinkBudget(pathloss=LogDistancePathLoss(exponent=params.pathloss_exponent)),
-        rng=streams.stream("world"),
-    )
-    for index in range(1, n_gateways):
-        angle = 2 * np.pi * index / n_gateways
-        world.add_gateway(
-            Position(
-                x=params.gateway_ring_m * float(np.cos(angle)),
-                y=params.gateway_ring_m * float(np.sin(angle)),
-                z=15.0,
-            )
-        )
-    for device in devices:
-        world.add_device(device)
-    world.attach_server(NetworkServer(adr=adr))
-    return world
-
-
-def _attack_phase(
-    world: LoRaWanWorld, runtime: ColumnarRuntime, streams: RngStreams, params: AdrConvergenceParams
-) -> tuple[float, float]:
-    """Arm the frame-delay attack on a reachable slice; return (TPR, FPR)."""
-    devices = list(world.devices.values())
-    n_attacked = max(1, int(round(params.attack_fraction * len(devices))))
-    heard = {verdict.node_id for verdict in world.server.verdicts}
-    reachable = [d for d in devices if f"{d.dev_addr:08x}" in heard] or devices
-    attack = FrameDelayAttack(
-        jammer=StealthyJammer(),
-        replayer=Replayer.single_usrp(streams.stream("replayer")),
-        rng=streams.stream("attack"),
-    )
-    world.arm_attack(
-        attack, [d.name for d in reachable[:n_attacked]], delay_s=params.attack_delay_s
-    )
-    report = runtime.run(params.attack_rounds * params.period_s)
-    world.disarm_attack()
-    replays = hits = clean = false_alarms = 0
-    for event in report.events:
-        verdict = event.verdict
-        if verdict is None:
-            continue
-        if event.kind is EventKind.REPLAY_DELIVERED:
-            replays += 1
-            hits += verdict.attack_detected
-        elif event.kind is EventKind.DELIVERED:
-            clean += 1
-            false_alarms += verdict.attack_detected
-    return (
-        hits / replays if replays else 0.0,
-        false_alarms / clean if clean else 0.0,
-    )
-
-
 def measure_adr_cell(point, trial, captures, prng, params: AdrConvergenceParams):
     """One sweep-point measurement: baseline world, ADR world, attack both.
 
     Module-level (driven purely by ``point.key`` + ``params``) so
     :class:`SweepExecutor` can ship it to spawn workers.  Keys are
-    ``(n_gateways, n_devices, sf_mix)`` with an optional replicate salt.
+    ``(n_gateways, n_devices, sf_mix, replicate)``.
     """
-    key = tuple(point.key)
-    n_gateways, n_devices, sf_mix = int(key[0]), int(key[1]), str(key[2])
-    replicate = int(key[3]) if len(key) > 3 else 0
-    seed = params.seed + 7919 * n_gateways + n_devices + 104_729 * replicate
+    n_gateways, n_devices, sf_mix = int(point.key[0]), int(point.key[1]), str(point.key[2])
+    seed = cell_seed(params.seed, point.key)
+    attack_s = params.attack_rounds * params.period_s
     t0 = time.perf_counter()
+
+    def build(
+        streams: RngStreams, adr: AdrController | None
+    ) -> tuple[LoRaWanWorld, ColumnarRuntime]:
+        # Both worlds draw from identical stream derivations (device FBs,
+        # positions, initial SFs, traffic seeds), so their measurements
+        # differ only by the control loop.
+        world = build_cell_world(
+            n_gateways,
+            n_devices,
+            streams,
+            params.area_radius_m,
+            params.gateway_ring_m,
+            params.pathloss_exponent,
+            spreading_factors=_initial_sfs(sf_mix, n_devices, streams.stream("sfmix")),
+        )
+        world.attach_server(NetworkServer(adr=adr))
+        traffic = PeriodicTrafficModel(
+            period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")
+        )
+        return world, ColumnarRuntime(world, traffic, window_s=params.window_s)
 
     # Baseline: identical fleet, ADR disabled, pinned at the initial mix.
     streams = RngStreams(seed)
-    baseline_world = _build_world(n_gateways, n_devices, sf_mix, streams, params, adr=None)
-    baseline_runtime = ColumnarRuntime(
-        baseline_world,
-        PeriodicTrafficModel(
-            period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")
-        ),
-        window_s=params.window_s,
+    base_world, base_runtime = build(streams, adr=None)
+    base_report = base_runtime.run(params.baseline_rounds * params.period_s)
+    _, tpr_before, fpr_before, _ = attack_phase(
+        base_world, base_runtime, streams, params.attack_fraction, params.attack_delay_s, attack_s
     )
-    base_report = baseline_runtime.run(params.baseline_rounds * params.period_s)
-    tpr_before, fpr_before = _attack_phase(baseline_world, baseline_runtime, streams, params)
 
     # The closed loop: same fleet derivation, ADR on.
     streams = RngStreams(seed)
     adr = AdrController(margin_db=params.adr_margin_db, min_history=params.adr_min_history)
-    world = _build_world(n_gateways, n_devices, sf_mix, streams, params, adr=adr)
+    world, runtime = build(streams, adr=adr)
     devices = list(world.devices.values())
-    runtime = ColumnarRuntime(
-        world,
-        PeriodicTrafficModel(
-            period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")
-        ),
-        window_s=params.window_s,
-    )
     start_s = world.now_s
     sent = dropped = applied = 0
     for _ in range(params.max_adr_rounds):
@@ -320,7 +241,9 @@ def measure_adr_cell(point, trial, captures, prng, params: AdrConvergenceParams)
         np.mean([adr.converged(device.dev_addr) for device in devices])
     )
     post_report = runtime.run(params.measure_rounds * params.period_s)
-    tpr_after, fpr_after = _attack_phase(world, runtime, streams, params)
+    _, tpr_after, fpr_after, _ = attack_phase(
+        world, runtime, streams, params.attack_fraction, params.attack_delay_s, attack_s
+    )
 
     return AdrConvergenceCell(
         n_gateways=n_gateways,
@@ -375,8 +298,12 @@ def run_adr_convergence(
     Each cell builds two bit-identical fleets -- one pinned at the
     initial mix (baseline), one under the closed ADR loop -- runs both
     to steady state, and attacks both, so every row is a before/after
-    pair.  ``n_workers > 1`` fans cells out, one task each, across a
-    process pool opened for this call, with identical results;
+    pair.  Cells run on the fleet-scale sweep's harness
+    (:func:`~repro.sim.scenarios.build_cell_world`,
+    :func:`~repro.experiments.fleet_scale.attack_phase`,
+    :func:`~repro.experiments.fleet_scale.sweep_cells`).
+    ``n_workers > 1`` fans cells out, one task each, across a process
+    pool opened for this call, with identical results;
     ``replicates > 1`` salts the keys for independent copies (benchmark
     workloads).
     """
@@ -397,20 +324,13 @@ def run_adr_convergence(
         jitter_s=jitter_s,
         window_s=window_s,
     )
-    if replicates < 1:
-        raise ConfigurationError(f"need >= 1 replicate, got {replicates}")
-    keys: list[tuple] = [
-        (g, n, mix) if replicates == 1 else (g, n, mix, rep)
-        for g in gateway_counts
-        for n in fleet_sizes
-        for mix in sf_mixes
-        for rep in range(replicates)
-    ]
-    sweep = SweepExecutor(n_workers=n_workers).run(
-        [SweepPoint(key=key) for key in keys],
+    cells = sweep_cells(
+        list(itertools.product(gateway_counts, fleet_sizes, sf_mixes)),
+        replicates,
         partial(measure_adr_cell, params=params),
+        n_workers,
     )
-    return AdrConvergenceResult(cells=[sweep.first(key) for key in sweep.keys()])
+    return AdrConvergenceResult(cells=cells)
 
 
 if __name__ == "__main__":

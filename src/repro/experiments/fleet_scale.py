@@ -26,12 +26,17 @@ Cells are independent worlds derived from per-cell rng streams, so the
 whole grid can fan out over worker processes:
 ``run_fleet_scale(n_workers=4)`` runs cells N-way parallel through
 :class:`~repro.experiments.common.SweepExecutor` with results identical
-to the serial walk.
+to the serial walk.  The cell harness here -- :func:`cell_seed`,
+:func:`attack_phase` and :func:`sweep_cells`, around
+:func:`~repro.sim.scenarios.build_cell_world` -- also runs the ADR
+sweep (:mod:`repro.experiments.adr_convergence`).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -42,19 +47,14 @@ from repro.analysis.report import format_table
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
 from repro.attack.replayer import Replayer
-from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.experiments.common import SweepExecutor, SweepPoint
-from repro.lorawan.gateway import CommodityGateway
-from repro.phy.chirp import ChirpConfig
-from repro.radio.channel import LinkBudget
-from repro.radio.geometry import Position
-from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import FusionPolicy, NetworkServer
 from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.scenarios import build_fleet
+from repro.sim.runtime import RuntimeReport
+from repro.sim.scenarios import build_cell_world
 from repro.sim.traffic import PeriodicTrafficModel
 
 
@@ -95,7 +95,6 @@ class FleetScaleParams:
     period_s: float
     jitter_s: float
     window_s: float
-    mode: str = "events"
 
 
 @dataclass
@@ -149,94 +148,60 @@ class FleetScaleResult:
         )
 
 
-def _build_cell_world(
-    n_gateways: int,
-    n_devices: int,
-    streams: RngStreams,
-    spreading_factor: int,
-    area_radius_m: float,
-    gateway_ring_m: float,
-    pathloss_exponent: float,
-) -> LoRaWanWorld:
-    """One cell: devices scattered over a disk, gateways on an inner ring."""
-    config = ChirpConfig(spreading_factor=spreading_factor, sample_rate_hz=0.5e6)
-    devices = build_fleet(n_devices=n_devices, streams=streams, spreading_factor=spreading_factor)
-    layout = streams.stream("layout")
-    for device in devices:
-        radius = area_radius_m * float(np.sqrt(layout.uniform(0.0, 1.0)))
-        angle = float(layout.uniform(0.0, 2 * np.pi))
-        device.position = Position(
-            x=radius * float(np.cos(angle)), y=radius * float(np.sin(angle)), z=1.0
-        )
-    link = LinkBudget(pathloss=LogDistancePathLoss(exponent=pathloss_exponent))
-    world = LoRaWanWorld(
-        gateway=SoftLoRaGateway(config=config, commodity=CommodityGateway()),
-        gateway_position=Position(gateway_ring_m, 0.0, 15.0),
-        link=link,
-        rng=streams.stream("world"),
+def cell_seed(seed: int, key: tuple) -> int:
+    """World seed of the cell keyed ``(n_gateways, n_devices, ..., replicate)``."""
+    return seed + 7919 * int(key[0]) + int(key[1]) + 104_729 * int(key[-1])
+
+
+def sweep_cells(cells: list[tuple], replicates: int, measure: Callable, n_workers: int) -> list:
+    """Measure ``replicates`` copies of every cell; return them in declaration order.
+
+    Each cell tuple starts ``(n_gateways, n_devices)`` and its keys append
+    the replicate index.  Points go out sorted by ``n_gateways *
+    n_devices``, descending and stable, so a parallel run starts its
+    costliest cells first rather than leaving one worker alone with them.
+    """
+    if replicates < 1:
+        raise ConfigurationError(f"need >= 1 replicate, got {replicates}")
+    keys = [(*cell, rep) for cell in cells for rep in range(replicates)]
+    heaviest_first = sorted(keys, key=lambda key: -key[0] * key[1])
+    sweep = SweepExecutor(n_workers=n_workers).run(
+        [SweepPoint(key=key) for key in heaviest_first], measure
     )
-    for index in range(1, n_gateways):
-        angle = 2 * np.pi * index / n_gateways
-        world.add_gateway(
-            Position(
-                x=gateway_ring_m * float(np.cos(angle)),
-                y=gateway_ring_m * float(np.sin(angle)),
-                z=15.0,
-            )
-        )
-    for device in devices:
-        world.add_device(device)
-    return world
+    return [sweep.first(key) for key in keys]
 
 
-def _measure_cell(
+def attack_phase(
     world: LoRaWanWorld,
-    server: NetworkServer,
-    params: FleetScaleParams,
+    runtime: ColumnarRuntime,
     streams: RngStreams,
-) -> dict:
-    """Run the cell's clean + attack phases and pull the evidence apart."""
+    attack_fraction: float,
+    attack_delay_s: float,
+    duration_s: float,
+) -> tuple[RuntimeReport, float, float, set[tuple[int, int]]]:
+    """Attack a heard slice of the fleet for ``duration_s``, then disarm.
+
+    The attacker eavesdrops real traffic, so it targets devices the
+    server already holds verdicts for: with partial coverage the others
+    have nothing to jam or replay.  Returns ``(report, tpr, fpr,
+    replay_keys)``: the phase's report, the shares of delivered replays
+    and of clean deliveries flagged, and each replay's (DevAddr, FCnt).
+    """
     devices = list(world.devices.values())
-    true_fb = {f"{d.dev_addr:08x}": d.fb_hz for d in devices}
-    traffic = PeriodicTrafficModel(
-        period_s=params.period_s,
-        jitter_s=params.jitter_s,
-        rng=streams.stream("traffic"),
-    )
-    runtime = ColumnarRuntime(world, traffic, window_s=params.window_s, mode=params.mode)
-
-    t0 = time.perf_counter()
-    clean_report = runtime.run(params.clean_rounds * params.period_s)
-
-    n_attacked = max(1, int(round(params.attack_fraction * len(devices))))
+    n_attacked = max(1, int(round(attack_fraction * len(devices))))
+    heard = {verdict.node_id for verdict in world.server.verdicts}
+    reachable = [d for d in devices if f"{d.dev_addr:08x}" in heard] or devices
     attack = FrameDelayAttack(
         jammer=StealthyJammer(),
         replayer=Replayer.single_usrp(streams.stream("replayer")),
         rng=streams.stream("attack"),
     )
-    # The attacker eavesdrops real traffic, so it targets devices some
-    # gateway actually hears; with partial coverage the unreachable ones
-    # have nothing to jam or replay.  Counters cells never populate the
-    # verdict log, so they read the same heard set off the runtime's
-    # per-device delivery tally instead.
-    if params.mode == "counters":
-        heard_names = set(runtime.heard_names())
-        reachable = [d for d in devices if d.name in heard_names] or devices
-    else:
-        heard = {verdict.node_id for verdict in server.verdicts}
-        reachable = [d for d in devices if f"{d.dev_addr:08x}" in heard] or devices
-    armed_at_s = world.now_s
-    world.arm_attack(
-        attack,
-        [d.name for d in reachable[:n_attacked]],
-        delay_s=params.attack_delay_s,
-    )
-    attack_report = runtime.run(params.attack_rounds * params.period_s)
-    wall_s = time.perf_counter() - t0
-
+    world.arm_attack(attack, [d.name for d in reachable[:n_attacked]], delay_s=attack_delay_s)
+    report = runtime.run(duration_s)
+    world.disarm_attack()
     replays = hits = clean = false_alarms = 0
     replay_keys: set[tuple[int, int]] = set()
-    for event in attack_report.events:
+    for event in report.events:
         verdict = event.verdict
         if verdict is None:
             continue
@@ -247,6 +212,43 @@ def _measure_cell(
         elif event.kind is EventKind.DELIVERED:
             clean += 1
             false_alarms += verdict.attack_detected
+    tpr = hits / replays if replays else 0.0
+    fpr = false_alarms / clean if clean else 0.0
+    return report, tpr, fpr, replay_keys
+
+
+def measure_fleet_cell(point, trial, captures, prng, params: FleetScaleParams):
+    """One sweep-point measurement: build the cell world, run, score.
+
+    Module-level (and driven purely by ``point.key`` + ``params``) so
+    :class:`SweepExecutor` can ship it to spawn workers.  Keys are
+    ``(n_gateways, n_devices, replicate)``.
+    """
+    n_gateways, n_devices = int(point.key[0]), int(point.key[1])
+    streams = RngStreams(cell_seed(params.seed, point.key))
+    world = build_cell_world(
+        n_gateways,
+        n_devices,
+        streams,
+        params.area_radius_m,
+        params.gateway_ring_m,
+        params.pathloss_exponent,
+        spreading_factors=[params.spreading_factor] * n_devices,
+    )
+    server = world.attach_server(NetworkServer(fusion=params.fusion))
+    true_fb = {f"{d.dev_addr:08x}": d.fb_hz for d in world.devices.values()}
+    traffic = PeriodicTrafficModel(
+        period_s=params.period_s, jitter_s=params.jitter_s, rng=streams.stream("traffic")
+    )
+    runtime = ColumnarRuntime(world, traffic, window_s=params.window_s)
+
+    t0 = time.perf_counter()
+    clean_report = runtime.run(params.clean_rounds * params.period_s)
+    attack_s = params.attack_rounds * params.period_s
+    attack_report, tpr, fpr, replay_keys = attack_phase(
+        world, runtime, streams, params.attack_fraction, params.attack_delay_s, attack_s
+    )
+    wall_s = time.perf_counter() - t0
 
     # FB error statistics cover genuine transmissions only: a replay's FB
     # carries the ~543 Hz chain offset whether or not the detector caught
@@ -268,72 +270,25 @@ def _measure_cell(
     collided = sum(c.collided for c in contention)
     delivered = sum(c.delivered for c in contention)
     duration_s = clean_report.duration_s + attack_report.duration_s
-    if params.mode == "counters":
-        # Counter-only capacity run: the contention split is exact
-        # (pinned counter-for-counter against events mode), but no frame
-        # ever reaches the server, so the estimation/detection columns
-        # are not measured.  Every delivered frame (and every replayed
-        # one) would have produced exactly one server verdict.
-        resolved = delivered + sum(c.replays_delivered for c in contention)
-        unmeasured = float("nan")
-        return {
-            "uplink_attempts": attempts,
-            "resolved_uplinks": resolved,
-            "delivery_rate": resolved / attempts if attempts else 0.0,
-            "dedup_rate": unmeasured,
-            "collision_rate": collided / attempts if attempts else 0.0,
-            "goodput_fps": delivered / duration_s,
-            "fused_fb_mae_hz": unmeasured,
-            "best_single_fb_mae_hz": unmeasured,
-            "detection_tpr": unmeasured,
-            "detection_fpr": unmeasured,
-            "detection_latency_s": unmeasured,
-            "wall_s": wall_s,
-        }
     resolved = len(server.verdicts)
-    return {
-        "uplink_attempts": attempts,
-        "resolved_uplinks": resolved,
-        "delivery_rate": resolved / attempts if attempts else 0.0,
-        "dedup_rate": server.dedup_rate,
-        "collision_rate": collided / attempts if attempts else 0.0,
-        "goodput_fps": delivered / duration_s,
-        "fused_fb_mae_hz": float(np.mean(fused_errors)) if fused_errors else 0.0,
-        "best_single_fb_mae_hz": float(np.mean(best_errors)) if best_errors else 0.0,
-        "detection_tpr": hits / replays if replays else 0.0,
-        "detection_fpr": false_alarms / clean if clean else 0.0,
-        "detection_latency_s": detection_latency_s(
-            armed_at_s, attack_report.replay_detection_times_s
+    return FleetScaleCell(
+        n_gateways=n_gateways,
+        n_devices=n_devices,
+        uplink_attempts=attempts,
+        resolved_uplinks=resolved,
+        delivery_rate=resolved / attempts if attempts else 0.0,
+        dedup_rate=server.dedup_rate,
+        collision_rate=collided / attempts if attempts else 0.0,
+        goodput_fps=delivered / duration_s,
+        fused_fb_mae_hz=float(np.mean(fused_errors)) if fused_errors else 0.0,
+        best_single_fb_mae_hz=float(np.mean(best_errors)) if best_errors else 0.0,
+        detection_tpr=tpr,
+        detection_fpr=fpr,
+        detection_latency_s=detection_latency_s(
+            attack_report.start_s, attack_report.replay_detection_times_s
         ),
-        "wall_s": wall_s,
-    }
-
-
-def measure_fleet_cell(point, trial, captures, prng, params: FleetScaleParams):
-    """One sweep-point measurement: build the cell world, run, score.
-
-    Module-level (and driven purely by ``point.key`` + ``params``) so
-    :class:`SweepExecutor` can ship it to spawn workers.  Keys are
-    ``(n_gateways, n_devices)`` or ``(n_gateways, n_devices, replicate)``
-    -- the replicate salt gives benchmark grids independent copies of
-    one cell.
-    """
-    key = tuple(point.key)
-    n_gateways, n_devices = int(key[0]), int(key[1])
-    replicate = int(key[2]) if len(key) > 2 else 0
-    streams = RngStreams(params.seed + 7919 * n_gateways + n_devices + 104_729 * replicate)
-    world = _build_cell_world(
-        n_gateways,
-        n_devices,
-        streams,
-        params.spreading_factor,
-        params.area_radius_m,
-        params.gateway_ring_m,
-        params.pathloss_exponent,
+        wall_s=wall_s,
     )
-    server = world.attach_server(NetworkServer(fusion=params.fusion))
-    measured = _measure_cell(world, server, params, streams)
-    return FleetScaleCell(n_gateways=n_gateways, n_devices=n_devices, **measured)
 
 
 def run_fleet_scale(
@@ -354,27 +309,19 @@ def run_fleet_scale(
     window_s: float = 30.0,
     n_workers: int = 1,
     replicates: int = 1,
-    mode: str = "events",
 ) -> FleetScaleResult:
     """Sweep gateway count × fleet size through the event-driven stack.
 
     Each cell is an independent world (fresh devices, layout, server,
-    traffic schedule) derived from per-cell rng streams, so cells are
-    comparable, the grid can grow without perturbing existing cells, and
-    ``n_workers > 1`` fans whole cells out, one task each, across a
-    process pool opened for this call, with identical results.
-    ``replicates > 1`` appends a salt to every key, yielding independent
+    traffic schedule) from the shared cell harness:
+    :func:`~repro.sim.scenarios.build_cell_world` seeded by
+    :func:`cell_seed`, attacked by :func:`attack_phase` and dispatched
+    by :func:`sweep_cells`.  Cells are comparable, the grid can grow
+    without perturbing existing cells, and ``n_workers > 1`` fans whole
+    cells out, one task each, across a process pool opened for this
+    call, with identical results.  ``replicates > 1`` runs independent
     copies of each cell (benchmark workloads).
-    ``mode`` is the :class:`~repro.sim.columnar.ColumnarRuntime` mode
-    each cell runs in.  ``"events"`` delivers every frame to the server
-    and measures every column.  ``"counters"`` runs the same cells as
-    counters only: contention columns (attempts, collisions, goodput,
-    delivery) are exact, while the estimation/detection columns are
-    reported as NaN because counters cells never assemble frames for
-    the server.
     """
-    if mode not in ("events", "counters"):
-        raise ConfigurationError(f"mode must be 'events' or 'counters', got {mode!r}")
     params = FleetScaleParams(
         clean_rounds=clean_rounds,
         attack_rounds=attack_rounds,
@@ -389,18 +336,11 @@ def run_fleet_scale(
         period_s=period_s,
         jitter_s=jitter_s,
         window_s=window_s,
-        mode=mode,
     )
-    if replicates < 1:
-        raise ConfigurationError(f"need >= 1 replicate, got {replicates}")
-    keys: list[tuple] = [
-        (n_gateways, n_devices) if replicates == 1 else (n_gateways, n_devices, rep)
-        for n_gateways in gateway_counts
-        for n_devices in device_counts
-        for rep in range(replicates)
-    ]
-    sweep = SweepExecutor(n_workers=n_workers).run(
-        [SweepPoint(key=key) for key in keys],
+    cells = sweep_cells(
+        list(itertools.product(gateway_counts, device_counts)),
+        replicates,
         partial(measure_fleet_cell, params=params),
+        n_workers,
     )
-    return FleetScaleResult(cells=[sweep.first(key) for key in sweep.keys()], fusion=fusion)
+    return FleetScaleResult(cells=cells, fusion=fusion)

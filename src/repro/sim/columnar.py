@@ -239,6 +239,39 @@ class FleetSpec:
         return devices
 
 
+def _link_columns(
+    world: LoRaWanWorld,
+    devices: list[EndDevice] | None,
+    positions: np.ndarray,
+    tx_power_dbm: np.ndarray,
+    floors_db: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The device x gateway columns of a :class:`FleetState`.
+
+    Received powers, delays and path losses come from
+    :func:`~repro.sim.runtime.site_power_columns` over the world's
+    sites (through ``devices`` when given, else from ``positions``
+    alone); a link is in range when its SNR over the site's noise floor
+    clears the device's demodulation floor ``floors_db``.
+    """
+    sites, site_xyz = world.site_columns()
+    powers, delays, loss = site_power_columns(
+        sites, site_xyz, devices, positions, tx_power_dbm, return_loss=True
+    )
+    site_noise = np.array(
+        [noise_floor_dbm(site.link.bandwidth_hz, site.link.noise_figure_db) for site in sites]
+    )
+    return dict(
+        powers_dbm=powers,
+        delays_s=delays,
+        in_range=(powers - site_noise[None, :]) >= floors_db[:, None],
+        loss_db=loss,
+        site_noise=site_noise,
+        site_tx_gain_db=np.array([site.link.tx_antenna_gain_db for site in sites]),
+        site_rx_gain_db=np.array([site.link.rx_antenna_gain_db for site in sites]),
+    )
+
+
 @dataclass
 class FleetState:
     """Struct-of-arrays snapshot of a fleet's MAC-layer state.
@@ -293,13 +326,13 @@ class FleetState:
     powers_dbm: np.ndarray
     delays_s: np.ndarray
     in_range: np.ndarray
-    dev_addr: np.ndarray | None = None
-    coding_rate: np.ndarray | None = None
-    loss_db: np.ndarray | None = None
-    site_noise: np.ndarray | None = None
-    site_tx_gain_db: np.ndarray | None = None
-    site_rx_gain_db: np.ndarray | None = None
-    rngs: list[np.random.Generator] | None = None
+    dev_addr: np.ndarray
+    coding_rate: np.ndarray
+    loss_db: np.ndarray
+    site_noise: np.ndarray
+    site_tx_gain_db: np.ndarray
+    site_rx_gain_db: np.ndarray
+    rngs: list[np.random.Generator] | None
 
     @classmethod
     def from_world(cls, world: LoRaWanWorld) -> "FleetState":
@@ -321,7 +354,6 @@ class FleetState:
         devices = list(world.devices.values())
         if not devices:
             raise ConfigurationError("cannot columnize a world with no devices")
-        n = len(devices)
         positions = np.array([[d.position.x, d.position.y, d.position.z] for d in devices])
         sf = np.array([d.spreading_factor for d in devices], dtype=np.int64)
         tx_power = np.array([d.tx_power_dbm for d in devices])
@@ -335,15 +367,7 @@ class FleetState:
                 for i, d in enumerate(devices)
             ]
         )
-        sites, site_xyz = world.site_columns()
-        powers, delays, loss = site_power_columns(
-            sites, site_xyz, devices, positions, tx_power, return_loss=True
-        )
         floors = np.array([SX1276_DEMOD_SNR_FLOOR_DB[int(s)] for s in sf])
-        site_noise = np.array(
-            [noise_floor_dbm(site.link.bandwidth_hz, site.link.noise_figure_db) for site in sites]
-        )
-        in_range = (powers - site_noise[None, :]) >= floors[:, None]
         return cls(
             names=[d.name for d in devices],
             positions=positions,
@@ -356,16 +380,10 @@ class FleetState:
             latency_mean_s=np.array([d.tx_latency_mean_s for d in devices]),
             latency_jitter_s=np.array([d.tx_latency_jitter_s for d in devices]),
             fcnt=np.array([d.fcnt for d in devices], dtype=np.int64),
-            powers_dbm=powers,
-            delays_s=delays,
-            in_range=in_range,
             dev_addr=np.array([d.dev_addr for d in devices], dtype=np.int64),
             coding_rate=np.array([d.coding_rate for d in devices], dtype=np.int64),
-            loss_db=loss,
-            site_noise=site_noise,
-            site_tx_gain_db=np.array([site.link.tx_antenna_gain_db for site in sites]),
-            site_rx_gain_db=np.array([site.link.rx_antenna_gain_db for site in sites]),
             rngs=[d.rng for d in devices],
+            **_link_columns(world, devices, positions, tx_power, floors),
         )
 
     @classmethod
@@ -399,15 +417,7 @@ class FleetState:
         sf = np.full(n, sf0, dtype=np.int64)
         frame = _FRAME_OVERHEAD_BYTES + sensor_payload_len(0, ElapsedTimeCodec())
         tx_power = np.full(n, float(spec.tx_power_dbm))
-        sites, site_xyz = world.site_columns()
-        powers, delays, loss = site_power_columns(
-            sites, site_xyz, None, positions, tx_power, return_loss=True
-        )
-        site_noise = np.array(
-            [noise_floor_dbm(site.link.bandwidth_hz, site.link.noise_figure_db) for site in sites]
-        )
         floors = np.full(n, SX1276_DEMOD_SNR_FLOOR_DB[sf0])
-        in_range = (powers - site_noise[None, :]) >= floors[:, None]
         return cls(
             names=spec.names,
             positions=positions,
@@ -420,16 +430,10 @@ class FleetState:
             latency_mean_s=np.full(n, float(spec.tx_latency_mean_s)),
             latency_jitter_s=np.full(n, float(spec.tx_latency_jitter_s)),
             fcnt=np.zeros(n, dtype=np.int64),
-            powers_dbm=powers,
-            delays_s=delays,
-            in_range=in_range,
             dev_addr=spec.dev_addrs(),
             coding_rate=np.full(n, int(spec.coding_rate), dtype=np.int64),
-            loss_db=loss,
-            site_noise=site_noise,
-            site_tx_gain_db=np.array([site.link.tx_antenna_gain_db for site in sites]),
-            site_rx_gain_db=np.array([site.link.rx_antenna_gain_db for site in sites]),
             rngs=None,
+            **_link_columns(world, None, positions, tx_power, floors),
         )
 
     @property
@@ -548,7 +552,6 @@ class ColumnarRuntime:
         self._pend_delays: list[np.ndarray] = []
         # delivered, collided, low-SNR, suppressed, replays-delivered.
         self._counts = np.zeros(5, dtype=np.int64)
-        self._heard_per_device = np.zeros(len(self._names), dtype=np.int64)
         # Counters-mode pending FOpts bytes (queued LinkADRAns) per row.
         self._fopts_len: dict[int, int] = {}
         self._adr = None
@@ -641,28 +644,6 @@ class ColumnarRuntime:
             adr_commands_applied=self.adr_applied - adr0[2],
             counters=counters,
         )
-
-    def heard_names(self) -> list[str]:
-        """Names of devices the network has heard at least once (counters mode).
-
-        A device counts as heard when one of its frames was delivered --
-        or suppressed, since the attacker's replay of a suppressed frame
-        reaches the commodity gateway and produces a verdict exactly
-        like a genuine delivery.  The result therefore mirrors the set
-        of devices an events-mode ``NetworkServer`` would hold verdicts
-        for on the same seeds, which lets counter-only sweeps pick
-        attack targets the way verdict-driven ones do.
-
-        Returns:
-            Device names with at least one heard frame, in fleet order.
-
-        Raises:
-            ConfigurationError: In events mode, where the server's own
-                verdict log is the authoritative record.
-        """
-        if self.mode != "counters":
-            raise ConfigurationError("heard_names() is tracked in counters mode only")
-        return [self._names[i] for i in np.flatnonzero(self._heard_per_device)]
 
     # -- both modes: drive loop, window walk, ADR shipping ----------------------
 
@@ -1037,7 +1018,6 @@ class ColumnarRuntime:
         n_delivered = int(delivered.sum())
         n_collided = emission.size - n_low - n_suppressed - n_delivered
         self._counts += (n_delivered, n_collided, n_low, n_suppressed, n_suppressed)
-        np.add.at(self._heard_per_device, devices[delivered | suppressed], 1)
         adr = self._adr
         if adr is None:
             return

@@ -8,6 +8,8 @@
   1.07 km between a rooftop and an open staircase (one-way propagation
   3.57 µs).
 * :func:`build_fleet` -- the 16 RN2483-class transmitters of Fig. 13.
+* :func:`build_cell_world` -- one fleet-scale sweep cell: the Fig. 13
+  fleet grown and scattered over a disk, heard by a ring of gateways.
 * :func:`build_pinned_link_world` -- one device + one gateway with the
   link budget pinned at an exact SNR (for measured links whose
   propagation environment the paper does not publish).
@@ -20,6 +22,7 @@ comes entirely from the propagation model.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +277,61 @@ def build_fleet(
         )
         devices.append(device)
     return devices
+
+
+def build_cell_world(
+    n_gateways: int,
+    n_devices: int,
+    streams: RngStreams,
+    area_radius_m: float,
+    gateway_ring_m: float,
+    pathloss_exponent: float,
+    spreading_factors: Sequence[int] | None = None,
+) -> LoRaWanWorld:
+    """One sweep cell: a fleet scattered over a disk, gateways on a ring.
+
+    The :func:`build_fleet` devices land uniformly over a disk of radius
+    ``area_radius_m``, 1 m up, so coverage is partial and per-gateway
+    SNRs differ.  The gateways stand 15 m up, evenly spaced on a ring of
+    radius ``gateway_ring_m`` starting at ``(gateway_ring_m, 0)``.
+    ``spreading_factors`` gives each device its starting SF in fleet
+    order (``None``: all SF7).  Every draw comes from a named stream of
+    ``streams``, so equal streams build bitwise-equal cells.
+    """
+    if n_gateways < 1:
+        raise ConfigurationError(f"need at least one gateway, got {n_gateways}")
+    devices = build_fleet(n_devices=n_devices, streams=streams)
+    layout = streams.stream("layout")
+    for device in devices:
+        radius = area_radius_m * float(np.sqrt(layout.uniform(0.0, 1.0)))
+        angle = float(layout.uniform(0.0, 2 * np.pi))
+        device.position = Position(
+            x=radius * float(np.cos(angle)), y=radius * float(np.sin(angle)), z=1.0
+        )
+    if spreading_factors is not None:
+        for device, sf in zip(devices, spreading_factors, strict=True):
+            device.spreading_factor = int(sf)
+    world = LoRaWanWorld(
+        gateway=SoftLoRaGateway(
+            config=ChirpConfig(spreading_factor=7, sample_rate_hz=0.5e6),
+            commodity=CommodityGateway(),
+        ),
+        gateway_position=Position(gateway_ring_m, 0.0, 15.0),
+        link=LinkBudget(pathloss=LogDistancePathLoss(exponent=pathloss_exponent)),
+        rng=streams.stream("world"),
+    )
+    for index in range(1, n_gateways):
+        angle = 2 * np.pi * index / n_gateways
+        world.add_gateway(
+            Position(
+                x=gateway_ring_m * float(np.cos(angle)),
+                y=gateway_ring_m * float(np.sin(angle)),
+                z=15.0,
+            )
+        )
+    for device in devices:
+        world.add_device(device)
+    return world
 
 
 def build_fleet_spec(

@@ -431,7 +431,23 @@ class TestGoldenPr3BitIdentity:
         )
 
 
+#: SHA-256 over the cells' reprs, one per line with ``wall_s`` zeroed, of
+#: a 1-2 gateway x 30-device ADR sweep from SF12 and mixed starts.
+GOLDEN_ADR_SWEEP = "ea8d3110825993af26190603ac3d422a1810cb8f8a366f4315982e05bddedb3d"
+
+
 class TestAdrConvergenceExperiment:
+    def test_small_sweep_pinned(self):
+        import dataclasses
+
+        from repro.experiments.adr_convergence import run_adr_convergence
+
+        result = run_adr_convergence(
+            gateway_counts=(1, 2), fleet_sizes=(30,), sf_mixes=("sf12", "mixed"), max_adr_rounds=4
+        )
+        lines = [repr(dataclasses.replace(cell, wall_s=0.0)) for cell in result.cells]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_ADR_SWEEP
+
     @pytest.mark.slow
     def test_sf12_cell_converges_and_matches_sf7_detection(self):
         from repro.experiments.adr_convergence import run_adr_convergence

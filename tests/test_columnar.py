@@ -35,7 +35,7 @@ from repro.sim.columnar import ColumnarRuntime, FleetSpec, FleetState
 from repro.sim.events import TimeWheel
 from repro.sim.network import LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.scenarios import build_fleet, build_fleet_spec
+from repro.sim.scenarios import build_cell_world, build_fleet, build_fleet_spec
 from repro.sim.traffic import PeriodicTrafficModel
 
 
@@ -137,6 +137,17 @@ GOLDEN_FLEET_CELL = {
     "detection_fpr": 0.0,
     "detection_latency_s": float("inf"),
 }
+
+
+#: SHA-256 of ``cells_sha`` over a 2-gateway x 25-device fleet-scale
+#: sweep at ``replicates=2`` (both salted copies of the cell).
+GOLDEN_FLEET_REPLICATES = "4e218989943438c1e562fb8de551a35618fe57fe03523da8189710d9a2dccb78"
+
+
+def cells_sha(cells):
+    """SHA-256 over the sweep cells' reprs, one per line, ``wall_s`` zeroed."""
+    lines = [repr(dataclasses.replace(cell, wall_s=0.0)) for cell in cells]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _report_tuple(report):
@@ -374,6 +385,39 @@ class TestCountersMode:
         assert _stats_tuple(counters_report) == _stats_tuple(events_report)
         assert counters_report.contention.delivered > 0
 
+
+    def test_partial_coverage_attack_matches_events_mode(self):
+        """A cell the gateway hears only in part, attacked on heard devices."""
+        targets = None
+        results = []
+        for mode in ("events", "counters"):
+            streams = RngStreams(2020)
+            world = build_cell_world(1, 100, streams, 1500.0, 700.0, 3.4)
+            traffic = _traffic(streams, 600.0, 60.0)
+            runtime = ColumnarRuntime(world, traffic, window_s=30.0, mode=mode)
+            clean = runtime.run(1800.0)
+            if targets is None:
+                # The attacker eavesdrops, so it targets devices the
+                # events-mode server heard; counters mode arms the same.
+                heard = {verdict.node_id for verdict in world.server.verdicts}
+                targets = [
+                    d.name for d in world.devices.values() if f"{d.dev_addr:08x}" in heard
+                ][:5]
+            attack = FrameDelayAttack(
+                jammer=StealthyJammer(),
+                replayer=Replayer.single_usrp(streams.stream("replayer")),
+                rng=streams.stream("attack"),
+            )
+            world.arm_attack(attack, targets, delay_s=120.0)
+            attacked = runtime.run(1200.0)
+            results.append((clean.contention, attacked.contention))
+        events, counters = results
+        assert events == counters
+        # The heard slice is not the fleet's first five devices.
+        assert len(targets) == 5 and targets != list(world.devices)[:5]
+        # Coverage really is partial, and the attack really suppressed.
+        assert all(phase.lost_low_snr > 0 for phase in counters)
+        assert counters[1].suppressed > 0
 
     @pytest.mark.parametrize("mode", ["events", "counters"])
     def test_horizon_split_windows_pinned(self, mode):
@@ -666,85 +710,18 @@ class TestFleetScaleEngine:
         for field_name, expected in GOLDEN_FLEET_CELL.items():
             assert getattr(cell, field_name) == expected, field_name
 
-    def test_counters_engine_matches_contention_columns(self):
-        import math
-
+    def test_replicates_pinned(self):
+        """``replicates=2``: both salted copies of a cell, bit for bit."""
         from repro.experiments.fleet_scale import run_fleet_scale
 
-        kwargs = dict(
-            gateway_counts=(1,),
-            device_counts=(12,),
-            clean_rounds=3,
-            attack_rounds=2,
-            period_s=30.0,
-            jitter_s=10.0,
+        result = run_fleet_scale(
+            gateway_counts=(2,),
+            device_counts=(25,),
+            clean_rounds=1,
+            attack_rounds=1,
+            period_s=120.0,
+            jitter_s=30.0,
             window_s=5.0,
-            seed=3,
+            replicates=2,
         )
-        events_cell = run_fleet_scale(mode="events", **kwargs).cells[0]
-        counters_cell = run_fleet_scale(mode="counters", **kwargs).cells[0]
-        for field_name in (
-            "uplink_attempts",
-            "resolved_uplinks",
-            "delivery_rate",
-            "collision_rate",
-            "goodput_fps",
-        ):
-            assert getattr(counters_cell, field_name) == getattr(events_cell, field_name), (
-                field_name
-            )
-        # Counters cells never assemble frames for the server, so the
-        # estimation/detection columns are reported as unmeasured.
-        for field_name in ("fused_fb_mae_hz", "detection_tpr", "detection_latency_s"):
-            assert math.isnan(getattr(counters_cell, field_name)), field_name
-
-    def test_counters_engine_matches_on_partial_coverage(self):
-        # The default cell geometry leaves part of the fleet out of
-        # range, so the attack targets only devices the gateway heard;
-        # counters cells must pick the same target set off the
-        # runtime's heard tally (no verdict log exists to read).
-        from repro.experiments.fleet_scale import run_fleet_scale
-
-        kwargs = dict(gateway_counts=(1,), device_counts=(100,))
-        events_cell = run_fleet_scale(**kwargs).cells[0]
-        counters_cell = run_fleet_scale(mode="counters", **kwargs).cells[0]
-        assert events_cell.delivery_rate < 1.0  # coverage really is partial
-        for field_name in (
-            "uplink_attempts",
-            "resolved_uplinks",
-            "delivery_rate",
-            "collision_rate",
-            "goodput_fps",
-        ):
-            assert getattr(counters_cell, field_name) == getattr(events_cell, field_name), (
-                field_name
-            )
-
-    def test_heard_names_matches_server_verdicts(self):
-        from repro.experiments.fleet_scale import _build_cell_world
-
-        def cell(mode):
-            streams = RngStreams(77)
-            world = _build_cell_world(1, 30, streams, 7, 1500.0, 700.0, 3.4)
-            server = NetworkServer()
-            world.attach_server(server)
-            traffic = _traffic(streams, period_s=120.0, jitter_s=30.0)
-            runtime = ColumnarRuntime(world, traffic, window_s=5.0, mode=mode)
-            runtime.run(240.0)
-            return world, server, runtime
-
-        world, server, events_rt = cell("events")
-        addr_to_name = {f"{d.dev_addr:08x}": d.name for d in world.devices.values()}
-        heard_events = {addr_to_name[v.node_id] for v in server.verdicts}
-        _, _, counters_rt = cell("counters")
-        assert set(counters_rt.heard_names()) == heard_events
-        assert 0 < len(heard_events) < 30  # partial coverage, non-trivial set
-        with pytest.raises(ConfigurationError):
-            events_rt.heard_names()
-
-    def test_rejects_unknown_engine(self):
-        from repro.experiments.fleet_scale import run_fleet_scale
-
-        with pytest.raises(ConfigurationError):
-            run_fleet_scale(gateway_counts=(1,), device_counts=(4,), mode="gpu")
-
+        assert cells_sha(result.cells) == GOLDEN_FLEET_REPLICATES

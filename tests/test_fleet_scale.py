@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.experiments import fleet_scale
 from repro.experiments.fleet_scale import run_fleet_scale
 from repro.server import FusionPolicy
 
@@ -56,3 +58,30 @@ class TestFleetScale:
         (cell,) = result.cells
         assert cell.resolved_uplinks > 0
         assert FusionPolicy.BEST_SNR.value in result.format()
+
+    def test_cells_dispatch_heaviest_first(self, monkeypatch):
+        dispatched = []
+        run = fleet_scale.SweepExecutor.run
+
+        def spy(executor, points, measure, **kwargs):
+            points = list(points)
+            dispatched.extend(point.key for point in points)
+            return run(executor, points, measure, **kwargs)
+
+        monkeypatch.setattr(fleet_scale.SweepExecutor, "run", spy)
+        result = run_fleet_scale(
+            gateway_counts=(1, 2), device_counts=(4, 8), clean_rounds=1, attack_rounds=1
+        )
+        # gateways x devices, descending; the two 8s keep declaration order.
+        assert dispatched == [(2, 8, 0), (1, 8, 0), (2, 4, 0), (1, 4, 0)]
+        assert [(c.n_gateways, c.n_devices) for c in result.cells] == [
+            (1, 4),
+            (1, 8),
+            (2, 4),
+            (2, 8),
+        ]
+
+    def test_zero_gateway_cell_rejected(self):
+        # The ring's first gateway would otherwise hear a "0-gateway" cell.
+        with pytest.raises(ConfigurationError, match="gateway"):
+            run_fleet_scale(gateway_counts=(0,), device_counts=(4,))
