@@ -22,9 +22,9 @@ pipeline instead:
 The serial runner preserves the classic drivers' rng call order (per
 trial: FB draw, then phase draw, then onset fraction, then noise), so
 ported drivers regenerate the exact numbers their hand-rolled loops
-produced.  A parallel run opens its own ``spawn`` process pool, maps
-one task per point over it in declaration order and shuts the pool
-down before ``run()`` returns or raises.
+produced.  A parallel run opens its own ``spawn`` process pool, sends
+one task per point in declaration order, at most one per worker at a
+time, and shuts the pool down before ``run()`` returns or raises.
 Everything that crosses the process boundary -- points, specs, the
 ``measure`` callable, per-point generators -- must pickle: module-level
 functions (or :func:`functools.partial` over them) instead of closures,
@@ -37,7 +37,7 @@ at any worker count.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -270,13 +270,15 @@ class SweepExecutor:
       perturbing existing points.
 
     A parallel run (``n_workers > 1``) opens a ``spawn`` process pool of
-    ``n_workers`` workers for that run alone and maps one task per point
-    over it, collecting the results in declaration order whichever
+    ``n_workers`` workers for that run alone and sends one task per
+    point, in declaration order, keeping at most ``n_workers`` in
+    flight; results are collected in declaration order whichever
     worker finished first.  The pool is shut down before ``run()``
-    returns or raises: a ``measure`` that raises cancels the points not
-    yet started, and a worker that dies raises
-    :class:`~concurrent.futures.process.BrokenProcessPool`.  Worker count
-    and completion order never change results -- only wall-clock.
+    returns or raises: a ``measure`` that raises lets only the points
+    already running finish and starts no other, and a worker that dies
+    raises :class:`~concurrent.futures.process.BrokenProcessPool`.
+    Worker count and completion order never change results -- only
+    wall-clock.
 
     Attributes:
         n_workers: Worker count; ``1`` walks the grid serially in this
@@ -358,19 +360,41 @@ class SweepExecutor:
         tasks: list[tuple[SweepPoint, np.random.Generator | None]],
         measure: Callable,
     ) -> SweepResult:
-        """Fan the validated grid out over a pool opened for this run."""
-        point_rngs = [point_rng for _, point_rng in tasks]
+        """Fan the validated grid out over a pool opened for this run.
+
+        At most ``n_workers`` points are submitted at a time, the next
+        one only when a result arrives, so nothing waits in the pool's
+        call queue: after an error only the points already running
+        finish before it reaches the caller.
+        """
         # Spawned, never forked: a fresh interpreter inherits no parent
         # state (rng, caches, threads) on any platform.
         executor = ProcessPoolExecutor(
             self.n_workers, mp_context=multiprocessing.get_context("spawn")
         )
+        queued = iter(enumerate(tasks))
+        running: dict[Future, int] = {}
+        trials: list[Any] = [None] * len(points)
+
+        def submit_next() -> None:
+            task = next(queued, None)
+            if task is not None:
+                index, (point, point_rng) = task
+                running[executor.submit(_run_point, point, measure, point_rng)] = index
+
         try:
-            trials = list(executor.map(_run_point, points, [measure] * len(points), point_rngs))
+            for _ in range(self.n_workers):
+                submit_next()
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                # Read every result before submitting more, so an error
+                # in this batch starts no further point.
+                for future in done:
+                    trials[running.pop(future)] = future.result()
+                for _ in done:
+                    submit_next()
         finally:
-            # On an error, drop the points no worker has started rather
-            # than run the rest of the grid; either way every worker is
-            # joined before this returns.
+            # Every worker is joined before this returns or raises.
             executor.shutdown(cancel_futures=True)
         measurements = {point.key: point_trials for point, point_trials in zip(points, trials)}
         return SweepResult(points=points, measurements=measurements)

@@ -4,7 +4,11 @@ Supports the two abstraction levels the experiments need:
 
 * **frame level** -- receptions carry powers and times; collisions resolve
   with LoRa's capture effect (used by the discrete-event simulator and the
-  jamming model),
+  jamming model).  :func:`resolve_collisions` is the per-object rule;
+  the fleet simulator evaluates the same links and rule as columns:
+  :func:`site_power_columns` gives every (frame, gateway) received power
+  and delay, and :func:`window_survival` resolves a window's contention
+  over them,
 * **waveform level** -- amplitudes are scaled so a synthesized baseband
   trace exhibits the SNR the link budget predicts (used by the signal
   processing experiments).
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -247,3 +251,194 @@ def resolve_collisions(
         else:
             outcomes.append(ReceptionOutcome(tx, False, "lost to inter-SF interference"))
     return outcomes
+
+
+#: Device rows per slice of the power/delay/loss matrix build: bounds
+#: the build's temporary memory without changing a result bit.
+_CHUNK_ROWS = 262_144
+
+
+def overlap_cluster_indices(starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """Chain intervals into overlap clusters with one sorted sweep.
+
+    Sorts by start (stable, so equal starts keep input order), then
+    walks the running maximum of interval ends: an interval starting at
+    or after everything seen so far opens a new cluster -- exactly the
+    chaining rule the legacy per-item loop applied, as one
+    ``np.maximum.accumulate`` pass.  Returns index arrays into the
+    input, one per cluster, in sweep order.
+    """
+    order = np.argsort(starts, kind="stable")
+    running_end = np.maximum.accumulate(ends[order])
+    opens_cluster = np.empty(order.size, dtype=bool)
+    opens_cluster[0] = True
+    opens_cluster[1:] = starts[order][1:] >= running_end[:-1]
+    breaks = np.flatnonzero(opens_cluster[1:]) + 1
+    return np.split(order, breaks)
+
+
+def site_power_columns(
+    sites: Sequence[Any],
+    site_xyz: np.ndarray,
+    devices: list | None,
+    dev_xyz: np.ndarray,
+    tx_power_dbm: np.ndarray,
+    *,
+    return_loss: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Per-(frame, site) received powers and propagation delays.
+
+    One vectorized distance/path-loss evaluation per gateway site,
+    mirroring the scalar :meth:`LinkBudget.rx_power_dbm` arithmetic
+    operation for operation.  The closed-form path-loss models evaluate
+    their scalar ``loss_db`` through ``loss_db_from_distance``, whose
+    logarithm is libm's, so every column equals the scalar link budget
+    bit for bit and depends on the platform libm, not on numpy's SIMD
+    level.  Both runtime modes read their SNRs (``powers`` minus the
+    site noise floor) and delays from here.  Path-loss models without a
+    closed distance-only form (``loss_db_from_distance`` missing or
+    returning ``None``, e.g. log-distance with shadowing) fall back to
+    the scalar per-device call.
+
+    Device rows are processed in slices of ``_CHUNK_ROWS``, so the
+    temporaries stay bounded on million-device fleets.  Every operation
+    is elementwise, so the result is *bitwise* identical to a one-pass
+    build (``tests/test_columnar.py`` pins this).
+
+    Args:
+        sites: Gateway placements (``link`` and ``position`` each), as
+            returned by ``LoRaWanWorld.site_columns()``.
+        site_xyz: ``(n_sites, 3)`` site coordinates, same call.
+        devices: The frames' device objects, read for ``position`` (scalar
+            fallback only).  Pass ``None`` for array-native fleets that
+            never built device objects; the fallback then raises a
+            :class:`ConfigurationError` instead of failing obscurely.
+        dev_xyz: ``(n, 3)`` device coordinates, one row per staged frame.
+        tx_power_dbm: ``(n,)`` per-frame transmit powers.
+        return_loss: Also return the raw per-(frame, site) path loss in
+            dB -- callers that later retune transmit powers (ADR) can
+            then rebuild a power row with the exact build-time
+            arithmetic.
+
+    Returns:
+        ``(powers, delays)``, each ``(n, n_sites)`` float64 -- plus
+        ``loss`` of the same shape when ``return_loss`` is set.
+    """
+    n = dev_xyz.shape[0]
+    powers = np.empty((n, len(sites)))
+    delays = np.empty((n, len(sites)))
+    loss_out = np.empty((n, len(sites))) if return_loss else None
+    for column, site in enumerate(sites):
+        vectorized = getattr(site.link.pathloss, "loss_db_from_distance", None)
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            diff = dev_xyz[lo:hi] - site_xyz[column]
+            distance = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+            loss = None
+            if vectorized is not None:
+                loss = vectorized(distance)
+            if loss is None:
+                if devices is None:
+                    raise ConfigurationError(
+                        f"path-loss model {type(site.link.pathloss).__name__} has no "
+                        "vectorized distance-only form and no device objects exist "
+                        "to fall back on; use a closed-form model for spec-built fleets"
+                    )
+                loss = np.array(
+                    [
+                        site.link.pathloss.loss_db(device.position, site.position)
+                        for device in devices[lo:hi]
+                    ]
+                )
+            powers[lo:hi, column] = (
+                tx_power_dbm[lo:hi]
+                + site.link.tx_antenna_gain_db
+                + site.link.rx_antenna_gain_db
+                - loss
+            )
+            delays[lo:hi, column] = distance / SPEED_OF_LIGHT_M_S
+            if loss_out is not None:
+                loss_out[lo:hi, column] = loss
+    if return_loss:
+        return powers, delays, loss_out
+    return powers, delays
+
+
+def cluster_survival_matrix(
+    starts: np.ndarray,
+    airtime: np.ndarray,
+    powers: np.ndarray,
+    spreading_factor: np.ndarray,
+    threshold_table: np.ndarray,
+) -> np.ndarray:
+    """Which (frame, site) receptions survive one overlap cluster.
+
+    Broadcast form of the capture-matrix rule in
+    :func:`resolve_collisions`: at each site, frame
+    ``i`` dies iff some other frame ``j`` overlaps it there (strict
+    interval overlap on propagation-shifted times) with
+    ``P_i < P_j + threshold(sf_i, sf_j)``.
+
+    Args:
+        starts: ``(k, n_sites)`` per-site arrival times.
+        airtime: ``(k,)`` frame airtimes.
+        powers: ``(k, n_sites)`` per-site received powers (dBm).
+        spreading_factor: ``(k,)`` integer SFs in 7..12.
+        threshold_table: The 6x6 grid from
+            :meth:`InterSfCaptureMatrix.threshold_table`.
+
+    Returns:
+        ``(k, n_sites)`` boolean survival matrix.
+    """
+    ends = starts + airtime[:, None]
+    overlap = (starts[:, None, :] < ends[None, :, :]) & (starts[None, :, :] < ends[:, None, :])
+    diagonal = np.arange(starts.shape[0])
+    overlap[diagonal, diagonal, :] = False
+    thresholds = threshold_table[
+        (spreading_factor - 7)[:, None], (spreading_factor - 7)[None, :]
+    ]
+    fatal = overlap & (powers[:, None, :] < powers[None, :, :] + thresholds[:, :, None])
+    return ~fatal.any(axis=1)
+
+
+def window_survival(
+    emission: np.ndarray,
+    airtime: np.ndarray,
+    delays: np.ndarray,
+    powers: np.ndarray,
+    spreading_factor: np.ndarray,
+    threshold_table: np.ndarray,
+) -> np.ndarray:
+    """Which (frame, site) receptions survive one event window.
+
+    Chains the window's frames into overlap clusters on emission times
+    (:func:`overlap_cluster_indices`), then resolves every multi-frame
+    cluster with :func:`cluster_survival_matrix` on the propagation-
+    shifted per-site arrival times.  Frames alone in their cluster
+    survive everywhere.
+
+    Args:
+        emission: ``(n,)`` emission times.
+        airtime: ``(n,)`` frame airtimes.
+        delays: ``(n, n_sites)`` propagation delays.
+        powers: ``(n, n_sites)`` received powers (dBm).
+        spreading_factor: ``(n,)`` integer SFs in 7..12.
+        threshold_table: The 6x6 grid from
+            :meth:`InterSfCaptureMatrix.threshold_table`.
+
+    Returns:
+        ``(n, n_sites)`` boolean survival matrix.
+    """
+    survives = np.ones(powers.shape, dtype=bool)
+    if emission.size < 2:
+        return survives
+    for cluster in overlap_cluster_indices(emission, emission + airtime):
+        if cluster.size >= 2:
+            survives[cluster] = cluster_survival_matrix(
+                emission[cluster, None] + delays[cluster],
+                airtime[cluster],
+                powers[cluster],
+                spreading_factor[cluster],
+                threshold_table,
+            )
+    return survives

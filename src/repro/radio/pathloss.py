@@ -6,6 +6,13 @@ Used to regenerate the paper's link conditions:
 * the in-building survey (Fig. 15) shows SNR decaying from 13 dB near the
   fixed node to -1 dB at the far end, driven by distance plus floor slabs
   and section junction walls.
+
+Each closed-form model writes its loss once, as the array form
+``loss_db_from_distance``; the scalar ``loss_db`` evaluates that form on
+a one-element column, so a link's loss has the same bits whichever form
+computed it.  The logarithm is the platform libm's ``log10`` mapped over
+the column rather than numpy's ufunc, whose bits change with numpy's SIMD
+dispatch level (AVX-512 hosts differ from others in the last ulp).
 """
 
 from __future__ import annotations
@@ -18,6 +25,15 @@ import numpy as np
 from repro.constants import EU868_CENTER_FREQUENCY_HZ, SPEED_OF_LIGHT_M_S
 from repro.errors import ConfigurationError
 from repro.radio.geometry import Building, Position
+
+
+def _log10(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.log10``: libm's bits on every numpy SIMD level."""
+    # Iterating a memoryview hands math.log10 each float without first
+    # building a list of them, which halves the cost on a 1M column.
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    logs = np.fromiter(map(math.log10, memoryview(flat)), dtype=float, count=flat.size)
+    return logs.reshape(np.shape(values))
 
 
 @dataclass(frozen=True)
@@ -50,18 +66,17 @@ class FreeSpacePathLoss:
     carrier_hz: float = EU868_CENTER_FREQUENCY_HZ
 
     def loss_db(self, tx: Position, rx: Position) -> float:
-        distance = max(tx.distance_to(rx), 1.0)
-        return 20.0 * math.log10(4.0 * math.pi * distance * self.carrier_hz / SPEED_OF_LIGHT_M_S)
+        return float(self.loss_db_from_distance(np.array([tx.distance_to(rx)]))[0])
 
     def loss_db_from_distance(self, distance_m: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`loss_db` over an array of link distances.
+        """Friis loss over an array of link distances (clamped to >= 1 m).
 
-        Mirrors the scalar arithmetic operation for operation, so the
-        only scalar/vector divergence is the ~1 ulp difference between
-        ``math.log10`` and ``np.log10``.
+        The model's one formula: :meth:`loss_db` evaluates it too, and
+        its logarithm is libm's, so the result depends on the platform
+        libm and not on numpy's SIMD level.
         """
         distance = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
-        return 20.0 * np.log10(4.0 * math.pi * distance * self.carrier_hz / SPEED_OF_LIGHT_M_S)
+        return 20.0 * _log10(4.0 * math.pi * distance * self.carrier_hz / SPEED_OF_LIGHT_M_S)
 
 
 @dataclass(frozen=True)
@@ -103,26 +118,30 @@ class LogDistancePathLoss:
         rng = np.random.default_rng(key)
         return float(rng.normal(0.0, self.shadowing_sigma_db))
 
-    def loss_db(self, tx: Position, rx: Position) -> float:
-        distance = max(tx.distance_to(rx), self.reference_distance_m)
-        loss = self._reference_loss() + 10.0 * self.exponent * math.log10(
+    def _mean_loss_db(self, distance_m: np.ndarray) -> np.ndarray:
+        """``PL(d0) + 10·n·log10(d/d0)`` over an array of distances."""
+        distance = np.maximum(np.asarray(distance_m, dtype=float), self.reference_distance_m)
+        return self._reference_loss() + 10.0 * self.exponent * _log10(
             distance / self.reference_distance_m
         )
+
+    def loss_db(self, tx: Position, rx: Position) -> float:
+        loss = float(self._mean_loss_db(np.array([tx.distance_to(rx)]))[0])
         return loss + self._shadowing(tx, rx)
 
     def loss_db_from_distance(self, distance_m: np.ndarray) -> np.ndarray | None:
-        """Vectorized :meth:`loss_db`, or ``None`` when shadowing is on.
+        """:meth:`loss_db` over an array of distances, or ``None`` with shadowing.
 
-        The per-link shadowing term hashes endpoint *positions*, which a
+        Without shadowing this is the model's one formula, the one
+        :meth:`loss_db` evaluates, with libm's logarithm: the result
+        depends on the platform libm and not on numpy's SIMD level.  The
+        per-link shadowing term hashes endpoint *positions*, which a
         distance-only column cannot reproduce -- callers fall back to
         the scalar path when this returns ``None``.
         """
         if self.shadowing_sigma_db != 0.0:
             return None
-        distance = np.maximum(np.asarray(distance_m, dtype=float), self.reference_distance_m)
-        return self._reference_loss() + 10.0 * self.exponent * np.log10(
-            distance / self.reference_distance_m
-        )
+        return self._mean_loss_db(distance_m)
 
 
 @dataclass(frozen=True)

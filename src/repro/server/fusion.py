@@ -63,7 +63,10 @@ class FbMeasurementModel:
 
     The network server weights gateway FBs with :meth:`sigma_hz`; the
     fleet simulator draws whole steps of measurements with
-    :meth:`measure_batch`.
+    :meth:`measure_batch`.  Both raise 10 to the SNR power through the
+    platform libm's ``pow`` (Python's ``**`` and ``np.float_power``),
+    so a batch draws each frame's noise at exactly its ``sigma_hz``
+    whatever numpy's SIMD level.
     """
 
     ceiling_hz: float = FB_ESTIMATION_RESOLUTION_HZ
@@ -72,7 +75,7 @@ class FbMeasurementModel:
     reference_sf: int = 7
 
     def _sf_scale(self, spreading_factor) -> Any:
-        return 2.0 ** -(np.asarray(spreading_factor, dtype=float) - self.reference_sf)
+        return np.float_power(2.0, -(np.asarray(spreading_factor, dtype=float) - self.reference_sf))
 
     def sigma_hz(self, snr_db: float, spreading_factor: int | None = None) -> float:
         """One-sigma FB estimation noise (Hz) at a link SNR, optionally per SF."""
@@ -85,16 +88,6 @@ class FbMeasurementModel:
             sigma = min(max(sigma * scale, self.floor_hz), self.ceiling_hz)
         return float(sigma)
 
-    def measure(
-        self,
-        true_fb_hz: float,
-        snr_db: float,
-        rng: np.random.Generator,
-        spreading_factor: int | None = None,
-    ) -> float:
-        """One noisy FB measurement of a frame with true bias ``true_fb_hz``."""
-        return true_fb_hz + rng.normal(0.0, self.sigma_hz(snr_db, spreading_factor))
-
     def measure_batch(
         self,
         true_fbs_hz: np.ndarray,
@@ -105,7 +98,7 @@ class FbMeasurementModel:
         """Per-frame FB measurements for a whole fleet step, one rng draw."""
         true_fbs = np.asarray(true_fbs_hz, dtype=float)
         snrs = np.asarray(snrs_db, dtype=float)
-        raw = self.ceiling_hz * 10.0 ** (-(snrs - self.reference_snr_db) / 20.0)
+        raw = self.ceiling_hz * np.float_power(10.0, -(snrs - self.reference_snr_db) / 20.0)
         sigmas = np.clip(raw, self.floor_hz, self.ceiling_hz)
         if spreading_factors is not None:
             sigmas = np.clip(

@@ -9,7 +9,7 @@ from repro.sim.network import (
     WorldEvent,
 )
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import CollisionChannel, RuntimeReport
+from repro.sim.runtime import RuntimeReport
 from repro.sim.scenarios import (
     BuildingScenario,
     CampusScenario,
@@ -24,7 +24,6 @@ from repro.sim.traffic import PeriodicTrafficModel
 __all__ = [
     "BuildingScenario",
     "CampusScenario",
-    "CollisionChannel",
     "ColumnarRuntime",
     "FbMeasurementModel",
     "FleetSpec",

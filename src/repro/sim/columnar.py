@@ -68,18 +68,19 @@ from repro.lorawan.mac import LinkADRAns, LinkADRReq
 from repro.lorawan.regional import EU868
 from repro.lorawan.security import SessionKeys
 from repro.phy.airtime import airtime_s
-from repro.radio.channel import DEFAULT_CAPTURE_THRESHOLD_DB, noise_floor_dbm
+from repro.radio.channel import (
+    DEFAULT_CAPTURE_THRESHOLD_DB,
+    InterSfCaptureMatrix,
+    noise_floor_dbm,
+    site_power_columns,
+    window_survival,
+)
 from repro.radio.geometry import Position
 from repro.server.adr import AdrCommand
 from repro.sim.events import TimeWheel
 from repro.sim.network import EventKind, LoRaWanWorld, StagedTransmission
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import (
-    CollisionChannel,
-    RuntimeReport,
-    site_power_columns,
-    window_survival,
-)
+from repro.sim.runtime import RuntimeReport
 from repro.core.timestamping import ElapsedTimeCodec
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -249,7 +250,7 @@ def _link_columns(
     """The device x gateway columns of a :class:`FleetState`.
 
     Received powers, delays and path losses come from
-    :func:`~repro.sim.runtime.site_power_columns` over the world's
+    :func:`~repro.radio.channel.site_power_columns` over the world's
     sites (through ``devices`` when given, else from ``positions``
     alone); a link is in range when its SNR over the site's noise floor
     clears the device's demodulation floor ``floors_db``.
@@ -501,15 +502,14 @@ class ColumnarRuntime:
     adr_applied: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        """Validate knobs and set up the wheel, channel, and indices."""
+        """Validate knobs and set up the wheel, capture table, and indices."""
         if self.window_s <= 0:
             raise ConfigurationError(f"window must be positive, got {self.window_s}")
         if self.backoff_s <= 0:
             raise ConfigurationError(f"backoff must be positive, got {self.backoff_s}")
         if self.mode not in ("events", "counters"):
             raise ConfigurationError(f"mode must be 'events' or 'counters', got {self.mode!r}")
-        self._channel = CollisionChannel(capture_threshold_db=self.capture_threshold_db)
-        self._table = self._channel.capture_matrix.threshold_table()
+        self._table = InterSfCaptureMatrix(co_sf_db=self.capture_threshold_db).threshold_table()
         self._wheel = TimeWheel(self.window_s)
         if self.state is not None:
             self._names = list(self.state.names)
@@ -802,8 +802,7 @@ class ColumnarRuntime:
         if not self._pending:
             return
         staged, self._pending = self._pending, []
-        mask = self._channel.surviving_sites(self.world, staged)
-        events = self.world.deliver_staged(staged, site_mask=mask)
+        events = self.world.deliver_staged(staged, threshold_table=self._table)
         commands = self._adr.take_pending() if self._adr is not None else []
         if not commands:
             return

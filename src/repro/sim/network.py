@@ -34,7 +34,12 @@ from repro.constants import SX1276_DEMOD_SNR_FLOOR_DB
 from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.lorawan.device import EndDevice, UplinkTransmission
-from repro.radio.channel import LinkBudget, propagation_delay_s
+from repro.radio.channel import (
+    LinkBudget,
+    noise_floor_dbm,
+    site_power_columns,
+    window_survival,
+)
 from repro.radio.geometry import Position
 from repro.server.forwarding import GatewayForward
 from repro.server.fusion import FbMeasurementModel, FusionPolicy
@@ -301,15 +306,17 @@ class LoRaWanWorld:
     def deliver_staged(
         self,
         staged: list[StagedTransmission],
-        site_mask: dict[int, set[int]] | None = None,
+        threshold_table: np.ndarray | None = None,
     ) -> list[WorldEvent]:
         """Route one staged batch through every in-range gateway to the server.
 
         The MAC layer has already run per device; everything after it is
-        batched: per-(device, gateway) SNRs from each site's link budget,
-        one vectorized FB-measurement draw over every delivery in staged
-        order (each gateway's estimate carries noise at its own SNR), one
-        :class:`~repro.server.GatewayForward` per delivery, then a single
+        batched: one :func:`~repro.radio.channel.site_power_columns` call
+        gives every (frame, gateway) SNR and delay -- the link columns
+        the counters mode reads too -- then one vectorized FB-measurement
+        draw over every delivery in staged order (each gateway's
+        estimate carries noise at its own SNR), one
+        :class:`~repro.server.GatewayForward` per delivery, and a single
         :meth:`NetworkServer.process_step` that deduplicates, fuses, and
         issues one verdict per transmission (``event.verdict``).
 
@@ -321,36 +328,56 @@ class LoRaWanWorld:
 
         Args:
             staged: The transmissions to deliver.
-            site_mask: Contention outcomes: maps a *staged index* to the
-                gateway-site indices (positions in :attr:`sites`) at
-                which that transmission survived collision resolution.
-                Indices absent from the mask are unconstrained.  A
-                transmission masked out of every in-range site becomes a
-                :attr:`EventKind.LOST_COLLISION` event.  Attacked devices
-                bypass the mask: the jammer suppresses the original
-                regardless, and the attacker replays into a clear window
-                of its choosing.
+            threshold_table: Contend the batch as one event window: the
+                6x6 grid of
+                :meth:`~repro.radio.channel.InterSfCaptureMatrix.threshold_table`
+                with which :func:`~repro.radio.channel.window_survival`
+                resolves every (frame, gateway) reception on the same
+                columns.  A transmission that survives at none of its
+                in-range sites becomes a :attr:`EventKind.LOST_COLLISION`
+                event.  Attacked devices bypass contention: the jammer
+                suppresses the original regardless, and the attacker
+                replays into a clear window of its choosing.  ``None``
+                (:meth:`uplink`, :meth:`uplink_batch`) delivers without
+                contention.
 
         Returns:
             One primary event per staged transmission, in staged order.
         """
         if not staged:
             return []
-        sites = self.sites
+        sites, site_xyz = self.site_columns()
+        devices = [self.devices[item.device_name] for item in staged]
+        txs = [item.transmission for item in staged]
+        powers, delays = site_power_columns(
+            sites,
+            site_xyz,
+            devices,
+            np.array([[d.position.x, d.position.y, d.position.z] for d in devices]),
+            np.array([tx.tx_power_dbm for tx in txs]),
+        )
+        noise = np.array(
+            [noise_floor_dbm(site.link.bandwidth_hz, site.link.noise_figure_db) for site in sites]
+        )
+        if threshold_table is None:
+            survives = None
+        else:
+            survives = window_survival(
+                np.array([tx.emission_time_s for tx in txs]),
+                np.array([tx.airtime_s for tx in txs]),
+                delays,
+                powers,
+                np.array([tx.spreading_factor for tx in txs], dtype=np.int64),
+                threshold_table,
+            ).tolist()
         primary: dict[int, WorldEvent] = {}
         suppressed: dict[int, WorldEvent] = {}
         # (tx, fb_true, site_index, snr, arrival) per gateway delivery.
         deliveries: list[tuple[UplinkTransmission, float, int, float, float]] = []
         heard: dict[int, WorldEvent] = {}
-        for index, item in enumerate(staged):
+        rows = zip((powers - noise).tolist(), delays.tolist())
+        for index, (item, tx, (snrs, delays_s)) in enumerate(zip(staged, txs, rows)):
             name = item.device_name
-            device = self.devices[name]
-            tx = item.transmission
-            snrs = [
-                site.link.snr_db(tx.tx_power_dbm, device.position, site.position)
-                for site in sites
-            ]
-            delays = [propagation_delay_s(device.position, site.position) for site in sites]
             # The frame's own SF/power, not the device's current ones: an
             # ADR downlink may have retuned the device since this frame
             # was staged.
@@ -361,7 +388,7 @@ class LoRaWanWorld:
                 where = f" at all {len(sites)} gateways" if len(sites) > 1 else ""
                 primary[index] = WorldEvent(
                     kind=EventKind.LOST_LOW_SNR,
-                    time_s=tx.emission_time_s + min(delays),
+                    time_s=tx.emission_time_s + min(delays_s),
                     device_name=name,
                     snr_db=best_snr,
                     transmission=tx,
@@ -370,12 +397,12 @@ class LoRaWanWorld:
                 )
                 continue
             attacked = self.attack is not None and name in self.attack_targets
-            if not attacked and site_mask is not None and index in site_mask:
-                surviving = [i for i in in_range if i in site_mask[index]]
+            if not attacked and survives is not None:
+                surviving = [i for i in in_range if survives[index][i]]
                 if not surviving:
                     primary[index] = WorldEvent(
                         kind=EventKind.LOST_COLLISION,
-                        time_s=tx.emission_time_s + min(delays[i] for i in in_range),
+                        time_s=tx.emission_time_s + min(delays_s[i] for i in in_range),
                         device_name=name,
                         snr_db=best_snr,
                         transmission=tx,
@@ -387,7 +414,7 @@ class LoRaWanWorld:
                 outcome = self.attack.execute(tx, self.attack_delay_s)
                 suppressed[index] = WorldEvent(
                     kind=EventKind.SUPPRESSED_BY_JAMMING,
-                    time_s=tx.emission_time_s + delays[in_range[0]],
+                    time_s=tx.emission_time_s + delays_s[in_range[0]],
                     device_name=name,
                     snr_db=best_snr,
                     transmission=tx,
@@ -404,11 +431,11 @@ class LoRaWanWorld:
                 metadata = {}
                 emission = tx.emission_time_s
             for i in in_range:
-                deliveries.append((tx, fb_true, i, snrs[i], emission + delays[i]))
+                deliveries.append((tx, fb_true, i, snrs[i], emission + delays_s[i]))
             metadata["gateway_ids"] = tuple(sites[i].gateway_id for i in in_range)
             heard[index] = WorldEvent(
                 kind=kind,
-                time_s=emission + min(delays[i] for i in in_range),
+                time_s=emission + min(delays_s[i] for i in in_range),
                 device_name=name,
                 snr_db=best_snr,
                 transmission=tx,

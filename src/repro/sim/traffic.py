@@ -4,7 +4,7 @@ Class A LoRaWAN is pure ALOHA: devices transmit whenever they have data,
 with no carrier sensing.  For fleet simulations this module generates
 periodic-with-jitter reporting schedules; which uplinks survive co-SF
 collisions at the gateway (capture effect) is resolved by
-:class:`repro.sim.runtime.CollisionChannel`, so detection experiments
+:func:`repro.radio.channel.window_survival`, so detection experiments
 can run under realistic channel contention.
 """
 

@@ -1,13 +1,16 @@
 """Property test: vectorized collision sweep == per-site resolve_collisions loop.
 
-:meth:`CollisionChannel.surviving_sites` resolves a window's contention
-as one sorted-interval sweep plus a broadcast capture-matrix pass;
-:func:`surviving_sites_reference` below keeps the original
-object-per-frame loop as the oracle.  Hypothesis drives both over
-SF-heterogeneous clusters, capture-edge power ties (discrete power and
-position grids, mirrored geometry), 1..3 gateway sites, and path-loss
-models with and without a vectorized distance-only form (the latter
-exercising the scalar fallback inside ``site_power_columns``).
+:func:`surviving_sites` below runs the column kernels
+``LoRaWanWorld.deliver_staged`` resolves a window's contention with:
+:func:`~repro.radio.channel.site_power_columns` for the (frame, site)
+powers and delays, then :func:`~repro.radio.channel.window_survival`,
+one sorted-interval sweep plus a broadcast capture-matrix pass.
+:func:`surviving_sites_reference` keeps the original object-per-frame
+loop as the oracle.  Hypothesis drives both over SF-heterogeneous
+clusters, capture-edge power ties (discrete power and position grids,
+mirrored geometry), 1..3 gateway sites, and path-loss models with and
+without a vectorized distance-only form (the latter exercising the
+scalar fallback inside ``site_power_columns``).
 """
 
 import math
@@ -20,9 +23,45 @@ from repro.lorawan.device import UplinkTransmission
 from repro.phy.airtime import airtime_s
 from repro.radio.geometry import Position
 from repro.radio.pathloss import FixedPathLoss, LogDistancePathLoss
-from repro.radio.channel import LinkBudget, Transmission, propagation_delay_s, resolve_collisions
+from repro.radio.channel import (
+    InterSfCaptureMatrix,
+    LinkBudget,
+    Transmission,
+    propagation_delay_s,
+    resolve_collisions,
+    site_power_columns,
+    window_survival,
+)
 from repro.sim.network import GatewaySite, StagedTransmission
-from repro.sim.runtime import CollisionChannel
+
+
+def surviving_sites(
+    world, staged: list[StagedTransmission], capture_matrix: InterSfCaptureMatrix
+) -> dict[int, set[int]]:
+    """Map each staged index to the site indices where it survives.
+
+    The column path: one ``site_power_columns`` call over the window's
+    frames, then ``window_survival`` over those columns.
+    """
+    sites, site_xyz = world.site_columns()
+    devices = [world.devices[item.device_name] for item in staged]
+    txs = [item.transmission for item in staged]
+    powers, delays = site_power_columns(
+        sites,
+        site_xyz,
+        devices,
+        np.array([[d.position.x, d.position.y, d.position.z] for d in devices]),
+        np.array([tx.tx_power_dbm for tx in txs]),
+    )
+    survives = window_survival(
+        np.array([tx.emission_time_s for tx in txs]),
+        np.array([tx.airtime_s for tx in txs]),
+        delays,
+        powers,
+        np.array([tx.spreading_factor for tx in txs], dtype=np.int64),
+        capture_matrix.threshold_table(),
+    )
+    return {index: set(np.flatnonzero(row).tolist()) for index, row in enumerate(survives)}
 
 
 def _overlap_clusters(staged: list[StagedTransmission]) -> list[list[int]]:
@@ -41,12 +80,12 @@ def _overlap_clusters(staged: list[StagedTransmission]) -> list[list[int]]:
 
 
 def surviving_sites_reference(
-    channel: CollisionChannel, world, staged: list[StagedTransmission]
+    world, staged: list[StagedTransmission], capture_matrix: InterSfCaptureMatrix
 ) -> dict[int, set[int]]:
     """The original per-cluster, per-site loop (property-test oracle).
 
-    Semantically identical to :meth:`CollisionChannel.surviving_sites`
-    but built on scalar :func:`resolve_collisions` resolution.
+    Semantically identical to :func:`surviving_sites` but built on
+    scalar link budgets and :func:`resolve_collisions` resolution.
     """
     sites = world.sites
     mask: dict[int, set[int]] = {index: set(range(len(sites))) for index in range(len(staged))}
@@ -72,8 +111,8 @@ def surviving_sites_reference(
                 )
             outcomes = resolve_collisions(
                 offered,
-                capture_threshold_db=channel.capture_threshold_db,
-                capture_matrix=channel.capture_matrix,
+                capture_threshold_db=capture_matrix.co_sf_db,
+                capture_matrix=capture_matrix,
             )
             for index, outcome in zip(cluster, outcomes):
                 if not outcome.delivered:
@@ -181,9 +220,9 @@ def _build_case(site_specs, frames, pathloss_kind):
 )
 def test_vectorized_sweep_matches_reference(site_specs, frames, pathloss_kind, threshold):
     world, staged = _build_case(site_specs, frames, pathloss_kind)
-    channel = CollisionChannel(capture_threshold_db=threshold)
-    fast = channel.surviving_sites(world, staged)
-    slow = surviving_sites_reference(channel, world, staged)
+    capture_matrix = InterSfCaptureMatrix(co_sf_db=threshold)
+    fast = surviving_sites(world, staged, capture_matrix)
+    slow = surviving_sites_reference(world, staged, capture_matrix)
     assert fast == slow
 
 
@@ -208,7 +247,7 @@ def test_mirrored_tie_matches_reference(sf_pair, overlap_half_slots):
         ((-200.0, 0.0), sf_pair[1], 14.0, overlap_half_slots),
     ]
     world, staged = _build_case(site_specs, frames, "logdistance")
-    channel = CollisionChannel(capture_threshold_db=6.0)
-    assert channel.surviving_sites(world, staged) == surviving_sites_reference(
-        channel, world, staged
+    capture_matrix = InterSfCaptureMatrix(co_sf_db=6.0)
+    assert surviving_sites(world, staged, capture_matrix) == surviving_sites_reference(
+        world, staged, capture_matrix
     )

@@ -654,7 +654,7 @@ class TestFleetSpec:
         world = self._world()
         whole = FleetState.from_spec(spec, world)
         # 11 rows in slices of 3 leave a short last chunk.
-        monkeypatch.setattr("repro.sim.runtime._CHUNK_ROWS", 3)
+        monkeypatch.setattr("repro.radio.channel._CHUNK_ROWS", 3)
         chunked = FleetState.from_spec(spec, world)
         for name in ("powers_dbm", "delays_s", "loss_db", "in_range"):
             assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name

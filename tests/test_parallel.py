@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,23 @@ def measure_or_fail(point, trial, captures, rng):
     """Measure that raises at one key, to check the error path."""
     if point.key == 3:
         raise ValueError(f"measure failed at point {point.key}")
+    return float(point.key)
+
+
+#: Wall time of each point after the first in the fail-fast sweep.
+POINT_S = 1.0
+
+
+def measure_fail_first_then_sleep(point, trial, captures, rng):
+    """Measure whose first point raises at once and whose others take ``POINT_S``."""
+    if point.key == 0:
+        raise ValueError("the first point failed")
+    time.sleep(POINT_S)
+    return float(point.key)
+
+
+def measure_key(point, trial, captures, rng):
+    """Measure that does no work."""
     return float(point.key)
 
 
@@ -131,6 +149,21 @@ class TestPoolLifecycle:
         assert multiprocessing.active_children() == []
         with pytest.raises(ValueError, match="failed at point 3"):
             SweepExecutor(n_workers=2).run(_points(n=6, n_trials=1), measure_or_fail)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_lets_only_the_running_points_finish(self):
+        # Pool start-up and shutdown alone: one idle point per worker.
+        start = time.perf_counter()
+        SweepExecutor(n_workers=2).run(_points(n=2, n_trials=1), measure_key)
+        pool_s = time.perf_counter() - start
+        # Only the point running beside the failed one may finish (about
+        # pool_s + POINT_S); the other ten must never start.  A pool that
+        # had queued further points ran two more and took pool_s + 2 s.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the first point failed"):
+            SweepExecutor(n_workers=2).run(_points(n=12, n_trials=1), measure_fail_first_then_sleep)
+        elapsed_s = time.perf_counter() - start
+        assert elapsed_s < pool_s + 1.5 * POINT_S, (elapsed_s, pool_s)
         assert multiprocessing.active_children() == []
 
     def test_sweep_worker_holds_no_scipy(self):

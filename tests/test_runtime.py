@@ -10,14 +10,14 @@ from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.lorawan.gateway import CommodityGateway
 from repro.phy.chirp import ChirpConfig
-from repro.radio.channel import LinkBudget
+from repro.radio.channel import InterSfCaptureMatrix, LinkBudget
 from repro.radio.geometry import Position
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.server import NetworkServer
 from repro.sim.columnar import ColumnarRuntime
 from repro.sim.network import EventKind, LoRaWanWorld
 from repro.sim.rng import RngStreams
-from repro.sim.runtime import CollisionChannel, replay_detected
+from repro.sim.runtime import replay_detected
 from repro.sim.scenarios import build_fleet
 from repro.sim.traffic import PeriodicTrafficModel
 
@@ -95,15 +95,17 @@ class TestGoldenDegenerate:
 
 
 class TestCollisionChannel:
+    """Contention inside ``deliver_staged``, given the capture threshold table."""
+
+    TABLE = InterSfCaptureMatrix().threshold_table()
+
     def test_equal_power_overlap_lost_at_single_gateway(self):
         world, devices, _ = build_world(n_devices=2)
         # The fleet ring is symmetric: both devices sit 5 m from the
         # gateway, so neither clears the 6 dB capture margin.
         devices[1].position = Position(-devices[0].position.x, -devices[0].position.y, 1.0)
         staged = world.stage_uplinks([devices[0].name, devices[1].name], 10.0)
-        mask = CollisionChannel().surviving_sites(world, staged)
-        assert mask[0] == set() and mask[1] == set()
-        events = world.deliver_staged(staged, site_mask=mask)
+        events = world.deliver_staged(staged, threshold_table=self.TABLE)
         assert [e.kind for e in events] == [EventKind.LOST_COLLISION] * 2
 
     def test_capture_saves_the_stronger(self):
@@ -111,18 +113,18 @@ class TestCollisionChannel:
         devices[0].position = Position(5.0, 0.0, 1.0)
         devices[1].position = Position(500.0, 0.0, 1.0)
         staged = world.stage_uplinks([devices[0].name, devices[1].name], 10.0)
-        mask = CollisionChannel().surviving_sites(world, staged)
-        assert mask[0] == {0} and mask[1] == set()
-        events = world.deliver_staged(staged, site_mask=mask)
+        events = world.deliver_staged(staged, threshold_table=self.TABLE)
         assert events[0].kind is EventKind.DELIVERED
+        assert events[0].metadata["gateway_ids"] == ("gw-0",)
         assert events[1].kind is EventKind.LOST_COLLISION
 
     def test_non_overlapping_frames_unaffected(self):
         world, devices, _ = build_world(n_devices=2)
         staged = world.stage_uplinks([devices[0].name], 10.0)
         staged += world.stage_uplinks([devices[1].name], 20.0)
-        mask = CollisionChannel().surviving_sites(world, staged)
-        assert all(0 in sites for sites in mask.values())
+        events = world.deliver_staged(staged, threshold_table=self.TABLE)
+        assert [e.kind for e in events] == [EventKind.DELIVERED] * 2
+        assert all(e.metadata["gateway_ids"] == ("gw-0",) for e in events)
 
     def test_second_gateway_rescues_captured_frame(self):
         world, devices, _ = build_world(n_devices=2)
@@ -135,10 +137,7 @@ class TestCollisionChannel:
         world.add_gateway(Position(110.0, 0.0, 1.0))
         world.attach_server(NetworkServer())
         staged = world.stage_uplinks([near.name, far.name], 10.0)
-        mask = CollisionChannel().surviving_sites(world, staged)
-        assert mask[0] == {1}
-        assert mask[1] == set()
-        events = world.deliver_staged(staged, site_mask=mask)
+        events = world.deliver_staged(staged, threshold_table=self.TABLE)
         assert events[0].kind is EventKind.DELIVERED
         assert events[0].verdict is not None
         assert events[0].metadata["gateway_ids"] == ("gw-1",)
@@ -152,8 +151,7 @@ class TestCollisionChannel:
         )
         world.arm_attack(attack, [devices[0].name], delay_s=30.0)
         staged = world.stage_uplinks([devices[0].name, devices[1].name], 10.0)
-        mask = CollisionChannel().surviving_sites(world, staged)
-        events = world.deliver_staged(staged, site_mask=mask)
+        events = world.deliver_staged(staged, threshold_table=self.TABLE)
         assert events[0].kind is EventKind.REPLAY_DELIVERED
         assert events[1].kind is EventKind.LOST_COLLISION
 

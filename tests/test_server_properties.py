@@ -183,14 +183,13 @@ class _UnitNormals:
     spreading_factor=spreading_factors,
 )
 def test_measure_batch_sigmas_match_scalar_sigma(snrs_db, spreading_factor):
-    """``measure_batch`` draws each frame's noise at that frame's ``sigma_hz``.
+    """``measure_batch`` draws each frame's noise at exactly that frame's ``sigma_hz``.
 
-    The batch raises 10 to the SNR power through numpy's vectorised
-    ufunc, the scalar through the C library's ``pow``.  On SIMD builds
-    of numpy the two differ in the last bits for a few percent of SNRs
-    (up to 2 ulp after the x120 scale), and either side feeds pinned
-    output streams, so the pin is a tight ulp bound rather than
-    bitwise equality.
+    Both raise 10 to the SNR power with the C library's ``pow``: the
+    scalar through Python's ``**``, the batch through
+    ``np.float_power``, whose float64 loop gives libm's bits with and
+    without numpy's AVX-512 dispatch (``np.power``'s AVX-512 loop
+    differs in the last bits).  So the two agree bit for bit.
     """
     import numpy as np
 
@@ -201,5 +200,5 @@ def test_measure_batch_sigmas_match_scalar_sigma(snrs_db, spreading_factor):
     sfs = None if spreading_factor is None else np.full(len(snrs), spreading_factor)
     batch = model.measure_batch(np.zeros(len(snrs)), snrs, _UnitNormals(), sfs)
     scalar = np.array([model.sigma_hz(s, spreading_factor) for s in snrs_db])
-    np.testing.assert_array_max_ulp(batch, scalar, maxulp=4)
+    np.testing.assert_array_equal(batch, scalar)
     assert np.all((batch >= model.floor_hz) & (batch <= model.ceiling_hz))

@@ -65,7 +65,7 @@ class TestFbMeasurementModel:
 
     def test_measurement_unbiased(self, rng):
         model = FbMeasurementModel()
-        samples = [model.measure(-20000.0, 10.0, rng) for _ in range(500)]
+        samples = model.measure_batch(np.full(500, -20000.0), np.full(500, 10.0), rng)
         assert np.mean(samples) == pytest.approx(-20000.0, abs=20.0)
 
 
