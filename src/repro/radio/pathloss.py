@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,9 @@ class LogDistancePathLoss:
         if self.reference_distance_m <= 0:
             raise ConfigurationError("reference distance must be positive")
 
+    @cached_property
     def _reference_loss(self) -> float:
+        """``PL(d0)``, evaluated once: it depends only on the frozen fields."""
         if self.reference_loss_db is not None:
             return self.reference_loss_db
         return FreeSpacePathLoss(self.carrier_hz).loss_db(
@@ -121,7 +124,7 @@ class LogDistancePathLoss:
     def _mean_loss_db(self, distance_m: np.ndarray) -> np.ndarray:
         """``PL(d0) + 10·n·log10(d/d0)`` over an array of distances."""
         distance = np.maximum(np.asarray(distance_m, dtype=float), self.reference_distance_m)
-        return self._reference_loss() + 10.0 * self.exponent * _log10(
+        return self._reference_loss + 10.0 * self.exponent * _log10(
             distance / self.reference_distance_m
         )
 

@@ -39,7 +39,8 @@ Worlds themselves can skip per-device objects entirely: a
 :meth:`FleetState.from_spec` materializes the columns directly --
 batched RNG draws, deferred key derivation, chunked power matrix --
 which is what makes million-device cells build in seconds instead of
-minutes.
+minutes.  A row is a device's only identity: rows follow ``world.devices``
+order for object-built fleets and spec row order for spec-built ones.
 """
 
 from __future__ import annotations
@@ -158,11 +159,6 @@ class FleetSpec:
         if int(self.spreading_factor) not in SX1276_DEMOD_SNR_FLOOR_DB:
             raise ConfigurationError(f"unsupported spreading factor {self.spreading_factor}")
 
-    @property
-    def names(self) -> list[str]:
-        """Row-ordered device names (``node-0`` .. ``node-{n-1}``)."""
-        return [f"node-{index}" for index in range(self.n_devices)]
-
     def positions(self) -> np.ndarray:
         """The ``(n, 3)`` ring coordinates, 1 m above ground."""
         angles = 2 * np.pi * np.arange(self.n_devices) / self.n_devices
@@ -277,15 +273,15 @@ def _link_columns(
 class FleetState:
     """Struct-of-arrays snapshot of a fleet's MAC-layer state.
 
-    One row per device, in :attr:`LoRaWanWorld.devices` order (or
-    :attr:`FleetSpec.names` order for spec-built states).  The
-    counters-mode engine runs its duty-cycle gates, transmit
-    bookkeeping, and link-budget lookups against these columns instead
-    of the per-device objects; ADR retunes mutate the SF / power /
-    airtime / range rows in place through the cached path-loss column.
+    One row per device, its only identity: rows follow
+    :attr:`LoRaWanWorld.devices` order for object-built states and spec
+    row order for spec-built ones.  The counters-mode engine runs its
+    duty-cycle gates, transmit bookkeeping, and link-budget lookups
+    against these columns instead of the per-device objects; ADR
+    retunes mutate the SF / power / airtime / range rows in place
+    through the cached path-loss column.
 
     Attributes:
-        names: Device names, row order of every column.
         positions: ``(n, 3)`` device coordinates in metres.
         spreading_factor: ``(n,)`` integer SFs in 7..12.
         tx_power_dbm: ``(n,)`` transmit powers.
@@ -313,7 +309,6 @@ class FleetState:
             spec-built states, which draw from one engine stream).
     """
 
-    names: list[str]
     positions: np.ndarray
     spreading_factor: np.ndarray
     tx_power_dbm: np.ndarray
@@ -370,7 +365,6 @@ class FleetState:
         )
         floors = np.array([SX1276_DEMOD_SNR_FLOOR_DB[int(s)] for s in sf])
         return cls(
-            names=[d.name for d in devices],
             positions=positions,
             spreading_factor=sf,
             tx_power_dbm=tx_power,
@@ -405,7 +399,7 @@ class FleetState:
                 antenna gains); its device map is not consulted.
 
         Returns:
-            A state whose rows follow ``spec.names`` order.
+            A state whose rows follow spec row order.
 
         Raises:
             ConfigurationError: If a gateway's path-loss model has no
@@ -420,7 +414,6 @@ class FleetState:
         tx_power = np.full(n, float(spec.tx_power_dbm))
         floors = np.full(n, SX1276_DEMOD_SNR_FLOOR_DB[sf0])
         return cls(
-            names=spec.names,
             positions=positions,
             spreading_factor=sf,
             tx_power_dbm=tx_power,
@@ -440,7 +433,7 @@ class FleetState:
     @property
     def n_devices(self) -> int:
         """Number of fleet rows."""
-        return len(self.names)
+        return len(self.dev_addr)
 
 
 @dataclass
@@ -453,7 +446,8 @@ class ColumnarRuntime:
     caller can run a clean phase, arm the frame-delay attack, move the
     clock forward, and keep running on one timeline.  The fleet is
     fixed at construction: devices added to the world later are not
-    scheduled.
+    scheduled.  A device is its row, in ``world.devices`` order for
+    object-built fleets and spec row order for a spec-built ``state``.
 
     Both modes share one drive loop over the wheel's windows, one
     ``(time, seq)`` walk for duty-cycle retries and ADR applies, and one
@@ -480,12 +474,12 @@ class ColumnarRuntime:
         backoff_s: Extra wait after a duty-cycle deferral.
         mode: ``"events"`` (per-device MAC, full ``WorldEvent`` stream)
             or ``"counters"`` (columnar MAC, counter-only reports).
-        state: Pre-built :class:`FleetState` to run against (e.g. a
-            spec-built million-row state); ``None`` snapshots the
-            world's devices on first counters use.  Events mode needs
-            real device objects, so a spec-built state without matching
-            ``world.devices`` entries is rejected there (realize the
-            spec first).
+        state: Pre-built :class:`FleetState` for counters mode to run
+            against (e.g. a spec-built million-row state); ``None``
+            snapshots the world's devices on first counters use.  Events
+            mode runs the world's :class:`~repro.lorawan.device.EndDevice`
+            objects and reads no state, so it refuses one (realize the
+            spec with :meth:`FleetSpec.realize` instead).
     """
 
     world: LoRaWanWorld
@@ -502,7 +496,7 @@ class ColumnarRuntime:
     adr_applied: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        """Validate knobs and set up the wheel, capture table, and indices."""
+        """Validate knobs and set up the wheel, capture table, and MAC step."""
         if self.window_s <= 0:
             raise ConfigurationError(f"window must be positive, got {self.window_s}")
         if self.backoff_s <= 0:
@@ -511,28 +505,26 @@ class ColumnarRuntime:
             raise ConfigurationError(f"mode must be 'events' or 'counters', got {self.mode!r}")
         self._table = InterSfCaptureMatrix(co_sf_db=self.capture_threshold_db).threshold_table()
         self._wheel = TimeWheel(self.window_s)
-        if self.state is not None:
-            self._names = list(self.state.names)
-        else:
-            self._names = list(self.world.devices)
-        self._index_of = {name: i for i, name in enumerate(self._names)}
         if self.mode == "events":
-            missing = next((n for n in self._names if n not in self.world.devices), None)
-            if missing is not None:
+            if self.state is not None:
                 raise ConfigurationError(
-                    f"events mode needs real device objects but {missing!r} has no "
-                    "EndDevice in the world; realize the spec (FleetSpec.realize) "
-                    "or use mode='counters'"
+                    "events mode runs the world's EndDevice objects and reads no "
+                    "FleetState; realize the spec (FleetSpec.realize) or use "
+                    "mode='counters'"
                 )
-            self._devices = [self.world.devices[name] for name in self._names]
+            self._devices = list(self.world.devices.values())
+            self._n_rows = len(self._devices)
             self._next_allowed_s = self._device_next_allowed_s
             self._transmit, self._apply = self._transmit_device, self._apply_downlink
             self._flush = self._flush_events
         else:
+            self._n_rows = len(self.world.devices) if self.state is None else self.state.n_devices
             self._next_allowed_s = self._row_next_allowed_s
             self._transmit, self._apply = self._transmit_row, self._apply_retune
             self._flush = self._flush_counters
+        # Events-mode staging: frames and their rows, in staged order.
         self._pending: list[StagedTransmission] = []
+        self._pending_rows: list[int] = []
         # Shipped ADR commands awaiting their apply instant (negative
         # wheel items index this list): row, request, FCnt-down.
         self._applies: list[tuple[int, LinkADRReq, int]] = []
@@ -569,7 +561,9 @@ class ColumnarRuntime:
         Args:
             duration_s: Phase length in simulated seconds.
             device_names: Subset of devices to schedule, each named
-                once; ``None`` means the whole fleet.
+                once; ``None`` means the whole fleet.  Names resolve to
+                rows through ``world.devices`` order, so on a spec-built
+                fleet whose world holds no devices every name is unknown.
 
         Returns:
             A :class:`RuntimeReport` over exactly this phase -- with the
@@ -583,24 +577,25 @@ class ColumnarRuntime:
         if duration_s <= 0:
             raise ConfigurationError(f"duration must be positive, got {duration_s}")
         world = self.world
-        if device_names is None:
-            # The whole fleet: every name is one of ours, nothing to check.
-            names = self._names
-        else:
+        n_scheduled = self._n_rows
+        if device_names is not None:
             names = list(device_names)
-            unknown = [n for n in names if n not in self._index_of]
+            # Only the rows fixed at construction can be scheduled.
+            row_of = {name: row for row, name in zip(range(self._n_rows), world.devices)}
+            unknown = [n for n in names if n not in row_of]
             if unknown:
                 raise ConfigurationError(f"unknown devices: {unknown}")
             # A repeated name would schedule that device's traffic twice.
             repeated = [n for n, count in Counter(names).items() if count > 1]
             if repeated:
                 raise ConfigurationError(f"repeated devices: {repeated}")
+            n_scheduled = len(names)
         # Read the world clock at every phase start: callers may move it
         # forward between phases.
         start_s = world.now_s
-        times, indices = self.traffic.schedule_arrays(len(names), duration_s, start_s=start_s)
+        times, indices = self.traffic.schedule_arrays(n_scheduled, duration_s, start_s=start_s)
         if device_names is not None and times.size:
-            indices = np.array([self._index_of[n] for n in names], dtype=np.int64)[indices]
+            indices = np.array([row_of[n] for n in names], dtype=np.int64)[indices]
         self._wheel.push(times, indices)
         end_s = start_s + duration_s
         if times.size:
@@ -788,6 +783,7 @@ class ColumnarRuntime:
         """Transmit through the device and stage the frame for the flush."""
         device = self._devices[row]
         self._pending.append(StagedTransmission(device.name, device.transmit(t)))
+        self._pending_rows.append(row)
 
     def _apply_downlink(self, row: int, request: LinkADRReq, fcnt_down: int, t: float) -> None:
         """Build the shipped downlink and hand it to the device."""
@@ -801,18 +797,20 @@ class ColumnarRuntime:
         """Resolve and deliver everything staged, then ship ADR commands."""
         if not self._pending:
             return
-        staged, self._pending = self._pending, []
+        staged, rows = self._pending, self._pending_rows
+        self._pending, self._pending_rows = [], []
         events = self.world.deliver_staged(staged, threshold_table=self._table)
         commands = self._adr.take_pending() if self._adr is not None else []
         if not commands:
             return
         site_index_of = {site.gateway_id: i for i, site in enumerate(self.world.sites)}
         anchors = {}
-        for event in events:
+        # deliver_staged returns one primary event per frame, in staged order.
+        for event, row in zip(events, rows):
             tx = event.transmission
             if event.kind is EventKind.DELIVERED and tx is not None:
                 anchors[tx.dev_addr] = (
-                    self._index_of[event.device_name],
+                    row,
                     tx.end_time_s,
                     tx.spreading_factor,
                     [site_index_of[g] for g in event.metadata["gateway_ids"]],
@@ -825,13 +823,12 @@ class ColumnarRuntime:
         """Snapshot the fleet on first use and mark the attacked rows."""
         if self._state is None:
             self._state = FleetState.from_world(self.world)
-        attacked = np.zeros(self._state.n_devices, dtype=bool)
-        if self.world.attack is not None:
-            for name in self.world.attack_targets:
-                row = self._index_of.get(name)
-                if row is not None:
-                    attacked[row] = True
-        self._attacked_rows = attacked
+        world = self.world
+        targets = []
+        if world.attack is not None:
+            # DevAddrs are unique in a world, so they name rows exactly.
+            targets = [world.devices[name].dev_addr for name in world.attack_targets]
+        self._attacked_rows = np.isin(self._state.dev_addr, targets)
 
     def _row_next_allowed_s(self, row: int) -> float:
         """The row's duty-cycle gate column."""

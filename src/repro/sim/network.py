@@ -154,12 +154,16 @@ class LoRaWanWorld:
         """Build the default network server when none was given."""
         if self.server is None:
             self.server = NetworkServer(mac=self.gateway.commodity, fusion=FusionPolicy.BEST_SNR)
+        self._dev_addrs = {device.dev_addr for device in self.devices.values()}
 
     def add_device(self, device: EndDevice) -> None:
-        """Add a device and provision its session keys on the server."""
+        """Add a device (unique name and DevAddr) and provision its keys on the server."""
         if device.name in self.devices:
             raise ConfigurationError(f"duplicate device name {device.name!r}")
+        if device.dev_addr in self._dev_addrs:
+            raise ConfigurationError(f"duplicate DevAddr {device.dev_addr:08x}")
         self.devices[device.name] = device
+        self._dev_addrs.add(device.dev_addr)
         self.server.register_device(device.dev_addr, device.keys)
 
     # -- gateway topology -------------------------------------------------------

@@ -17,14 +17,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class ScheduledUplink:
-    """One planned uplink of a device."""
-
-    device_name: str
-    request_time_s: float
-
-
 @dataclass
 class PeriodicTrafficModel:
     """Periodic reporting with uniform jitter (the common sensor pattern).
@@ -46,33 +38,23 @@ class PeriodicTrafficModel:
                 f"jitter must be in [0, period), got {self.jitter_s}"
             )
 
-    def schedule(
-        self, device_names: list[str], duration_s: float, start_s: float = 0.0
-    ) -> list[ScheduledUplink]:
-        """All uplinks of the fleet over a duration, time-ordered."""
-        uplinks = []
-        for name in device_names:
-            phase = float(self.rng.uniform(0.0, self.period_s))
-            t = start_s + phase
-            while t < start_s + duration_s:
-                jitter = float(self.rng.uniform(0.0, self.jitter_s)) if self.jitter_s else 0.0
-                uplinks.append(ScheduledUplink(device_name=name, request_time_s=t + jitter))
-                t += self.period_s
-        uplinks.sort(key=lambda u: u.request_time_s)
-        return uplinks
-
     def schedule_arrays(
         self, n_devices: int, duration_s: float, start_s: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`schedule`: ``(request_times, device_indices)``.
+        """Every uplink of rows ``0..n-1`` over a duration, time-ordered.
 
-        Bit-identical to :meth:`schedule` over devices ``0..n-1`` -- same
-        rng draw order (one phase per device, then one jitter per kept
-        tick), same repeated-addition tick arithmetic (``t += period``
-        on the unjittered base time), same stable time sort -- but the
-        per-tick :class:`ScheduledUplink` churn is gone: ticks land in
-        flat scalar buffers converted to arrays once, so scheduling a
-        million devices costs seconds, not minutes.
+        Device by device, one phase is drawn uniformly from ``[0,
+        period)``; base ticks start at ``start_s + phase`` and advance by
+        repeated addition (``t += period``) while ``t < start_s +
+        duration_s``, and each tick draws one jitter from ``[0,
+        jitter)`` (none when the jitter is zero).  The ticks are then
+        stably sorted by request time.  Ticks land in flat scalar
+        buffers converted to arrays once, so scheduling a million
+        devices costs seconds, not minutes.
+
+        Returns:
+            ``(request_times, device_indices)``: the request instants in
+            time order and the row each belongs to.
         """
         horizon = start_s + duration_s
         times_list: list[float] = []

